@@ -130,50 +130,67 @@ def _revelation_probability(alpha: float | None) -> float:
     return 0.5 if alpha is None else 1.0 - alpha * alpha
 
 
-def _mc_rng(seed: int, point: int) -> np.random.Generator:
-    # per-point stream so curve points can be evaluated independently
-    return np.random.default_rng([seed, point])
+_MC_RULES = ("basis", "first_correct", "majority")
 
 
-def _sample_outcomes(rng, cdf: np.ndarray, trials: int, rounds: int) -> np.ndarray:
-    return np.searchsorted(cdf, rng.random((trials, rounds)), side="right")
+def _mc_rng(seed: int, rule: str) -> np.random.Generator:
+    # one stream per curve, so each rule's column depends only on the seed
+    return np.random.default_rng([seed, _MC_RULES.index(rule)])
 
 
-def basis_mc_point(dists: Sequence[np.ndarray], n: int, trials: int, seed: int) -> float:
-    """One Monte Carlo point of the basis-measurement curve: fraction of
-    trials where every bidder produced a non-|0..0> outcome within n rounds."""
-    rng = _mc_rng(seed, int(n))
-    learned_all = np.ones(trials, dtype=bool)
-    for dist in dists:
-        outcomes = _sample_outcomes(rng, np.cumsum(dist), trials, int(n))
-        learned_all &= (outcomes != 0).any(axis=1)
-    return float(learned_all.mean())
+def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Fraction of trials where every bidder has been hit within N rounds,
+    for N = 1..n_rounds, with per-round hit probability p_hits[i]. Each
+    bidder's first-hit round is geometric, so one draw per trial and
+    bidder gives the whole curve; p = 0 means never hit."""
+    last_hit = np.ones(trials, dtype=np.int64)
+    for p in p_hits:
+        if p > 0:
+            first = np.minimum(rng.geometric(min(p, 1.0), size=trials), n_rounds + 1)
+        else:
+            first = np.full(trials, n_rounds + 1)
+        np.maximum(last_hit, first, out=last_hit)
+    learned_by = np.cumsum(np.bincount(last_hit, minlength=n_rounds + 2))
+    return learned_by[1 : n_rounds + 1] / trials
 
 
-def povm_mc_point(per_bidder, n: int, trials: int, seed: int) -> float:
-    """First-correct-outcome rule: bidder learned once any of n POVM
+def basis_mc_curve(dists: Sequence[np.ndarray], n_rounds: int, trials: int,
+                   seed: int) -> np.ndarray:
+    """Monte Carlo basis-measurement curve: for N = 1..n_rounds, the fraction
+    of trials where every bidder produced a non-|0..0> outcome within N
+    rounds. The hit probability 1 - dist[0] is read off each sampled
+    outcome distribution."""
+    p_hits = [max(0.0, 1.0 - float(dist[0])) for dist in dists]
+    return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "basis"))
+
+
+def povm_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
+    """First-correct-outcome rule: a bidder is learned once any of N POVM
     outcomes names their true state (matches the closed form exactly)."""
-    rng = _mc_rng(seed, 10_000 + int(n))
-    learned_all = np.ones(trials, dtype=bool)
-    for dist, true_index in per_bidder:
-        outcomes = _sample_outcomes(rng, np.cumsum(np.asarray(dist)), trials, int(n))
-        learned_all &= (outcomes == true_index).any(axis=1)
-    return float(learned_all.mean())
+    p_hits = [float(dist[true_index]) for dist, true_index in per_bidder]
+    return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "first_correct"))
 
 
-def majority_mc_point(per_bidder, n: int, trials: int, seed: int) -> float:
-    """Strict-majority rule over n POVM outcomes; a tie counts as not
-    learned, so this is not monotone in n."""
-    rng = _mc_rng(seed, 20_000 + int(n))
-    learned_all = np.ones(trials, dtype=bool)
+def majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
+    """Strict-majority rule over N POVM outcomes, for N = 1..n_rounds; a tie
+    counts as not learned, so this is not monotone in N. One categorical
+    outcome per trial and round, with running counts along the rounds."""
+    rng = _mc_rng(seed, "majority")
+    count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
+    learned_all = np.ones((trials, n_rounds), dtype=bool)
     for dist, true_index in per_bidder:
-        dist = np.asarray(dist)
-        outcomes = _sample_outcomes(rng, np.cumsum(dist), trials, int(n))
-        counts = np.stack([(outcomes == c).sum(axis=1) for c in range(dist.size)], axis=1)
-        true_count = counts[:, true_index].copy()
-        counts[:, true_index] = -1
-        learned_all &= true_count > counts.max(axis=1)
-    return float(learned_all.mean())
+        cdf = np.cumsum(np.asarray(dist))
+        u = rng.random((trials, n_rounds))
+        outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+        for edge in cdf:  # outcome = number of cdf edges at or below u
+            outcomes += u >= edge
+        del u
+        true_count = np.cumsum(outcomes == true_index, axis=1, dtype=count_type)
+        for c in range(cdf.size):
+            if c != true_index:
+                learned_all &= true_count > np.cumsum(outcomes == c, axis=1, dtype=count_type)
+    return learned_all.mean(axis=0)
 
 
 def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
@@ -184,8 +201,9 @@ def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
 
     Closed form: prod_i (1 - (1 - rho_i)^N) with per-round revelation
     probability rho_i = 1 - |alpha_i|^2 (1/2 when unprotected). Monte
-    Carlo samples computational-basis outcomes of each returned bidding
-    state and declares a bidder learned at the first non-|0..0> outcome.
+    Carlo draws each bidder's first non-|0..0> round from the outcome
+    distribution of the returned bidding state and declares the bidder
+    learned from that round on.
     """
     if n_rounds < 1:
         raise ContractViolation("need at least one probe round")
@@ -200,8 +218,7 @@ def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
     if mode != "monte_carlo":
         raise ContractViolation(f"unknown mode {mode!r}")
     dists = [locked_bidding_state(b, a).probabilities() for b, a in zip(bids, alphas)]
-    probs = np.array([basis_mc_point(dists, int(n), trials, seed) for n in rounds])
-    return LearningCurve(rounds, probs, "monte_carlo")
+    return LearningCurve(rounds, basis_mc_curve(dists, n_rounds, trials, seed), "monte_carlo")
 
 
 def _lock_amplitudes(bids, locking: LockingPair | None):
@@ -413,9 +430,8 @@ def povm_attack_monte_carlo(bids: Sequence[BidSpec | str], n_rounds: int,
     """Monte Carlo counterpart of the (1 - p_e^N)^m model: a bidder counts
     as learned once any round's POVM outcome names their true state."""
     per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking, restarts, seed)]
-    rounds = np.arange(1, n_rounds + 1)
-    probs = np.array([povm_mc_point(per, int(n), trials, seed) for n in rounds])
-    return LearningCurve(rounds, probs, "monte_carlo")
+    return LearningCurve(np.arange(1, n_rounds + 1), povm_mc_curve(per, n_rounds, trials, seed),
+                         "monte_carlo")
 
 
 def povm_attack_majority_vote(bids: Sequence[BidSpec | str], n_rounds: int,
@@ -426,7 +442,7 @@ def povm_attack_majority_vote(bids: Sequence[BidSpec | str], n_rounds: int,
     curves: after N rounds the auctioneer picks each bidder's strict
     majority outcome (a tie counts as not learned). Not monotone in N."""
     per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking, restarts, seed)]
-    return np.array([majority_mc_point(per, n, trials, seed) for n in range(1, n_rounds + 1)])
+    return majority_mc_curve(per, n_rounds, trials, seed)
 
 
 def spurious_table() -> PayoffTable:
@@ -450,7 +466,10 @@ def run_spurious_attack(bids: Sequence[BidSpec | str],
     """Honest bidders, corrupt table: the search targets the revealing state
     (it holds the top payoff among plausible allocations by construction)."""
     traj = run_adiabatic(bids, spurious_table(), schedule)
-    assert traj.winner_index == revealing_index(bids)
+    if traj.winner_index != revealing_index(bids):
+        raise ContractViolation(
+            f"spurious table's winner {traj.winner_index} is not the revealing state "
+            f"{revealing_index(bids)}")
     return traj
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,8 +163,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             delta = float(delta_raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for delta: {raw['delta']!r}") from exc
-    if not delta > 0:
-        raise ConfigError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ConfigError("delta must be positive and finite")
 
     cfg = ScenarioConfig(
         bids=bids, steps=steps, delta=delta,
@@ -185,6 +185,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"defense must be one of {_DEFENSES}")
     if cfg.trials < 1 or cfg.rounds < 1 or cfg.jobs < 1 or cfg.restarts < 0:
         raise ConfigError("trials, rounds and jobs must be positive; restarts nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
 
 
@@ -276,18 +278,6 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
                        header, rows, trailing={"g_min": tracks.g_min})
 
 
-def _attack_point(args) -> tuple:
-    """Worker for one Monte Carlo curve point (picklable for --jobs)."""
-    n, seed, trials, basis_sets, povm_sets = args
-    out = []
-    for dists in basis_sets:
-        out.append(adversary.basis_mc_point(dists, n, trials, seed))
-    for per in povm_sets:
-        out.append(adversary.povm_mc_point(per, n, trials, seed))
-        out.append(adversary.majority_mc_point(per, n, trials, seed))
-    return tuple(out)
-
-
 def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
     locked = cfg.locking() if cfg.defense == "lock" else None
     variants: list[tuple[str, adversary.LockingPair | None]] = [("", None)]
@@ -296,42 +286,25 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
 
     header = ["N"]
     meta_extra: dict = {}
-    closed_cols = []
-    basis_sets, povm_sets = [], []
+    columns = [np.arange(1, cfg.rounds + 1)]
     rounds = np.arange(1, cfg.rounds + 1, dtype=float)
     for suffix, lock in variants:
         basis = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock)
-        alphas = adversary._lock_amplitudes(cfg.bids, lock)
+        basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
+                                                mode="monte_carlo", trials=cfg.trials,
+                                                seed=cfg.seed)
         solved = adversary._povm_outcome_distributions(cfg.bids, lock, cfg.restarts, cfg.seed)
         per = [(dist, t) for dist, t, _ in solved]
         povm_closed = np.ones(cfg.rounds)
         for bidder, (_, _, p_e) in enumerate(solved):
             povm_closed *= 1.0 - p_e**rounds
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
-        closed_cols.append((basis.probabilities, povm_closed))
-        basis_sets.append([adversary.locked_bidding_state(b, a).probabilities()
-                           for b, a in zip(cfg.bids, alphas)])
-        povm_sets.append(per)
+        columns += [basis.probabilities, basis_mc.probabilities, povm_closed,
+                    adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),
+                    adversary.majority_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed)]
         header += [f"basis_closed{suffix}", f"basis_mc{suffix}",
                    f"povm_closed{suffix}", f"povm_mc{suffix}", f"povm_mc_majority{suffix}"]
-
-    jobs = [(n, cfg.seed, cfg.trials, basis_sets, povm_sets)
-            for n in range(1, cfg.rounds + 1)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            mc_rows = list(pool.map(_attack_point, jobs))
-    else:
-        mc_rows = [_attack_point(job) for job in jobs]
-
-    rows = []
-    for idx, n in enumerate(range(1, cfg.rounds + 1)):
-        mc = mc_rows[idx]
-        row: list = [n]
-        for v, (basis_closed, povm_closed) in enumerate(closed_cols):
-            basis_mc = mc[v]
-            povm_mc, povm_majority = mc[len(basis_sets) + 2 * v], mc[len(basis_sets) + 2 * v + 1]
-            row += [basis_closed[idx], basis_mc, povm_closed[idx], povm_mc, povm_majority]
-        rows.append(tuple(row))
+    rows = [tuple(col[idx] for col in columns) for idx in range(cfg.rounds)]
     return header, rows, meta_extra
 
 
@@ -380,29 +353,47 @@ def cmd_povm(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _target_number(raw: str, parse=float):
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad number {raw!r} in circuit target") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"circuit target numbers must be finite, got {raw!r}")
+    return value
+
+
+def _target_bid(raw: str) -> protocol.BidSpec:
+    try:
+        return protocol.BidSpec(raw.strip())
+    except ContractViolation as exc:
+        raise ConfigError(f"bad bid in circuit target: {exc}") from exc
+
+
 def _reference_circuit(kind: str, arg: str, width: int | None) -> circuits.Circuit:
     if kind == "bidder":
-        return circuits.build_bidder_circuit(arg.strip())
+        return circuits.build_bidder_circuit(_target_bid(arg))
     if kind == "d":
         parts = [p.strip() for p in arg.split(",")]
         if len(parts) not in (2, 3):
             raise ConfigError("target D takes delta,f[,n_qubits]")
-        n = int(parts[2]) if len(parts) == 3 else width
+        n = _target_number(parts[2], int) if len(parts) == 3 else width
         if n is None or n < 1:
             raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
-        return circuits.build_D_circuit(float(parts[0]), float(parts[1]), n)
+        return circuits.build_D_circuit(_target_number(parts[0]), _target_number(parts[1]), n)
     if kind == "p":
         parts = [p.strip() for p in arg.split(",")]
         if len(parts) != 2:
             raise ConfigError("target P takes delta,f (two-bidder first-price table)")
         table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
         expansion = protocol.pauli_z_expansion(table)
-        return circuits.build_P_circuit(expansion, float(parts[0]), float(parts[1]), 4)
+        return circuits.build_P_circuit(expansion, _target_number(parts[0]),
+                                        _target_number(parts[1]), 4)
     if kind == "collusion":
         bits = [b.strip() for b in arg.split(",")]
         if len(bits) != 2:
             raise ConfigError("target collusion takes bid1,bid2")
-        return circuits.build_collusion_circuit(bits[0], bits[1])
+        return circuits.build_collusion_circuit(_target_bid(bits[0]), _target_bid(bits[1]))
     raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
 
 
@@ -413,14 +404,14 @@ def _resolve_target(target: str, inferred_width: int | None):
     kind, _, arg = target.partition(":")
     kind = kind.strip().lower()
     if kind == "bidder":
-        bid = protocol.BidSpec(arg.strip())
+        bid = _target_bid(arg)
         return bid.n_qubits, protocol.bidding_operator(bid)
     if kind == "d":
         parts = [p.strip() for p in arg.split(",")]
         if len(parts) not in (2, 3):
             raise ConfigError("target D takes delta,f[,n_qubits]")
-        delta, f = float(parts[0]), float(parts[1])
-        width = int(parts[2]) if len(parts) == 3 else inferred_width
+        delta, f = _target_number(parts[0]), _target_number(parts[1])
+        width = _target_number(parts[2], int) if len(parts) == 3 else inferred_width
         if width is None or width < 1:
             raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
         w = np.array([bin(x).count("1") for x in range(2**width)], dtype=float)
@@ -429,14 +420,15 @@ def _resolve_target(target: str, inferred_width: int | None):
         parts = [p.strip() for p in arg.split(",")]
         if len(parts) != 2:
             raise ConfigError("target P takes delta,f (two-bidder first-price table)")
-        delta, f = float(parts[0]), float(parts[1])
+        delta, f = _target_number(parts[0]), _target_number(parts[1])
         table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
         return 4, np.diag(np.exp(-1j * delta * f * (-table.values)))
     if kind == "collusion":
         bits = [b.strip() for b in arg.split(",")]
         if len(bits) != 2:
             raise ConfigError("target collusion takes bid1,bid2")
-        target_circuit = circuits.build_collusion_circuit(bits[0], bits[1])
+        target_circuit = circuits.build_collusion_circuit(_target_bid(bits[0]),
+                                                          _target_bid(bits[1]))
         return 4, circuits.circuit_to_matrix(target_circuit)
     raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
 
@@ -488,12 +480,12 @@ def build_parser() -> _Parser:
         p.add_argument("--defense", help="none|lock|collude")
         p.add_argument("--alpha1", help="lock amplitude for bidder 1")
         p.add_argument("--alpha2", help="lock amplitude for bidder 2")
-        p.add_argument("--seed", help="64-bit RNG seed (default 0)")
-        p.add_argument("--trials", help="Monte Carlo trials per curve point")
+        p.add_argument("--seed", help="nonnegative RNG seed (default 0)")
+        p.add_argument("--trials", help="Monte Carlo trials per curve")
         p.add_argument("--rounds", help="probe rounds N to sweep")
         p.add_argument("--restarts", help="random restarts of the POVM search")
         p.add_argument("--restrict", help="restrict gap tracks to the plausible span")
-        p.add_argument("--jobs", help="parallel workers for Monte Carlo points")
+        p.add_argument("--jobs", help="accepted for compatibility; no effect")
         p.add_argument("--out", help="output path (default: stdout)")
 
     def run_with_config(a, func):

@@ -60,7 +60,7 @@ class StateVector:
         if n_qubits is not None and n_qubits != n:
             raise ContractViolation(f"length {amps.size} does not match n_qubits={n_qubits}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL_STATE:
+        if not abs(norm - 1.0) <= ATOL_STATE:  # also rejects NaN
             raise ContractViolation(f"state norm {norm} deviates from 1 by more than {ATOL_STATE}")
         self.amplitudes = amps
         self.n_qubits = n

@@ -274,8 +274,8 @@ class AdiabaticSchedule:
     def __post_init__(self):
         if self.steps < 1:
             raise ContractViolation("schedule needs at least one step")
-        if not self.delta > 0:
-            raise ContractViolation("step size delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ContractViolation("step size delta must be positive and finite")
         if self.variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {self.variant!r}; pick from {VARIANTS}")
         if self.locking is not None and self.variant in ("zeroth", "first"):
@@ -446,7 +446,7 @@ def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
                 psi = np.exp(-1j * delta * f * hp_diag) * psi
             psi = u @ (np.exp(-1j * delta * (1 - f) * w_diag) * (ud @ psi))
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > ATOL_STATE:
+        if not abs(norm - 1.0) <= ATOL_STATE:  # also rejects NaN
             raise ContractViolation(f"norm drifted to {norm} at step {s}")
         psi = psi / norm
         steps.append(record(s, f, psi))

@@ -7,13 +7,16 @@ import pytest
 from qauction.adversary import (
     LockingPair,
     Povm,
+    basis_mc_curve,
     helstrom_error,
     locked_bidding_state,
     locking_operator,
     locking_operators,
+    majority_mc_curve,
     min_error_povm,
     povm_attack_majority_vote,
     povm_attack_monte_carlo,
+    povm_mc_curve,
     povm_optimality_check,
     probe_attack_basis,
     probe_attack_povm,
@@ -144,6 +147,67 @@ class TestBasisLearningCurve:
                       probe_attack_basis(["10", "11"], 10, mode="monte_carlo", trials=5000)):
             assert np.all(np.diff(curve.probabilities) >= -1e-12)
             assert np.all((curve.probabilities >= 0) & (curve.probabilities <= 1))
+
+
+# Two synthetic bidders with three POVM outcomes each: (distribution, true index).
+SYNTHETIC_BIDDERS = [(np.array([0.6, 0.25, 0.15]), 0), (np.array([0.2, 0.7, 0.1]), 1)]
+
+
+def exact_majority(dist, true_index, n):
+    """P(true outcome strictly outnumbers every other after n rounds), by
+    enumerating the outcome sequences."""
+    total = 0.0
+    for seq in itertools.product(range(len(dist)), repeat=n):
+        counts = np.bincount(seq, minlength=len(dist))
+        others = np.delete(counts, true_index)
+        if counts[true_index] > others.max():
+            total += float(np.prod([dist[c] for c in seq]))
+    return total
+
+
+class TestMonteCarloCurves:
+    def test_full_lock_is_never_learned(self):
+        pair = locking_operators(1.0, 0.8, ["10", "11"])
+        mc = probe_attack_basis(["10", "11"], 5, locking=pair, mode="monte_carlo",
+                                trials=1000, seed=3).probabilities
+        closed = probe_attack_basis(["10", "11"], 5, locking=pair).probabilities
+        np.testing.assert_array_equal(mc, np.zeros(5))
+        np.testing.assert_array_equal(closed, np.zeros(5))
+        never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
+        np.testing.assert_array_equal(povm_mc_curve(never, 4, 500, 0), np.zeros(4))
+        np.testing.assert_array_equal(majority_mc_curve(never, 4, 500, 0), np.zeros(4))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_first_hit_curves_non_decreasing(self, seed):
+        pair = locking_operators(0.9, 0.75, ["11", "10"])
+        curves = [probe_attack_basis(["10", "11"], 12, mode="monte_carlo", trials=2000, seed=seed),
+                  probe_attack_basis(["11", "10"], 12, locking=pair, mode="monte_carlo",
+                                     trials=2000, seed=seed)]
+        probs = [c.probabilities for c in curves]
+        probs.append(povm_mc_curve(SYNTHETIC_BIDDERS, 12, 2000, seed))
+        for p in probs:
+            assert p.shape == (12,)
+            assert np.all(np.diff(p) >= 0)
+            assert np.all((p >= 0) & (p <= 1))
+
+    def test_same_seed_same_arrays(self):
+        dists = [locked_bidding_state(b, None).probabilities() for b in ("10", "11")]
+        for curve, arg in ((basis_mc_curve, dists), (povm_mc_curve, SYNTHETIC_BIDDERS),
+                           (majority_mc_curve, SYNTHETIC_BIDDERS)):
+            first = curve(arg, 6, 3000, 17)
+            np.testing.assert_array_equal(first, curve(arg, 6, 3000, 17))
+            assert not np.array_equal(first, curve(arg, 6, 3000, 18))
+
+    def test_curves_match_exact_probabilities(self):
+        trials, n_rounds = 20_000, 5
+        rounds = np.arange(1, n_rounds + 1)
+        first_correct = np.prod([1 - (1 - d[t]) ** rounds for d, t in SYNTHETIC_BIDDERS], axis=0)
+        majority = np.array([np.prod([exact_majority(d, t, n) for d, t in SYNTHETIC_BIDDERS])
+                             for n in rounds])
+        for mc, exact in ((povm_mc_curve(SYNTHETIC_BIDDERS, n_rounds, trials, 5), first_correct),
+                          (majority_mc_curve(SYNTHETIC_BIDDERS, n_rounds, trials, 5), majority)):
+            sigma = np.sqrt(exact * (1 - exact) / trials)
+            assert np.all(np.abs(mc - exact) <= 4 * sigma + 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +369,12 @@ class TestLockedAuction:
 
 
 class TestSpuriousAttack:
+    def test_wrong_winner_raises(self, monkeypatch):
+        import qauction.adversary as adversary
+        monkeypatch.setattr(adversary, "revealing_index", lambda bids: 0)
+        with pytest.raises(ContractViolation, match="revealing"):
+            run_spurious_attack(["10", "11"], default_schedule())
+
     def test_converges_to_revealing_state(self):
         traj = run_spurious_attack(["10", "11"], default_schedule())
         assert traj.winner_index == 0b1011

@@ -175,6 +175,23 @@ class TestAttack:
         locked = column(header, rows, "basis_closed_lock")
         assert all(lo < pl for lo, pl in zip(locked, plain))
 
+    def test_full_lock_basis_column_is_zero(self, capsys):
+        code, out = run_cli(["attack", "--attack", "probe_basis", "--bids", "10,11",
+                             "--rounds", "4", "--trials", "1000", "--defense", "lock",
+                             "--alpha1", "1", "--alpha2", "0.8"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert column(header, rows, "basis_mc_lock") == [0.0] * 4
+        assert column(header, rows, "basis_closed_lock") == [0.0] * 4
+
+    def test_negative_seed_rejected(self, capsys):
+        code = cli.main(["attack", "--attack", "probe_basis", "--bids", "10,11",
+                         "--seed", "-1", "--rounds", "2", "--trials", "10"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "seed" in captured.err
+
     def test_spurious_curve(self, capsys):
         code, out = run_cli(["attack", "--attack", "spurious", "--bids", "10,11"], capsys)
         assert code == 0
@@ -235,6 +252,22 @@ class TestCircuitVerify:
         circuit.write_text("WIBBLE q0\n")
         assert cli.main(["circuit-verify", str(circuit), "bidder:11"]) == 1
 
+    def test_bad_number_in_target_exits_1(self, tmp_path, capsys):
+        circuit = tmp_path / "d.txt"
+        circuit.write_text("PHASE q0 1.5\n")
+        assert cli.main(["circuit-verify", str(circuit), "D:abc,1"]) == 1
+        assert cli.main(["circuit-verify", "--emit", "D:1.5,x,2"]) == 1
+        assert "bad number" in capsys.readouterr().err
+        assert cli.main(["circuit-verify", str(circuit), "D:inf,1,1"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_bad_bid_in_target_exits_1(self, tmp_path, capsys):
+        circuit = tmp_path / "bidder.txt"
+        circuit.write_text("H q0\nCNOT q0 q1\n")
+        assert cli.main(["circuit-verify", str(circuit), "bidder:0x"]) == 1
+        assert cli.main(["circuit-verify", "--emit", "collusion:10,0x"]) == 1
+        assert "bad bid" in capsys.readouterr().err
+
     def test_generated_p_circuit(self, tmp_path, capsys):
         from qauction.circuits import build_P_circuit
         from qauction.protocol import AuctionConfig, build_first_price_table, pauli_z_expansion
@@ -291,6 +324,19 @@ class TestConfigHandling:
         assert code == 2
         assert not target.exists()
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_rejected(self, tmp_path, delta):
+        target = tmp_path / "out.csv"
+        assert cli.main(["converge", "--bids", "10,11", "--delta", delta, "--out", str(target)]) == 1
+        assert not target.exists()
+
+    def test_nan_state_exits_2_without_csv(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["converge", "--bids", "10,11", "--delta", "1e308", "--out", str(target)])
+        assert code == 2
+        assert not target.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["attack", "--attack", "probe_basis", "--bids", "10,11",
@@ -300,10 +346,21 @@ class TestConfigHandling:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_points_identical(self, tmp_path):
-        # per-point RNG streams make --jobs a pure throughput knob
+        # each curve draws from one stream seeded by (seed, rule), so --jobs cannot change the bytes
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         args = ["attack", "--attack", "probe_povm", "--bids", "10,11",
                 "--rounds", "2", "--trials", "2000", "--seed", "11"]
         assert cli.main(args + ["--out", str(serial)]) == 0
         assert cli.main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_jobs_has_no_effect_with_lock(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert cli.main(["attack", "--attack", "probe_basis", "--bids", "11,10",
+                             "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7",
+                             "--rounds", "3", "--trials", "2000", "--seed", "4",
+                             "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -41,6 +41,10 @@ class TestStateVector:
         with pytest.raises(ContractViolation):
             StateVector([1.0, 1.0])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ContractViolation):
+            StateVector([math.nan, 0.0])
+
     def test_rejects_bad_length(self):
         with pytest.raises(ContractViolation):
             StateVector([1.0, 0.0, 0.0])

@@ -204,6 +204,9 @@ class TestSchedules:
             AdiabaticSchedule(steps=10, delta=-1.0)
         with pytest.raises(ContractViolation):
             AdiabaticSchedule(steps=10, delta=1.0, variant="third")
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ContractViolation):
+                AdiabaticSchedule(steps=10, delta=delta)
 
     def test_locking_requires_compatible_variant(self):
         v = np.eye(4, dtype=complex)
@@ -286,6 +289,11 @@ class TestRunAdiabatic:
         traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
         for step in traj.steps:
             assert abs(np.linalg.norm(step.state.amplitudes) - 1.0) <= 1e-9
+
+    def test_nan_state_stops_the_run(self, toy_setup):
+        # delta * f * weight overflows to inf, so the phases and the state are NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation, match="nan"):
+            run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(steps=2, delta=1e308))
 
     def test_tied_bids_abort(self, toy_setup):
         with pytest.raises(TieError):
