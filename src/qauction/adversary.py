@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -237,66 +236,52 @@ def helstrom_error(state_a: StateVector, state_b: StateVector,
     return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * prior_a * prior_b * overlap))
 
 
-def _best_assignment(amps: np.ndarray, priors: np.ndarray):
-    """amps[i, j] = <v_j|psi_i|; returns the injective state->outcome map
-    maximizing the total correct-decision probability."""
-    n_states, dim = amps.shape
-    gains = np.abs(amps) ** 2 * priors[:, None]
-    best, best_p = None, -1.0
-    for perm in permutations(range(dim), n_states):
-        p = float(sum(gains[i, perm[i]] for i in range(n_states)))
-        if p > best_p:
-            best, best_p = perm, p
-    return best, best_p
+_SOLVE_ITERATIONS = 1000  # cap of the fixed-point loop in min_error_povm
+_SUPPORT_CUTOFF = 1e-12    # eigenvalues below this share of the largest are off the support
 
 
-def _fixed_point_polish(elements, psis: np.ndarray, priors: np.ndarray,
-                        iters: int = 300, tol: float = 1e-14):
-    """Sharpen a near-optimal measurement with the minimum-error fixed-point
-    iteration Pi_k <- L^+ R_k Pi_k R_k L^+ (R_k = p_k rho_k, L = sqrt of
-    sum_k R_k Pi_k R_k), run inside the span of the states. Monotone in the
-    success probability, so started from the greedy optimum it only
-    tightens the optimality residuals."""
-    dim = psis.shape[1]
-    span, _ = np.linalg.qr(psis.T)
-    span = span[:, : min(len(psis), dim)]
-    rhos = []
-    for i in range(len(psis)):
-        phi = span.conj().T @ psis[i]
-        rhos.append(priors[i] * np.outer(phi, phi.conj()))
-    pis = [span.conj().T @ e @ span for e in elements]
+def _optimality_holds(elements, weighted, tol: float) -> bool:
+    """Minimum-error conditions for elements Pi_i against the weighted
+    states p_i rho_i: G = sum_i Pi_i p_i rho_i is Hermitian, and
+    G - p_j rho_j is positive semidefinite for every j, each within tol."""
+    gamma = sum(e @ r for e, r in zip(elements, weighted))
+    if float(np.max(np.abs(gamma - gamma.conj().T))) > tol:
+        return False
+    gamma = (gamma + gamma.conj().T) / 2
+    return all(float(np.min(np.linalg.eigvalsh(gamma - r))) >= -tol for r in weighted)
 
-    def inv_sqrt(m):
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        w = np.array([1 / math.sqrt(x) if x > 1e-28 else 0.0 for x in np.clip(w, 0, None)])
-        return (v * w) @ v.conj().T
 
-    for _ in range(iters):
-        lam_inv = inv_sqrt(sum(r @ p @ r for r, p in zip(rhos, pis)))
-        pis = [lam_inv @ r @ p @ r @ lam_inv for r, p in zip(rhos, pis)]
-        total_inv = inv_sqrt(sum(pis))  # heal completeness drift on the span
-        pis = [total_inv @ p @ total_inv for p in pis]
-        gamma = sum(p @ r for r, p in zip(rhos, pis))
-        if float(np.max(np.abs(gamma - gamma.conj().T))) < tol:
-            break
-    return [span @ p @ span.conj().T for p in pis]
+def _square_root_measurement(psis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows m_k = L^{-1/2} sqrt(w_k) psi_k with L = sum_k w_k |psi_k><psi_k|
+    inverted on its support: the rank-one elements |m_k><m_k| of the
+    square-root measurement of the weighted ensemble. They sum to the
+    projector onto the support of L."""
+    scaled = psis * np.sqrt(weights)[:, None]
+    w, v = np.linalg.eigh(scaled.T @ scaled.conj())
+    keep = w > _SUPPORT_CUTOFF * w[-1]
+    root = (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].conj().T
+    return scaled @ root.T
 
 
 def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
-                   restarts: int = 20, seed: int = 0,
                    tol: float = 1e-10) -> tuple[Povm, float]:
     """Minimum-error measurement for discriminating pure states.
 
-    Greedy search over projective measurements: starting from a random
-    orthonormal basis, closed-form plane rotations (real and imaginary
-    Givens moves between basis vectors) are accepted whenever they lower
-    the error, until a full sweep improves by less than `tol`; restarted
-    from `restarts` random bases plus the computational basis, then
-    sharpened by a fixed-point polish. For linearly independent pure
-    states the optimum is projective, so the search space is exhaustive in
-    principle. The identity remainder (basis vectors assigned to no state)
-    is spread equally over the returned elements so they sum to the
-    identity; at an optimum the states carry no weight on it.
+    Starts from the square-root measurement Pi_k = rho^{-1/2} p_k
+    |psi_k><psi_k| rho^{-1/2} (rho = sum_k p_k |psi_k><psi_k|, inverted on
+    its support) and runs the fixed-point iteration Pi_k <- L^{-1/2} R_k
+    Pi_k R_k L^{-1/2} (R_k = p_k |psi_k><psi_k|, L = sum_k R_k Pi_k R_k;
+    Hausladen & Wootters 1994, Jezek, Rehacek & Fiurasek 2002). For pure
+    states every iterate is again a square-root measurement, with weights
+    p_k^2 <psi_k|Pi_k|psi_k>. The loop stops once the minimum-error
+    conditions of `povm_optimality_check` hold within `tol`, and raises
+    ContractViolation if they still fail after a fixed number of
+    iterations: the result is a certified optimum or an error. Linearly
+    independent sets stop within a few dozen iterations, and symmetric or
+    identical sets at once; other linearly dependent sets converge too
+    slowly and raise. The identity remainder off the support is spread
+    equally over the returned elements so they sum to the identity; the
+    states carry no weight on it.
     """
     if not states:
         raise ContractViolation("need at least one state")
@@ -309,55 +294,20 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
     if len(states) > dim:
         raise ContractViolation("cannot assign more states than outcomes")
     psis = np.array([s.amplitudes for s in states])  # rows
+    weighted = [p * np.outer(psi, psi.conj()) for p, psi in zip(priors, psis)]
 
-    rng = np.random.default_rng(seed)
-    best_basis, best_assign, best_pc = None, None, -1.0
-    for start in range(restarts + 1):
-        if start == 0:
-            basis = np.eye(dim, dtype=complex)
-        else:
-            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            basis, _ = np.linalg.qr(z)
-        amps = psis @ basis.conj()           # amps[i, j] = <v_j|psi_i>
-        assign, pc = _best_assignment(amps, priors)
-        while True:
-            sweep_gain = 0.0
-            for j in range(dim):
-                for k in range(j + 1, dim):
-                    for phase in (1.0, 1j):
-                        b_coef = c_coef = 0.0
-                        for i in range(len(states)):
-                            a, b = amps[i, j], amps[i, k]
-                            term_b = priors[i] * (abs(a) ** 2 - abs(b) ** 2) / 2
-                            term_c = priors[i] * float(np.real(np.conj(a) * np.conj(phase) * b))
-                            if assign[i] == j:
-                                b_coef += term_b
-                                c_coef += term_c
-                            elif assign[i] == k:
-                                b_coef -= term_b
-                                c_coef -= term_c
-                        gain = math.hypot(b_coef, c_coef) - b_coef
-                        if gain <= tol / 10:
-                            continue
-                        theta = math.atan2(c_coef, b_coef) / 2
-                        c, s = math.cos(theta), math.sin(theta)
-                        vj, vk = basis[:, j].copy(), basis[:, k].copy()
-                        basis[:, j] = c * vj + s * phase * vk
-                        basis[:, k] = -s * np.conj(phase) * vj + c * vk
-                        amps = psis @ basis.conj()
-                        assign, new_pc = _best_assignment(amps, priors)
-                        sweep_gain += new_pc - pc
-                        pc = new_pc
-            if sweep_gain < tol:
-                break
-        if pc > best_pc:
-            best_basis, best_assign, best_pc = basis.copy(), assign, pc
-
-    elements = [np.outer(best_basis[:, best_assign[i]], best_basis[:, best_assign[i]].conj())
-                for i in range(len(states))]
-    elements = _fixed_point_polish(elements, psis, priors)
-    remainder = (np.eye(dim) - sum(elements)) / len(states)
-    elements = [e + remainder for e in elements]
+    weights = priors
+    for _ in range(_SOLVE_ITERATIONS + 1):
+        ms = _square_root_measurement(psis, weights)
+        elements = [np.outer(m, m.conj()) for m in ms]
+        remainder = (np.eye(dim) - sum(elements)) / len(states)
+        elements = [e + remainder for e in elements]
+        if _optimality_holds(elements, weighted, tol):
+            break
+        weights = priors**2 * np.abs(np.sum(psis.conj() * ms, axis=1)) ** 2
+    else:
+        raise ContractViolation(
+            f"minimum-error conditions still fail after {_SOLVE_ITERATIONS} iterations")
     povm = Povm(tuple(elements))
     p_correct = sum(float(priors[i] * np.real(np.vdot(psis[i], povm.elements[i] @ psis[i])))
                     for i in range(len(states)))
@@ -367,24 +317,13 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
 def povm_optimality_check(povm: Povm, states: Sequence[StateVector],
                           priors: Sequence[float], tol: float = 1e-8) -> bool:
     """Necessary minimum-error conditions: G = sum_i p_i Pi_i |psi_i><psi_i|
-    Hermitian, and G - p_j |psi_j><psi_j| positive semidefinite for all j."""
-    priors = np.asarray(priors, dtype=float)
+    Hermitian, and G - p_j |psi_j><psi_j| positive semidefinite for all j,
+    each within tol. For pure states they are also sufficient. The same
+    test stops the solve in `min_error_povm`."""
     if len(povm.elements) < len(states):
         raise ContractViolation("need at least one POVM element per state")
-    dim = len(states[0])
-    gamma = np.zeros((dim, dim), dtype=complex)
-    projectors = []
-    for i, state in enumerate(states):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        projectors.append(priors[i] * rho)
-        gamma += priors[i] * (povm.elements[i] @ rho)
-    if float(np.max(np.abs(gamma - gamma.conj().T))) > tol:
-        return False
-    gamma = (gamma + gamma.conj().T) / 2
-    for pj_rho in projectors:
-        if float(np.min(np.linalg.eigvalsh(gamma - pj_rho))) < -tol:
-            return False
-    return True
+    weighted = [p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in zip(priors, states)]
+    return _optimality_holds(povm.elements, weighted, tol)
 
 
 def toy_bidding_states(alpha: float | None = None) -> list[StateVector]:
@@ -406,17 +345,11 @@ def probe_attack_povm(bids: Sequence[BidSpec | str], n_rounds: int,
     return LearningCurve(rounds, probs, "closed_form")
 
 
-def _povm_outcome_distributions(bids, locking: LockingPair | None,
-                                restarts: int, seed: int):
+def _povm_outcome_distributions(bids, locking: LockingPair | None):
     """Per bidder: (outcome distribution of their true state, true index, p_e)."""
-    alphas = _lock_amplitudes(bids, locking)
-    cache: dict[float | None, tuple[Povm, float]] = {}
     out = []
-    for bid, alpha in zip(bids, alphas):
-        if alpha not in cache:
-            cands = toy_bidding_states(alpha)
-            cache[alpha] = min_error_povm(cands, [1 / 3] * 3, restarts=restarts, seed=seed)
-        povm, p_e = cache[alpha]
+    for bid, alpha in zip(bids, _lock_amplitudes(bids, locking)):
+        povm, p_e = min_error_povm(toy_bidding_states(alpha), [1 / 3] * 3)
         true_index = TOY_BIDS.index(as_bid(bid).bits)
         dist = measurement_probabilities(locked_bidding_state(bid, alpha), povm.elements)
         out.append((dist, true_index, p_e))
@@ -425,23 +358,21 @@ def _povm_outcome_distributions(bids, locking: LockingPair | None,
 
 def povm_attack_monte_carlo(bids: Sequence[BidSpec | str], n_rounds: int,
                             locking: LockingPair | None = None,
-                            trials: int = 100_000, seed: int = 0,
-                            restarts: int = 20) -> LearningCurve:
+                            trials: int = 100_000, seed: int = 0) -> LearningCurve:
     """Monte Carlo counterpart of the (1 - p_e^N)^m model: a bidder counts
     as learned once any round's POVM outcome names their true state."""
-    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking, restarts, seed)]
+    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking)]
     return LearningCurve(np.arange(1, n_rounds + 1), povm_mc_curve(per, n_rounds, trials, seed),
                          "monte_carlo")
 
 
 def povm_attack_majority_vote(bids: Sequence[BidSpec | str], n_rounds: int,
                               locking: LockingPair | None = None,
-                              trials: int = 100_000, seed: int = 0,
-                              restarts: int = 20) -> np.ndarray:
+                              trials: int = 100_000, seed: int = 0) -> np.ndarray:
     """Alternative decision rule, reported separately from the learning
     curves: after N rounds the auctioneer picks each bidder's strict
     majority outcome (a tie counts as not learned). Not monotone in N."""
-    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking, restarts, seed)]
+    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking)]
     return majority_mc_curve(per, n_rounds, trials, seed)
 
 

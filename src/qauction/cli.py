@@ -31,6 +31,7 @@ class ConfigError(ValueError):
 _TABLES = ("first_price", "spurious")
 _ATTACKS = ("none", "probe_basis", "probe_povm", "spurious")
 _DEFENSES = ("none", "lock", "collude")
+MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
 
 # key -> (parser, default)
 _KEY_SPECS = {
@@ -46,7 +47,7 @@ _KEY_SPECS = {
     "seed": (int, 0),
     "trials": (int, 100_000),
     "rounds": (int, 20),
-    "restarts": (int, 20),
+    "restarts": (int, 20),          # accepted for compatibility; no effect
     "restrict": (str, "true"),
     "jobs": (int, 1),
     "out": (str, None),
@@ -151,6 +152,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError(str(exc)) from exc
     if len({len(b) for b in bids}) != 1:
         raise ConfigError("bids must share a register width")
+    _check_width(len(bids) * len(bids[0]), "the bids")
 
     steps = typed("steps")
     if steps < 1:
@@ -188,6 +190,11 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
+
+
+def _check_width(width: int, what: str) -> None:
+    if width > MAX_QUBITS:
+        raise ConfigError(f"{what}: {width} qubits exceed the dense simulator's cap of {MAX_QUBITS}")
 
 
 def _fmt(x) -> str:
@@ -293,7 +300,7 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
         basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
                                                 mode="monte_carlo", trials=cfg.trials,
                                                 seed=cfg.seed)
-        solved = adversary._povm_outcome_distributions(cfg.bids, lock, cfg.restarts, cfg.seed)
+        solved = adversary._povm_outcome_distributions(cfg.bids, lock)
         per = [(dist, t) for dist, t, _ in solved]
         povm_closed = np.ones(cfg.rounds)
         for bidder, (_, _, p_e) in enumerate(solved):
@@ -338,8 +345,7 @@ def _fmt_complex(z: complex) -> str:
 def cmd_povm(cfg: ScenarioConfig) -> str:
     states = adversary.toy_bidding_states()
     priors = [1 / 3] * 3
-    povm, p_e = adversary.min_error_povm(states, priors,
-                                         restarts=cfg.restarts, seed=cfg.seed)
+    povm, p_e = adversary.min_error_povm(states, priors)
     ok = adversary.povm_optimality_check(povm, states, priors)
     lines = [
         f"# command=povm seed={cfg.seed} restarts={cfg.restarts}",
@@ -370,75 +376,81 @@ def _target_bid(raw: str) -> protocol.BidSpec:
         raise ConfigError(f"bad bid in circuit target: {exc}") from exc
 
 
-def _reference_circuit(kind: str, arg: str, width: int | None) -> circuits.Circuit:
-    if kind == "bidder":
-        return circuits.build_bidder_circuit(_target_bid(arg))
-    if kind == "d":
-        parts = [p.strip() for p in arg.split(",")]
-        if len(parts) not in (2, 3):
-            raise ConfigError("target D takes delta,f[,n_qubits]")
-        n = _target_number(parts[2], int) if len(parts) == 3 else width
-        if n is None or n < 1:
-            raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
-        return circuits.build_D_circuit(_target_number(parts[0]), _target_number(parts[1]), n)
-    if kind == "p":
-        parts = [p.strip() for p in arg.split(",")]
-        if len(parts) != 2:
-            raise ConfigError("target P takes delta,f (two-bidder first-price table)")
-        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
-        expansion = protocol.pauli_z_expansion(table)
-        return circuits.build_P_circuit(expansion, _target_number(parts[0]),
-                                        _target_number(parts[1]), 4)
-    if kind == "collusion":
-        bits = [b.strip() for b in arg.split(",")]
-        if len(bits) != 2:
-            raise ConfigError("target collusion takes bid1,bid2")
-        return circuits.build_collusion_circuit(_target_bid(bits[0]), _target_bid(bits[1]))
-    raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
+@dataclass(frozen=True)
+class _Target:
+    """A parsed circuit-verify target `kind:args`."""
+
+    kind: str                                  # bidder, d, p or collusion
+    width: int                                 # register width in qubits
+    bids: tuple[protocol.BidSpec, ...] = ()
+    numbers: tuple[float, ...] = ()            # delta, f
 
 
-def _resolve_target(target: str, inferred_width: int | None):
-    """Target string -> (register width, reference unitary)."""
-    if ":" not in target:
+def _parse_target(target: str, inferred_width: int | None = None) -> _Target:
+    """Split and validate `kind:args` once. Target D takes its width from
+    the circuit file when the target leaves it out."""
+    kind, colon, arg = target.partition(":")
+    if not colon:
         raise ConfigError(f"target must look like kind:args, got {target!r}")
-    kind, _, arg = target.partition(":")
     kind = kind.strip().lower()
+    parts = [p.strip() for p in arg.split(",")]
     if kind == "bidder":
         bid = _target_bid(arg)
-        return bid.n_qubits, protocol.bidding_operator(bid)
-    if kind == "d":
-        parts = [p.strip() for p in arg.split(",")]
+        parsed = _Target(kind, bid.n_qubits, bids=(bid,))
+    elif kind == "d":
         if len(parts) not in (2, 3):
             raise ConfigError("target D takes delta,f[,n_qubits]")
-        delta, f = _target_number(parts[0]), _target_number(parts[1])
+        numbers = (_target_number(parts[0]), _target_number(parts[1]))
         width = _target_number(parts[2], int) if len(parts) == 3 else inferred_width
         if width is None or width < 1:
             raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
-        w = np.array([bin(x).count("1") for x in range(2**width)], dtype=float)
-        return width, np.diag(np.exp(-1j * delta * f * w))
-    if kind == "p":
-        parts = [p.strip() for p in arg.split(",")]
+        parsed = _Target(kind, width, numbers=numbers)
+    elif kind == "p":
         if len(parts) != 2:
             raise ConfigError("target P takes delta,f (two-bidder first-price table)")
-        delta, f = _target_number(parts[0]), _target_number(parts[1])
-        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
-        return 4, np.diag(np.exp(-1j * delta * f * (-table.values)))
-    if kind == "collusion":
-        bits = [b.strip() for b in arg.split(",")]
-        if len(bits) != 2:
+        parsed = _Target(kind, 4, numbers=tuple(_target_number(p) for p in parts))
+    elif kind == "collusion":
+        if len(parts) != 2:
             raise ConfigError("target collusion takes bid1,bid2")
-        target_circuit = circuits.build_collusion_circuit(_target_bid(bits[0]),
-                                                          _target_bid(bits[1]))
-        return 4, circuits.circuit_to_matrix(target_circuit)
-    raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
+        parsed = _Target(kind, 4, bids=tuple(_target_bid(b) for b in parts))
+    else:
+        raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
+    _check_width(parsed.width, f"target {target!r}")
+    return parsed
+
+
+def _target_circuit(target: _Target) -> circuits.Circuit:
+    """The gate circuit that --emit prints."""
+    if target.kind == "bidder":
+        return circuits.build_bidder_circuit(target.bids[0])
+    if target.kind == "d":
+        return circuits.build_D_circuit(*target.numbers, target.width)
+    if target.kind == "p":
+        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
+        return circuits.build_P_circuit(protocol.pauli_z_expansion(table), *target.numbers, 4)
+    return circuits.build_collusion_circuit(*target.bids)
+
+
+def _target_unitary(target: _Target) -> np.ndarray:
+    """The dense reference unitary a circuit file is checked against."""
+    if target.kind == "bidder":
+        return protocol.bidding_operator(target.bids[0])
+    if target.kind == "d":
+        delta, f = target.numbers
+        w = np.array([bin(x).count("1") for x in range(2**target.width)], dtype=float)
+        return np.diag(np.exp(-1j * delta * f * w))
+    if target.kind == "p":
+        delta, f = target.numbers
+        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
+        return np.diag(np.exp(-1j * delta * f * (-table.values)))
+    return circuits.circuit_to_matrix(_target_circuit(target))
 
 
 def cmd_circuit_verify(args: argparse.Namespace) -> str:
     if args.emit:
         if args.circuit is not None:
             raise ConfigError("--emit prints the reference circuit; no circuit file expected")
-        kind, _, arg = args.target.partition(":")
-        return _reference_circuit(kind.strip().lower(), arg, None).to_text()
+        return _target_circuit(_parse_target(args.target)).to_text()
     if args.circuit is None:
         raise ConfigError("circuit file required (or pass --emit)")
     try:
@@ -451,9 +463,9 @@ def cmd_circuit_verify(args: argparse.Namespace) -> str:
         probe = circuits.parse_circuit(text)
     except circuits.CircuitParseError:
         pass  # maybe only the width was missing; retry once the target fixes it
-    width, target = _resolve_target(args.target, probe.n_qubits if probe else None)
-    circuit = circuits.parse_circuit(text, n_qubits=width)
-    report = circuits.verify_circuit(circuit, target)
+    target = _parse_target(args.target, probe.n_qubits if probe else None)
+    circuit = circuits.parse_circuit(text, n_qubits=target.width)
+    report = circuits.verify_circuit(circuit, _target_unitary(target))
     verdict = "pass" if report.passed else "fail"
     return (f"target={args.target}\ndistance={report.distance:.12g}\n"
             f"tolerance={report.tolerance:.12g}\nresult={verdict}\n")
@@ -483,7 +495,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", help="nonnegative RNG seed (default 0)")
         p.add_argument("--trials", help="Monte Carlo trials per curve")
         p.add_argument("--rounds", help="probe rounds N to sweep")
-        p.add_argument("--restarts", help="random restarts of the POVM search")
+        p.add_argument("--restarts", help="accepted for compatibility; no effect")
         p.add_argument("--restrict", help="restrict gap tracks to the plausible span")
         p.add_argument("--jobs", help="accepted for compatibility; no effect")
         p.add_argument("--out", help="output path (default: stdout)")

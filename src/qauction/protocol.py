@@ -401,6 +401,11 @@ def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
     dim = 2**table.n_qubits
     if u.shape != (dim, dim):
         raise ContractViolation("joint operator does not match the table dimension")
+    # every phase argument is delta times an energy of at most max(n, max|F|)
+    phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
+    if not math.isfinite(phase_bound):
+        raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
+                                f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
     w_diag = np.array([bin(x).count("1") for x in range(dim)], dtype=float)
     hp_diag = -table.values
     ud = u.conj().T

@@ -123,7 +123,7 @@ def test_criterion_04_povm():
     ok_check = povm_optimality_check(povm, states, priors)
     ok_pairs = True
     for i, j in itertools.combinations(range(3), 2):
-        _, pair_pe = min_error_povm([states[i], states[j]], [0.5, 0.5], restarts=10)
+        _, pair_pe = min_error_povm([states[i], states[j]], [0.5, 0.5])
         ok_pairs = ok_pairs and abs(pair_pe - helstrom_error(states[i], states[j])) <= 1e-6
     report(4, "minimum-error POVM hits P_e = 0.1112 +/- 0.001, passes the optimality check, matches Helstrom on pairs",
            ok_value and ok_check and ok_pairs and elapsed < 10,

@@ -242,7 +242,7 @@ class TestMinErrorPovm:
     def test_every_pair_matches_helstrom(self):
         states = toy_bidding_states()
         for i, j in itertools.combinations(range(3), 2):
-            _, p_e = min_error_povm([states[i], states[j]], [0.5, 0.5], restarts=10)
+            _, p_e = min_error_povm([states[i], states[j]], [0.5, 0.5])
             expected = helstrom_error(states[i], states[j])
             assert p_e == pytest.approx(expected, abs=1e-6)
             assert expected == pytest.approx((1 - math.sqrt(3) / 2) / 2, abs=1e-12)
@@ -252,7 +252,7 @@ class TestMinErrorPovm:
         # pure states with pairwise overlap c is optimal
         for alpha in (0.7, 0.9):
             states = toy_bidding_states(alpha)
-            _, p_e = min_error_povm(states, PRIORS, restarts=10)
+            _, p_e = min_error_povm(states, PRIORS)
             c = alpha**2
             srm = 1 - ((math.sqrt(1 + 2 * c) + 2 * math.sqrt(1 - c)) / 3) ** 2
             assert p_e == pytest.approx(srm, abs=1e-9)
@@ -274,6 +274,28 @@ class TestMinErrorPovm:
     def test_priors_validated(self):
         with pytest.raises(ContractViolation):
             min_error_povm(toy_bidding_states(), [0.5, 0.5, 0.5])
+
+    def test_identical_states_split_evenly(self):
+        # a lock at alpha = 1 sends |0..0> whatever the bid, so every
+        # candidate is named with probability 1/3
+        states = toy_bidding_states(1.0)
+        povm, p_e = min_error_povm(states, PRIORS)
+        assert p_e == pytest.approx(2 / 3, abs=1e-12)
+        for state, element in zip(states, povm.elements):
+            hit = np.vdot(state.amplitudes, element @ state.amplitudes).real
+            assert hit == pytest.approx(1 / 3, abs=1e-12)
+        assert povm_optimality_check(povm, states, PRIORS)
+
+    def test_uncertified_dependent_set_raises(self):
+        # {|0>, |1>, |+>} is linearly dependent and the fixed point only
+        # creeps toward its optimum, so the solve gives up instead of
+        # returning an uncertified measurement
+        from qauction.core import StateVector
+        h = 1 / math.sqrt(2)
+        states = [StateVector([1, 0, 0, 0]), StateVector([0, 1, 0, 0]),
+                  StateVector([h, h, 0, 0])]
+        with pytest.raises(ContractViolation, match="iterations"):
+            min_error_povm(states, PRIORS)
 
 
 class TestOptimalityCheck:
@@ -457,13 +479,23 @@ class TestPovmSolverOnRandomEnsembles:
         states = self._random_states(rng, 4, 3)
         priors = rng.uniform(0.2, 1.0, size=3)
         priors = list(priors / priors.sum())
-        povm, p_e = min_error_povm(states, priors, restarts=10, seed=seed)
+        povm, p_e = min_error_povm(states, priors)
         assert povm_optimality_check(povm, states, priors)
         assert p_e <= self._srm_error(states, priors) + 1e-9
+
+    @pytest.mark.parametrize("dim, count, seed", [(8, 5, 21), (16, 8, 22)])
+    def test_larger_random_ensembles(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        states = self._random_states(rng, dim, count)
+        priors = rng.uniform(0.2, 1.0, size=count)
+        priors = list(priors / priors.sum())
+        povm, p_e = min_error_povm(states, priors)
+        assert povm_optimality_check(povm, states, priors)
+        assert p_e <= self._srm_error(states, priors) + 1e-12
 
     @pytest.mark.parametrize("seed", [11, 13])
     def test_two_random_states_match_helstrom(self, seed):
         rng = np.random.default_rng(seed)
         states = self._random_states(rng, 4, 2)
-        _, p_e = min_error_povm(states, [0.5, 0.5], restarts=10, seed=seed)
+        _, p_e = min_error_povm(states, [0.5, 0.5])
         assert p_e == pytest.approx(helstrom_error(states[0], states[1]), abs=1e-9)

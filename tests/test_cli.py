@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,9 @@ class TestAttack:
         _, header, rows = parse_csv(out)
         assert column(header, rows, "basis_mc_lock") == [0.0] * 4
         assert column(header, rows, "basis_closed_lock") == [0.0] * 4
+        closed = np.array(column(header, rows, "povm_closed_lock"))
+        mc = np.array(column(header, rows, "povm_mc_lock"))
+        assert np.all(np.abs(mc - closed) <= 4 * np.sqrt(closed * (1 - closed) / 1000))
 
     def test_negative_seed_rejected(self, capsys):
         code = cli.main(["attack", "--attack", "probe_basis", "--bids", "10,11",
@@ -299,6 +305,53 @@ class TestCircuitVerify:
         assert "result=pass" in out
 
 
+class TestWidthCap:
+    """Registers wider than cli.MAX_QUBITS are configuration errors, caught
+    before any dense operator is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense operator was built")
+        for module, name in ((cli, "_target_unitary"), (cli.circuits, "circuit_to_matrix"),
+                             (cli.protocol, "build_first_price_table"),
+                             (cli.protocol, "joint_bidding_operator")):
+            monkeypatch.setattr(module, name, refuse)
+        tracemalloc.start()
+        yield
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 10_000_000
+
+    @staticmethod
+    def _rejected(args, capsys):
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "cap of 12" in captured.err
+
+    def test_explicit_target_width(self, tmp_path, capsys):
+        circuit = tmp_path / "d.txt"
+        circuit.write_text("PHASE q0 1\n")
+        self._rejected(["circuit-verify", str(circuit), "D:1,1,40"], capsys)
+        self._rejected(["circuit-verify", "--emit", "D:1,1,40"], capsys)
+        self._rejected(["circuit-verify", "--emit", "bidder:1111111111111"], capsys)
+
+    def test_inferred_target_width(self, tmp_path, capsys):
+        circuit = tmp_path / "wide.txt"
+        circuit.write_text("PHASE q39 1\n")
+        self._rejected(["circuit-verify", str(circuit), "D:1,1"], capsys)
+
+    def test_total_bid_width(self, capsys):
+        self._rejected(["converge", "--bids", "1111111,1111110"], capsys)
+        self._rejected(["attack", "--attack", "spurious", "--bids", "1111,1110,1101,1100"], capsys)
+
+    def test_width_at_cap_accepted(self, capsys):
+        code, out = run_cli(["circuit-verify", "--emit", "D:1,1,12"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 12
+
+
 class TestConfigHandling:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
@@ -335,6 +388,16 @@ class TestConfigHandling:
         with np.errstate(over="ignore", invalid="ignore"):
             code = cli.main(["converge", "--bids", "10,11", "--delta", "1e308", "--out", str(target)])
         assert code == 2
+        assert not target.exists()
+
+    def test_overflowing_phases_give_one_line(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["converge", "--bids", "10,11", "--delta", "1e308", "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "overflows" in err
         assert not target.exists()
 
     def test_deterministic_bytes(self, tmp_path):
