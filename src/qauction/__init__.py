@@ -9,13 +9,11 @@ from .core import (
     StateVector,
     computational_povm,
     eig_hermitian,
-    evolve_hermitian,
     is_hermitian,
     is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
     sample_measurement,
-    tensor_product,
 )
 from .protocol import (
     AdiabaticSchedule,

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractViolation, phase_invariant_distance
-from .protocol import BidSpec, as_bid
-
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+from .protocol import _HADAMARD, BidSpec, _cnot_matrix, _embed_single, as_bid
 
 KINDS = ("H", "CNOT", "PHASE", "ROT", "CTRL0")
 
@@ -223,31 +221,19 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         raise CircuitParseError(str(exc)) from exc
 
 
-def _embed_single(n: int, q: int, gate2: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for k in range(n):
-        out = np.kron(out, gate2 if k == q else np.eye(2, dtype=complex))
-    return out
-
-
 def _gate_matrix(g: Gate, n: int) -> np.ndarray:
-    dim = 2**n
     if g.kind == "H":
-        return _embed_single(n, g.qubits[0], _H2)
+        return _embed_single(n, g.qubits[0], _HADAMARD)
     if g.kind == "PHASE":
         return _embed_single(n, g.qubits[0], np.diag([1.0, np.exp(-1j * g.angle)]))
     if g.kind == "ROT":
         c, s = math.cos(g.angle), math.sin(g.angle)
         return _embed_single(n, g.qubits[0], np.array([[c, s], [s, -c]], dtype=complex))
     if g.kind == "CNOT":
-        control, target = g.qubits
-        cbit, tbit = 1 << (n - 1 - control), 1 << (n - 1 - target)
-        m = np.zeros((dim, dim), dtype=complex)
-        for x in range(dim):
-            m[x ^ tbit if x & cbit else x, x] = 1.0
-        return m
+        return _cnot_matrix(n, *g.qubits)
     # CTRL0: inner commutes with the control projector (it never acts on a
     # control), so I + (U_inner - I) @ P0 is unitary.
+    dim = 2**n
     inner = circuit_to_matrix(g.inner)
     mask = np.ones(dim)
     for q in g.qubits:

@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 
 _TABLES = ("first_price", "spurious")
-_ATTACKS = ("none", "probe_basis", "probe_povm", "spurious")
+_ATTACKS = ("none", "probe_basis", "spurious")
 _DEFENSES = ("none", "lock", "collude")
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
 
@@ -317,7 +317,7 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
 
 def cmd_attack(cfg: ScenarioConfig) -> str:
     if cfg.attack == "none":
-        raise ConfigError("attack subcommand needs attack in {probe_basis, probe_povm, spurious}")
+        raise ConfigError("attack subcommand needs attack in {probe_basis, spurious}")
     if cfg.attack == "spurious":
         if cfg.defense not in ("none", "collude"):
             raise ConfigError("the spurious attack composes with defense in {none, collude}")
@@ -437,8 +437,7 @@ def _target_unitary(target: _Target) -> np.ndarray:
         return protocol.bidding_operator(target.bids[0])
     if target.kind == "d":
         delta, f = target.numbers
-        w = np.array([bin(x).count("1") for x in range(2**target.width)], dtype=float)
-        return np.diag(np.exp(-1j * delta * f * w))
+        return np.diag(np.exp(-1j * delta * f * protocol.hamming_weights(target.width)))
     if target.kind == "p":
         delta, f = target.numbers
         table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
@@ -488,7 +487,7 @@ def build_parser() -> _Parser:
         p.add_argument("--delta", help="step size, or 'auto' for 1/sqrt(S)")
         p.add_argument("--variant", help="exact|zeroth|first|locked")
         p.add_argument("--table", help="first_price|spurious")
-        p.add_argument("--attack", help="none|probe_basis|probe_povm|spurious")
+        p.add_argument("--attack", help="none|probe_basis|spurious")
         p.add_argument("--defense", help="none|lock|collude")
         p.add_argument("--alpha1", help="lock amplitude for bidder 1")
         p.add_argument("--alpha2", help="lock amplitude for bidder 2")

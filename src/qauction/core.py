@@ -91,28 +91,11 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalues[k]
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square operators (qubit 0 on the left factor)."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def eig_hermitian(h, tol: float = ATOL_HERMITIAN) -> Spectrum:
     """Diagonalize a Hermitian operator; raises ContractViolation otherwise."""
     h = require_hermitian(h, tol)
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(vals, vecs)
-
-def evolve_hermitian(h, t: float, tol: float = ATOL_HERMITIAN) -> np.ndarray:
-    """Unitary exp(-i*h*t) via spectral decomposition of Hermitian h."""
-    vals, vecs = eig_hermitian(h, tol)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
-def apply_evolution(h, t: float, state: StateVector, tol: float = ATOL_HERMITIAN) -> StateVector:
-    """exp(-i*h*t)|state>, without materializing the evolution operator twice."""
-    vals, vecs = eig_hermitian(h, tol)
-    amps = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ state.amplitudes))
-    return StateVector(amps)
 
 
 def check_povm(elements, tol: float = ATOL_UNITARY) -> list[np.ndarray]:

@@ -18,7 +18,6 @@ from .core import (
     ATOL_STATE,
     ContractViolation,
     StateVector,
-    apply_evolution,
     eig_hermitian,
     require_hermitian,
 )
@@ -34,31 +33,15 @@ class TieError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuctionConfig:
-    """Register sizing: m bidders, p qubits each, n_items items.
-
-    For the single-item auction (n_items=1) the item-index field is empty
-    (r=0) and all p qubits carry the dollar value; for n_items >= 2,
-    r = floor(log2 n) + 1 qubits index the item and q = p - r carry the
-    value.
-    """
+    """Register sizing for the single-item auction: m bidders, p qubits
+    each, all p qubits carrying the dollar value."""
 
     m: int
     p: int
-    n_items: int = 1
 
     def __post_init__(self):
-        if self.m < 1 or self.p < 1 or self.n_items < 1:
-            raise ContractViolation("m, p and n_items must all be positive")
-        if self.item_qubits >= self.p and self.n_items > 1:
-            raise ContractViolation("p too small to carry an item index plus a bid value")
-
-    @property
-    def item_qubits(self) -> int:
-        return 0 if self.n_items == 1 else int(math.floor(math.log2(self.n_items))) + 1
-
-    @property
-    def value_qubits(self) -> int:
-        return self.p - self.item_qubits
+        if self.m < 1 or self.p < 1:
+            raise ContractViolation("m and p must both be positive")
 
     @property
     def total_qubits(self) -> int:
@@ -122,8 +105,6 @@ def payoff(table: PayoffTable, x: int) -> float:
 def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     """Single-item first-price payoffs: the unique nonzero register's dollar
     value when exactly one bidder register is nonzero, zero otherwise."""
-    if config.n_items != 1:
-        raise ContractViolation("first-price builder covers the single-item auction only")
     m, p = config.m, config.p
     mask = (1 << p) - 1
     values = np.zeros(2 ** (m * p))
@@ -140,12 +121,17 @@ def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
     return np.diag(-table.values).astype(complex)
 
 
-def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
-    """Diagonal operator counting set bits; ground state |0...0> at 0."""
+def hamming_weights(n_qubits: int) -> np.ndarray:
+    """Set-bit count of every basis index: the diagonal of W."""
     if n_qubits < 1:
         raise ContractViolation("need at least one qubit")
-    weights = [bin(x).count("1") for x in range(2**n_qubits)]
-    return np.diag(np.asarray(weights, dtype=complex))
+    x = np.arange(2**n_qubits)
+    return sum(((x >> k) & 1 for k in range(n_qubits)), np.zeros(x.size))
+
+
+def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
+    """Diagonal operator counting set bits; ground state |0...0> at 0."""
+    return np.diag(hamming_weights(n_qubits).astype(complex))
 
 
 def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]:
@@ -340,6 +326,42 @@ def _joint_locking(locking, dim: int) -> np.ndarray:
     return v
 
 
+def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
+             hp_diag: np.ndarray, v: np.ndarray | None):
+    """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
+
+    What every step shares is built here once: U^dag, and for "exact" the
+    dense U W U^dag and V H_p V^dag. "locked" is "zeroth" with V, and V is
+    the identity when absent.
+    """
+    if v is not None and variant in ("zeroth", "first"):
+        raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
+    ud = u.conj().T
+    if variant == "exact":
+        h_b = u @ np.diag(w_diag).astype(complex) @ ud
+        h_p = np.diag(hp_diag).astype(complex)
+        if v is not None:
+            h_p = v @ h_p @ v.conj().T
+
+        def exact(psi: np.ndarray, f: float) -> np.ndarray:
+            vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
+            return vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
+        return exact
+    vd = v.conj().T if v is not None else None
+
+    def mixer(amount: float, psi: np.ndarray) -> np.ndarray:
+        return u @ (np.exp(-1j * amount * w_diag) * (ud @ psi))
+
+    def payoff_phases(psi: np.ndarray, f: float) -> np.ndarray:
+        phases = np.exp(-1j * delta * f * hp_diag)
+        return phases * psi if v is None else v @ (phases * (vd @ psi))
+
+    if variant == "first":
+        return lambda psi, f: mixer(delta / 2 * (1 - f),
+                                    payoff_phases(mixer(delta / 2 * (1 - f), psi), f))
+    return lambda psi, f: mixer(delta * (1 - f), payoff_phases(psi, f))
+
+
 def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
                    u: np.ndarray, w: np.ndarray, h_p: np.ndarray,
                    v: np.ndarray | None = None) -> StateVector:
@@ -351,47 +373,15 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     locked: U D(delta,1-f) U^dag V P(delta,f) V^dag |psi>
 
     with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p); V defaults
-    to the identity.
+    to the identity, and "zeroth" and "first" reject one.
     """
     if not 1 <= s <= schedule.steps:
         raise ContractViolation(f"step index {s} outside 1..{schedule.steps}")
-    f = s / schedule.steps
-    delta = schedule.delta
     dim = len(state)
-    if u.shape != (dim, dim) or w.shape != (dim, dim) or h_p.shape != (dim, dim):
+    if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
         raise ContractViolation("operator dimensions do not match the state")
-    w_diag = _diag_of(w, "W")
-    hp_diag = _diag_of(h_p, "H_p")
-    psi = state.amplitudes
-    ud = u.conj().T
-
-    def mixer(amount: float, vec: np.ndarray) -> np.ndarray:
-        return u @ (np.exp(-1j * amount * w_diag) * (ud @ vec))
-
-    variant = schedule.variant
-    if variant == "exact":
-        hp_full = np.diag(hp_diag).astype(complex)
-        if v is not None:
-            hp_full = v @ hp_full @ v.conj().T
-        h_f = (1 - f) * (u @ np.diag(w_diag).astype(complex) @ ud) + f * hp_full
-        return apply_evolution(h_f, delta, state)
-    if variant == "zeroth":
-        psi = np.exp(-1j * delta * f * hp_diag) * psi
-        psi = mixer(delta * (1 - f), psi)
-    elif variant == "first":
-        psi = mixer(delta / 2 * (1 - f), psi)
-        psi = np.exp(-1j * delta * f * hp_diag) * psi
-        psi = mixer(delta / 2 * (1 - f), psi)
-    elif variant == "locked":
-        if v is not None:
-            psi = v.conj().T @ psi
-        psi = np.exp(-1j * delta * f * hp_diag) * psi
-        if v is not None:
-            psi = v @ psi
-        psi = mixer(delta * (1 - f), psi)
-    else:  # pragma: no cover - schedule validation forbids this
-        raise ContractViolation(f"unknown variant {variant!r}")
-    return StateVector(psi)
+    step = _stepper(schedule.variant, schedule.delta, u, _diag_of(w, "W"), _diag_of(h_p, "H_p"), v)
+    return StateVector(step(state.amplitudes, s / schedule.steps))
 
 
 def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
@@ -406,22 +396,12 @@ def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
     if not math.isfinite(phase_bound):
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
-    w_diag = np.array([bin(x).count("1") for x in range(dim)], dtype=float)
-    hp_diag = -table.values
-    ud = u.conj().T
     v = _joint_locking(schedule.locking, dim) if schedule.locking is not None else None
-    vd = v.conj().T if v is not None else None
-
-    hb = hp_locked = None
-    if schedule.variant == "exact":
-        hb = u @ np.diag(w_diag).astype(complex) @ ud
-        hp_locked = np.diag(hp_diag).astype(complex)
-        if v is not None:
-            hp_locked = v @ hp_locked @ vd
+    step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits),
+                    -table.values, v)
 
     plausible = list(plausible)
     psi = u[:, 0].copy()
-    delta, S = schedule.delta, schedule.steps
 
     def record(s: int, f: float, amps: np.ndarray) -> TrajectoryStep:
         state = StateVector(amps)
@@ -431,25 +411,9 @@ def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
         return TrajectoryStep(s, f, state, success, leak)
 
     steps = [record(0, 0.0, psi)]
-    for s in range(1, S + 1):
-        f = s / S
-        if schedule.variant == "exact":
-            h_f = (1 - f) * hb + f * hp_locked
-            vals, vecs = eig_hermitian(h_f)
-            psi = vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
-        elif schedule.variant == "zeroth":
-            psi = np.exp(-1j * delta * f * hp_diag) * psi
-            psi = u @ (np.exp(-1j * delta * (1 - f) * w_diag) * (ud @ psi))
-        elif schedule.variant == "first":
-            psi = u @ (np.exp(-1j * (delta / 2) * (1 - f) * w_diag) * (ud @ psi))
-            psi = np.exp(-1j * delta * f * hp_diag) * psi
-            psi = u @ (np.exp(-1j * (delta / 2) * (1 - f) * w_diag) * (ud @ psi))
-        else:  # locked
-            if v is not None:
-                psi = v @ (np.exp(-1j * delta * f * hp_diag) * (vd @ psi))
-            else:
-                psi = np.exp(-1j * delta * f * hp_diag) * psi
-            psi = u @ (np.exp(-1j * delta * (1 - f) * w_diag) * (ud @ psi))
+    for s in range(1, schedule.steps + 1):
+        f = s / schedule.steps
+        psi = step(psi, f)
         norm = float(np.linalg.norm(psi))
         if not abs(norm - 1.0) <= ATOL_STATE:  # also rejects NaN
             raise ContractViolation(f"norm drifted to {norm} at step {s}")

@@ -166,7 +166,7 @@ class TestAttack:
         assert povm_closed[3] > 0.999
 
     def test_locked_counterparts(self, capsys):
-        code, out = run_cli(["attack", "--attack", "probe_povm", "--bids", "11,10",
+        code, out = run_cli(["attack", "--attack", "probe_basis", "--bids", "11,10",
                              "--rounds", "4", "--trials", "2000", "--defense", "lock",
                              "--alpha1", "0.9", "--alpha2", "0.7"], capsys)
         assert code == 0
@@ -370,6 +370,7 @@ class TestConfigHandling:
     def test_unknown_value_rejected(self, capsys):
         assert cli.main(["converge", "--variant", "third"]) == 1
         assert cli.main(["converge", "--bids", "00,11"]) == 1
+        assert cli.main(["attack", "--attack", "probe_povm"]) == 1
 
     def test_no_partial_output_on_error(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -411,7 +412,7 @@ class TestConfigHandling:
     def test_parallel_points_identical(self, tmp_path):
         # each curve draws from one stream seeded by (seed, rule), so --jobs cannot change the bytes
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        args = ["attack", "--attack", "probe_povm", "--bids", "10,11",
+        args = ["attack", "--attack", "probe_basis", "--bids", "10,11",
                 "--rounds", "2", "--trials", "2000", "--seed", "11"]
         assert cli.main(args + ["--out", str(serial)]) == 0
         assert cli.main(args + ["--jobs", "2", "--out", str(parallel)]) == 0

@@ -8,13 +8,11 @@ from qauction.core import (
     StateVector,
     computational_povm,
     eig_hermitian,
-    evolve_hermitian,
     is_hermitian,
     is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
     sample_measurement,
-    tensor_product,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -53,68 +51,6 @@ class TestStateVector:
         s = StateVector.basis(2, 3)
         assert s.n_qubits == 2
         np.testing.assert_allclose(s.probabilities(), [0, 0, 0, 1])
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        np.testing.assert_allclose(tensor_product(I2, I2), np.eye(4))
-
-    def test_phase_factors(self):
-        d = np.diag([1.0, np.exp(-1j * 0.37)])
-        expected = np.diag([1.0, np.exp(-1j * 0.37), np.exp(-1j * 0.37), np.exp(-2j * 0.37)])
-        np.testing.assert_allclose(tensor_product(d, d), expected, atol=1e-15)
-
-    def test_pauli_zz(self):
-        np.testing.assert_allclose(tensor_product(Z, Z), np.diag([1, -1, -1, 1]))
-
-    def test_unitary_times_unitary(self):
-        rng = np.random.default_rng(7)
-        u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 4))
-        assert is_unitary(u, 1e-10)
-
-
-class TestEvolveHermitian:
-    def test_zero_time(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 4)
-        np.testing.assert_allclose(evolve_hermitian(h, 0.0), np.eye(4), atol=1e-12)
-
-    def test_hamming_weight_phases(self):
-        weights = np.array([bin(x).count("1") for x in range(16)], dtype=float)
-        w4 = np.diag(weights).astype(complex)
-        t = 0.81
-        np.testing.assert_allclose(evolve_hermitian(w4, t),
-                                   np.diag(np.exp(-1j * t * weights)), atol=1e-12)
-
-    def test_pauli_z_pi(self):
-        u = evolve_hermitian(Z, math.pi)
-        np.testing.assert_allclose(u, np.diag([np.exp(-1j * math.pi), np.exp(1j * math.pi)]),
-                                   atol=1e-12)
-        np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractViolation):
-            evolve_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
-
-    def test_result_unitary(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            assert is_unitary(evolve_hermitian(random_hermitian(rng, 8), rng.normal()), 1e-9)
-
-    def test_group_property_up_to_phase(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            h = random_hermitian(rng, 4)
-            s, t = rng.normal(), rng.normal()
-            combined = evolve_hermitian(h, s) @ evolve_hermitian(h, t)
-            assert phase_invariant_distance(combined, evolve_hermitian(h, s + t)) <= 1e-8
-
-    def test_preserves_norm(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            u = evolve_hermitian(random_hermitian(rng, 8), rng.normal())
-            amps = u @ random_state(rng, 8).amplitudes
-            assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
 
 
 class TestEigHermitian:

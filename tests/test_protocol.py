@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qauction.adversary import locking_operators
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
@@ -19,6 +20,7 @@ from qauction.protocol import (
     expansion_diagonal,
     fine_schedule,
     hamming_hamiltonian,
+    hamming_weights,
     initial_superposition,
     joint_bidding_operator,
     pauli_z_expansion,
@@ -41,14 +43,7 @@ U3 = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / math
 
 class TestAuctionConfig:
     def test_single_item_uses_all_qubits_for_price(self):
-        assert TOY.item_qubits == 0
-        assert TOY.value_qubits == 2
         assert TOY.total_qubits == 4
-
-    @pytest.mark.parametrize("n_items,expected_r", [(2, 2), (3, 2), (4, 3)])
-    def test_multi_item_index_width(self, n_items, expected_r):
-        cfg = AuctionConfig(m=2, p=expected_r + 1, n_items=n_items)
-        assert cfg.item_qubits == expected_r
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ContractViolation):
@@ -118,6 +113,8 @@ class TestHamiltonians:
             [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4])
         np.testing.assert_array_equal(np.diag(hamming_hamiltonian(1)).real, [0, 1])
         np.testing.assert_array_equal(np.diag(hamming_hamiltonian(2)).real, [0, 1, 1, 2])
+        for n in range(1, 13):
+            np.testing.assert_array_equal(hamming_weights(n), [bin(x).count("1") for x in range(2**n)])
 
 
 class TestPauliZExpansion:
@@ -244,6 +241,47 @@ class TestAdiabaticStep:
         p_phases = np.diag(np.exp(-1j * 1.0 * f * np.diag(toy_setup["h_p"]).real))
         expected = u @ d_phases @ u.conj().T @ p_phases @ toy_setup["psi0"].amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["exact", "zeroth", "first", "locked"])
+    def test_matches_unrolled_definition(self, toy_setup, variant):
+        # every variant written out with dense matrices, on a generic state
+        # (the mixer fixes |Psi_0>); V from the locking pair
+        pair = locking_operators(0.9, 0.7, ["10", "11"])
+        v = np.kron(pair.v1, pair.v2) if variant in ("exact", "locked") else None
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        u, w, h_p = toy_setup["u"], toy_setup["w"], toy_setup["h_p"]
+        out = adiabatic_step(StateVector(psi), 3, AdiabaticSchedule(10, 1.2, variant), u, w, h_p, v=v)
+        f, delta = 0.3, 1.2
+        vv = np.eye(16) if v is None else v
+
+        def mixer(d):
+            return u @ np.diag(np.exp(-1j * d * (1 - f) * np.diag(w).real)) @ u.conj().T
+
+        if variant == "exact":
+            h_f = (1 - f) * u @ w @ u.conj().T + f * vv @ h_p @ vv.conj().T
+            vals, vecs = np.linalg.eigh(h_f)
+            expected = vecs @ np.diag(np.exp(-1j * delta * vals)) @ vecs.conj().T @ psi
+        else:
+            p_phases = vv @ np.diag(np.exp(-1j * delta * f * np.diag(h_p).real)) @ vv.conj().T
+            if variant == "first":
+                expected = mixer(delta / 2) @ p_phases @ mixer(delta / 2) @ psi
+            else:
+                expected = mixer(delta) @ p_phases @ psi
+        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["zeroth", "first"])
+    def test_locking_needs_a_locking_slot(self, toy_setup, variant):
+        v = np.eye(16, dtype=complex)
+        with pytest.raises(ContractViolation, match="has no locking slot"):
+            adiabatic_step(toy_setup["psi0"], 1, AdiabaticSchedule(4, 1.0, variant),
+                           toy_setup["u"], toy_setup["w"], toy_setup["h_p"], v=v)
+
+    def test_rejects_mismatched_locking(self, toy_setup):
+        with pytest.raises(ContractViolation, match="dimensions"):
+            adiabatic_step(toy_setup["psi0"], 1, AdiabaticSchedule(4, 1.0, "locked"),
+                           toy_setup["u"], toy_setup["w"], toy_setup["h_p"], v=np.eye(4))
 
     def test_first_order_local_error_cubed(self, toy_setup):
         # symmetric splitting: one-step error vs the exact map shrinks ~8x per halving
