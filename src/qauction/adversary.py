@@ -435,4 +435,5 @@ def run_collusion_defense(bids: Sequence[BidSpec | str], table: PayoffTable,
     p = bid1.n_qubits
     plausible = sorted({0, bid2.index, bid1.index << p})
     winner = winning_allocation(table, plausible)
-    return run_schedule(joint, plausible, winner, table, schedule)
+    # as a one-factor product, so the search runs on the three kept states
+    return run_schedule((joint,), plausible, winner, table, schedule)

@@ -106,14 +106,10 @@ def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     """Single-item first-price payoffs: the unique nonzero register's dollar
     value when exactly one bidder register is nonzero, zero otherwise."""
     m, p = config.m, config.p
-    mask = (1 << p) - 1
-    values = np.zeros(2 ** (m * p))
-    for x in range(values.size):
-        regs = [(x >> (p * (m - 1 - j))) & mask for j in range(m)]
-        nonzero = [r for r in regs if r]
-        if len(nonzero) == 1:
-            values[x] = nonzero[0]
-    return PayoffTable(m * p, values)
+    x = np.arange(2 ** (m * p))
+    regs = [(x >> (p * (m - 1 - j))) & ((1 << p) - 1) for j in range(m)]
+    nonzero = sum(r != 0 for r in regs)
+    return PayoffTable(m * p, np.where(nonzero == 1, sum(regs), 0).astype(float))
 
 
 def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
@@ -142,33 +138,32 @@ def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]
     The subsets use qubit indices (qubit 0 = most significant bit).
     """
     n = table.n_qubits
-    coeffs = (-table.values).astype(float).copy()
+    coeffs = (-table.values).astype(float)
     h = 1
-    while h < coeffs.size:  # in-place Walsh-Hadamard transform
-        for i in range(0, coeffs.size, 2 * h):
-            for j in range(i, i + h):
-                a, b = coeffs[j], coeffs[j + h]
-                coeffs[j], coeffs[j + h] = a + b, a - b
+    while h < coeffs.size:  # Walsh-Hadamard butterflies: pairs (j, j + h) in blocks of 2h
+        pairs = coeffs.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        coeffs = np.stack([a + b, a - b], axis=1).reshape(-1)
         h *= 2
     coeffs /= coeffs.size
     out = []
-    for mask in range(coeffs.size):
-        c = float(coeffs[mask])
-        if abs(c) <= 1e-14:
-            continue
+    for mask in np.flatnonzero(~(np.abs(coeffs) <= 1e-14)):
         qubits = tuple(q for q in range(n) if (mask >> (n - 1 - q)) & 1)
-        out.append((qubits, c))
+        out.append((qubits, float(coeffs[mask])))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
 
 
 def expansion_diagonal(expansion, n_qubits: int) -> np.ndarray:
     """Re-assemble the diagonal encoded by a Pauli-Z expansion."""
-    diag = np.zeros(2**n_qubits)
+    x = np.arange(2**n_qubits)
+    odd = np.zeros(x.size, dtype=bool)  # parity of every index's set bits
+    for k in range(n_qubits):
+        odd ^= ((x >> k) & 1).astype(bool)
+    diag = np.zeros(x.size)
     for qubits, c in expansion:
         mask = sum(1 << (n_qubits - 1 - q) for q in qubits)
-        for x in range(diag.size):
-            diag[x] += c if bin(x & mask).count("1") % 2 == 0 else -c
+        diag += np.where(odd[x & mask], -c, c)
     return diag
 
 
@@ -317,13 +312,36 @@ def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
     return np.real(np.diag(op))
 
 
+def _kron(factors) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for f in factors:
+        out = np.kron(out, np.asarray(f, dtype=complex))
+    return out
+
+
 def _joint_locking(locking, dim: int) -> np.ndarray:
-    v = np.array([[1.0 + 0j]])
-    for vi in locking:
-        v = np.kron(v, np.asarray(vi, dtype=complex))
+    v = _kron(locking)
     if v.shape[0] != dim:
         raise ContractViolation("locking unitaries do not match the register dimension")
     return v
+
+
+def _rows(factors, indices: Sequence[int], dim: int, what: str) -> np.ndarray:
+    """Rows `indices` of the Kronecker product of `factors` (register
+    order), each formed from the factors' own rows: row x of U_1 x U_2 x ...
+    is row x_1 of U_1 x row x_2 of U_2 x ..., so the product is never built."""
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
+            or math.prod(f.shape[0] for f in factors) != dim):
+        raise ContractViolation(f"{what} do not match the register dimension")
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = np.ones((idx.size, 1), dtype=complex)
+    stride = dim
+    for f in factors:
+        stride //= f.shape[0]
+        picked = f[(idx // stride) % f.shape[0]]
+        rows = (rows[:, :, None] * picked[:, None, :]).reshape(idx.size, -1)
+    return rows
 
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
@@ -372,53 +390,109 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     first : U D(delta/2,1-f) U^dag P(delta,f) U D(delta/2,1-f) U^dag |psi>
     locked: U D(delta,1-f) U^dag V P(delta,f) V^dag |psi>
 
-    with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p); V defaults
-    to the identity, and "zeroth" and "first" reject one.
+    with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p). V is `v`, or
+    else the product of `schedule.locking`, or else the identity; a `v`
+    that differs from `schedule.locking` is rejected, and "zeroth" and
+    "first" reject any V.
     """
     if not 1 <= s <= schedule.steps:
         raise ContractViolation(f"step index {s} outside 1..{schedule.steps}")
     dim = len(state)
     if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
         raise ContractViolation("operator dimensions do not match the state")
+    if schedule.locking is not None:
+        joint = _joint_locking(schedule.locking, dim)
+        if v is None:
+            v = joint
+        elif not np.allclose(v, joint, rtol=0, atol=1e-12):
+            raise ContractViolation("v differs from the product of the schedule's locking unitaries")
     step = _stepper(schedule.variant, schedule.delta, u, _diag_of(w, "W"), _diag_of(h_p, "H_p"), v)
     return StateVector(step(state.amplitudes, s / schedule.steps))
 
 
-def run_schedule(u: np.ndarray, plausible: Sequence[int], winner_index: int,
-                 table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
+def _fold(step, psi: np.ndarray, steps: int):
+    """Yield (s, f, psi, norm) for s = 0..S: the state after step s with the
+    norm it had before renormalisation. A state whose norm drifts by more
+    than ATOL_STATE (NaN included) is yielded as the step left it."""
+    yield 0, 0.0, psi, float(np.linalg.norm(psi))
+    for s in range(1, steps + 1):
+        f = s / steps
+        psi = step(psi, f)
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) <= ATOL_STATE:
+            psi = psi / norm
+        yield s, f, psi, norm
+
+
+def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int],
+                 winner_index: int, table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
     """Fold the schedule over |Psi_0> = U|0...0>, recording success
-    probability against `winner_index` and leakage out of `plausible`."""
-    dim = 2**table.n_qubits
-    if u.shape != (dim, dim):
-        raise ContractViolation("joint operator does not match the table dimension")
+    probability against `winner_index` and leakage out of `plausible`.
+
+    `u` is the joint operator, dense or as a tuple of Kronecker factors in
+    register order (the convention of `schedule.locking`). Given factors,
+    the "zeroth", "first" and "locked" variants run on the span of
+    `plausible`, from the rows of U (and V) there; if |Psi_0> or any step
+    loses more than ATOL_STATE of norm out of that span, the run is redone
+    on the full space, so the leakage it reports is the true one. "exact"
+    and a dense `u` always run on the full space.
+    """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
     if not math.isfinite(phase_bound):
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
+    plausible = list(plausible)
+    if isinstance(u, tuple):
+        if schedule.variant != "exact":
+            traj = _run_span(u, plausible, winner_index, table, schedule)
+            if traj is not None:
+                return traj
+        u = _kron(u)
+    if u.shape != (2**table.n_qubits,) * 2:
+        raise ContractViolation("joint operator does not match the table dimension")
+    return _run_full(u, plausible, winner_index, table, schedule)
+
+
+def _run_span(factors, plausible: list[int], winner_index: int,
+              table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory | None:
+    """The search on span(plausible) from the k x 2^n rows of U there, or
+    None once the state loses more than ATOL_STATE of norm out of it. A
+    step's leakage is the probability it lost before renormalisation."""
+    dim = 2**table.n_qubits
+    rows = _rows(factors, plausible, dim, "joint operator factors")
+    v = None
+    if schedule.locking is not None:
+        v = _rows(schedule.locking, plausible, dim, "locking unitaries")[:, plausible]
+    step = _stepper(schedule.variant, schedule.delta, rows, hamming_weights(table.n_qubits),
+                    -table.values[plausible], v)
+    steps = []
+    for s, f, psi, norm in _fold(step, rows[:, 0].copy(), schedule.steps):
+        if not abs(norm - 1.0) <= ATOL_STATE:
+            return None
+        amps = np.zeros(dim, dtype=complex)
+        amps[plausible] = psi
+        state = StateVector(amps)
+        steps.append(TrajectoryStep(s, f, state, float(state.probabilities()[winner_index]),
+                                    max(0.0, 1.0 - norm**2)))
+    return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
+
+
+def _run_full(u: np.ndarray, plausible: list[int], winner_index: int,
+              table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
+    """The search on the full 2^n-dimensional space, with the dense U."""
+    dim = 2**table.n_qubits
     v = _joint_locking(schedule.locking, dim) if schedule.locking is not None else None
     step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits),
                     -table.values, v)
-
-    plausible = list(plausible)
-    psi = u[:, 0].copy()
-
-    def record(s: int, f: float, amps: np.ndarray) -> TrajectoryStep:
-        state = StateVector(amps)
-        probs = state.probabilities()
-        success = float(probs[winner_index])
-        leak = max(0.0, 1.0 - float(probs[plausible].sum()))
-        return TrajectoryStep(s, f, state, success, leak)
-
-    steps = [record(0, 0.0, psi)]
-    for s in range(1, schedule.steps + 1):
-        f = s / schedule.steps
-        psi = step(psi, f)
-        norm = float(np.linalg.norm(psi))
-        if not abs(norm - 1.0) <= ATOL_STATE:  # also rejects NaN
+    steps = []
+    for s, f, psi, norm in _fold(step, u[:, 0].copy(), schedule.steps):
+        if s and not abs(norm - 1.0) <= ATOL_STATE:
             raise ContractViolation(f"norm drifted to {norm} at step {s}")
-        psi = psi / norm
-        steps.append(record(s, f, psi))
+        state = StateVector(psi)
+        probs = state.probabilities()
+        leak = max(0.0, 1.0 - float(probs[plausible].sum()))
+        steps.append(TrajectoryStep(s, f, state, float(probs[winner_index]), leak))
     return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
 
 
@@ -436,9 +510,16 @@ def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:
 
 def run_adiabatic(bidders: Sequence[BidSpec | str], table: PayoffTable,
                   schedule: AdiabaticSchedule) -> Trajectory:
-    """Run the search for independent bidders under the given payoff table."""
+    """Run the search for independent bidders under the given payoff table.
+
+    The product-formula variants get the per-bidder factors, so they run on
+    the plausible span; "exact" gets the dense joint operator and stays the
+    full-space reference."""
     bids = [as_bid(b) for b in bidders]
-    u = joint_bidding_operator(bids)
+    if schedule.variant == "exact":
+        u = joint_bidding_operator(bids)
+    else:
+        u = tuple(bidding_operator(b) for b in bids)
     plausible = plausible_allocations(bids)
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
@@ -461,28 +542,29 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     conjugated V H_p V^dag, matching the locked search.
     """
     bids = [as_bid(b) for b in bidders]
-    u = joint_bidding_operator(bids)
-    dim = u.shape[0]
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
-    hb = u @ hamming_hamiltonian(table.n_qubits) @ u.conj().T
-    hp = problem_hamiltonian(table)
-    if schedule.locking is not None:
-        v = _joint_locking(schedule.locking, dim)
-        hp = v @ hp @ v.conj().T
-    basis = None
+    dim = 2**table.n_qubits
     if restrict:
+        # the plausible-span block of each term, from the rows of U and V there
         plausible = plausible_allocations(bids)
-        basis = np.zeros((dim, len(plausible)))
-        for col, x in enumerate(plausible):
-            basis[x, col] = 1.0
+        u_rows = _rows([bidding_operator(b) for b in bids], plausible, dim, "bidding operators")
+        hb = (u_rows * hamming_weights(table.n_qubits)) @ u_rows.conj().T
+        hp = np.diag(-table.values[plausible]).astype(complex)
+        if schedule.locking is not None:
+            v_rows = _rows(schedule.locking, plausible, dim, "locking unitaries")
+            hp = (v_rows * -table.values) @ v_rows.conj().T
+    else:
+        u = joint_bidding_operator(bids)
+        hb = u @ hamming_hamiltonian(table.n_qubits) @ u.conj().T
+        hp = problem_hamiltonian(table)
+        if schedule.locking is not None:
+            v = _joint_locking(schedule.locking, dim)
+            hp = v @ hp @ v.conj().T
     fs, rows = [], []
     for s in range(schedule.steps + 1):
         f = s / schedule.steps
-        h_f = (1 - f) * hb + f * hp
-        if basis is not None:
-            h_f = basis.T @ h_f @ basis
-        rows.append(np.linalg.eigvalsh(h_f))
+        rows.append(np.linalg.eigvalsh((1 - f) * hb + f * hp))
         fs.append(f)
     rows = np.array(rows)
     g_min = float(np.min(rows[:, 1] - rows[:, 0]))

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qauction.adversary import locking_operators
+from qauction import protocol
+from qauction.adversary import locking_operator, locking_operators, spurious_table
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
@@ -28,6 +31,8 @@ from qauction.protocol import (
     plausible_allocations,
     problem_hamiltonian,
     run_adiabatic,
+    run_schedule,
+    winning_allocation,
 )
 
 TOY = AuctionConfig(m=2, p=2)
@@ -283,6 +288,23 @@ class TestAdiabaticStep:
             adiabatic_step(toy_setup["psi0"], 1, AdiabaticSchedule(4, 1.0, "locked"),
                            toy_setup["u"], toy_setup["w"], toy_setup["h_p"], v=np.eye(4))
 
+    def test_locking_taken_from_the_schedule(self, toy_setup):
+        # one source of V: without `v` the step uses the schedule's locking
+        # unitaries, and a `v` that disagrees with them is rejected
+        bids = ["11", "10"]
+        pair = locking_operators(0.9, 0.7, bids)
+        u, w, h_p = joint_bidding_operator(bids), toy_setup["w"], toy_setup["h_p"]
+        psi = initial_superposition(bids)
+        locked = AdiabaticSchedule(10, 1.5, "locked", locking=pair.operators)
+        from_schedule = adiabatic_step(psi, 3, locked, u, w, h_p)
+        explicit = adiabatic_step(psi, 3, locked, u, w, h_p, v=np.kron(pair.v1, pair.v2))
+        unlocked = adiabatic_step(psi, 3, AdiabaticSchedule(10, 1.5, "locked"), u, w, h_p)
+        np.testing.assert_allclose(from_schedule.amplitudes, explicit.amplitudes, rtol=0, atol=1e-14)
+        assert np.linalg.norm(from_schedule.amplitudes - unlocked.amplitudes) > 0.01
+        other = locking_operators(0.8, 0.7, bids)
+        with pytest.raises(ContractViolation, match="differs"):
+            adiabatic_step(psi, 3, locked, u, w, h_p, v=np.kron(other.v1, other.v2))
+
     def test_first_order_local_error_cubed(self, toy_setup):
         # symmetric splitting: one-step error vs the exact map shrinks ~8x per halving
         errors = []
@@ -419,3 +441,173 @@ def test_phase_invariant_helper_consistency(toy_setup):
 def test_state_vector_roundtrip(toy_setup):
     state = StateVector(toy_setup["u"][:, 0])
     assert state.n_qubits == 4
+
+
+SPAN_BIDS = [["10", "11"], ["101", "011"], ["01", "11", "10"], ["10", "01", "11", "01"]]
+SPAN_ALPHAS = (0.9, 0.7, 0.8, 0.6)
+
+
+def _span_setup(bids, variant):
+    table = build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0])))
+    locking = None
+    if variant in ("locked", "exact"):
+        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+    plausible = plausible_allocations(bids)
+    return table, AdiabaticSchedule(12, 1.3, variant, locking), plausible, winning_allocation(table, plausible)
+
+
+def _assert_same_run(a, b, atol):
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        np.testing.assert_allclose(x.state.amplitudes, y.state.amplitudes, rtol=0, atol=atol)
+    np.testing.assert_allclose(a.success, b.success, rtol=0, atol=atol)
+    np.testing.assert_allclose(a.leakage, b.leakage, rtol=0, atol=atol)
+
+
+def _haar(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestPlausibleSpan:
+    """`run_schedule` given Kronecker factors runs the product formulas on
+    the plausible span; the dense product is the oracle."""
+
+    @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
+    @pytest.mark.parametrize("variant", ["zeroth", "first", "locked", "exact"])
+    def test_factors_match_dense(self, bids, variant, monkeypatch):
+        table, schedule, plausible, winner = _span_setup(bids, variant)
+        factors = tuple(bidding_operator(b) for b in bids)
+        dense = run_schedule(reduce(np.kron, factors), plausible, winner, table, schedule)
+        if variant != "exact":  # must stay on the span: no full-space run
+            def refuse(*args):
+                raise AssertionError("fell back to the full space")
+            monkeypatch.setattr(protocol, "_run_full", refuse)
+        span = run_schedule(factors, plausible, winner, table, schedule)
+        _assert_same_run(span, dense, 1e-12)
+
+    @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
+    @pytest.mark.parametrize("variant", ["zeroth", "locked"])
+    def test_restricted_tracks_match_dense_projection(self, bids, variant):
+        table, schedule, plausible, _ = _span_setup(bids, variant)
+        n = table.n_qubits
+        tracks = eigenvalue_tracks(bids, table, schedule, restrict=True)
+        u, w, h_p = joint_bidding_operator(bids), hamming_hamiltonian(n), problem_hamiltonian(table)
+        v = np.eye(2**n) if schedule.locking is None else reduce(np.kron, schedule.locking)
+        basis = np.eye(2**n)[:, plausible]
+        assert tracks.eigenvalues.shape == (schedule.steps + 1, len(plausible))
+        for f, row in zip(tracks.f_values, tracks.eigenvalues):
+            h_f = basis.T @ ((1 - f) * u @ w @ u.conj().T + f * v @ h_p @ v.conj().T) @ basis
+            np.testing.assert_allclose(row, np.linalg.eigvalsh(h_f), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["haar", "mixed_columns"])
+    @pytest.mark.parametrize("variant", ["zeroth", "first"])
+    def test_leaking_factors_report_the_dense_run(self, case, variant, toy_setup, monkeypatch):
+        # Haar factors move |Psi_0> out of the span; mixing the non-lead
+        # columns of U_2 keeps |Psi_0> but makes the mixer leak at step 1.
+        # Either way the run is redone on the full space, inside one call.
+        rng = np.random.default_rng(7)
+        if case == "haar":
+            factors = (_haar(4, rng), _haar(4, rng))
+        else:
+            mix = np.eye(4, dtype=complex)
+            mix[1:, 1:] = _haar(3, rng)
+            factors = (bidding_operator("10"), bidding_operator("11") @ mix)
+        plausible = plausible_allocations(["10", "11"])
+        table = toy_setup["table"]
+        schedule = AdiabaticSchedule(12, 1.3, variant)
+        dense = run_schedule(np.kron(*factors), plausible, 0b0011, table, schedule)
+        calls = []
+        inner = protocol.run_schedule
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+        monkeypatch.setattr(protocol, "run_schedule", counted)
+        span = protocol.run_schedule(factors, plausible, 0b0011, table, schedule)
+        assert len(calls) == 1
+        assert span.leakage.max() > 1e-3
+        _assert_same_run(span, dense, 0)
+
+    def test_n12_runs_without_dense_operators(self, monkeypatch):
+        bids = ["0110", "1011", "0011"]
+        table = build_first_price_table(AuctionConfig(m=3, p=4))
+        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense operator was built")
+        monkeypatch.setattr(protocol, "joint_bidding_operator", refuse)
+        monkeypatch.setattr(protocol, "_joint_locking", refuse)
+        tracemalloc.start()
+        try:
+            for variant, lock in (("zeroth", None), ("first", None), ("locked", locking)):
+                traj = run_adiabatic(bids, table, AdiabaticSchedule(20, 1.5, variant, lock))
+                assert traj.final_state.n_qubits == 12 and traj.leakage.max() <= 1e-9
+            tracks = eigenvalue_tracks(bids, table, AdiabaticSchedule(20, 1.5, "locked", locking))
+            assert tracks.eigenvalues.shape == (21, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+
+
+def _loop_first_price(m, p):
+    mask = (1 << p) - 1
+    values = np.zeros(2 ** (m * p))
+    for x in range(values.size):
+        regs = [(x >> (p * (m - 1 - j))) & mask for j in range(m)]
+        nonzero = [r for r in regs if r]
+        if len(nonzero) == 1:
+            values[x] = nonzero[0]
+    return values
+
+
+def _loop_expansion(values, n):
+    coeffs = (-values).astype(float).copy()
+    h = 1
+    while h < coeffs.size:
+        for i in range(0, coeffs.size, 2 * h):
+            for j in range(i, i + h):
+                a, b = coeffs[j], coeffs[j + h]
+                coeffs[j], coeffs[j + h] = a + b, a - b
+        h *= 2
+    coeffs /= coeffs.size
+    out = []
+    for mask in range(coeffs.size):
+        c = float(coeffs[mask])
+        if abs(c) <= 1e-14:
+            continue
+        out.append((tuple(q for q in range(n) if (mask >> (n - 1 - q)) & 1), c))
+    out.sort(key=lambda item: (len(item[0]), item[0]))
+    return out
+
+
+def _loop_diagonal(expansion, n):
+    diag = np.zeros(2**n)
+    for qubits, c in expansion:
+        mask = sum(1 << (n - 1 - q) for q in qubits)
+        for x in range(diag.size):
+            diag[x] += c if bin(x & mask).count("1") % 2 == 0 else -c
+    return diag
+
+
+class TestLoopDefinitions:
+    """The array versions of the 2^n loops give bit-identical results."""
+
+    @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1), (4, 2),
+                                     (3, 3), (5, 2), (11, 1), (3, 4), (4, 3), (6, 2)])
+    def test_first_price_tables(self, m, p):
+        n = m * p
+        table = build_first_price_table(AuctionConfig(m=m, p=p))
+        assert np.array_equal(table.values, _loop_first_price(m, p))
+        expansion = pauli_z_expansion(table)
+        assert expansion == _loop_expansion(table.values, n)
+        # the diagonal loop costs terms x 2^n, so wide tables check a slice of the terms
+        terms = expansion if n <= 8 else expansion[:40] + expansion[-40:]
+        assert np.array_equal(expansion_diagonal(terms, n), _loop_diagonal(terms, n))
+
+    def test_spurious_table(self):
+        table = spurious_table()
+        expansion = pauli_z_expansion(table)
+        assert expansion == _loop_expansion(table.values, 4)
+        assert np.array_equal(expansion_diagonal(expansion, 4), _loop_diagonal(expansion, 4))
