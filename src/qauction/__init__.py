@@ -7,13 +7,11 @@ from .core import (
     ContractViolation,
     Spectrum,
     StateVector,
-    computational_povm,
     eig_hermitian,
     is_hermitian,
     is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
-    sample_measurement,
 )
 from .protocol import (
     AdiabaticSchedule,
@@ -59,8 +57,6 @@ from .adversary import (
     helstrom_error,
     locking_operators,
     min_error_povm,
-    povm_attack_majority_vote,
-    povm_attack_monte_carlo,
     povm_optimality_check,
     probe_attack_basis,
     probe_attack_povm,

@@ -345,8 +345,9 @@ def probe_attack_povm(bids: Sequence[BidSpec | str], n_rounds: int,
     return LearningCurve(rounds, probs, "closed_form")
 
 
-def _povm_outcome_distributions(bids, locking: LockingPair | None):
-    """Per bidder: (outcome distribution of their true state, true index, p_e)."""
+def povm_outcome_distributions(bids: Sequence[BidSpec | str], locking: LockingPair | None):
+    """Per bidder: (outcome distribution of their true state under the
+    minimum-error POVM, index of the outcome naming the true bid, p_e)."""
     out = []
     for bid, alpha in zip(bids, _lock_amplitudes(bids, locking)):
         povm, p_e = min_error_povm(toy_bidding_states(alpha), [1 / 3] * 3)
@@ -354,26 +355,6 @@ def _povm_outcome_distributions(bids, locking: LockingPair | None):
         dist = measurement_probabilities(locked_bidding_state(bid, alpha), povm.elements)
         out.append((dist, true_index, p_e))
     return out
-
-
-def povm_attack_monte_carlo(bids: Sequence[BidSpec | str], n_rounds: int,
-                            locking: LockingPair | None = None,
-                            trials: int = 100_000, seed: int = 0) -> LearningCurve:
-    """Monte Carlo counterpart of the (1 - p_e^N)^m model: a bidder counts
-    as learned once any round's POVM outcome names their true state."""
-    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking)]
-    return LearningCurve(np.arange(1, n_rounds + 1), povm_mc_curve(per, n_rounds, trials, seed),
-                         "monte_carlo")
-
-
-def povm_attack_majority_vote(bids: Sequence[BidSpec | str], n_rounds: int,
-                              locking: LockingPair | None = None,
-                              trials: int = 100_000, seed: int = 0) -> np.ndarray:
-    """Alternative decision rule, reported separately from the learning
-    curves: after N rounds the auctioneer picks each bidder's strict
-    majority outcome (a tie counts as not learned). Not monotone in N."""
-    per = [(dist, t) for dist, t, _ in _povm_outcome_distributions(bids, locking)]
-    return majority_mc_curve(per, n_rounds, trials, seed)
 
 
 def spurious_table() -> PayoffTable:

@@ -47,9 +47,7 @@ _KEY_SPECS = {
     "seed": (int, 0),
     "trials": (int, 100_000),
     "rounds": (int, 20),
-    "restarts": (int, 20),          # accepted for compatibility; no effect
     "restrict": (str, "true"),
-    "jobs": (int, 1),
     "out": (str, None),
 }
 
@@ -68,9 +66,7 @@ class ScenarioConfig:
     seed: int
     trials: int
     rounds: int
-    restarts: int
     restrict: bool
-    jobs: int
     out: str | None
 
     def schedule(self, variant: str | None = None) -> AdiabaticSchedule:
@@ -174,8 +170,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         attack=str(raw["attack"]), defense=str(raw["defense"]),
         alpha1=typed("alpha1"), alpha2=typed("alpha2"),
         seed=typed("seed"), trials=typed("trials"), rounds=typed("rounds"),
-        restarts=typed("restarts"), restrict=_parse_bool(raw["restrict"]),
-        jobs=typed("jobs"), out=raw["out"],
+        restrict=_parse_bool(raw["restrict"]), out=raw["out"],
     )
     if cfg.variant not in protocol.VARIANTS:
         raise ConfigError(f"variant must be one of {protocol.VARIANTS}")
@@ -185,8 +180,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"attack must be one of {_ATTACKS}")
     if cfg.defense not in _DEFENSES:
         raise ConfigError(f"defense must be one of {_DEFENSES}")
-    if cfg.trials < 1 or cfg.rounds < 1 or cfg.jobs < 1 or cfg.restarts < 0:
-        raise ConfigError("trials, rounds and jobs must be positive; restarts nonnegative")
+    if cfg.trials < 1 or cfg.rounds < 1:
+        raise ConfigError("trials and rounds must be positive")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
@@ -300,7 +295,7 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
         basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
                                                 mode="monte_carlo", trials=cfg.trials,
                                                 seed=cfg.seed)
-        solved = adversary._povm_outcome_distributions(cfg.bids, lock)
+        solved = adversary.povm_outcome_distributions(cfg.bids, lock)
         per = [(dist, t) for dist, t, _ in solved]
         povm_closed = np.ones(cfg.rounds)
         for bidder, (_, _, p_e) in enumerate(solved):
@@ -348,7 +343,7 @@ def cmd_povm(cfg: ScenarioConfig) -> str:
     povm, p_e = adversary.min_error_povm(states, priors)
     ok = adversary.povm_optimality_check(povm, states, priors)
     lines = [
-        f"# command=povm seed={cfg.seed} restarts={cfg.restarts}",
+        f"# command=povm seed={cfg.seed}",
         f"P_e = {p_e:.12g}",
         f"optimality_check = {str(ok).lower()}",
     ]
@@ -494,9 +489,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", help="nonnegative RNG seed (default 0)")
         p.add_argument("--trials", help="Monte Carlo trials per curve")
         p.add_argument("--rounds", help="probe rounds N to sweep")
-        p.add_argument("--restarts", help="accepted for compatibility; no effect")
         p.add_argument("--restrict", help="restrict gap tracks to the plausible span")
-        p.add_argument("--jobs", help="accepted for compatibility; no effect")
         p.add_argument("--out", help="output path (default: stdout)")
 
     def run_with_config(a, func):

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra, Hermitian spectral tools, and measurement
-sampling for small qubit registers.
+"""Dense complex linear algebra, Hermitian spectral tools, and POVM
+measurement for small qubit registers.
 
 Conventions used throughout the package:
   * qubit 0 is the MOST significant bit of a basis index, so the basis
@@ -129,28 +129,6 @@ def measurement_probabilities(state: StateVector, povm) -> np.ndarray:
     if abs(probs.sum() - 1.0) > ATOL_UNITARY:
         raise ContractViolation(f"POVM probabilities sum to {probs.sum()}")
     return probs
-
-
-def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
-                       size: int | None = None):
-    """Draw outcome indices from the POVM distribution; reproducible per rng.
-
-    Returns a single int by default, an array of `size` outcomes otherwise.
-    """
-    probs = measurement_probabilities(state, povm)
-    picked = rng.choice(len(probs), p=probs / probs.sum(), size=size)
-    return picked if size is not None else int(picked)
-
-
-def computational_povm(n_qubits: int) -> list[np.ndarray]:
-    """Projective measurement onto all 2^n computational basis states."""
-    dim = 2**n_qubits
-    out = []
-    for k in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[k, k] = 1.0
-        out.append(e)
-    return out
 
 
 def phase_invariant_distance(u, v) -> float:

@@ -312,28 +312,17 @@ def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
     return np.real(np.diag(op))
 
 
-def _kron(factors) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
-def _joint_locking(locking, dim: int) -> np.ndarray:
-    v = _kron(locking)
-    if v.shape[0] != dim:
-        raise ContractViolation("locking unitaries do not match the register dimension")
-    return v
-
-
 def _rows(factors, indices: Sequence[int], dim: int, what: str) -> np.ndarray:
     """Rows `indices` of the Kronecker product of `factors` (register
     order), each formed from the factors' own rows: row x of U_1 x U_2 x ...
-    is row x_1 of U_1 x row x_2 of U_2 x ..., so the product is never built."""
+    is row x_1 of U_1 x row x_2 of U_2 x ..., so the product is never built.
+    A lone factor asked for all its rows in order is returned as it is."""
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
             or math.prod(f.shape[0] for f in factors) != dim):
         raise ContractViolation(f"{what} do not match the register dimension")
+    if len(factors) == 1 and indices == range(dim):
+        return factors[0]
     idx = np.asarray(indices, dtype=np.int64)
     rows = np.ones((idx.size, 1), dtype=complex)
     stride = dim
@@ -401,7 +390,7 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
         raise ContractViolation("operator dimensions do not match the state")
     if schedule.locking is not None:
-        joint = _joint_locking(schedule.locking, dim)
+        joint = _rows(schedule.locking, range(dim), dim, "locking unitaries")
         if v is None:
             v = joint
         elif not np.allclose(v, joint, rtol=0, atol=1e-12):
@@ -443,56 +432,46 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
     plausible = list(plausible)
-    if isinstance(u, tuple):
-        if schedule.variant != "exact":
-            traj = _run_span(u, plausible, winner_index, table, schedule)
-            if traj is not None:
-                return traj
-        u = _kron(u)
-    if u.shape != (2**table.n_qubits,) * 2:
-        raise ContractViolation("joint operator does not match the table dimension")
-    return _run_full(u, plausible, winner_index, table, schedule)
+    if not isinstance(u, tuple):
+        u = (u,)  # a dense operator is a one-factor product
+    elif schedule.variant != "exact":
+        traj = _run(u, plausible, plausible, winner_index, table, schedule)
+        if traj is not None:
+            return traj
+    return _run(u, range(2**table.n_qubits), plausible, winner_index, table, schedule)
 
 
-def _run_span(factors, plausible: list[int], winner_index: int,
-              table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory | None:
-    """The search on span(plausible) from the k x 2^n rows of U there, or
-    None once the state loses more than ATOL_STATE of norm out of it. A
-    step's leakage is the probability it lost before renormalisation."""
+def _run(factors, span: Sequence[int], plausible: list[int], winner_index: int,
+         table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory | None:
+    """The search on span(`span`) from the rows of U (and V) there.
+
+    On a proper span a step's leakage is the probability it lost before
+    renormalisation, and a state more than ATOL_STATE off norm 1 gives
+    None. On the full span, range(2^n), leakage is the probability outside
+    `plausible`, and a step that drifts raises."""
     dim = 2**table.n_qubits
-    rows = _rows(factors, plausible, dim, "joint operator factors")
+    full = span == range(dim)
+    rows = _rows(factors, span, dim, "joint operator factors")
     v = None
     if schedule.locking is not None:
-        v = _rows(schedule.locking, plausible, dim, "locking unitaries")[:, plausible]
+        v = _rows(schedule.locking, span, dim, "locking unitaries")
+        if not full:  # the block of V on the span
+            v = v[:, span]
     step = _stepper(schedule.variant, schedule.delta, rows, hamming_weights(table.n_qubits),
-                    -table.values[plausible], v)
+                    -table.values[span], v)
     steps = []
     for s, f, psi, norm in _fold(step, rows[:, 0].copy(), schedule.steps):
         if not abs(norm - 1.0) <= ATOL_STATE:
-            return None
+            if not full:
+                return None
+            if s:
+                raise ContractViolation(f"norm drifted to {norm} at step {s}")
         amps = np.zeros(dim, dtype=complex)
-        amps[plausible] = psi
+        amps[span] = psi
         state = StateVector(amps)
-        steps.append(TrajectoryStep(s, f, state, float(state.probabilities()[winner_index]),
-                                    max(0.0, 1.0 - norm**2)))
-    return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
-
-
-def _run_full(u: np.ndarray, plausible: list[int], winner_index: int,
-              table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
-    """The search on the full 2^n-dimensional space, with the dense U."""
-    dim = 2**table.n_qubits
-    v = _joint_locking(schedule.locking, dim) if schedule.locking is not None else None
-    step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits),
-                    -table.values, v)
-    steps = []
-    for s, f, psi, norm in _fold(step, u[:, 0].copy(), schedule.steps):
-        if s and not abs(norm - 1.0) <= ATOL_STATE:
-            raise ContractViolation(f"norm drifted to {norm} at step {s}")
-        state = StateVector(psi)
         probs = state.probabilities()
-        leak = max(0.0, 1.0 - float(probs[plausible].sum()))
-        steps.append(TrajectoryStep(s, f, state, float(probs[winner_index]), leak))
+        leak = 1.0 - float(probs[plausible].sum()) if full else 1.0 - norm**2
+        steps.append(TrajectoryStep(s, f, state, float(probs[winner_index]), max(0.0, leak)))
     return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
 
 
@@ -545,22 +524,14 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
     dim = 2**table.n_qubits
-    if restrict:
-        # the plausible-span block of each term, from the rows of U and V there
-        plausible = plausible_allocations(bids)
-        u_rows = _rows([bidding_operator(b) for b in bids], plausible, dim, "bidding operators")
-        hb = (u_rows * hamming_weights(table.n_qubits)) @ u_rows.conj().T
-        hp = np.diag(-table.values[plausible]).astype(complex)
-        if schedule.locking is not None:
-            v_rows = _rows(schedule.locking, plausible, dim, "locking unitaries")
-            hp = (v_rows * -table.values) @ v_rows.conj().T
-    else:
-        u = joint_bidding_operator(bids)
-        hb = u @ hamming_hamiltonian(table.n_qubits) @ u.conj().T
-        hp = problem_hamiltonian(table)
-        if schedule.locking is not None:
-            v = _joint_locking(schedule.locking, dim)
-            hp = v @ hp @ v.conj().T
+    # the span block of each term, from the rows of U and V there
+    span = plausible_allocations(bids) if restrict else range(dim)
+    u_rows = _rows([bidding_operator(b) for b in bids], span, dim, "bidding operators")
+    hb = (u_rows * hamming_weights(table.n_qubits)) @ u_rows.conj().T
+    hp = np.diag(-table.values[span]).astype(complex)
+    if schedule.locking is not None:
+        v_rows = _rows(schedule.locking, span, dim, "locking unitaries")
+        hp = (v_rows * -table.values) @ v_rows.conj().T
     fs, rows = [], []
     for s in range(schedule.steps + 1):
         f = s / schedule.steps

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import computational_povm
 from qauction.adversary import (
     LockingPair,
     Povm,
@@ -14,10 +15,9 @@ from qauction.adversary import (
     locking_operators,
     majority_mc_curve,
     min_error_povm,
-    povm_attack_majority_vote,
-    povm_attack_monte_carlo,
     povm_mc_curve,
     povm_optimality_check,
+    povm_outcome_distributions,
     probe_attack_basis,
     probe_attack_povm,
     revealing_index,
@@ -27,7 +27,7 @@ from qauction.adversary import (
     spurious_table,
     toy_bidding_states,
 )
-from qauction.core import ContractViolation, computational_povm, is_hermitian, is_unitary
+from qauction.core import ContractViolation, is_hermitian, is_unitary
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
@@ -323,7 +323,8 @@ class TestPovmLearningCurves:
         _, _, p_e = toy_povm
         trials = 100_000
         closed = probe_attack_povm(["10", "11"], 5, p_e).probabilities
-        mc = povm_attack_monte_carlo(["10", "11"], 5, trials=trials, seed=1).probabilities
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        mc = povm_mc_curve(per, 5, trials, 1)
         for p_hat, p in zip(mc, closed):
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(p_hat - p) <= 3 * sigma + 1e-12
@@ -331,7 +332,8 @@ class TestPovmLearningCurves:
     def test_majority_vote_first_round(self, toy_povm):
         _, _, p_e = toy_povm
         trials = 20_000
-        probs = povm_attack_majority_vote(["10", "11"], 2, trials=trials, seed=2)
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        probs = majority_mc_curve(per, 2, trials, 2)
         p1 = (1 - p_e) ** 2
         assert abs(probs[0] - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
         # even rounds can tie, so the majority rule is not monotone

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +372,14 @@ class TestConfigHandling:
         assert cli.main(["converge", "--variant", "third"]) == 1
         assert cli.main(["converge", "--bids", "00,11"]) == 1
         assert cli.main(["attack", "--attack", "probe_povm"]) == 1
+        assert cli.main(["attack", "--attack", "probe_basis", "--jobs", "2"]) == 1
+        assert cli.main(["povm", "--restarts", "3"]) == 1
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("unknown keys are rejected. Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+        keys = [key for line in block.splitlines() for key in line.split("  ")[0].split(", ")]
+        assert keys == list(cli._KEY_SPECS)
 
     def test_no_partial_output_on_error(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -410,21 +419,21 @@ class TestConfigHandling:
         assert a.read_bytes() == b.read_bytes()
 
     def test_parallel_points_identical(self, tmp_path):
-        # each curve draws from one stream seeded by (seed, rule), so --jobs cannot change the bytes
+        # each curve draws from one stream seeded by (seed, rule), so a rerun gives the same bytes
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         args = ["attack", "--attack", "probe_basis", "--bids", "10,11",
                 "--rounds", "2", "--trials", "2000", "--seed", "11"]
         assert cli.main(args + ["--out", str(serial)]) == 0
-        assert cli.main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        assert cli.main(args + ["--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_jobs_has_no_effect_with_lock(self, tmp_path):
         outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.csv"
+        for run in ("1", "2"):
+            out = tmp_path / f"run{run}.csv"
             assert cli.main(["attack", "--attack", "probe_basis", "--bids", "11,10",
                              "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7",
                              "--rounds", "3", "--trials", "2000", "--seed", "4",
-                             "--jobs", jobs, "--out", str(out)]) == 0
+                             "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import computational_povm, sample_measurement
 from qauction.core import (
     ContractViolation,
     StateVector,
-    computational_povm,
     eig_hermitian,
     is_hermitian,
     is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
-    sample_measurement,
 )
 
 I2 = np.eye(2, dtype=complex)

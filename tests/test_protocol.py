@@ -480,9 +480,12 @@ class TestPlausibleSpan:
         factors = tuple(bidding_operator(b) for b in bids)
         dense = run_schedule(reduce(np.kron, factors), plausible, winner, table, schedule)
         if variant != "exact":  # must stay on the span: no full-space run
-            def refuse(*args):
-                raise AssertionError("fell back to the full space")
-            monkeypatch.setattr(protocol, "_run_full", refuse)
+            inner = protocol._run
+
+            def span_only(factors, span, *args):
+                assert len(span) < 2**table.n_qubits, "fell back to the full space"
+                return inner(factors, span, *args)
+            monkeypatch.setattr(protocol, "_run", span_only)
         span = run_schedule(factors, plausible, winner, table, schedule)
         _assert_same_run(span, dense, 1e-12)
 
@@ -491,14 +494,15 @@ class TestPlausibleSpan:
     def test_restricted_tracks_match_dense_projection(self, bids, variant):
         table, schedule, plausible, _ = _span_setup(bids, variant)
         n = table.n_qubits
-        tracks = eigenvalue_tracks(bids, table, schedule, restrict=True)
         u, w, h_p = joint_bidding_operator(bids), hamming_hamiltonian(n), problem_hamiltonian(table)
         v = np.eye(2**n) if schedule.locking is None else reduce(np.kron, schedule.locking)
-        basis = np.eye(2**n)[:, plausible]
-        assert tracks.eigenvalues.shape == (schedule.steps + 1, len(plausible))
-        for f, row in zip(tracks.f_values, tracks.eigenvalues):
-            h_f = basis.T @ ((1 - f) * u @ w @ u.conj().T + f * v @ h_p @ v.conj().T) @ basis
-            np.testing.assert_allclose(row, np.linalg.eigvalsh(h_f), rtol=0, atol=1e-12)
+        # restrict=False spans every index, so its basis is the identity
+        for restrict, basis in ((True, np.eye(2**n)[:, plausible]), (False, np.eye(2**n))):
+            tracks = eigenvalue_tracks(bids, table, schedule, restrict=restrict)
+            assert tracks.eigenvalues.shape == (schedule.steps + 1, basis.shape[1])
+            for f, row in zip(tracks.f_values, tracks.eigenvalues):
+                h_f = basis.T @ ((1 - f) * u @ w @ u.conj().T + f * v @ h_p @ v.conj().T) @ basis
+                np.testing.assert_allclose(row, np.linalg.eigvalsh(h_f), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["haar", "mixed_columns"])
     @pytest.mark.parametrize("variant", ["zeroth", "first"])
@@ -536,8 +540,13 @@ class TestPlausibleSpan:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a dense operator was built")
+        inner = protocol._rows
+
+        def some_rows(factors, indices, dim, what):
+            assert len(indices) < dim, f"all {dim} rows of the {what} were formed"
+            return inner(factors, indices, dim, what)
         monkeypatch.setattr(protocol, "joint_bidding_operator", refuse)
-        monkeypatch.setattr(protocol, "_joint_locking", refuse)
+        monkeypatch.setattr(protocol, "_rows", some_rows)
         tracemalloc.start()
         try:
             for variant, lock in (("zeroth", None), ("first", None), ("locked", locking)):
