@@ -94,6 +94,8 @@ class Circuit:
             raise ContractViolation(f"{g.kind} takes {expected[g.kind]} qubit(s)")
         if g.kind in ("PHASE", "ROT") and g.angle is None:
             raise ContractViolation(f"{g.kind} needs an angle")
+        if g.angle is not None and not math.isfinite(g.angle):
+            raise ContractViolation(f"{g.kind} angle must be finite, got {g.angle}")
         if g.kind == "CTRL0":
             if not g.qubits:
                 raise ContractViolation("CTRL0 needs at least one control qubit")
@@ -115,10 +117,6 @@ class Circuit:
 
     def to_text(self) -> str:
         return "\n".join(_gate_lines(self.gates, indent=0)) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "Circuit":
-        return parse_circuit(text, n_qubits)
 
 
 def _gate_lines(gates, indent: int) -> list[str]:

@@ -16,6 +16,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,27 +29,63 @@ class ConfigError(ValueError):
     pass
 
 
-_TABLES = ("first_price", "spurious")
-_ATTACKS = ("none", "probe_basis", "spurious")
-_DEFENSES = ("none", "lock", "collude")
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
+# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 12.5 B
+# per cell (25 MB at the 100000 x 20 default), so the cap is about 1.2 GB.
+MAX_MC_CELLS = 10**8
 
-# key -> (parser, default)
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_bids(raw: str) -> list[str]:
+    bids = [b.strip() for b in raw.split(",") if b.strip()]
+    if not bids:
+        raise ConfigError("need at least one bid")
+    for b in bids:
+        try:
+            protocol.BidSpec(b)
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from exc
+    if len({len(b) for b in bids}) != 1:
+        raise ConfigError("bids must share a register width")
+    _check_width(len(bids) * len(bids[0]), "the bids")
+    return bids
+
+
+def _parse_delta(raw: str) -> float | str:
+    return "auto" if raw.strip().lower() == "auto" else float(raw)
+
+
+class _Key(NamedTuple):
+    parse: Callable
+    default: object
+    help: str = ""
+    choices: tuple[str, ...] = ()
+
+
+# Every scenario key: its flag, config-file key and ScenarioConfig field.
 _KEY_SPECS = {
-    "bids": (str, "10,11"),
-    "steps": (int, 20),
-    "delta": (str, "1.5"),          # float or "auto" (= 1/sqrt(steps))
-    "variant": (str, "zeroth"),
-    "table": (str, "first_price"),
-    "attack": (str, "none"),
-    "defense": (str, "none"),
-    "alpha1": (float, None),
-    "alpha2": (float, None),
-    "seed": (int, 0),
-    "trials": (int, 100_000),
-    "rounds": (int, 20),
-    "restrict": (str, "true"),
-    "out": (str, None),
+    "bids": _Key(_parse_bids, "10,11", "comma-separated price states, e.g. 10,11"),
+    "steps": _Key(int, 20, "iteration count S"),
+    "delta": _Key(_parse_delta, "1.5", "step size, or 'auto' for 1/sqrt(S)"),
+    "variant": _Key(str, "zeroth", choices=protocol.VARIANTS),
+    "table": _Key(str, "first_price", choices=("first_price", "spurious")),
+    "attack": _Key(str, "none", choices=("none", "probe_basis", "spurious")),
+    "defense": _Key(str, "none", choices=("none", "lock", "collude")),
+    "alpha1": _Key(float, None, "lock amplitude for bidder 1"),
+    "alpha2": _Key(float, None, "lock amplitude for bidder 2"),
+    "seed": _Key(int, 0, "nonnegative RNG seed (default 0)"),
+    "trials": _Key(int, 100_000, "Monte Carlo trials per curve"),
+    "rounds": _Key(int, 20, "probe rounds N to sweep"),
+    "restrict": _Key(_parse_bool, "true", "restrict gap tracks to the plausible span"),
+    "out": _Key(str, None, "output path (default: stdout)"),
 }
 
 
@@ -90,15 +127,6 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    low = str(raw).strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 def read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -119,69 +147,37 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+def _typed(key: str, value):
+    if not isinstance(value, str):
+        return value  # a non-string default
+    try:
+        return _KEY_SPECS[key].parse(value)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    raw = {key: default for key, (_, default) in _KEY_SPECS.items()}
-    if getattr(args, "config", None):
+    raw = {key: spec.default for key, spec in _KEY_SPECS.items()}
+    if args.config:
         raw.update(read_config_file(args.config))
-    for key in _KEY_SPECS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = flag
-
-    def typed(key):
-        parse, _ = _KEY_SPECS[key]
-        value = raw[key]
-        if value is None or not isinstance(value, str):
-            return value
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
-
-    bids = [b.strip() for b in str(raw["bids"]).split(",") if b.strip()]
-    if not bids:
-        raise ConfigError("need at least one bid")
-    for b in bids:
-        try:
-            protocol.BidSpec(b)
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from exc
-    if len({len(b) for b in bids}) != 1:
-        raise ConfigError("bids must share a register width")
-    _check_width(len(bids) * len(bids[0]), "the bids")
-
-    steps = typed("steps")
-    if steps < 1:
+    raw.update((key, flag) for key in _KEY_SPECS if (flag := getattr(args, key)) is not None)
+    cfg = ScenarioConfig(**{key: _typed(key, value) for key, value in raw.items()})
+    if cfg.steps < 1:
         raise ConfigError("steps must be >= 1")
-    delta_raw = str(raw["delta"]).strip().lower()
-    if delta_raw == "auto":
-        delta = protocol.auto_delta(steps)
-    else:
-        try:
-            delta = float(delta_raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for delta: {raw['delta']!r}") from exc
-    if not 0 < delta < math.inf:
+    if cfg.delta == "auto":
+        cfg.delta = protocol.auto_delta(cfg.steps)
+    if not 0 < cfg.delta < math.inf:
         raise ConfigError("delta must be positive and finite")
-
-    cfg = ScenarioConfig(
-        bids=bids, steps=steps, delta=delta,
-        variant=str(raw["variant"]), table=str(raw["table"]),
-        attack=str(raw["attack"]), defense=str(raw["defense"]),
-        alpha1=typed("alpha1"), alpha2=typed("alpha2"),
-        seed=typed("seed"), trials=typed("trials"), rounds=typed("rounds"),
-        restrict=_parse_bool(raw["restrict"]), out=raw["out"],
-    )
-    if cfg.variant not in protocol.VARIANTS:
-        raise ConfigError(f"variant must be one of {protocol.VARIANTS}")
-    if cfg.table not in _TABLES:
-        raise ConfigError(f"table must be one of {_TABLES}")
-    if cfg.attack not in _ATTACKS:
-        raise ConfigError(f"attack must be one of {_ATTACKS}")
-    if cfg.defense not in _DEFENSES:
-        raise ConfigError(f"defense must be one of {_DEFENSES}")
+    for key, spec in _KEY_SPECS.items():
+        if spec.choices and getattr(cfg, key) not in spec.choices:
+            raise ConfigError(f"{key} must be one of {spec.choices}")
     if cfg.trials < 1 or cfg.rounds < 1:
         raise ConfigError("trials and rounds must be positive")
+    if cfg.trials * cfg.rounds > MAX_MC_CELLS:
+        raise ConfigError(f"trials * rounds = {cfg.trials * cfg.rounds} exceeds the "
+                          f"Monte Carlo cap of {MAX_MC_CELLS} cells")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     return cfg
@@ -411,6 +407,8 @@ def _parse_target(target: str, inferred_width: int | None = None) -> _Target:
     else:
         raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
     _check_width(parsed.width, f"target {target!r}")
+    if not math.isfinite(math.prod(parsed.numbers) * parsed.width):  # largest phase delta*f*n
+        raise ConfigError(f"target {target!r}: the phases delta * f overflow")
     return parsed
 
 
@@ -475,22 +473,10 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key-value config file")
-        p.add_argument("--bids", help="comma-separated price states, e.g. 10,11")
-        p.add_argument("--steps", help="iteration count S")
-        p.add_argument("--delta", help="step size, or 'auto' for 1/sqrt(S)")
-        p.add_argument("--variant", help="exact|zeroth|first|locked")
-        p.add_argument("--table", help="first_price|spurious")
-        p.add_argument("--attack", help="none|probe_basis|spurious")
-        p.add_argument("--defense", help="none|lock|collude")
-        p.add_argument("--alpha1", help="lock amplitude for bidder 1")
-        p.add_argument("--alpha2", help="lock amplitude for bidder 2")
-        p.add_argument("--seed", help="nonnegative RNG seed (default 0)")
-        p.add_argument("--trials", help="Monte Carlo trials per curve")
-        p.add_argument("--rounds", help="probe rounds N to sweep")
-        p.add_argument("--restrict", help="restrict gap tracks to the plausible span")
-        p.add_argument("--out", help="output path (default: stdout)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key-value config file")
+    for key, spec in _KEY_SPECS.items():
+        common.add_argument(f"--{key}", help=spec.help or "|".join(spec.choices))
 
     def run_with_config(a, func):
         cfg = resolve_config(a)
@@ -498,8 +484,7 @@ def build_parser() -> _Parser:
 
     for name, func in (("converge", cmd_converge), ("variants", cmd_variants),
                        ("gap", cmd_gap), ("attack", cmd_attack), ("povm", cmd_povm)):
-        p = sub.add_parser(name)
-        add_common(p)
+        p = sub.add_parser(name, parents=[common])
         p.set_defaults(run=lambda a, f=func: run_with_config(a, f))
 
     p = sub.add_parser("circuit-verify")
@@ -507,7 +492,7 @@ def build_parser() -> _Parser:
     p.add_argument("target", help="bidder:BITS | D:delta,f[,n] | P:delta,f | collusion:B1,B2")
     p.add_argument("--emit", action="store_true",
                    help="print the reference circuit for the target instead of verifying")
-    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--out", help=_KEY_SPECS["out"].help)
     p.set_defaults(run=lambda a: (cmd_circuit_verify(a), a.out))
     return parser
 

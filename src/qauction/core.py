@@ -143,6 +143,8 @@ def phase_invariant_distance(u, v) -> float:
     v = _as_matrix(v)
     if u.shape != v.shape:
         raise ContractViolation(f"dimension mismatch: {u.shape} vs {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ContractViolation("phase-invariant distance needs finite matrix entries")
 
     def dist(theta: float) -> float:
         return float(np.max(np.abs(u - np.exp(1j * theta) * v)))

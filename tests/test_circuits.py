@@ -59,6 +59,14 @@ class TestCircuitToMatrix:
         with pytest.raises(ContractViolation):
             Circuit(2, (Gate("PHASE", (0,)),))
 
+    @pytest.mark.parametrize("gate", [phase, rotation])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, gate, angle):
+        with pytest.raises(ContractViolation, match="finite"):
+            Circuit(1, (gate(0, angle),))
+        with pytest.raises(CircuitParseError, match="finite"):
+            parse_circuit(f"{gate(0, 0.5).kind} q0 {angle}")
+
     def test_zero_controlled_identity_when_control_set(self):
         inner = Circuit(3, (hadamard(1), cnot(1, 2)))
         gate = zero_controlled((0,), inner)

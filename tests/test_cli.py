@@ -296,6 +296,23 @@ class TestCircuitVerify:
         assert code == 0
         assert "result=pass" in out
 
+    @pytest.mark.parametrize("text,args", [
+        ("PHASE q0 nan\n", ["D:1,0.5,4"]),
+        ("ROT q0 inf\n", ["D:1,0.5,1"]),
+        (None, ["--emit", "D:1e308,10,2"]),
+        ("PHASE q0 1\nPHASE q1 1\n", ["P:1e308,10"]),
+    ], ids=["nan_phase", "inf_rotation", "emit_overflow", "target_overflow"])
+    def test_non_finite_angles_rejected(self, tmp_path, capsys, text, args):
+        if text is not None:
+            circuit = tmp_path / "c.txt"
+            circuit.write_text(text)
+            args = [str(circuit)] + args
+        target = tmp_path / "out.txt"
+        assert cli.main(["circuit-verify", *args, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
     def test_emit_roundtrip(self, tmp_path, capsys):
         code, out = run_cli(["circuit-verify", "--emit", "collusion:10,11"], capsys)
         assert code == 0
@@ -306,30 +323,40 @@ class TestCircuitVerify:
         assert "result=pass" in out
 
 
+def _refused_and_small(monkeypatch, targets):
+    """Make each (module, name) raise if called, and keep the traced
+    allocation peak of the test under 10 MB."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused builder was called")
+    for module, name in targets:
+        monkeypatch.setattr(module, name, refuse)
+    tracemalloc.start()
+    yield
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+def _rejected_in_one_line(args, capsys, needle):
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and needle in captured.err
+
+
 class TestWidthCap:
     """Registers wider than cli.MAX_QUBITS are configuration errors, caught
     before any dense operator is built."""
 
     @pytest.fixture(autouse=True)
     def no_dense_builds(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dense operator was built")
-        for module, name in ((cli, "_target_unitary"), (cli.circuits, "circuit_to_matrix"),
-                             (cli.protocol, "build_first_price_table"),
-                             (cli.protocol, "joint_bidding_operator")):
-            monkeypatch.setattr(module, name, refuse)
-        tracemalloc.start()
-        yield
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 10_000_000
+        yield from _refused_and_small(monkeypatch, (
+            (cli, "_target_unitary"), (cli.circuits, "circuit_to_matrix"),
+            (cli.protocol, "build_first_price_table"), (cli.protocol, "joint_bidding_operator")))
 
     @staticmethod
     def _rejected(args, capsys):
-        assert cli.main(args) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "cap of 12" in captured.err
+        _rejected_in_one_line(args, capsys, "cap of 12")
 
     def test_explicit_target_width(self, tmp_path, capsys):
         circuit = tmp_path / "d.txt"
@@ -353,6 +380,35 @@ class TestWidthCap:
         assert len(out.splitlines()) == 12
 
 
+class TestMonteCarloCap:
+    """A trials x rounds grid above cli.MAX_MC_CELLS is a configuration
+    error, caught before any Monte Carlo array is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_monte_carlo(self, monkeypatch):
+        yield from _refused_and_small(monkeypatch, (
+            (cli.adversary, "probe_attack_basis"), (cli.adversary, "povm_mc_curve"),
+            (cli.adversary, "majority_mc_curve")))
+
+    @pytest.mark.parametrize("grid", [
+        ["--trials", "100000000000"],
+        ["--rounds", "100000000000", "--trials", "10"],
+        ["--trials", "9223372036854775808"],
+        ["--trials", "100000001", "--rounds", "1"],
+    ], ids=["trials_1e11", "rounds_1e11", "trials_2e63", "one_over_cap"])
+    def test_rejected(self, grid, capsys):
+        _rejected_in_one_line(["attack", "--attack", "probe_basis", *grid], capsys,
+                              "Monte Carlo cap of 100000000 cells")
+
+    @pytest.mark.parametrize("grid", [[], ["--trials", "100000000", "--rounds", "1"],
+                                      ["--trials", "1", "--rounds", "100000000"]],
+                             ids=["defaults", "trials_at_cap", "rounds_at_cap"])
+    def test_at_or_below_cap_accepted(self, grid):
+        args = cli.build_parser().parse_args(["attack", "--attack", "probe_basis", *grid])
+        cfg = cli.resolve_config(args)
+        assert cfg.trials * cfg.rounds <= cli.MAX_MC_CELLS
+
+
 class TestConfigHandling:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
@@ -374,6 +430,8 @@ class TestConfigHandling:
         assert cli.main(["attack", "--attack", "probe_povm"]) == 1
         assert cli.main(["attack", "--attack", "probe_basis", "--jobs", "2"]) == 1
         assert cli.main(["povm", "--restarts", "3"]) == 1
+        assert cli.main(["converge", "--table", "bogus"]) == 1
+        assert cli.main(["converge", "--defense", "bogus"]) == 1
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -410,30 +468,26 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and "overflows" in err
         assert not target.exists()
 
-    def test_deterministic_bytes(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["--bids", "10,11", "--rounds", "3", "--trials", "3000", "--seed", "5"],
+        ["--bids", "10,11", "--rounds", "2", "--trials", "2000", "--seed", "11"],
+        ["--bids", "11,10", "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7",
+         "--rounds", "3", "--trials", "2000", "--seed", "4"],
+    ], ids=["seed5", "seed11", "lock_seed4"])
+    def test_deterministic_bytes(self, tmp_path, args):
+        # each curve draws from one stream seeded by (seed, rule), so a rerun gives the same bytes
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["attack", "--attack", "probe_basis", "--bids", "10,11",
-                "--rounds", "3", "--trials", "3000", "--seed", "5"]
+        args = ["attack", "--attack", "probe_basis", *args]
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_points_identical(self, tmp_path):
-        # each curve draws from one stream seeded by (seed, rule), so a rerun gives the same bytes
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        args = ["attack", "--attack", "probe_basis", "--bids", "10,11",
-                "--rounds", "2", "--trials", "2000", "--seed", "11"]
-        assert cli.main(args + ["--out", str(serial)]) == 0
-        assert cli.main(args + ["--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize("command", ["converge", "variants", "gap", "attack", "povm"])
+    def test_every_key_is_a_flag(self, command):
+        parser = cli.build_parser()
+        for key in cli._KEY_SPECS:
+            assert getattr(parser.parse_args([command, f"--{key}", "v"]), key) == "v"
 
-    def test_jobs_has_no_effect_with_lock(self, tmp_path):
-        outputs = []
-        for run in ("1", "2"):
-            out = tmp_path / f"run{run}.csv"
-            assert cli.main(["attack", "--attack", "probe_basis", "--bids", "11,10",
-                             "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7",
-                             "--rounds", "3", "--trials", "2000", "--seed", "4",
-                             "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_circuit_verify_has_no_scenario_flags(self, capsys):
+        assert cli.main(["circuit-verify", "--emit", "bidder:11", "--steps", "3"]) == 1
+        assert "unrecognized arguments: --steps 3" in capsys.readouterr().err

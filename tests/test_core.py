@@ -149,6 +149,14 @@ class TestPhaseInvariantDistance:
         with pytest.raises(ContractViolation):
             phase_invariant_distance(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        for u, v in ((m, np.eye(2)), (np.eye(2), m)):
+            with pytest.raises(ContractViolation, match="finite"):
+                phase_invariant_distance(u, v)
+
 
 def test_hermiticity_predicate():
     assert is_hermitian(Z)
