@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractViolation, phase_invariant_distance
-from .protocol import _HADAMARD, BidSpec, _cnot_matrix, _embed_single, as_bid
+from .protocol import BidSpec, as_bid
 
 KINDS = ("H", "CNOT", "PHASE", "ROT", "CTRL0")
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -219,33 +220,39 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         raise CircuitParseError(str(exc)) from exc
 
 
-def _gate_matrix(g: Gate, n: int) -> np.ndarray:
+def _single_qubit_matrix(g: Gate) -> np.ndarray:
     if g.kind == "H":
-        return _embed_single(n, g.qubits[0], _HADAMARD)
+        return _HADAMARD
     if g.kind == "PHASE":
-        return _embed_single(n, g.qubits[0], np.diag([1.0, np.exp(-1j * g.angle)]))
-    if g.kind == "ROT":
-        c, s = math.cos(g.angle), math.sin(g.angle)
-        return _embed_single(n, g.qubits[0], np.array([[c, s], [s, -c]], dtype=complex))
-    if g.kind == "CNOT":
-        return _cnot_matrix(n, *g.qubits)
-    # CTRL0: inner commutes with the control projector (it never acts on a
-    # control), so I + (U_inner - I) @ P0 is unitary.
-    dim = 2**n
-    inner = circuit_to_matrix(g.inner)
-    mask = np.ones(dim)
-    for q in g.qubits:
-        bit = 1 << (n - 1 - q)
-        mask *= np.array([(x & bit) == 0 for x in range(dim)], dtype=float)
-    return np.eye(dim, dtype=complex) + (inner - np.eye(dim)) * mask[np.newaxis, :]
+        return np.diag([1.0, np.exp(-1j * g.angle)])
+    c, s = math.cos(g.angle), math.sin(g.angle)
+    return np.array([[c, s], [s, -c]], dtype=complex)
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit, first listed gate applied first."""
-    m = np.eye(2**c.n_qubits, dtype=complex)
+    """Dense unitary of the circuit, first listed gate applied first.
+
+    The columns are held as a (2,)*n + (2^n,) tensor, one axis per qubit,
+    and each gate acts on its own axes only: H, PHASE, ROT and CNOT cost
+    O(4^n) and form no 2^n x 2^n gate matrix.
+    """
+    n = c.n_qubits
+    m = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
     for g in c.gates:
-        m = _gate_matrix(g, c.n_qubits) @ m
-    return m
+        if g.kind == "CNOT":
+            control, target = g.qubits
+            on = (slice(None),) * control + (slice(1, 2),)  # the slice where the control is 1
+            m[on] = np.flip(m[on], axis=target)
+        elif g.kind == "CTRL0":
+            # The inner circuit never changes a control bit, so it maps the
+            # slice where every control is 0 into itself and leaves the rest.
+            zero = tuple(0 if q in g.qubits else slice(None) for q in range(n))
+            block = circuit_to_matrix(g.inner).reshape((2,) * 2 * n)[zero + zero]
+            m[zero] = np.tensordot(block, m[zero], axes=block.ndim // 2)
+        else:
+            q = g.qubits[0]
+            m = np.moveaxis(np.tensordot(_single_qubit_matrix(g), m, axes=([1], [q])), 0, q)
+    return m.reshape(2**n, 2**n)
 
 
 def build_bidder_circuit(bid: BidSpec | str) -> Circuit:

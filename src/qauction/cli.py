@@ -30,6 +30,9 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
+# Widest `exact` search: it makes one dense 2^n x 2^n eigh per step, which
+# took 1.5 s at n = 10 and 12.8 s at n = 11 on a 2-vCPU machine.
+MAX_EXACT_QUBITS = 10
 # Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 12.5 B
 # per cell (25 MB at the 100000 x 20 default), so the cap is about 1.2 GB.
 MAX_MC_CELLS = 10**8
@@ -223,7 +226,21 @@ def _meta(cfg: ScenarioConfig, command: str, **extra) -> dict:
     return meta
 
 
-def _run_for_config(cfg: ScenarioConfig, table, schedule) -> protocol.Trajectory:
+def _total_qubits(cfg: ScenarioConfig) -> int:
+    return len(cfg.bids) * len(cfg.bids[0])
+
+
+def _check_exact_width(cfg: ScenarioConfig) -> None:
+    width = _total_qubits(cfg)
+    if width > MAX_EXACT_QUBITS:
+        raise ConfigError(f"variant exact: {width} qubits exceed its cap of {MAX_EXACT_QUBITS} "
+                          f"(one dense 2^n x 2^n eigh per step)")
+
+
+def _run_for_config(cfg: ScenarioConfig) -> protocol.Trajectory:
+    if cfg.variant == "exact":
+        _check_exact_width(cfg)
+    table, schedule = cfg.payoff_table(), cfg.schedule()
     if cfg.defense == "lock":
         return adversary.run_locked_auction(cfg.bids, table, schedule, cfg.locking())
     if cfg.defense == "collude":
@@ -231,14 +248,10 @@ def _run_for_config(cfg: ScenarioConfig, table, schedule) -> protocol.Trajectory
     return protocol.run_adiabatic(cfg.bids, table, schedule)
 
 
-def _total_qubits(cfg: ScenarioConfig) -> int:
-    return len(cfg.bids) * len(cfg.bids[0])
-
-
 def cmd_converge(cfg: ScenarioConfig) -> str:
     if cfg.attack != "none":
         raise ConfigError("converge runs the honest schedule; use the attack subcommand")
-    traj = _run_for_config(cfg, cfg.payoff_table(), cfg.schedule())
+    traj = _run_for_config(cfg)
     rows = [(st.s, st.f, st.success_probability, st.subspace_leakage) for st in traj.steps]
     winner = format(traj.winner_index, f"0{_total_qubits(cfg)}b")
     return _render_csv(_meta(cfg, "converge", winner=winner),
@@ -248,6 +261,7 @@ def cmd_converge(cfg: ScenarioConfig) -> str:
 def cmd_variants(cfg: ScenarioConfig) -> str:
     if cfg.attack != "none" or cfg.defense != "none":
         raise ConfigError("variants compares honest integrators only")
+    _check_exact_width(cfg)
     table = cfg.payoff_table()
     curves = {}
     for variant in ("exact", "zeroth", "first"):
@@ -313,7 +327,7 @@ def cmd_attack(cfg: ScenarioConfig) -> str:
         if cfg.defense not in ("none", "collude"):
             raise ConfigError("the spurious attack composes with defense in {none, collude}")
         cfg = dataclasses.replace(cfg, table="spurious")
-        traj = _run_for_config(cfg, adversary.spurious_table(), cfg.schedule())
+        traj = _run_for_config(cfg)
         reveal = adversary.revealing_index(cfg.bids)
         rows = [(st.s, st.f, st.success_probability, st.subspace_leakage,
                  float(st.state.probabilities()[reveal])) for st in traj.steps]
@@ -456,7 +470,9 @@ def cmd_circuit_verify(args: argparse.Namespace) -> str:
     except circuits.CircuitParseError:
         pass  # maybe only the width was missing; retry once the target fixes it
     target = _parse_target(args.target, probe.n_qubits if probe else None)
-    circuit = circuits.parse_circuit(text, n_qubits=target.width)
+    circuit = probe
+    if probe is None or probe.n_qubits != target.width:
+        circuit = circuits.parse_circuit(text, n_qubits=target.width)
     report = circuits.verify_circuit(circuit, _target_unitary(target))
     verdict = "pass" if report.passed else "fail"
     return (f"target={args.target}\ndistance={report.distance:.12g}\n"

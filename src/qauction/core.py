@@ -146,12 +146,16 @@ def phase_invariant_distance(u, v) -> float:
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ContractViolation("phase-invariant distance needs finite matrix entries")
 
+    tr = np.vdot(v, u)  # tr(v^dag u)
+    # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
+    rest = float(np.max(np.abs(u[v == 0]), initial=0.0))
+    u, v = u[v != 0], v[v != 0]
+
     def dist(theta: float) -> float:
-        return float(np.max(np.abs(u - np.exp(1j * theta) * v)))
+        return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))
 
     thetas = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     best = min(thetas, key=dist)
-    tr = np.trace(v.conj().T @ u)
     if abs(tr) > 1e-14:
         cand = float(np.angle(tr))
         if dist(cand) < dist(best):

@@ -24,8 +24,6 @@ from .core import (
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
 
 class TieError(RuntimeError):
     """Maximum payoff is tied among plausible allocations; winner undefined."""
@@ -167,36 +165,24 @@ def expansion_diagonal(expansion, n_qubits: int) -> np.ndarray:
     return diag
 
 
-def _embed_single(n: int, q: int, gate: np.ndarray) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for k in range(n):
-        out = np.kron(out, gate if k == q else np.eye(2, dtype=complex))
-    return out
-
-
-def _cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    tbit = 1 << (n - 1 - target)
-    cbit = 1 << (n - 1 - control)
-    for x in range(dim):
-        m[x ^ tbit if x & cbit else x, x] = 1.0
-    return m
-
-
 def bidding_operator(bid: BidSpec | str) -> np.ndarray:
     """Unitary whose first column is (|0...0> + |bid>)/sqrt(2).
 
-    Built as Hadamard on the lowest-index set bit followed by CNOT fan-out
-    onto every other set bit; the Hadamard-like completion this produces is
-    what keeps the adiabatic search inside the bidding subspace.
+    It is Hadamard on the lowest-index set bit (the lead) followed by CNOT
+    fan-out onto every other set bit, written in closed form: column x
+    holds 1/sqrt(2) at x with the lead bit cleared and
+    (-1)^(lead bit of x)/sqrt(2) at that index XOR the bid. The
+    Hadamard-like completion is what keeps the adiabatic search inside the
+    bidding subspace.
     """
     bid = as_bid(bid)
-    p = bid.n_qubits
-    set_bits = [q for q, c in enumerate(bid.bits) if c == "1"]
-    u = _embed_single(p, set_bits[0], _HADAMARD)
-    for q in set_bits[1:]:
-        u = _cnot_matrix(p, set_bits[0], q) @ u
+    dim = 2**bid.n_qubits
+    lead = 1 << (bid.n_qubits - 1 - bid.bits.index("1"))
+    x = np.arange(dim)
+    cleared = x & ~lead
+    u = np.zeros((dim, dim), dtype=complex)
+    u[cleared, x] = 1 / math.sqrt(2)
+    u[cleared ^ bid.index, x] = np.where(x & lead, -1.0, 1.0) / math.sqrt(2)
     return u
 
 

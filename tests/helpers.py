@@ -1,4 +1,6 @@
-"""Measurement helpers that only the tests use."""
+"""Measurement helpers and reference constructions that only the tests use."""
+
+import math
 
 import numpy as np
 
@@ -25,3 +27,66 @@ def computational_povm(n_qubits: int) -> list[np.ndarray]:
         e[k, k] = 1.0
         out.append(e)
     return out
+
+
+# The Kronecker construction of gate unitaries: one 2^n x 2^n matrix per
+# gate. The package applies gates to a qubit tensor instead; these stay as
+# the independent reference it is checked against.
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def embed_single(n: int, q: int, gate: np.ndarray) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for k in range(n):
+        out = np.kron(out, gate if k == q else np.eye(2, dtype=complex))
+    return out
+
+
+def cnot_matrix(n: int, control: int, target: int) -> np.ndarray:
+    dim = 2**n
+    m = np.zeros((dim, dim), dtype=complex)
+    tbit = 1 << (n - 1 - target)
+    cbit = 1 << (n - 1 - control)
+    for x in range(dim):
+        m[x ^ tbit if x & cbit else x, x] = 1.0
+    return m
+
+
+def kron_gate_matrix(g, n: int) -> np.ndarray:
+    if g.kind == "H":
+        return embed_single(n, g.qubits[0], _HADAMARD)
+    if g.kind == "PHASE":
+        return embed_single(n, g.qubits[0], np.diag([1.0, np.exp(-1j * g.angle)]))
+    if g.kind == "ROT":
+        c, s = math.cos(g.angle), math.sin(g.angle)
+        return embed_single(n, g.qubits[0], np.array([[c, s], [s, -c]], dtype=complex))
+    if g.kind == "CNOT":
+        return cnot_matrix(n, *g.qubits)
+    # CTRL0: the inner circuit commutes with the control projector P0, so
+    # I + (U_inner - I) @ P0 is unitary.
+    dim = 2**n
+    inner = kron_circuit_matrix(g.inner)
+    mask = np.ones(dim)
+    for q in g.qubits:
+        bit = 1 << (n - 1 - q)
+        mask *= np.array([(x & bit) == 0 for x in range(dim)], dtype=float)
+    return np.eye(dim, dtype=complex) + (inner - np.eye(dim)) * mask[np.newaxis, :]
+
+
+def kron_circuit_matrix(c) -> np.ndarray:
+    """Dense unitary of a circuit as a product of embedded gate matrices."""
+    m = np.eye(2**c.n_qubits, dtype=complex)
+    for g in c.gates:
+        m = kron_gate_matrix(g, c.n_qubits) @ m
+    return m
+
+
+def kron_bidding_operator(bits: str) -> np.ndarray:
+    """Hadamard on the first set bit, then CNOT fan-out onto the others."""
+    p = len(bits)
+    set_bits = [q for q, ch in enumerate(bits) if ch == "1"]
+    u = embed_single(p, set_bits[0], _HADAMARD)
+    for q in set_bits[1:]:
+        u = cnot_matrix(p, set_bits[0], q) @ u
+    return u

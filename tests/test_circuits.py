@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from helpers import kron_circuit_matrix
 
 from qauction.circuits import (
+    KINDS,
     Circuit,
     CircuitParseError,
     Gate,
@@ -80,6 +82,52 @@ class TestCircuitToMatrix:
         inner = Circuit(2, (hadamard(0),))
         with pytest.raises(ContractViolation):
             Circuit(2, (zero_controlled((0,), inner),))
+
+
+def _random_gates(rng, n: int, depth: int, controls=frozenset()) -> tuple:
+    """`depth` gates on n qubits, every kind once per five, none acting on
+    `controls`; a CTRL0 holds a random circuit of half the depth."""
+    free = [q for q in range(n) if q not in controls]
+    gates = []
+    for kind in rng.permutation(np.resize(KINDS, depth)):
+        q = int(rng.choice(free))
+        if kind == "CNOT" and n > 1:
+            gates.append(cnot(int(rng.choice([c for c in range(n) if c != q])), q))
+        elif kind == "CTRL0" and len(free) > 1:
+            ctrl = rng.choice(free, size=int(rng.integers(1, len(free))), replace=False)
+            ctrl = tuple(int(c) for c in ctrl)
+            inner = _random_gates(rng, n, depth // 2, controls | set(ctrl))
+            gates.append(zero_controlled(ctrl, Circuit(n, inner)))
+        elif kind in ("PHASE", "ROT"):
+            gate = phase if kind == "PHASE" else rotation
+            gates.append(gate(q, float(rng.uniform(-3, 3))))
+        else:
+            gates.append(hadamard(q))
+    return tuple(gates)
+
+
+class TestAgainstKroneckerProducts:
+    """The tensor construction equals the product of one embedded 2^n x 2^n
+    matrix per gate (the reference in tests/helpers.py)."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_circuits(self, n, seed):
+        c = Circuit(n, _random_gates(np.random.default_rng([n, seed]), n, 10))
+        assert np.max(np.abs(circuit_to_matrix(c) - kron_circuit_matrix(c))) <= 1e-14
+
+    def test_random_circuits_nest_every_kind(self):
+        c = Circuit(4, _random_gates(np.random.default_rng(0), 4, 10))
+        nested = [g.inner for g in c.gates if g.kind == "CTRL0"]
+        assert {g.kind for g in c.gates} == set(KINDS)
+        assert any(g.kind == "CTRL0" for inner in nested for g in inner.gates)
+
+    @pytest.mark.parametrize("circuit", [
+        build_bidder_circuit("1011"), build_D_circuit(1.5, 0.3, 6), build_collusion_circuit("10", "11"),
+        build_P_circuit(pauli_z_expansion(build_first_price_table(AuctionConfig(m=2, p=2))), 1, 0.5, 4),
+    ], ids=["bidder", "D", "collusion", "P"])
+    def test_protocol_circuits_bit_identical(self, circuit):
+        assert np.array_equal(circuit_to_matrix(circuit), kron_circuit_matrix(circuit))
 
 
 class TestBidderCircuits:

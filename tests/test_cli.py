@@ -222,6 +222,10 @@ class TestAttack:
     def test_spurious_with_collusion_second_bid_not_11(self, capsys):
         self._assert_collusion_hides_revealing("01,10", capsys)
 
+    def test_spurious_rejects_other_widths(self, capsys):
+        _rejected_in_one_line(["attack", "--attack", "spurious", "--bids", "101,110"], capsys,
+                              "the spurious table is defined for two 2-qubit bidders")
+
     def test_requires_attack_value(self, capsys):
         assert cli.main(["attack"]) == 1
 
@@ -322,6 +326,35 @@ class TestCircuitVerify:
         assert code == 0
         assert "result=pass" in out
 
+    def test_emit_roundtrip_at_width_cap(self, tmp_path, capsys):
+        code, out = run_cli(["circuit-verify", "--emit", "D:1.5,0.3,12"], capsys)
+        assert code == 0
+        path = tmp_path / "d12.txt"
+        path.write_text(out)
+        code, out = run_cli(["circuit-verify", str(path), "D:1.5,0.3,12"], capsys)
+        assert code == 0
+        assert "result=pass" in out
+
+    @pytest.mark.parametrize("text,target,calls", [
+        (None, "P:1,0.5", 1),
+        ("PHASE q0 1\n", "D:1,1,3", 2),
+    ], ids=["width_from_file", "target_widens"])
+    def test_parses_circuit_file_once_unless_target_widens(self, tmp_path, monkeypatch,
+                                                           text, target, calls):
+        from qauction.circuits import build_P_circuit
+        from qauction.protocol import AuctionConfig, build_first_price_table, pauli_z_expansion
+        if text is None:
+            expansion = pauli_z_expansion(build_first_price_table(AuctionConfig(m=2, p=2)))
+            text = build_P_circuit(expansion, 1.0, 0.5, 4).to_text()
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        seen = []
+        parse = cli.circuits.parse_circuit
+        monkeypatch.setattr(cli.circuits, "parse_circuit",
+                            lambda *a, **kw: seen.append(kw) or parse(*a, **kw))
+        assert cli.main(["circuit-verify", str(path), target]) == 0
+        assert len(seen) == calls
+
 
 def _refused_and_small(monkeypatch, targets):
     """Make each (module, name) raise if called, and keep the traced
@@ -378,6 +411,39 @@ class TestWidthCap:
         code, out = run_cli(["circuit-verify", "--emit", "D:1,1,12"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 12
+
+
+class TestExactCap:
+    """`exact` makes one dense 2^n x 2^n eigh per step, so an `exact` search
+    wider than cli.MAX_EXACT_QUBITS is a configuration error, caught before
+    any operator is built. Gap tracks are not searches and are not capped."""
+
+    @pytest.fixture()
+    def refused(self, monkeypatch):
+        yield from _refused_and_small(monkeypatch, (
+            (cli.protocol, "joint_bidding_operator"), (cli.protocol, "eig_hermitian")))
+
+    @pytest.mark.parametrize("args", [
+        ["variants", "--bids", "0110,1011,0011"],
+        ["variants", "--bids", "1,1,1,1,1,1,1,1,1,1,1", "--steps", "1"],
+        ["converge", "--variant", "exact", "--bids", "111111,111110"],
+        ["converge", "--variant", "exact", "--defense", "lock", "--alpha1", "0.9",
+         "--alpha2", "0.7", "--bids", "111111,111110"],
+    ], ids=["variants_12", "variants_11", "converge_12", "locked_12"])
+    def test_rejected(self, refused, args, capsys):
+        _rejected_in_one_line(args, capsys, f"exceed its cap of {cli.MAX_EXACT_QUBITS}")
+
+    def test_variants_at_cap_accepted(self, capsys):
+        code, out = run_cli(["variants", "--bids", "11111,10101", "--steps", "1"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert header == ["s", "f", "exact", "zeroth", "first"] and len(rows) == 2
+
+    def test_gap_not_capped(self, capsys):
+        code, out = run_cli(["gap", "--variant", "exact", "--bids", "111111,111110",
+                             "--steps", "2"], capsys)
+        assert code == 0
+        assert "g_min" in out
 
 
 class TestMonteCarloCap:

@@ -1,9 +1,11 @@
+import itertools
 import math
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from helpers import kron_bidding_operator
 
 from qauction import protocol
 from qauction.adversary import locking_operator, locking_operators, spurious_table
@@ -601,7 +603,8 @@ def _loop_diagonal(expansion, n):
 
 
 class TestLoopDefinitions:
-    """The array versions of the 2^n loops give bit-identical results."""
+    """The array versions of the 2^n loops, and the closed-form bidding
+    operator, give bit-identical results."""
 
     @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1), (4, 2),
                                      (3, 3), (5, 2), (11, 1), (3, 4), (4, 3), (6, 2)])
@@ -614,6 +617,13 @@ class TestLoopDefinitions:
         # the diagonal loop costs terms x 2^n, so wide tables check a slice of the terms
         terms = expansion if n <= 8 else expansion[:40] + expansion[-40:]
         assert np.array_equal(expansion_diagonal(terms, n), _loop_diagonal(terms, n))
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_bidding_operators(self, width):
+        for bits in itertools.product("01", repeat=width):
+            if "1" in bits:
+                bid = "".join(bits)
+                assert np.array_equal(bidding_operator(bid), kron_bidding_operator(bid)), bid
 
     def test_spurious_table(self):
         table = spurious_table()
