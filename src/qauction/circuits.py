@@ -223,10 +223,23 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
 def _single_qubit_matrix(g: Gate) -> np.ndarray:
     if g.kind == "H":
         return _HADAMARD
-    if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(-1j * g.angle)])
     c, s = math.cos(g.angle), math.sin(g.angle)
     return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def _scale(a: np.ndarray, z: complex) -> None:
+    """a *= z in place, as a * Re z + a * i Im z so that each part of the
+    product rounds once, as in the product with the embedded gate matrix
+    (numpy's complex multiply fuses a multiply-add and can differ in the
+    last bit), in parts of at most 2^16 entries so the temporary stays
+    small."""
+    if a.size > 2**16 and a.ndim > 1:
+        for part in a:
+            _scale(part, z)
+        return
+    imaginary = a * complex(0.0, z.imag)
+    a *= z.real
+    a += imaginary
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
@@ -234,7 +247,8 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
 
     The columns are held as a (2,)*n + (2^n,) tensor, one axis per qubit,
     and each gate acts on its own axes only: H, PHASE, ROT and CNOT cost
-    O(4^n) and form no 2^n x 2^n gate matrix.
+    O(4^n) and form no 2^n x 2^n gate matrix, and PHASE, CNOT and CTRL0
+    work in place on a slice.
     """
     n = c.n_qubits
     m = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
@@ -249,6 +263,8 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
             zero = tuple(0 if q in g.qubits else slice(None) for q in range(n))
             block = circuit_to_matrix(g.inner).reshape((2,) * 2 * n)[zero + zero]
             m[zero] = np.tensordot(block, m[zero], axes=block.ndim // 2)
+        elif g.kind == "PHASE":  # diagonal: scale the slice where the qubit is 1
+            _scale(m[(slice(None),) * g.qubits[0] + (1,)], np.exp(-1j * g.angle))
         else:
             q = g.qubits[0]
             m = np.moveaxis(np.tensordot(_single_qubit_matrix(g), m, axes=([1], [q])), 0, q)
@@ -347,10 +363,12 @@ class VerificationReport:
 
 
 def verify_circuit(c: Circuit, target: np.ndarray, tolerance: float = 1e-8) -> VerificationReport:
-    """Compare the circuit's unitary with a target up to global phase."""
+    """Compare the circuit's unitary with a target up to global phase. A
+    1-D target is the diagonal of a diagonal unitary (see
+    `phase_invariant_distance`)."""
     target = np.asarray(target, dtype=complex)
     extracted = circuit_to_matrix(c)
-    if extracted.shape != target.shape:
+    if extracted.shape != (target.shape * 2 if target.ndim == 1 else target.shape):
         raise ContractViolation(
             f"dimension mismatch: circuit gives {extracted.shape}, target is {target.shape}")
     d = phase_invariant_distance(extracted, target)

@@ -234,7 +234,7 @@ def _check_exact_width(cfg: ScenarioConfig) -> None:
     width = _total_qubits(cfg)
     if width > MAX_EXACT_QUBITS:
         raise ConfigError(f"variant exact: {width} qubits exceed its cap of {MAX_EXACT_QUBITS} "
-                          f"(one dense 2^n x 2^n eigh per step)")
+                          f"(it builds the dense 2^n x 2^n joint operator and U W U^dag)")
 
 
 def _run_for_config(cfg: ScenarioConfig) -> protocol.Trajectory:
@@ -439,16 +439,17 @@ def _target_circuit(target: _Target) -> circuits.Circuit:
 
 
 def _target_unitary(target: _Target) -> np.ndarray:
-    """The dense reference unitary a circuit file is checked against."""
+    """The reference unitary a circuit file is checked against: dense, or
+    for the diagonal D and P targets its diagonal."""
     if target.kind == "bidder":
         return protocol.bidding_operator(target.bids[0])
     if target.kind == "d":
         delta, f = target.numbers
-        return np.diag(np.exp(-1j * delta * f * protocol.hamming_weights(target.width)))
+        return np.exp(-1j * delta * f * protocol.hamming_weights(target.width))
     if target.kind == "p":
         delta, f = target.numbers
         table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
-        return np.diag(np.exp(-1j * delta * f * (-table.values)))
+        return np.exp(-1j * delta * f * (-table.values))
     return circuits.circuit_to_matrix(_target_circuit(target))
 
 

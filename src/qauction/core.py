@@ -23,10 +23,13 @@ class ContractViolation(ValueError):
     """An operation was handed an input that breaks its contract."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
+    """`a` as a complex square matrix, or with `stack` also as a (k, b, b)
+    stack of k square matrices."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
+        raise ContractViolation(f"expected a square matrix{' or a stack of them' if stack else ''}, "
+                                f"got shape {m.shape}")
     return m
 
 
@@ -36,12 +39,13 @@ def is_unitary(u, tol: float = ATOL_UNITARY) -> bool:
 
 
 def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
-    h = _as_matrix(h)
-    return float(np.max(np.abs(h - h.conj().T))) <= tol
+    """Whether a matrix, or every member of a (k, b, b) stack, is Hermitian."""
+    h = _as_matrix(h, stack=True)
+    return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))) <= tol
 
 
 def require_hermitian(h, tol: float = ATOL_HERMITIAN, what: str = "operator") -> np.ndarray:
-    h = _as_matrix(h)
+    h = _as_matrix(h, stack=True)
     if not is_hermitian(h, tol):
         raise ContractViolation(f"{what} is not Hermitian within {tol}")
     return h
@@ -85,14 +89,17 @@ class StateVector:
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending;
+    of a stack, one such pair per member along the leading axis."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalues[k]
 
 
 def eig_hermitian(h, tol: float = ATOL_HERMITIAN) -> Spectrum:
-    """Diagonalize a Hermitian operator; raises ContractViolation otherwise."""
+    """Diagonalize a Hermitian operator, or every member of a (k, b, b)
+    stack in one `eigh` call; raises ContractViolation if any is not
+    Hermitian."""
     h = require_hermitian(h, tol)
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(vals, vecs)
@@ -131,24 +138,39 @@ def measurement_probabilities(state: StateVector, povm) -> np.ndarray:
     return probs
 
 
+def _max_off_diagonal(u: np.ndarray) -> float:
+    """max |u_ij| over i != j, a few rows at a time, so no copy of u is made."""
+    dim = u.shape[0]
+    off = u.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim]  # row i: u[i, i+1:], u[i+1, :i+1]
+    return max((float(np.max(np.abs(off[i:i + 64]))) for i in range(0, dim - 1, 64)), default=0.0)
+
+
 def phase_invariant_distance(u, v) -> float:
     """min over unit-magnitude phi of max-entry |u - phi*v|.
 
     Zero iff u and v agree up to a global phase. The minimum is found by a
     coarse phase scan refined by golden-section search, with the
     Frobenius-optimal phase (phase of tr(v^dag u)) as an extra candidate --
-    exact whenever the matrices really do agree up to phase.
+    exact whenever the matrices really do agree up to phase. A 1-D `v` is
+    the diagonal of a diagonal matrix: u is then read on its diagonal and
+    through its largest off-diagonal entry, and no dense v is formed.
     """
     u = _as_matrix(u)
-    v = _as_matrix(v)
-    if u.shape != v.shape:
+    v = np.asarray(v, dtype=complex)
+    diagonal = v.ndim == 1
+    if not diagonal:
+        v = _as_matrix(v)
+    if u.shape != (v.shape * 2 if diagonal else v.shape):
         raise ContractViolation(f"dimension mismatch: {u.shape} vs {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ContractViolation("phase-invariant distance needs finite matrix entries")
 
+    rest = 0.0
+    if diagonal:
+        rest, u = _max_off_diagonal(u), np.diagonal(u)
     tr = np.vdot(v, u)  # tr(v^dag u)
     # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
-    rest = float(np.max(np.abs(u[v == 0]), initial=0.0))
+    rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
     u, v = u[v != 0], v[v != 0]
 
     def dist(theta: float) -> float:

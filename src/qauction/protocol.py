@@ -319,26 +319,64 @@ def _rows(factors, indices: Sequence[int], dim: int, what: str) -> np.ndarray:
     return rows
 
 
+def _blocks(*terms: np.ndarray) -> np.ndarray:
+    """Index blocks on which dense `terms` are jointly block diagonal.
+
+    The blocks are the connected components of the union of the terms'
+    nonzero patterns (made symmetric), found by spreading the smallest
+    index along it. If all k components have one size b, they come back as
+    a (k, b) array, rows in order of their smallest index and ascending
+    within; otherwise as one block of every index. A 1-D term is a diagonal
+    and joins nothing."""
+    dim = terms[0].shape[0]
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for t in terms:
+        if t.ndim == 2:
+            pattern |= t != 0
+    pattern |= pattern.T
+    labels = np.arange(dim, dtype=np.int32)
+    while True:
+        spread = np.minimum(labels, np.min(np.where(pattern, labels, dim), axis=1))
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    sizes = np.unique(labels, return_counts=True)[1]
+    if np.any(sizes != sizes[0]):
+        return np.arange(dim)[None, :]
+    return np.argsort(labels, kind="stable").reshape(sizes.size, sizes[0])
+
+
+def _block_stack(term: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The (k, b, b) diagonal blocks of a dense term, or of a 1-D diagonal."""
+    if term.ndim == 1:
+        return term[blocks][:, :, None] * np.eye(blocks.shape[1])
+    return term[blocks[:, :, None], blocks[:, None, :]]
+
+
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
              hp_diag: np.ndarray, v: np.ndarray | None):
     """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
 
     What every step shares is built here once: U^dag, and for "exact" the
-    dense U W U^dag and V H_p V^dag. "locked" is "zeroth" with V, and V is
-    the identity when absent.
+    diagonal blocks of U W U^dag and V H_p V^dag (`_blocks`), so a step
+    diagonalizes H(f) with one stacked `eig_hermitian`. "locked" is
+    "zeroth" with V, and V is the identity when absent.
     """
     if v is not None and variant in ("zeroth", "first"):
         raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
     ud = u.conj().T
     if variant == "exact":
-        h_b = u @ np.diag(w_diag).astype(complex) @ ud
-        h_p = np.diag(hp_diag).astype(complex)
-        if v is not None:
-            h_p = v @ h_p @ v.conj().T
+        h_b = (u * w_diag) @ ud
+        h_p = hp_diag if v is None else (v * hp_diag) @ v.conj().T
+        blocks = _blocks(h_b, h_p)
+        h_b, h_p = _block_stack(h_b, blocks), _block_stack(h_p, blocks)
 
         def exact(psi: np.ndarray, f: float) -> np.ndarray:
             vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
-            return vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
+            amps = vecs.conj().swapaxes(1, 2) @ psi[blocks][:, :, None]
+            out = np.empty_like(psi)
+            out[blocks] = (vecs @ (np.exp(-1j * delta * vals)[:, :, None] * amps))[:, :, 0]
+            return out
         return exact
     vd = v.conj().T if v is not None else None
 
@@ -504,7 +542,8 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     (including f=0), optionally restricted to the plausible-allocation span.
 
     When the schedule carries locking unitaries the final term is the
-    conjugated V H_p V^dag, matching the locked search.
+    conjugated V H_p V^dag, matching the locked search. Each row is the
+    sorted union of the spectra of H(f)'s diagonal blocks (`_blocks`).
     """
     bids = [as_bid(b) for b in bidders]
     if table.n_qubits != sum(b.n_qubits for b in bids):
@@ -514,14 +553,16 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     span = plausible_allocations(bids) if restrict else range(dim)
     u_rows = _rows([bidding_operator(b) for b in bids], span, dim, "bidding operators")
     hb = (u_rows * hamming_weights(table.n_qubits)) @ u_rows.conj().T
-    hp = np.diag(-table.values[span]).astype(complex)
+    hp = -table.values[span]  # diagonal
     if schedule.locking is not None:
         v_rows = _rows(schedule.locking, span, dim, "locking unitaries")
         hp = (v_rows * -table.values) @ v_rows.conj().T
+    blocks = _blocks(hb, hp)
+    hb, hp = _block_stack(hb, blocks), _block_stack(hp, blocks)
     fs, rows = [], []
     for s in range(schedule.steps + 1):
         f = s / schedule.steps
-        rows.append(np.linalg.eigvalsh((1 - f) * hb + f * hp))
+        rows.append(np.sort(np.linalg.eigvalsh((1 - f) * hb + f * hp), axis=None))
         fs.append(f)
     rows = np.array(rows)
     g_min = float(np.min(rows[:, 1] - rows[:, 0]))

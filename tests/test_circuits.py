@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ class TestVerifyCircuit:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             verify_circuit(build_bidder_circuit("1"), U2)
+        with pytest.raises(ContractViolation):
+            verify_circuit(build_D_circuit(0.8, 0.25, 3), np.ones(4))
+
+    @pytest.mark.parametrize("circuit", [build_D_circuit(0.8, 0.25, 3), Circuit(3, (hadamard(1),)),
+                                         Circuit(3, (phase(0, 0.2), phase(2, 0.2)))],
+                             ids=["match", "off_diagonal", "wrong_phases"])
+    def test_diagonal_target_as_its_diagonal(self, circuit):
+        diagonal = np.exp(-1j * 0.8 * 0.25 * np.diag(hamming_hamiltonian(3)).real)
+        report, dense = verify_circuit(circuit, diagonal), verify_circuit(circuit, np.diag(diagonal))
+        assert report.passed == dense.passed
+        assert report.distance == pytest.approx(dense.distance, rel=0, abs=1e-15)
+
+    def test_phase_gates_scale_in_place(self):
+        # a PHASE gate rescales half the entries where they are: no full-size copy
+        tracemalloc.start()
+        try:
+            u = circuit_to_matrix(build_D_circuit(1.5, 0.3, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * u.nbytes
+        weights = np.diag(hamming_hamiltonian(10)).real
+        np.testing.assert_allclose(u, np.diag(np.exp(-1j * 0.45 * weights)), rtol=0, atol=1e-14)
 
 
 class TestBuildersAreUnitary:

@@ -331,9 +331,17 @@ class TestCircuitVerify:
         assert code == 0
         path = tmp_path / "d12.txt"
         path.write_text(out)
-        code, out = run_cli(["circuit-verify", str(path), "D:1.5,0.3,12"], capsys)
+        # the circuit's 2^12 x 2^12 matrix is the one full-size array held:
+        # the diagonal target stays a vector and PHASE gates scale in place
+        tracemalloc.start()
+        try:
+            code, out = run_cli(["circuit-verify", str(path), "D:1.5,0.3,12"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert code == 0
         assert "result=pass" in out
+        assert peak < 1.25 * 16 * 4**12
 
     @pytest.mark.parametrize("text,target,calls", [
         (None, "P:1,0.5", 1),
@@ -414,9 +422,10 @@ class TestWidthCap:
 
 
 class TestExactCap:
-    """`exact` makes one dense 2^n x 2^n eigh per step, so an `exact` search
-    wider than cli.MAX_EXACT_QUBITS is a configuration error, caught before
-    any operator is built. Gap tracks are not searches and are not capped."""
+    """`exact` builds the dense 2^n x 2^n joint operator and U W U^dag, so an
+    `exact` search wider than cli.MAX_EXACT_QUBITS is a configuration error,
+    caught before any operator is built. Gap tracks are not searches and are
+    not capped."""
 
     @pytest.fixture()
     def refused(self, monkeypatch):

@@ -80,6 +80,29 @@ class TestEigHermitian:
         with pytest.raises(ContractViolation):
             eig_hermitian(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
+    def test_stack_equals_each_member(self):
+        rng = np.random.default_rng(19)
+        stack = np.array([random_hermitian(rng, 6) for _ in range(5)])
+        vals, vecs = eig_hermitian(stack)
+        assert vals.shape == (5, 6) and vecs.shape == (5, 6, 6)
+        for h, lam, vec in zip(stack, vals, vecs):
+            ref_vals, ref_vecs = np.linalg.eigh(h)
+            np.testing.assert_allclose(lam, ref_vals, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vec, ref_vecs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [complex(0.5, 0), np.nan])
+    def test_stack_rejects_one_non_hermitian_member(self, bad):
+        rng = np.random.default_rng(23)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+        stack[2, 0, 1] += bad
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            eig_hermitian(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 2), (4,), (2, 2, 2, 2)])
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(ContractViolation, match="square"):
+            eig_hermitian(np.zeros(shape, dtype=complex))
+
 
 class TestMeasurement:
     def test_basis_state(self):
@@ -149,6 +172,23 @@ class TestPhaseInvariantDistance:
         with pytest.raises(ContractViolation):
             phase_invariant_distance(np.eye(2), np.eye(4))
 
+    @pytest.mark.parametrize("case", ["dense", "diagonal", "off_diagonal", "zero_in_target"])
+    def test_diagonal_target_equals_dense_target(self, case):
+        # a 1-D target is the diagonal of a diagonal matrix
+        rng = np.random.default_rng(41)
+        diag = np.exp(1j * rng.uniform(-3, 3, size=8))
+        u = {"dense": random_unitary(rng, 8),
+             "diagonal": np.diag(np.exp(0.7j) * diag),
+             "off_diagonal": np.diag(diag) + 1e-10 * np.eye(8, k=3)}.get(case, np.diag(diag))
+        if case == "zero_in_target":
+            diag[5] = 0
+        assert phase_invariant_distance(u, diag) == phase_invariant_distance(u, np.diag(diag))
+        assert (phase_invariant_distance(u, diag) > 1e-9) == (case in ("dense", "zero_in_target"))
+
+    def test_diagonal_target_dimension_mismatch(self):
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            phase_invariant_distance(np.eye(4), np.ones(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_entries(self, bad):
         m = np.eye(2, dtype=complex)
@@ -156,6 +196,8 @@ class TestPhaseInvariantDistance:
         for u, v in ((m, np.eye(2)), (np.eye(2), m)):
             with pytest.raises(ContractViolation, match="finite"):
                 phase_invariant_distance(u, v)
+        with pytest.raises(ContractViolation, match="finite"):
+            phase_invariant_distance(np.eye(2), np.array([1, bad]))
 
 
 def test_hermiticity_predicate():

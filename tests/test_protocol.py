@@ -562,6 +562,119 @@ class TestPlausibleSpan:
         assert peak < 10_000_000
 
 
+def _dense_exact(u, v, table, schedule, plausible):
+    """The exact search written out: one dense np.linalg.eigh of the whole
+    H(f) per step. Returns the states (row per step) and the leakage."""
+    n = table.n_qubits
+    h_b = u @ hamming_hamiltonian(n) @ u.conj().T
+    h_p = v @ problem_hamiltonian(table) @ v.conj().T
+    states = [u[:, 0]]
+    for s in range(1, schedule.steps + 1):
+        f = s / schedule.steps
+        vals, vecs = np.linalg.eigh((1 - f) * h_b + f * h_p)
+        psi = vecs @ (np.exp(-1j * schedule.delta * vals) * (vecs.conj().T @ states[-1]))
+        states.append(psi / np.linalg.norm(psi))
+    states = np.array(states)
+    return states, 1 - np.sum(np.abs(states[:, plausible]) ** 2, axis=1)
+
+
+N8_BIDS = SPAN_BIDS[3]
+
+
+class TestBlockDiagonal:
+    """`exact` and the full-space tracks diagonalize H(f) block by block
+    (`protocol._blocks`); the dense eigh of the whole H(f) is the oracle."""
+
+    def _terms(self, bids, locking=None):
+        n = sum(len(b) for b in bids)
+        u = joint_bidding_operator(bids)
+        h_p = -build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0]))).values
+        if locking is not None:
+            v = reduce(np.kron, locking)
+            h_p = (v * h_p) @ v.conj().T
+        return (u * hamming_weights(n)) @ u.conj().T, h_p
+
+    def test_bids_split_into_xor_orbits(self):
+        # each block is {x XOR y : y plausible}, and the blocks cover every index once
+        blocks = protocol._blocks(*self._terms(N8_BIDS))
+        assert blocks.shape == (16, 16)
+        for row in blocks:
+            assert list(row) == sorted(row[0] ^ y for y in plausible_allocations(N8_BIDS))
+        assert sorted(blocks.ravel()) == list(range(256))
+        _, schedule, _, _ = _span_setup(N8_BIDS, "locked")
+        np.testing.assert_array_equal(protocol._blocks(*self._terms(N8_BIDS, schedule.locking)), blocks)
+
+    def test_locked_pair_gives_the_same_split(self):
+        pair = locking_operators(0.9, 0.7, ["1011", "0110"])
+        blocks = protocol._blocks(*self._terms(["1011", "0110"]))
+        assert blocks.shape == (64, 4)
+        np.testing.assert_array_equal(protocol._blocks(*self._terms(["1011", "0110"], pair.operators)), blocks)
+
+    def test_haar_factors_give_one_block(self):
+        rng = np.random.default_rng(3)
+        u = np.kron(_haar(4, rng), _haar(4, rng))
+        blocks = protocol._blocks((u * hamming_weights(4)) @ u.conj().T, -np.arange(16.0))
+        np.testing.assert_array_equal(blocks, np.arange(16)[None, :])
+        # a Haar V joins what the bidding operators keep apart
+        blocks = protocol._blocks(*self._terms(["10", "11"], (_haar(4, rng), _haar(4, rng))))
+        np.testing.assert_array_equal(blocks, np.arange(16)[None, :])
+
+    def test_unequal_components_give_one_block(self):
+        h = np.zeros((4, 4))
+        h[0, 1] = h[1, 0] = h[1, 2] = h[2, 1] = 1.0  # components {0, 1, 2} and {3}
+        np.testing.assert_array_equal(protocol._blocks(h), [[0, 1, 2, 3]])
+        h = np.zeros((4, 4))
+        h[0, 2] = h[2, 0] = 1.0
+        h[1, 3] = 1e-300  # one side is enough to join two indices
+        np.testing.assert_array_equal(protocol._blocks(h, np.arange(4.0)), [[0, 2], [1, 3]])
+
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+    def test_exact_matches_dense_eigh(self, locked):
+        table, schedule, plausible, winner = _span_setup(N8_BIDS, "exact")
+        v = reduce(np.kron, schedule.locking)
+        if not locked:
+            schedule, v = AdiabaticSchedule(schedule.steps, schedule.delta, "exact"), np.eye(256)
+        traj = run_adiabatic(N8_BIDS, table, schedule)
+        states, leakage = _dense_exact(joint_bidding_operator(N8_BIDS), v, table, schedule, plausible)
+        np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.success, np.abs(states[:, winner]) ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=1e-12)
+
+    def test_leaking_operator_reports_the_dense_leakage(self, toy_setup):
+        # mixing the non-lead columns of U_2 makes the mixer leak out of the span
+        rng = np.random.default_rng(7)
+        mix = np.eye(4, dtype=complex)
+        mix[1:, 1:] = _haar(3, rng)
+        u = np.kron(bidding_operator("10"), bidding_operator("11") @ mix)
+        plausible = plausible_allocations(["10", "11"])
+        schedule = AdiabaticSchedule(12, 1.3, "exact")
+        traj = run_schedule(u, plausible, 0b0011, toy_setup["table"], schedule)
+        states, leakage = _dense_exact(u, np.eye(16), toy_setup["table"], schedule, plausible)
+        assert traj.leakage.max() > 1e-3
+        np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
+
+    def test_ten_qubits_diagonalize_blocks_of_two_to_the_m(self, monkeypatch):
+        # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5
+        bids = ["10", "01", "11", "01", "10"]
+        widths = []
+        eig_hermitian, eigvalsh = protocol.eig_hermitian, np.linalg.eigvalsh
+
+        def recorded(decompose):
+            def call(h, *args):
+                widths.append(np.shape(h)[-1])
+                return decompose(h, *args)
+            return call
+        monkeypatch.setattr(protocol, "eig_hermitian", recorded(eig_hermitian))
+        monkeypatch.setattr(protocol.np.linalg, "eigvalsh", recorded(eigvalsh))
+        table = build_first_price_table(AuctionConfig(m=5, p=2))
+        schedule = AdiabaticSchedule(20, 1.5, "exact")
+        traj = run_adiabatic(bids, table, schedule)
+        tracks = eigenvalue_tracks(bids, table, schedule, restrict=False)
+        assert len(widths) == 20 + 21 and max(widths) == 2**5
+        assert traj.leakage.max() <= 1e-9 and tracks.eigenvalues.shape == (21, 1024)
+
+
 def _loop_first_price(m, p):
     mask = (1 << p) - 1
     values = np.zeros(2 ** (m * p))
