@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -485,7 +486,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built on the first call and then shared:
+    parsing leaves it as it was, so every `main` call in a process uses one."""
     parser = _Parser(prog="qauction", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

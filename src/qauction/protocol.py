@@ -298,25 +298,40 @@ def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
     return np.real(np.diag(op))
 
 
-def _rows(factors, indices: Sequence[int], dim: int, what: str) -> np.ndarray:
-    """Rows `indices` of the Kronecker product of `factors` (register
-    order), each formed from the factors' own rows: row x of U_1 x U_2 x ...
-    is row x_1 of U_1 x row x_2 of U_2 x ..., so the product is never built.
-    A lone factor asked for all its rows in order is returned as it is."""
+def _entries(factors, rows: Sequence[int], dim: int, what: str,
+             cols: Sequence[int] | None = None) -> tuple[np.ndarray, Sequence[int]]:
+    """U[rows][:, cols] of the Kronecker product U of `factors` (register
+    order), with the columns it holds. Entry (x, y) is the product of
+    U_j[x_j, y_j] over the registers j, so the block is formed register by
+    register on the product of each register's column digits and U is
+    never built. `cols` None takes the column support of the rows: the
+    product of each factor's support on its picked rows. A lone factor
+    asked for all its rows and columns is returned as it is."""
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
             or math.prod(f.shape[0] for f in factors) != dim):
         raise ContractViolation(f"{what} do not match the register dimension")
-    if len(factors) == 1 and indices == range(dim):
-        return factors[0]
-    idx = np.asarray(indices, dtype=np.int64)
-    rows = np.ones((idx.size, 1), dtype=complex)
+    if len(factors) == 1 and rows == range(dim) and (cols is None or cols == range(dim)):
+        return factors[0], range(dim)
+    idx = np.asarray(rows, dtype=np.int64)
+    want = None if cols is None else np.asarray(cols, dtype=np.int64)
+    block, taken = np.ones((idx.size, 1), dtype=complex), np.zeros(1, dtype=np.int64)
     stride = dim
     for f in factors:
         stride //= f.shape[0]
-        picked = f[(idx // stride) % f.shape[0]]
-        rows = (rows[:, :, None] * picked[:, None, :]).reshape(idx.size, -1)
-    return rows
+        row_digits = (idx // stride) % f.shape[0]
+        if want is None:
+            digits = np.flatnonzero(np.any(f[row_digits] != 0, axis=0))
+        else:
+            digits = np.flatnonzero(np.bincount((want // stride) % f.shape[0], minlength=f.shape[0]))
+        picked = f[:, digits][row_digits]
+        block = (block[:, :, None] * picked[:, None, :]).reshape(idx.size, -1)
+        taken = (taken[:, None] * f.shape[0] + digits).reshape(-1)
+    if want is None:
+        return block, taken
+    if not np.array_equal(taken, want):  # `cols` is not a product of digit sets
+        block = block[:, np.searchsorted(taken, want)]
+    return block, cols
 
 
 def _blocks(*terms: np.ndarray) -> np.ndarray:
@@ -324,19 +339,21 @@ def _blocks(*terms: np.ndarray) -> np.ndarray:
 
     The blocks are the connected components of the union of the terms'
     nonzero patterns (made symmetric), found by spreading the smallest
-    index along it. If all k components have one size b, they come back as
-    a (k, b) array, rows in order of their smallest index and ascending
-    within; otherwise as one block of every index. A 1-D term is a diagonal
-    and joins nothing."""
+    index along its nonzero pairs. If all k components have one size b,
+    they come back as a (k, b) array, rows in order of their smallest index
+    and ascending within; otherwise as one block of every index. A 1-D term
+    is a diagonal and joins nothing."""
     dim = terms[0].shape[0]
     pattern = np.zeros((dim, dim), dtype=bool)
     for t in terms:
         if t.ndim == 2:
             pattern |= t != 0
     pattern |= pattern.T
-    labels = np.arange(dim, dtype=np.int32)
+    i, j = np.nonzero(pattern)
+    labels = np.arange(dim)
     while True:
-        spread = np.minimum(labels, np.min(np.where(pattern, labels, dim), axis=1))
+        spread = labels.copy()
+        np.minimum.at(spread, i, labels[j])
         if np.array_equal(spread, labels):
             break
         labels = spread
@@ -354,13 +371,20 @@ def _block_stack(term: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
-             hp_diag: np.ndarray, v: np.ndarray | None):
+             hp_diag: np.ndarray, v: np.ndarray | None, start: np.ndarray | None = None):
     """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
 
-    What every step shares is built here once: U^dag, and for "exact" the
+    `u` is the block U[span, T] of the joint operator on the span's rows
+    and the columns T they reach, `w_diag` is W on T, and `hp_diag` and
+    `v` are H_p and V on the span, so a product-formula step on a span of
+    k indices is k x k for the bidding operators. What every step shares is
+    built here once: U^dag, and for "exact" (on the full space) the
     diagonal blocks of U W U^dag and V H_p V^dag (`_blocks`), so a step
-    diagonalizes H(f) with one stacked `eig_hermitian`. "locked" is
-    "zeroth" with V, and V is the identity when absent.
+    diagonalizes H(f) with one stacked `eig_hermitian`. Given the state
+    `start` of every step to come, "exact" keeps only the blocks it
+    touches: the others hold amplitude 0 at every step, and the step
+    writes 0 there. "locked" is "zeroth" with V, and V is the identity
+    when absent.
     """
     if v is not None and variant in ("zeroth", "first"):
         raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
@@ -369,12 +393,14 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
         h_b = (u * w_diag) @ ud
         h_p = hp_diag if v is None else (v * hp_diag) @ v.conj().T
         blocks = _blocks(h_b, h_p)
+        if start is not None:
+            blocks = blocks[np.any(start[blocks] != 0, axis=1)]
         h_b, h_p = _block_stack(h_b, blocks), _block_stack(h_p, blocks)
 
         def exact(psi: np.ndarray, f: float) -> np.ndarray:
             vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
             amps = vecs.conj().swapaxes(1, 2) @ psi[blocks][:, :, None]
-            out = np.empty_like(psi)
+            out = np.zeros_like(psi)
             out[blocks] = (vecs @ (np.exp(-1j * delta * vals)[:, :, None] * amps))[:, :, 0]
             return out
         return exact
@@ -414,7 +440,7 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
         raise ContractViolation("operator dimensions do not match the state")
     if schedule.locking is not None:
-        joint = _rows(schedule.locking, range(dim), dim, "locking unitaries")
+        joint = _entries(schedule.locking, range(dim), dim, "locking unitaries", range(dim))[0]
         if v is None:
             v = joint
         elif not np.allclose(v, joint, rtol=0, atol=1e-12):
@@ -445,10 +471,11 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     `u` is the joint operator, dense or as a tuple of Kronecker factors in
     register order (the convention of `schedule.locking`). Given factors,
     the "zeroth", "first" and "locked" variants run on the span of
-    `plausible`, from the rows of U (and V) there; if |Psi_0> or any step
-    loses more than ATOL_STATE of norm out of that span, the run is redone
-    on the full space, so the leakage it reports is the true one. "exact"
-    and a dense `u` always run on the full space.
+    `plausible`, with k x k steps built from the factors' entries there;
+    if |Psi_0> or any step loses more than ATOL_STATE of norm out of that
+    span, the run is redone on the full space, so the leakage it reports
+    is the true one. "exact" and a dense `u` always run on the full space,
+    and "exact" diagonalizes only the blocks of H(f) that |Psi_0> touches.
     """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
@@ -467,24 +494,26 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
 
 def _run(factors, span: Sequence[int], plausible: list[int], winner_index: int,
          table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory | None:
-    """The search on span(`span`) from the rows of U (and V) there.
+    """The search on span(`span`) from the entries of U (and V) there:
+    U[span, T] with T the columns the span's rows reach, and V[span, span].
 
-    On a proper span a step's leakage is the probability it lost before
+    Success and leakage are read from the span amplitudes. On a proper
+    span a step's leakage is the probability it lost before
     renormalisation, and a state more than ATOL_STATE off norm 1 gives
     None. On the full span, range(2^n), leakage is the probability outside
     `plausible`, and a step that drifts raises."""
     dim = 2**table.n_qubits
     full = span == range(dim)
-    rows = _rows(factors, span, dim, "joint operator factors")
+    what = "joint operator factors"
+    u, cols = _entries(factors, span, dim, what)
+    start = _entries(factors, span, dim, what, [0])[0][:, 0]
     v = None
     if schedule.locking is not None:
-        v = _rows(schedule.locking, span, dim, "locking unitaries")
-        if not full:  # the block of V on the span
-            v = v[:, span]
-    step = _stepper(schedule.variant, schedule.delta, rows, hamming_weights(table.n_qubits),
-                    -table.values[span], v)
+        v = _entries(schedule.locking, span, dim, "locking unitaries", span)[0]
+    step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits)[cols],
+                    -table.values[span], v, start)
     steps = []
-    for s, f, psi, norm in _fold(step, rows[:, 0].copy(), schedule.steps):
+    for s, f, psi, norm in _fold(step, start, schedule.steps):
         if not abs(norm - 1.0) <= ATOL_STATE:
             if not full:
                 return None
@@ -492,10 +521,9 @@ def _run(factors, span: Sequence[int], plausible: list[int], winner_index: int,
                 raise ContractViolation(f"norm drifted to {norm} at step {s}")
         amps = np.zeros(dim, dtype=complex)
         amps[span] = psi
-        state = StateVector(amps)
-        probs = state.probabilities()
-        leak = 1.0 - float(probs[plausible].sum()) if full else 1.0 - norm**2
-        steps.append(TrajectoryStep(s, f, state, float(probs[winner_index]), max(0.0, leak)))
+        leak = 1.0 - float(np.sum(np.abs(psi[plausible]) ** 2)) if full else 1.0 - norm**2
+        steps.append(TrajectoryStep(s, f, StateVector(amps), float(np.abs(amps[winner_index]) ** 2),
+                                    max(0.0, leak)))
     return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
 
 
@@ -549,14 +577,15 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
     dim = 2**table.n_qubits
-    # the span block of each term, from the rows of U and V there
+    # the span block of each term, from the entries of U and V on the
+    # span's rows and the columns those rows reach
     span = plausible_allocations(bids) if restrict else range(dim)
-    u_rows = _rows([bidding_operator(b) for b in bids], span, dim, "bidding operators")
-    hb = (u_rows * hamming_weights(table.n_qubits)) @ u_rows.conj().T
+    u, cols = _entries([bidding_operator(b) for b in bids], span, dim, "bidding operators")
+    hb = (u * hamming_weights(table.n_qubits)[cols]) @ u.conj().T
     hp = -table.values[span]  # diagonal
     if schedule.locking is not None:
-        v_rows = _rows(schedule.locking, span, dim, "locking unitaries")
-        hp = (v_rows * -table.values) @ v_rows.conj().T
+        v, cols = _entries(schedule.locking, span, dim, "locking unitaries")
+        hp = (v * -table.values[cols]) @ v.conj().T
     blocks = _blocks(hb, hp)
     hb, hp = _block_stack(hb, blocks), _block_stack(hp, blocks)
     fs, rows = [], []

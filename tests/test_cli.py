@@ -566,3 +566,29 @@ class TestConfigHandling:
     def test_circuit_verify_has_no_scenario_flags(self, capsys):
         assert cli.main(["circuit-verify", "--emit", "bidder:11", "--steps", "3"]) == 1
         assert "unrecognized arguments: --steps 3" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    # a success, a config error (exit 1), a simulation error (exit 2) and a
+    # subparser argument error, then the success again
+    CALLS = [["gap", "--bids", "10,11", "--steps", "4"],
+             ["converge", "--variant", "third"],
+             ["converge", "--bids", "10,10", "--steps", "3"],
+             ["circuit-verify", "--emit", "bidder:11", "--steps", "3"],
+             ["gap", "--bids", "10,11", "--steps", "4"]]
+
+    def _call(self, argv, capsys):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_calls_in_a_row_match_fresh_calls(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(self._call(argv, capsys))
+        assert [code for code, _, _ in fresh] == [0, 1, 2, 1, 0]
+        parser = cli.build_parser()
+        in_a_row = [self._call(argv, capsys) for argv in self.CALLS * 2]
+        assert in_a_row == fresh * 2
+        assert cli.build_parser() is parser

@@ -535,6 +535,23 @@ class TestPlausibleSpan:
         assert span.leakage.max() > 1e-3
         _assert_same_run(span, dense, 0)
 
+    def test_entries_match_the_dense_product(self):
+        # any rows and columns (unsorted, not a product of digit sets), and
+        # the column support: the product of each factor's support on its
+        # rows, which holds every nonzero column of the rows
+        rng = np.random.default_rng(5)
+        factors = (_haar(2, rng), bidding_operator("011"), _haar(4, rng) * (rng.random((4, 4)) < 0.5))
+        dense = reduce(np.kron, factors)
+        rows, cols = [37, 2, 40, 5], [63, 0, 9, 17, 44]
+        block, taken = protocol._entries(factors, rows, 64, "factors", cols)
+        assert taken == cols
+        np.testing.assert_array_equal(block, dense[np.ix_(rows, cols)])
+        block, taken = protocol._entries(factors, rows, 64, "factors")
+        assert set(np.flatnonzero(np.any(dense[rows] != 0, axis=0))) < set(taken)
+        np.testing.assert_array_equal(block, dense[np.ix_(rows, taken)])
+        with pytest.raises(ContractViolation, match="register dimension"):
+            protocol._entries(factors, rows, 128, "factors")
+
     def test_n12_runs_without_dense_operators(self, monkeypatch):
         bids = ["0110", "1011", "0011"]
         table = build_first_price_table(AuctionConfig(m=3, p=4))
@@ -542,13 +559,16 @@ class TestPlausibleSpan:
 
         def refuse(*args, **kwargs):
             raise AssertionError("a dense operator was built")
-        inner = protocol._rows
+        inner = protocol._entries
 
-        def some_rows(factors, indices, dim, what):
-            assert len(indices) < dim, f"all {dim} rows of the {what} were formed"
-            return inner(factors, indices, dim, what)
+        def few_entries(factors, rows, dim, what, cols=None):
+            assert len(rows) < dim, f"all {dim} rows of the {what} were formed"
+            block, taken = inner(factors, rows, dim, what, cols)
+            assert block.shape == (len(rows), len(taken)) and len(taken) <= len(rows), \
+                f"{len(taken)} columns of the {what} were formed for {len(rows)} rows"
+            return block, taken
         monkeypatch.setattr(protocol, "joint_bidding_operator", refuse)
-        monkeypatch.setattr(protocol, "_rows", some_rows)
+        monkeypatch.setattr(protocol, "_entries", few_entries)
         tracemalloc.start()
         try:
             for variant, lock in (("zeroth", None), ("first", None), ("locked", locking)):
@@ -655,24 +675,42 @@ class TestBlockDiagonal:
         np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
 
     def test_ten_qubits_diagonalize_blocks_of_two_to_the_m(self, monkeypatch):
-        # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5
+        # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5, and
+        # each exact step diagonalizes only the one block |Psi_0> touches
         bids = ["10", "01", "11", "01", "10"]
-        widths = []
+        shapes = {"eig_hermitian": [], "eigvalsh": []}
         eig_hermitian, eigvalsh = protocol.eig_hermitian, np.linalg.eigvalsh
 
-        def recorded(decompose):
+        def recorded(name, decompose):
             def call(h, *args):
-                widths.append(np.shape(h)[-1])
+                shapes[name].append(np.shape(h))
                 return decompose(h, *args)
             return call
-        monkeypatch.setattr(protocol, "eig_hermitian", recorded(eig_hermitian))
-        monkeypatch.setattr(protocol.np.linalg, "eigvalsh", recorded(eigvalsh))
+        monkeypatch.setattr(protocol, "eig_hermitian", recorded("eig_hermitian", eig_hermitian))
+        monkeypatch.setattr(protocol.np.linalg, "eigvalsh", recorded("eigvalsh", eigvalsh))
         table = build_first_price_table(AuctionConfig(m=5, p=2))
         schedule = AdiabaticSchedule(20, 1.5, "exact")
         traj = run_adiabatic(bids, table, schedule)
         tracks = eigenvalue_tracks(bids, table, schedule, restrict=False)
-        assert len(widths) == 20 + 21 and max(widths) == 2**5
+        assert shapes["eig_hermitian"] == [(1, 32, 32)] * 20
+        assert len(shapes["eigvalsh"]) == 21 and max(shape[-1] for shape in shapes["eigvalsh"]) == 2**5
         assert traj.leakage.max() <= 1e-9 and tracks.eigenvalues.shape == (21, 1024)
+        outside = np.ones(1024, dtype=bool)
+        outside[plausible_allocations(bids)] = False
+        for st in traj.steps:  # the other blocks hold exactly nothing
+            assert not np.any(st.state.amplitudes[outside])
+
+    def test_ten_qubits_match_dense_eigh(self):
+        bids = ["10", "01", "11", "01", "10"]
+        table = build_first_price_table(AuctionConfig(m=5, p=2))
+        schedule = AdiabaticSchedule(4, 1.5, "exact")
+        plausible = plausible_allocations(bids)
+        winner = winning_allocation(table, plausible)
+        traj = run_adiabatic(bids, table, schedule)
+        states, leakage = _dense_exact(joint_bidding_operator(bids), np.eye(1024), table, schedule, plausible)
+        np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.success, np.abs(states[:, winner]) ** 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=1e-12)
 
 
 def _loop_first_price(m, p):
