@@ -339,21 +339,23 @@ def _blocks(*terms: np.ndarray) -> np.ndarray:
 
     The blocks are the connected components of the union of the terms'
     nonzero patterns (made symmetric), found by spreading the smallest
-    index along its nonzero pairs. If all k components have one size b,
-    they come back as a (k, b) array, rows in order of their smallest index
-    and ascending within; otherwise as one block of every index. A 1-D term
-    is a diagonal and joins nothing."""
+    index along its nonzero pairs: each sweep takes the least label among
+    each row's nonzero columns, held once as int32, one run per row. If all
+    k components have one size b, they come back as a (k, b) array, rows
+    in order of their smallest index and ascending within; otherwise as one
+    block of every index. A 1-D term is a diagonal and joins nothing."""
     dim = terms[0].shape[0]
-    pattern = np.zeros((dim, dim), dtype=bool)
+    pattern = np.eye(dim, dtype=bool)  # every index reaches itself, so no row's run is empty
     for t in terms:
         if t.ndim == 2:
             pattern |= t != 0
     pattern |= pattern.T
-    i, j = np.nonzero(pattern)
-    labels = np.arange(dim)
+    cols = np.broadcast_to(np.arange(dim, dtype=np.int32), (dim, dim))[pattern]
+    per_row = np.count_nonzero(pattern, axis=1)
+    starts = np.cumsum(per_row) - per_row
+    labels = np.arange(dim, dtype=np.int32)
     while True:
-        spread = labels.copy()
-        np.minimum.at(spread, i, labels[j])
+        spread = np.minimum.reduceat(labels[cols], starts)
         if np.array_equal(spread, labels):
             break
         labels = spread
@@ -371,7 +373,7 @@ def _block_stack(term: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
-             hp_diag: np.ndarray, v: np.ndarray | None, start: np.ndarray | None = None):
+             hp_diag: np.ndarray, v: np.ndarray | None, start: np.ndarray):
     """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
 
     `u` is the block U[span, T] of the joint operator on the span's rows
@@ -380,11 +382,11 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     k indices is k x k for the bidding operators. What every step shares is
     built here once: U^dag, and for "exact" (on the full space) the
     diagonal blocks of U W U^dag and V H_p V^dag (`_blocks`), so a step
-    diagonalizes H(f) with one stacked `eig_hermitian`. Given the state
-    `start` of every step to come, "exact" keeps only the blocks it
-    touches: the others hold amplitude 0 at every step, and the step
-    writes 0 there. "locked" is "zeroth" with V, and V is the identity
-    when absent.
+    diagonalizes H(f) with one stacked `eig_hermitian`. "exact" keeps only
+    the blocks where `start`, the state the steps begin from, is nonzero:
+    a block where it is exactly 0 stays exactly 0 under every step, and
+    the step writes 0 there. "locked" is "zeroth" with V, and V is the
+    identity when absent.
     """
     if v is not None and variant in ("zeroth", "first"):
         raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
@@ -393,8 +395,7 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
         h_b = (u * w_diag) @ ud
         h_p = hp_diag if v is None else (v * hp_diag) @ v.conj().T
         blocks = _blocks(h_b, h_p)
-        if start is not None:
-            blocks = blocks[np.any(start[blocks] != 0, axis=1)]
+        blocks = blocks[np.any(start[blocks] != 0, axis=1)]
         h_b, h_p = _block_stack(h_b, blocks), _block_stack(h_p, blocks)
 
         def exact(psi: np.ndarray, f: float) -> np.ndarray:
@@ -445,7 +446,8 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
             v = joint
         elif not np.allclose(v, joint, rtol=0, atol=1e-12):
             raise ContractViolation("v differs from the product of the schedule's locking unitaries")
-    step = _stepper(schedule.variant, schedule.delta, u, _diag_of(w, "W"), _diag_of(h_p, "H_p"), v)
+    step = _stepper(schedule.variant, schedule.delta, u, _diag_of(w, "W"), _diag_of(h_p, "H_p"), v,
+                    state.amplitudes)
     return StateVector(step(state.amplitudes, s / schedule.steps))
 
 

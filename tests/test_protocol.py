@@ -648,14 +648,15 @@ class TestBlockDiagonal:
         h[1, 3] = 1e-300  # one side is enough to join two indices
         np.testing.assert_array_equal(protocol._blocks(h, np.arange(4.0)), [[0, 2], [1, 3]])
 
-    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
-    def test_exact_matches_dense_eigh(self, locked):
-        table, schedule, plausible, winner = _span_setup(N8_BIDS, "exact")
-        v = reduce(np.kron, schedule.locking)
-        if not locked:
-            schedule, v = AdiabaticSchedule(schedule.steps, schedule.delta, "exact"), np.eye(256)
-        traj = run_adiabatic(N8_BIDS, table, schedule)
-        states, leakage = _dense_exact(joint_bidding_operator(N8_BIDS), v, table, schedule, plausible)
+    @pytest.mark.parametrize("bids, locked, steps", [
+        (N8_BIDS, False, 12), (N8_BIDS, True, 12), (["10", "01", "11", "01", "10"], False, 4),
+    ], ids=["plain", "locked", "n10"])
+    def test_exact_matches_dense_eigh(self, bids, locked, steps):
+        table, schedule, plausible, winner = _span_setup(bids, "exact" if locked else "zeroth")
+        schedule = AdiabaticSchedule(steps, schedule.delta, "exact", schedule.locking)
+        v = reduce(np.kron, schedule.locking) if locked else np.eye(2**table.n_qubits)
+        traj = run_adiabatic(bids, table, schedule)
+        states, leakage = _dense_exact(joint_bidding_operator(bids), v, table, schedule, plausible)
         np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.success, np.abs(states[:, winner]) ** 2, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=1e-12)
@@ -699,18 +700,6 @@ class TestBlockDiagonal:
         outside[plausible_allocations(bids)] = False
         for st in traj.steps:  # the other blocks hold exactly nothing
             assert not np.any(st.state.amplitudes[outside])
-
-    def test_ten_qubits_match_dense_eigh(self):
-        bids = ["10", "01", "11", "01", "10"]
-        table = build_first_price_table(AuctionConfig(m=5, p=2))
-        schedule = AdiabaticSchedule(4, 1.5, "exact")
-        plausible = plausible_allocations(bids)
-        winner = winning_allocation(table, plausible)
-        traj = run_adiabatic(bids, table, schedule)
-        states, leakage = _dense_exact(joint_bidding_operator(bids), np.eye(1024), table, schedule, plausible)
-        np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.success, np.abs(states[:, winner]) ** 2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=1e-12)
 
 
 def _loop_first_price(m, p):
