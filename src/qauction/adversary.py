@@ -171,25 +171,35 @@ def povm_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarr
     return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "first_correct"))
 
 
+_MC_BLOCK = 8192  # trials per block in majority_mc_curve, so a block's arrays stay in cache
+
+
 def majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """Strict-majority rule over N POVM outcomes, for N = 1..n_rounds; a tie
     counts as not learned, so this is not monotone in N. One categorical
-    outcome per trial and round, with running counts along the rounds."""
+    outcome per trial and round. Trials go in blocks of _MC_BLOCK rows of
+    the one (trials, n_rounds) draw (consecutive row blocks of
+    `Generator.random` are that draw's doubles), and each block's counts
+    run round by round."""
     rng = _mc_rng(seed, "majority")
     count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
-    learned_all = np.ones((trials, n_rounds), dtype=bool)
+    learned = np.ones((n_rounds, trials), dtype=bool)
     for dist, true_index in per_bidder:
         cdf = np.cumsum(np.asarray(dist))
-        u = rng.random((trials, n_rounds))
-        outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
-        for edge in cdf:  # outcome = number of cdf edges at or below u
-            outcomes += u >= edge
-        del u
-        true_count = np.cumsum(outcomes == true_index, axis=1, dtype=count_type)
-        for c in range(cdf.size):
-            if c != true_index:
-                learned_all &= true_count > np.cumsum(outcomes == c, axis=1, dtype=count_type)
-    return learned_all.mean(axis=0)
+        others = [c for c in range(cdf.size) if c != true_index]
+        for lo in range(0, trials, _MC_BLOCK):
+            hi = min(lo + _MC_BLOCK, trials)
+            u = rng.random((hi - lo, n_rounds))
+            outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+            for edge in cdf:  # outcome = number of cdf edges at or below u
+                outcomes += u >= edge
+            counts = np.zeros((cdf.size, hi - lo), dtype=count_type)
+            for r, row in enumerate(np.ascontiguousarray(outcomes.T)):
+                for c in range(cdf.size):
+                    counts[c] += row == c
+                for c in others:
+                    learned[r, lo:hi] &= counts[true_index] > counts[c]
+    return learned.mean(axis=1)
 
 
 def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,

@@ -31,11 +31,15 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
-# Widest `exact` search: it makes one dense 2^n x 2^n eigh per step, which
-# took 1.5 s at n = 10 and 12.8 s at n = 11 on a 2-vCPU machine.
+# Widest `exact` search: it builds the dense 2^n x 2^n joint operator and
+# U W U^dag once per run. A 20-step `variants` run took 0.14 s at n = 10,
+# 0.8 s at n = 11 and 6.4 s at 1.06 GB peak RSS at n = 12 on a 2-vCPU machine.
 MAX_EXACT_QUBITS = 10
-# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 12.5 B
-# per cell (25 MB at the 100000 x 20 default), so the cap is about 1.2 GB.
+# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 1.6 B
+# per cell at 10^6 x 20 (3 B, 6 MB, at the 100000 x 20 default), most of it the
+# majority curve's one bool per cell, so the cap is about 160 MB at 20 rounds.
+# The first-hit curves add about 33 B per trial, which rules at few rounds:
+# 10^6 x 1 peaks at 33 MB.
 MAX_MC_CELLS = 10**8
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from qauction.adversary import _mc_rng
 from qauction.core import StateVector, measurement_probabilities
 
 
@@ -90,3 +91,25 @@ def kron_bidding_operator(bits: str) -> np.ndarray:
     for q in set_bits[1:]:
         u = cnot_matrix(p, set_bits[0], q) @ u
     return u
+
+
+def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
+    """Strict-majority Monte Carlo curve from one full (trials, n_rounds)
+    draw per bidder with running counts by `cumsum` along the rounds: the
+    reference the blocked `adversary.majority_mc_curve` must match bit for
+    bit, since it reads the same stream."""
+    rng = _mc_rng(seed, "majority")
+    count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
+    learned_all = np.ones((trials, n_rounds), dtype=bool)
+    for dist, true_index in per_bidder:
+        cdf = np.cumsum(np.asarray(dist))
+        u = rng.random((trials, n_rounds))
+        outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+        for edge in cdf:  # outcome = number of cdf edges at or below u
+            outcomes += u >= edge
+        del u
+        true_count = np.cumsum(outcomes == true_index, axis=1, dtype=count_type)
+        for c in range(cdf.size):
+            if c != true_index:
+                learned_all &= true_count > np.cumsum(outcomes == c, axis=1, dtype=count_type)
+    return learned_all.mean(axis=0)

@@ -2,8 +2,12 @@
 
 Run with `pytest tests/test_acceptance.py -v -rA` to see every line.
 Every clause is asserted as stated. Criterion 6's splitting-order clause
-fails at S=40, delta=1 (see its failure message and the README); it stays
-as stated until the paper's own figure can settle it.
+fails at S=40, delta=1 (see its failure message and the README) and stays
+as stated. The diagnostic beside it, which passes, shows why: at S=40 and
+delta = 0.1, 0.25 and 0.5 the symmetric splitting ends closer to the exact
+evolution than the plain one on all three bid pairs, while at delta = 0.1
+and 0.25 the plain splitting ends above the exact success. The clause asks
+the more accurate integrator to beat one that overshoots.
 """
 
 import itertools
@@ -170,6 +174,26 @@ def test_criterion_06_convergence():
            f"first={first:.6f} < zeroth={zeroth:.6f}: the symmetric splitting's final-state error "
            f"against EXACT is below the plain splitting's on 38 of 40 steps, but above it on the "
            f"last two, so its final point lands below at this schedule")
+
+
+@pytest.mark.parametrize("bids", [("10", "11"), ("01", "10"), ("01", "11")])
+def test_criterion_06_diagnostic_splitting_order(bids):
+    """Not a criterion: at S=40 the symmetric splitting tracks the exact
+    evolution more closely than the plain one, while the plain splitting's
+    error pushes its final success above the exact one at small delta. So
+    "FIRST final >= ZEROTH final" asks the more accurate integrator to beat
+    one that overshoots."""
+    table = build_first_price_table(TOY)
+
+    def infidelity(a, b):
+        return 1.0 - abs(np.vdot(a.final_state.amplitudes, b.final_state.amplitudes)) ** 2
+
+    for delta in (0.1, 0.25, 0.5):
+        runs = {v: run_adiabatic(list(bids), table, AdiabaticSchedule(40, delta, v))
+                for v in ("exact", "zeroth", "first")}
+        assert infidelity(runs["exact"], runs["first"]) < infidelity(runs["exact"], runs["zeroth"])
+        if delta < 0.5:
+            assert runs["zeroth"].success[-1] > runs["exact"].success[-1]
 
 
 def test_criterion_07_subspace_preservation():

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import computational_povm
+from helpers import computational_povm, dense_majority_mc_curve
 from qauction.adversary import (
     LockingPair,
     Povm,
@@ -208,6 +209,58 @@ class TestMonteCarloCurves:
                           (majority_mc_curve(SYNTHETIC_BIDDERS, n_rounds, trials, 5), majority)):
             sigma = np.sqrt(exact * (1 - exact) / trials)
             assert np.all(np.abs(mc - exact) <= 4 * sigma + 1e-12)
+
+
+FOUR_OUTCOMES = np.array([0.4, 0.3, 0.2, 0.1])
+
+
+class TestMajorityBlocks:
+    """The blocked, round-by-round majority counts read the same stream as
+    the dense cumsum reference, so every curve is bit for bit the same."""
+
+    @staticmethod
+    def assert_matches_dense(per, n_rounds, trials, seed=11):
+        blocked = majority_mc_curve(per, n_rounds, trials, seed)
+        assert np.array_equal(blocked, dense_majority_mc_curve(per, n_rounds, trials, seed))
+        return blocked
+
+    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001])
+    def test_block_edges(self, trials):
+        self.assert_matches_dense(SYNTHETIC_BIDDERS, 7, trials)
+
+    @pytest.mark.parametrize("n_rounds", [1, 255, 256])  # counts go uint8 -> uint16 at 256
+    def test_count_dtype_edges(self, n_rounds):
+        self.assert_matches_dense(SYNTHETIC_BIDDERS, n_rounds, 9000)
+        # a certain true outcome counts up to n_rounds itself, so an overflow would show
+        certain = [(np.array([0.0, 1.0, 0.0]), 1)]
+        np.testing.assert_array_equal(self.assert_matches_dense(certain, n_rounds, 9000),
+                                      np.ones(n_rounds))
+
+    @pytest.mark.parametrize("true_index", range(4))
+    def test_four_outcomes(self, true_index):
+        self.assert_matches_dense([(FOUR_OUTCOMES, true_index), SYNTHETIC_BIDDERS[1]], 9, 8193)
+
+    def test_never_learned(self):
+        never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
+        np.testing.assert_array_equal(self.assert_matches_dense(never, 6, 8193), np.zeros(6))
+
+    @pytest.mark.parametrize("bids", [("10", "11"), ("01", "10"), ("01", "11")])
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_toy_povm_distributions(self, bids, locked):
+        pair = locking_operators(0.77, 0.91, bids) if locked else None
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(bids, pair)]
+        self.assert_matches_dense(per, 20, 20_001)
+
+    def test_peak_memory_at_cli_default(self):
+        # the dense reference peaks near 25 MB here: a full draw, outcomes and counts
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        tracemalloc.start()
+        try:
+            majority_mc_curve(per, 20, 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 @pytest.fixture(scope="module")
