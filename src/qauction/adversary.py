@@ -137,21 +137,32 @@ def _mc_rng(seed: int, rule: str) -> np.random.Generator:
     return np.random.default_rng([seed, _MC_RULES.index(rule)])
 
 
+_MC_BLOCK = 8192  # trials per block of a Monte Carlo draw, so a block's arrays stay in cache
+
+
 def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Fraction of trials where every bidder has been hit within N rounds,
     for N = 1..n_rounds, with per-round hit probability p_hits[i]. Each
     bidder's first-hit round is geometric, so one draw per trial and
-    bidder gives the whole curve; p = 0 means never hit."""
-    last_hit = np.ones(trials, dtype=np.int64)
+    bidder gives the whole curve; p = 0 means never hit. A bidder's draws
+    go in blocks of _MC_BLOCK trials (consecutive blocks of
+    `Generator.geometric` are the one draw's values), so only the latest
+    first-hit round per trial, capped at n_rounds + 1 in the narrowest
+    integer type that holds it, is held whole."""
+    never = n_rounds + 1
+    last_hit = np.ones(trials, dtype=np.min_scalar_type(never))
     for p in p_hits:
-        if p > 0:
-            first = np.minimum(rng.geometric(min(p, 1.0), size=trials), n_rounds + 1)
-        else:
-            first = np.full(trials, n_rounds + 1)
-        np.maximum(last_hit, first, out=last_hit)
-    learned_by = np.cumsum(np.bincount(last_hit, minlength=n_rounds + 2))
-    return learned_by[1 : n_rounds + 1] / trials
+        if not p > 0:
+            last_hit.fill(never)
+            continue
+        for lo in range(0, trials, _MC_BLOCK):
+            block = last_hit[lo:lo + _MC_BLOCK]
+            block[:] = np.maximum(block, np.minimum(rng.geometric(min(p, 1.0), size=block.size), never))
+    # counted block by block too: bincount widens its input to intp
+    counts = sum(np.bincount(last_hit[lo:lo + _MC_BLOCK], minlength=never + 1)
+                 for lo in range(0, trials, _MC_BLOCK))
+    return np.cumsum(counts)[1 : n_rounds + 1] / trials
 
 
 def basis_mc_curve(dists: Sequence[np.ndarray], n_rounds: int, trials: int,
@@ -171,9 +182,6 @@ def povm_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarr
     return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "first_correct"))
 
 
-_MC_BLOCK = 8192  # trials per block in majority_mc_curve, so a block's arrays stay in cache
-
-
 def majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """Strict-majority rule over N POVM outcomes, for N = 1..n_rounds; a tie
     counts as not learned, so this is not monotone in N. One categorical
@@ -184,21 +192,27 @@ def majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.n
     rng = _mc_rng(seed, "majority")
     count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
     learned = np.ones((n_rounds, trials), dtype=bool)
+    # one set of block buffers, refilled in place, so no block allocates
+    u = np.empty((min(trials, _MC_BLOCK), n_rounds))
+    at_or_above = np.empty(u.shape, dtype=bool)
     for dist, true_index in per_bidder:
         cdf = np.cumsum(np.asarray(dist))
         others = [c for c in range(cdf.size) if c != true_index]
+        outcomes = np.empty(u.shape, dtype=np.min_scalar_type(cdf.size))
+        by_round = np.empty(u.shape[::-1], dtype=outcomes.dtype)
         for lo in range(0, trials, _MC_BLOCK):
-            hi = min(lo + _MC_BLOCK, trials)
-            u = rng.random((hi - lo, n_rounds))
-            outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+            k = min(_MC_BLOCK, trials - lo)
+            rng.random(out=u[:k])
+            outcomes[:k] = 0
             for edge in cdf:  # outcome = number of cdf edges at or below u
-                outcomes += u >= edge
-            counts = np.zeros((cdf.size, hi - lo), dtype=count_type)
-            for r, row in enumerate(np.ascontiguousarray(outcomes.T)):
+                outcomes[:k] += np.greater_equal(u[:k], edge, out=at_or_above[:k])
+            by_round[:, :k] = outcomes[:k].T
+            counts = np.zeros((cdf.size, k), dtype=count_type)
+            for r, row in enumerate(by_round[:, :k]):
                 for c in range(cdf.size):
                     counts[c] += row == c
                 for c in others:
-                    learned[r, lo:hi] &= counts[true_index] > counts[c]
+                    learned[r, lo:lo + k] &= counts[true_index] > counts[c]
     return learned.mean(axis=1)
 
 

@@ -31,15 +31,11 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
-# Widest `exact` search: it builds the dense 2^n x 2^n joint operator and
-# U W U^dag once per run. A 20-step `variants` run took 0.14 s at n = 10,
-# 0.8 s at n = 11 and 6.4 s at 1.06 GB peak RSS at n = 12 on a 2-vCPU machine.
-MAX_EXACT_QUBITS = 10
-# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 1.6 B
-# per cell at 10^6 x 20 (3 B, 6 MB, at the 100000 x 20 default), most of it the
-# majority curve's one bool per cell, so the cap is about 160 MB at 20 rounds.
-# The first-hit curves add about 33 B per trial, which rules at few rounds:
-# 10^6 x 1 peaks at 33 MB.
+# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 1.1 B
+# per cell at 10^6 x 20 (2.5 B, 4.9 MB, at the 100000 x 20 default), most of it
+# the majority curve's one bool per cell, so the cap is about 110 MB at 20 rounds.
+# The first-hit curves hold one byte per trial up to 254 rounds: 10^6 x 1 peaks
+# at 1.2 MB and 10^7 x 1 at 10 MB, so about 100 MB at 10^8 x 1.
 MAX_MC_CELLS = 10**8
 
 
@@ -235,16 +231,7 @@ def _total_qubits(cfg: ScenarioConfig) -> int:
     return len(cfg.bids) * len(cfg.bids[0])
 
 
-def _check_exact_width(cfg: ScenarioConfig) -> None:
-    width = _total_qubits(cfg)
-    if width > MAX_EXACT_QUBITS:
-        raise ConfigError(f"variant exact: {width} qubits exceed its cap of {MAX_EXACT_QUBITS} "
-                          f"(it builds the dense 2^n x 2^n joint operator and U W U^dag)")
-
-
 def _run_for_config(cfg: ScenarioConfig) -> protocol.Trajectory:
-    if cfg.variant == "exact":
-        _check_exact_width(cfg)
     table, schedule = cfg.payoff_table(), cfg.schedule()
     if cfg.defense == "lock":
         return adversary.run_locked_auction(cfg.bids, table, schedule, cfg.locking())
@@ -266,7 +253,6 @@ def cmd_converge(cfg: ScenarioConfig) -> str:
 def cmd_variants(cfg: ScenarioConfig) -> str:
     if cfg.attack != "none" or cfg.defense != "none":
         raise ConfigError("variants compares honest integrators only")
-    _check_exact_width(cfg)
     table = cfg.payoff_table()
     curves = {}
     for variant in ("exact", "zeroth", "first"):

@@ -8,6 +8,7 @@ nonzero p-bit string whose integer value is the dollar amount.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -119,8 +120,10 @@ def hamming_weights(n_qubits: int) -> np.ndarray:
     """Set-bit count of every basis index: the diagonal of W."""
     if n_qubits < 1:
         raise ContractViolation("need at least one qubit")
-    x = np.arange(2**n_qubits)
-    return sum(((x >> k) & 1 for k in range(n_qubits)), np.zeros(x.size))
+    weights = np.zeros(1)
+    for _ in range(n_qubits):  # indices 2^k..2^(k+1)-1 add one set bit to 0..2^k-1
+        weights = np.concatenate([weights, weights + 1])
+    return weights
 
 
 def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
@@ -298,6 +301,15 @@ def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
     return np.real(np.diag(op))
 
 
+def _factors(factors, dim: int, what: str) -> list[np.ndarray]:
+    """`factors` as complex square matrices whose dimensions multiply to `dim`."""
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
+            or math.prod(f.shape[0] for f in factors) != dim):
+        raise ContractViolation(f"{what} do not match the register dimension")
+    return factors
+
+
 def _entries(factors, rows: Sequence[int], dim: int, what: str,
              cols: Sequence[int] | None = None) -> tuple[np.ndarray, Sequence[int]]:
     """U[rows][:, cols] of the Kronecker product U of `factors` (register
@@ -307,14 +319,12 @@ def _entries(factors, rows: Sequence[int], dim: int, what: str,
     never built. `cols` None takes the column support of the rows: the
     product of each factor's support on its picked rows. A lone factor
     asked for all its rows and columns is returned as it is."""
-    factors = [np.asarray(f, dtype=complex) for f in factors]
-    if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
-            or math.prod(f.shape[0] for f in factors) != dim):
-        raise ContractViolation(f"{what} do not match the register dimension")
-    if len(factors) == 1 and rows == range(dim) and (cols is None or cols == range(dim)):
-        return factors[0], range(dim)
+    factors = _factors(factors, dim, what)
     idx = np.asarray(rows, dtype=np.int64)
     want = None if cols is None else np.asarray(cols, dtype=np.int64)
+    if len(factors) == 1 and idx.size == dim and np.array_equal(idx, np.arange(dim)) and (
+            want is None or np.array_equal(want, idx)):
+        return factors[0], range(dim)
     block, taken = np.ones((idx.size, 1), dtype=complex), np.zeros(1, dtype=np.int64)
     stride = dim
     for f in factors:
@@ -377,11 +387,11 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
 
     `u` is the block U[span, T] of the joint operator on the span's rows
-    and the columns T they reach, `w_diag` is W on T, and `hp_diag` and
-    `v` are H_p and V on the span, so a product-formula step on a span of
-    k indices is k x k for the bidding operators. What every step shares is
-    built here once: U^dag, and for "exact" (on the full space) the
-    diagonal blocks of U W U^dag and V H_p V^dag (`_blocks`), so a step
+    and the columns T they reach, `w_diag` is W on T, `v` is the block
+    V[span, T_V] of V, and `hp_diag` is H_p on T_V (on the span when `v` is
+    None), so a step on a span of k indices is k x k. What every step
+    shares is built here once: U^dag, and for "exact" the diagonal blocks
+    of the k x k terms U W U^dag and V H_p V^dag (`_blocks`), so a step
     diagonalizes H(f) with one stacked `eig_hermitian`. "exact" keeps only
     the blocks where `start`, the state the steps begin from, is nonzero:
     a block where it is exactly 0 stays exactly 0 under every step, and
@@ -451,18 +461,67 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     return StateVector(step(state.amplitudes, s / schedule.steps))
 
 
-def _fold(step, psi: np.ndarray, steps: int):
-    """Yield (s, f, psi, norm) for s = 0..S: the state after step s with the
-    norm it had before renormalisation. A state whose norm drifts by more
-    than ATOL_STATE (NaN included) is yielded as the step left it."""
-    yield 0, 0.0, psi, float(np.linalg.norm(psi))
+def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
+    """The (S + 1, k) stack of `psi` and the states after steps 1..S, each
+    renormalised. A step that leaves its state more than ATOL_STATE off
+    norm 1 (NaN included) raises."""
+    states = [psi]
     for s in range(1, steps + 1):
-        f = s / steps
-        psi = step(psi, f)
+        psi = step(psi, s / steps)
         norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) <= ATOL_STATE:
-            psi = psi / norm
-        yield s, f, psi, norm
+        if not abs(norm - 1.0) <= ATOL_STATE:
+            raise ContractViolation(f"norm drifted to {norm} at step {s}")
+        psi = psi / norm
+        states.append(psi)
+    return np.array(states)
+
+
+def _span(operators, dim: int) -> np.ndarray:
+    """Sorted indices of the span that the support of U|0...0> closes to
+    under the operators, (factors, what) pairs in register order with U's
+    first: two indices are joined when they share a nonzero column of one
+    operator. Every step is a function of U W U^dag and V H_p V^dag, so it
+    maps this span into itself.
+
+    A Kronecker product joins x and y when every register pair (x_j, y_j)
+    shares a nonzero column of that register's factor. When every operator
+    has the same m >= 2 factors of one width, the support of U|0...0> is a
+    product over the registers and so is its closure: all m registers'
+    digit sets grow at once, through the stacked nonzero patterns B of the
+    factors as B (B^T digits). Otherwise (a dense `u` is one factor) one
+    mask over the `dim` indices grows factor by factor, from the digits it
+    holds to the columns they reach and back, and no factor's whole
+    pattern is formed."""
+    ops = [_factors(factors, dim, what) for factors, what in operators]
+    m = len(ops[0])
+    if m > 1 and len({f.shape[0] for factors in ops for f in factors}) == 1 and all(
+            len(factors) == m for factors in ops):
+        patterns = [np.array(factors) != 0 for factors in ops]
+        digits = patterns[0][:, :, :1]  # register j's digits of U|0...0>: column 0 of U_j
+        while True:
+            grown = digits
+            for b in patterns:  # the digits, the columns they reach, and back
+                grown = grown | b @ (b.swapaxes(1, 2) @ grown)
+            if np.count_nonzero(grown) == np.count_nonzero(digits):
+                return np.flatnonzero(functools.reduce(np.logical_and.outer, digits[:, :, 0]))
+            digits = grown
+    mask = np.ones(1, dtype=bool)
+    for f in ops[0]:
+        mask = np.logical_and.outer(mask, f[:, 0] != 0).reshape(-1)
+    while True:
+        grown = mask
+        for factors in ops:
+            left = 1
+            for f in factors:
+                t = grown.reshape(left, f.shape[0], -1)
+                rows = np.flatnonzero(t.any(axis=(0, 2)))
+                hit = (f[rows] != 0).T @ t[:, rows]  # the columns the held digits reach
+                cols = np.flatnonzero(hit.any(axis=(0, 2)))
+                grown = (t | (f[:, cols] != 0) @ hit[:, cols]).reshape(-1)
+                left *= f.shape[0]
+        if np.count_nonzero(grown) == np.count_nonzero(mask):
+            return np.flatnonzero(mask)
+        mask = grown
 
 
 def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int],
@@ -471,61 +530,52 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     probability against `winner_index` and leakage out of `plausible`.
 
     `u` is the joint operator, dense or as a tuple of Kronecker factors in
-    register order (the convention of `schedule.locking`). Given factors,
-    the "zeroth", "first" and "locked" variants run on the span of
-    `plausible`, with k x k steps built from the factors' entries there;
-    if |Psi_0> or any step loses more than ATOL_STATE of norm out of that
-    span, the run is redone on the full space, so the leakage it reports
-    is the true one. "exact" and a dense `u` always run on the full space,
-    and "exact" diagonalizes only the blocks of H(f) that |Psi_0> touches.
+    register order (the convention of `schedule.locking`); a dense `u` is a
+    one-factor product. Every variant runs on the span that the support of
+    |Psi_0> closes to under U and V (`_span`): for bidding and locking
+    operators that is the plausible span, and for a Haar U all 2^n indices.
+    Each step maps that span into itself, so the run is the full-space run,
+    with exactly 0 outside the span, and the leakage is the full-space one.
     """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
     if not math.isfinite(phase_bound):
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
-    plausible = list(plausible)
-    if not isinstance(u, tuple):
-        u = (u,)  # a dense operator is a one-factor product
-    elif schedule.variant != "exact":
-        traj = _run(u, plausible, plausible, winner_index, table, schedule)
-        if traj is not None:
-            return traj
-    return _run(u, range(2**table.n_qubits), plausible, winner_index, table, schedule)
+    factors = u if isinstance(u, tuple) else (u,)
+    operators = [(factors, "joint operator factors")]
+    if schedule.locking is not None:
+        operators.append((schedule.locking, "locking unitaries"))
+    span = _span(operators, 2**table.n_qubits)
+    return _run(factors, span, list(plausible), winner_index, table, schedule)
 
 
-def _run(factors, span: Sequence[int], plausible: list[int], winner_index: int,
-         table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory | None:
-    """The search on span(`span`) from the entries of U (and V) there:
-    U[span, T] with T the columns the span's rows reach, and V[span, span].
-
-    Success and leakage are read from the span amplitudes. On a proper
-    span a step's leakage is the probability it lost before
-    renormalisation, and a state more than ATOL_STATE off norm 1 gives
-    None. On the full span, range(2^n), leakage is the probability outside
-    `plausible`, and a step that drifts raises."""
+def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
+         table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
+    """The search on span(`span`), a span that U and V map into itself,
+    from their entries there: U[span, T] and V[span, T_V], with T and T_V
+    the columns the span's rows reach. Success and leakage, 1 minus the
+    probability on `plausible`, are read once from the stacked span
+    amplitudes; a step that drifts off norm 1 raises (`_fold`)."""
     dim = 2**table.n_qubits
-    full = span == range(dim)
     what = "joint operator factors"
     u, cols = _entries(factors, span, dim, what)
     start = _entries(factors, span, dim, what, [0])[0][:, 0]
-    v = None
+    v, v_cols = None, span
     if schedule.locking is not None:
-        v = _entries(schedule.locking, span, dim, "locking unitaries", span)[0]
+        v, v_cols = _entries(schedule.locking, span, dim, "locking unitaries")
     step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits)[cols],
-                    -table.values[span], v, start)
-    steps = []
-    for s, f, psi, norm in _fold(step, start, schedule.steps):
-        if not abs(norm - 1.0) <= ATOL_STATE:
-            if not full:
-                return None
-            if s:
-                raise ContractViolation(f"norm drifted to {norm} at step {s}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[span] = psi
-        leak = 1.0 - float(np.sum(np.abs(psi[plausible]) ** 2)) if full else 1.0 - norm**2
-        steps.append(TrajectoryStep(s, f, StateVector(amps), float(np.abs(amps[winner_index]) ** 2),
-                                    max(0.0, leak)))
+                    -table.values[v_cols], v, start)
+    states = _fold(step, start, schedule.steps)
+    probs = np.abs(states) ** 2
+    in_plausible = np.zeros(dim, dtype=bool)
+    in_plausible[plausible] = True
+    success = probs @ (span == winner_index)
+    leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
+    amps = np.zeros((len(states), dim), dtype=complex)
+    amps[:, span] = states
+    steps = [TrajectoryStep(s, s / schedule.steps, StateVector(amps[s]), float(success[s]),
+                            float(leakage[s])) for s in range(len(states))]
     return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
 
 
@@ -545,18 +595,21 @@ def run_adiabatic(bidders: Sequence[BidSpec | str], table: PayoffTable,
                   schedule: AdiabaticSchedule) -> Trajectory:
     """Run the search for independent bidders under the given payoff table.
 
-    The product-formula variants get the per-bidder factors, so they run on
-    the plausible span; "exact" gets the dense joint operator and stays the
-    full-space reference."""
+    Every variant runs on the plausible span (`run_schedule`). The
+    product-formula variants get the per-bidder factors; "exact" gets the
+    dense joint operator, so the reference that they are checked against
+    takes its entries from the Kronecker product and not from `_entries`'
+    digit arithmetic. The registers and the winner are checked before any
+    operator is built."""
     bids = [as_bid(b) for b in bidders]
-    if schedule.variant == "exact":
-        u = joint_bidding_operator(bids)
-    else:
-        u = tuple(bidding_operator(b) for b in bids)
     plausible = plausible_allocations(bids)
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
     winner = winning_allocation(table, plausible)
+    if schedule.variant == "exact":
+        u = joint_bidding_operator(bids)
+    else:
+        u = tuple(bidding_operator(b) for b in bids)
     return run_schedule(u, plausible, winner, table, schedule)
 
 

@@ -113,3 +113,18 @@ def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -
             if c != true_index:
                 learned_all &= true_count > np.cumsum(outcomes == c, axis=1, dtype=count_type)
     return learned_all.mean(axis=0)
+
+
+def dense_first_hit_curve(p_hits, n_rounds: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """First-hit Monte Carlo curve from one full int64 geometric draw per
+    bidder: the reference the blocked `adversary._first_hit_curve` must
+    match bit for bit, since it reads the same stream."""
+    last_hit = np.ones(trials, dtype=np.int64)
+    for p in p_hits:
+        if p > 0:
+            first = np.minimum(rng.geometric(min(p, 1.0), size=trials), n_rounds + 1)
+        else:
+            first = np.full(trials, n_rounds + 1)
+        np.maximum(last_hit, first, out=last_hit)
+    learned_by = np.cumsum(np.bincount(last_hit, minlength=n_rounds + 2))
+    return learned_by[1 : n_rounds + 1] / trials

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import computational_povm, dense_majority_mc_curve
+from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve
 from qauction.adversary import (
     LockingPair,
     Povm,
+    _first_hit_curve,
+    _mc_rng,
     basis_mc_curve,
     helstrom_error,
     locked_bidding_state,
@@ -261,6 +263,30 @@ class TestMajorityBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+class TestFirstHitBlocks:
+    """The first-hit curves draw each bidder's geometrics in blocks of
+    _MC_BLOCK trials from the same stream as one full draw, so every curve
+    is bit for bit the dense reference's."""
+
+    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001])
+    @pytest.mark.parametrize("p", [0.0, 1 / 9, 0.5, 1.0], ids=["0", "1/9", "0.5", "1"])
+    def test_matches_dense(self, trials, p):
+        for p_hits, n_rounds in (([p], 1), ([p, 0.5], 7), ([0.3, p], 300)):  # 300: uint16 rounds
+            blocked = _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(5, "basis"))
+            dense = dense_first_hit_curve(p_hits, n_rounds, trials, _mc_rng(5, "basis"))
+            assert np.array_equal(blocked, dense)
+
+    def test_peak_memory_at_one_round(self):
+        # the dense reference peaks at about 32 B per trial here, 32 MB at 10^6 trials
+        tracemalloc.start()
+        try:
+            _first_hit_curve([0.5, 0.25], 1, 1_000_000, _mc_rng(0, "basis"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 @pytest.fixture(scope="module")

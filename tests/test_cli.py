@@ -422,10 +422,9 @@ class TestWidthCap:
 
 
 class TestExactCap:
-    """`exact` builds the dense 2^n x 2^n joint operator and U W U^dag, so an
-    `exact` search wider than cli.MAX_EXACT_QUBITS is a configuration error,
-    caught before any operator is built. Gap tracks are not searches and are
-    not capped."""
+    """`exact` shares cli.MAX_QUBITS: it steps on the plausible span, so a
+    12-qubit `exact` search runs, locked or not. Gap tracks are not
+    searches and were never capped lower."""
 
     @pytest.fixture()
     def refused(self, monkeypatch):
@@ -434,13 +433,24 @@ class TestExactCap:
 
     @pytest.mark.parametrize("args", [
         ["variants", "--bids", "0110,1011,0011"],
-        ["variants", "--bids", "1,1,1,1,1,1,1,1,1,1,1", "--steps", "1"],
         ["converge", "--variant", "exact", "--bids", "111111,111110"],
         ["converge", "--variant", "exact", "--defense", "lock", "--alpha1", "0.9",
          "--alpha2", "0.7", "--bids", "111111,111110"],
-    ], ids=["variants_12", "variants_11", "converge_12", "locked_12"])
-    def test_rejected(self, refused, args, capsys):
-        _rejected_in_one_line(args, capsys, f"exceed its cap of {cli.MAX_EXACT_QUBITS}")
+    ], ids=["variants_12", "converge_12", "locked_12"])
+    def test_twelve_qubits_accepted(self, args, capsys):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 21
+        assert all(0 <= float(x) <= 1 for row in rows for x in row[2:])
+
+    def test_eleven_one_qubit_bidders_tie(self, refused, capsys):
+        # every one-bidder allocation pays 1: a payoff tie, a simulation
+        # error found before any operator is built
+        assert cli.main(["variants", "--bids", ",".join(["1"] * 11), "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tied among plausible allocations" in captured.err
 
     def test_variants_at_cap_accepted(self, capsys):
         code, out = run_cli(["variants", "--bids", "11111,10101", "--steps", "1"], capsys)

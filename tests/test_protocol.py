@@ -8,7 +8,8 @@ import pytest
 from helpers import kron_bidding_operator
 
 from qauction import protocol
-from qauction.adversary import locking_operator, locking_operators, spurious_table
+from qauction.adversary import build_collusion_circuit, locking_operator, locking_operators, spurious_table
+from qauction.circuits import circuit_to_matrix
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
@@ -471,6 +472,17 @@ def _haar(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _collusion_factor(bid1, bid2):
+    return circuit_to_matrix(build_collusion_circuit(BidSpec(bid1), BidSpec(bid2)))
+
+
+def _mixed_columns_factors():
+    # U_2 with its non-lead columns mixed: column 0, so |Psi_0>, is kept
+    mix = np.eye(4, dtype=complex)
+    mix[1:, 1:] = _haar(3, np.random.default_rng(7))
+    return bidding_operator("10"), bidding_operator("11") @ mix
+
+
 class TestPlausibleSpan:
     """`run_schedule` given Kronecker factors runs the product formulas on
     the plausible span; the dense product is the oracle."""
@@ -481,13 +493,12 @@ class TestPlausibleSpan:
         table, schedule, plausible, winner = _span_setup(bids, variant)
         factors = tuple(bidding_operator(b) for b in bids)
         dense = run_schedule(reduce(np.kron, factors), plausible, winner, table, schedule)
-        if variant != "exact":  # must stay on the span: no full-space run
-            inner = protocol._run
+        inner = protocol._run
 
-            def span_only(factors, span, *args):
-                assert len(span) < 2**table.n_qubits, "fell back to the full space"
-                return inner(factors, span, *args)
-            monkeypatch.setattr(protocol, "_run", span_only)
+        def span_only(factors, span, *args):  # every variant stays on the span
+            assert len(span) < 2**table.n_qubits, "ran on the full space"
+            return inner(factors, span, *args)
+        monkeypatch.setattr(protocol, "_run", span_only)
         span = run_schedule(factors, plausible, winner, table, schedule)
         _assert_same_run(span, dense, 1e-12)
 
@@ -509,29 +520,25 @@ class TestPlausibleSpan:
     @pytest.mark.parametrize("case", ["haar", "mixed_columns"])
     @pytest.mark.parametrize("variant", ["zeroth", "first"])
     def test_leaking_factors_report_the_dense_run(self, case, variant, toy_setup, monkeypatch):
-        # Haar factors move |Psi_0> out of the span; mixing the non-lead
-        # columns of U_2 keeps |Psi_0> but makes the mixer leak at step 1.
-        # Either way the run is redone on the full space, inside one call.
+        # Haar factors move |Psi_0> out of the plausible span; mixing the
+        # non-lead columns of U_2 keeps |Psi_0> but makes the mixer leak at
+        # step 1. Either way the span |Psi_0> closes to under U is wider
+        # than the plausible one, and one run on it is the dense run.
         rng = np.random.default_rng(7)
-        if case == "haar":
-            factors = (_haar(4, rng), _haar(4, rng))
-        else:
-            mix = np.eye(4, dtype=complex)
-            mix[1:, 1:] = _haar(3, rng)
-            factors = (bidding_operator("10"), bidding_operator("11") @ mix)
+        factors = (_haar(4, rng), _haar(4, rng)) if case == "haar" else _mixed_columns_factors()
         plausible = plausible_allocations(["10", "11"])
         table = toy_setup["table"]
         schedule = AdiabaticSchedule(12, 1.3, variant)
         dense = run_schedule(np.kron(*factors), plausible, 0b0011, table, schedule)
         calls = []
-        inner = protocol.run_schedule
+        inner = protocol._run
 
-        def counted(*args):
-            calls.append(args)
-            return inner(*args)
-        monkeypatch.setattr(protocol, "run_schedule", counted)
-        span = protocol.run_schedule(factors, plausible, 0b0011, table, schedule)
-        assert len(calls) == 1
+        def counted(factors, span, *args):
+            calls.append(span)
+            return inner(factors, span, *args)
+        monkeypatch.setattr(protocol, "_run", counted)
+        span = run_schedule(factors, plausible, 0b0011, table, schedule)
+        assert len(calls) == 1 and len(calls[0]) > len(plausible)
         assert span.leakage.max() > 1e-3
         _assert_same_run(span, dense, 0)
 
@@ -580,6 +587,96 @@ class TestPlausibleSpan:
         finally:
             tracemalloc.stop()
         assert peak < 10_000_000
+
+
+class TestSpan:
+    """`protocol._span`: the span that the support of |Psi_0> = U|0...0>
+    closes to under U and V, on which every variant runs."""
+
+    @staticmethod
+    def _span(*operators):
+        n = sum(math.log2(f.shape[0]) for f in operators[0])
+        return protocol._span([(factors, "factors") for factors in operators], 2 ** round(n))
+
+    @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
+    def test_bidding_and_locking_operators_give_the_plausible_span(self, bids):
+        factors = tuple(bidding_operator(b) for b in bids)
+        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+        want = plausible_allocations(bids)
+        assert self._span(factors).tolist() == want
+        assert self._span(factors, locking).tolist() == want
+        # locked `exact`: the dense U is one factor, V has one per bidder
+        assert self._span((joint_bidding_operator(bids),)).tolist() == want
+        assert self._span((joint_bidding_operator(bids),), locking).tolist() == want
+
+    def test_haar_factors_give_every_index(self):
+        rng = np.random.default_rng(3)
+        every = list(range(16))
+        assert self._span((_haar(4, rng), _haar(4, rng))).tolist() == every
+        assert self._span((_haar(16, rng),)).tolist() == every
+        # a Haar V joins what the bidding operators keep apart
+        bidding = (bidding_operator("10"), bidding_operator("11"))
+        assert self._span(bidding, (_haar(4, rng), _haar(4, rng))).tolist() == every
+        assert self._span((np.kron(*bidding),), (_haar(4, rng), _haar(4, rng))).tolist() == every
+
+    @pytest.mark.parametrize("case", ["collusion_10_11", "collusion_01_10", "mixed_columns"])
+    def test_span_is_closed_and_holds_psi0(self, case):
+        factors = _mixed_columns_factors() if case == "mixed_columns" else (_collusion_factor(*case.split("_")[1:]),)
+        u = reduce(np.kron, factors)
+        span = self._span(factors)
+        assert set(np.flatnonzero(u[:, 0])) <= set(span)
+        # closed: no index outside shares a nonzero column of U with one inside
+        pattern = (u != 0).astype(int)
+        joined = pattern @ pattern.T > 0
+        assert not np.any(joined[np.ix_(span, np.setdiff1d(np.arange(16), span))])
+        # and the least such span: breadth-first search over the dense pattern
+        reached = np.flatnonzero(u[:, 0])
+        while (grown := np.flatnonzero(joined[reached].any(axis=0))).size > reached.size:
+            reached = grown
+        np.testing.assert_array_equal(span, reached)
+
+    @pytest.mark.parametrize("variant", ["zeroth", "first", "locked", "exact"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["factors", "dense"])
+    def test_one_run_per_schedule(self, variant, dense, monkeypatch):
+        bids = SPAN_BIDS[2]
+        table, schedule, plausible, winner = _span_setup(bids, variant)
+        factors = tuple(bidding_operator(b) for b in bids)
+        spans = []
+        inner = protocol._run
+
+        def counted(factors, span, *args):
+            spans.append(span.tolist())
+            return inner(factors, span, *args)
+        monkeypatch.setattr(protocol, "_run", counted)
+        run_schedule(reduce(np.kron, factors) if dense else factors, plausible, winner, table, schedule)
+        assert spans == [plausible]
+
+    def test_n12_exact_matches_the_plausible_evolution(self):
+        # the exact search written out on the 8 plausible indices, from the
+        # rows of U built with the Kronecker reference gates and W counted bit by bit
+        bids = ["0011", "0101", "1001"]
+        table = build_first_price_table(AuctionConfig(m=3, p=4))
+        schedule = AdiabaticSchedule(20, 1.5, "exact")
+        traj = run_adiabatic(bids, table, schedule)
+        plausible = plausible_allocations(bids)
+        factors = [kron_bidding_operator(b) for b in bids]
+        rows = np.array([reduce(np.kron, [f[(x >> 4 * (2 - j)) & 15] for j, f in enumerate(factors)])
+                         for x in plausible])
+        weights = np.array([bin(c).count("1") for c in range(2**12)], dtype=float)
+        h_b = (rows * weights) @ rows.conj().T
+        h_p = np.diag(-table.values[plausible])
+        psi = rows[:, 0]
+        outside = np.ones(2**12, dtype=bool)
+        outside[plausible] = False
+        for s, step in enumerate(traj.steps):
+            if s:
+                f = s / schedule.steps
+                vals, vecs = np.linalg.eigh((1 - f) * h_b + f * h_p)
+                psi = vecs @ (np.exp(-1j * schedule.delta * vals) * (vecs.conj().T @ psi))
+                psi = psi / np.linalg.norm(psi)
+            np.testing.assert_allclose(step.state.amplitudes[plausible], psi, rtol=0, atol=1e-12)
+            assert not np.any(step.state.amplitudes[outside])
+        assert abs(traj.success[-1] - abs(psi[plausible.index(traj.winner_index)]) ** 2) <= 1e-12
 
 
 def _dense_exact(u, v, table, schedule, plausible):
@@ -663,10 +760,7 @@ class TestBlockDiagonal:
 
     def test_leaking_operator_reports_the_dense_leakage(self, toy_setup):
         # mixing the non-lead columns of U_2 makes the mixer leak out of the span
-        rng = np.random.default_rng(7)
-        mix = np.eye(4, dtype=complex)
-        mix[1:, 1:] = _haar(3, rng)
-        u = np.kron(bidding_operator("10"), bidding_operator("11") @ mix)
+        u = np.kron(*_mixed_columns_factors())
         plausible = plausible_allocations(["10", "11"])
         schedule = AdiabaticSchedule(12, 1.3, "exact")
         traj = run_schedule(u, plausible, 0b0011, toy_setup["table"], schedule)
