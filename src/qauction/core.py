@@ -17,6 +17,7 @@ import numpy as np
 ATOL_STATE = 1e-10      # norm drift allowed on construction / per evolution step
 ATOL_UNITARY = 1e-9     # unitarity after operator products
 ATOL_HERMITIAN = 1e-10  # Hermiticity of operator inputs
+_SCAN_ENTRIES = 2**14   # coarse-scan chunk of the phase-invariant distance: 256 KB temporaries
 
 
 class ContractViolation(ValueError):
@@ -176,21 +177,32 @@ def phase_invariant_distance(u, v) -> float:
     def dist(theta: float) -> float:
         return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))
 
+    # the coarse scan: every angle's distance at once, in chunks of at most
+    # _SCAN_ENTRIES entries; argmin takes the first minimum, as min() does
     thetas = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    best = min(thetas, key=dist)
+    phases = np.exp(1j * thetas)[:, None]
+    chunk = max(1, _SCAN_ENTRIES // max(1, u.size))
+    coarse = np.concatenate([np.max(np.abs(u - phases[i:i + chunk] * v), axis=1, initial=rest)
+                             for i in range(0, thetas.size, chunk)])
+    first_min = int(np.argmin(coarse))
+    best, best_dist = thetas[first_min], float(coarse[first_min])
     if abs(tr) > 1e-14:
         cand = float(np.angle(tr))
-        if dist(cand) < dist(best):
-            best = cand
+        cand_dist = dist(cand)
+        if cand_dist < best_dist:
+            best, best_dist = cand, cand_dist
     lo, hi = best - 2 * np.pi / 256, best + 2 * np.pi / 256
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    for _ in range(80):
-        if dist(c) < dist(d):
-            b, d = d, c
+    dist_c, dist_d = dist(c), dist(d)
+    for _ in range(80):  # one new point per step; the kept one carries its distance
+        if dist_c < dist_d:
+            b, d, dist_d = d, c, dist_c
             c = b - invphi * (b - a)
+            dist_c = dist(c)
         else:
-            a, c = c, d
+            a, c, dist_c = c, d, dist_d
             d = a + invphi * (b - a)
-    return min(dist(best), dist((a + b) / 2))
+            dist_d = dist(d)
+    return min(best_dist, dist((a + b) / 2))

@@ -105,10 +105,11 @@ def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     """Single-item first-price payoffs: the unique nonzero register's dollar
     value when exactly one bidder register is nonzero, zero otherwise."""
     m, p = config.m, config.p
-    x = np.arange(2 ** (m * p))
-    regs = [(x >> (p * (m - 1 - j))) & ((1 << p) - 1) for j in range(m)]
-    nonzero = sum(r != 0 for r in regs)
-    return PayoffTable(m * p, np.where(nonzero == 1, sum(regs), 0).astype(float))
+    values = np.zeros(2 ** (m * p))
+    prices = np.arange(1, 2**p)
+    for j in range(m):  # register j at price r, every other register null
+        values[prices << (p * (m - 1 - j))] = prices
+    return PayoffTable(m * p, values)
 
 
 def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
@@ -116,14 +117,20 @@ def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
     return np.diag(-table.values).astype(complex)
 
 
+def _set_bits(indices) -> np.ndarray:
+    """Set-bit count of each basis index in `indices`: W on those indices."""
+    x = np.asarray(indices, dtype=np.int64)
+    weights = np.zeros(x.shape)
+    for k in range(int(x.max(initial=0)).bit_length()):
+        weights += (x >> k) & 1
+    return weights
+
+
 def hamming_weights(n_qubits: int) -> np.ndarray:
     """Set-bit count of every basis index: the diagonal of W."""
     if n_qubits < 1:
         raise ContractViolation("need at least one qubit")
-    weights = np.zeros(1)
-    for _ in range(n_qubits):  # indices 2^k..2^(k+1)-1 add one set bit to 0..2^k-1
-        weights = np.concatenate([weights, weights + 1])
-    return weights
+    return _set_bits(np.arange(2**n_qubits))
 
 
 def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
@@ -203,17 +210,15 @@ def plausible_allocations(bidders: Sequence[BidSpec | str]) -> list[int]:
     """Basis indices appearing in the joint initial superposition: each
     register independently null or at the bidder's price state."""
     bids = [as_bid(b) for b in bidders]
+    if not bids:
+        raise ContractViolation("need at least one bidder")
     p = bids[0].n_qubits
     if any(b.n_qubits != p for b in bids):
         raise ContractViolation("bidders must share a register width")
-    out = []
-    for combo in range(2 ** len(bids)):
-        x = 0
-        for j, b in enumerate(bids):
-            reg = b.index if (combo >> (len(bids) - 1 - j)) & 1 else 0
-            x = (x << p) | reg
-        out.append(x)
-    return sorted(out)
+    out = np.zeros(1, dtype=np.int64)
+    for b in bids:  # ascending: each register's 0 sorts before its bid
+        out = np.bitwise_or.outer(out << p, [0, b.index]).reshape(-1)
+    return out.tolist()
 
 
 def initial_superposition(bidders: Sequence[BidSpec | str]) -> StateVector:
@@ -274,19 +279,28 @@ class TrajectoryStep(NamedTuple):
     subspace_leakage: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    steps: list[TrajectoryStep]
+    """A search run as it was stepped: the sorted basis indices `span` it
+    ran on, the (S + 1, k) amplitudes there at s = 0..S (exactly 0 off the
+    span), and the success and leakage at each s. The full-length 2^n
+    states are built once, when `steps` or `final_state` is first read."""
+
+    n_qubits: int
+    span: np.ndarray
+    amplitudes: np.ndarray
+    success: np.ndarray
+    leakage: np.ndarray
     winner_index: int
     plausible: list[int] = field(default_factory=list)
 
-    @property
-    def success(self) -> np.ndarray:
-        return np.array([st.success_probability for st in self.steps])
-
-    @property
-    def leakage(self) -> np.ndarray:
-        return np.array([st.subspace_leakage for st in self.steps])
+    @functools.cached_property
+    def steps(self) -> list[TrajectoryStep]:
+        amps = np.zeros((len(self.amplitudes), 2**self.n_qubits), dtype=complex)
+        amps[:, self.span] = self.amplitudes
+        last = len(amps) - 1
+        return [TrajectoryStep(s, s / last, StateVector(amps[s]), float(self.success[s]),
+                               float(self.leakage[s])) for s in range(len(amps))]
 
     @property
     def final_state(self) -> StateVector:
@@ -468,7 +482,8 @@ def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
     states = [psi]
     for s in range(1, steps + 1):
         psi = step(psi, s / steps)
-        norm = float(np.linalg.norm(psi))
+        re, im = psi.real, psi.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own arithmetic, unwrapped
         if not abs(norm - 1.0) <= ATOL_STATE:
             raise ContractViolation(f"norm drifted to {norm} at step {s}")
         psi = psi / norm
@@ -536,6 +551,8 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     operators that is the plausible span, and for a Haar U all 2^n indices.
     Each step maps that span into itself, so the run is the full-space run,
     with exactly 0 outside the span, and the leakage is the full-space one.
+    The trajectory keeps the span amplitudes; no 2^n state is formed until
+    its `steps` or `final_state` is read.
     """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
@@ -554,29 +571,25 @@ def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
          table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
     """The search on span(`span`), a span that U and V map into itself,
     from their entries there: U[span, T] and V[span, T_V], with T and T_V
-    the columns the span's rows reach. Success and leakage, 1 minus the
-    probability on `plausible`, are read once from the stacked span
-    amplitudes; a step that drifts off norm 1 raises (`_fold`)."""
+    the columns the span's rows reach. T is sorted and holds 0, the column
+    of |0...0>, so U[span, T] starts with |Psi_0> on the span. Success and
+    leakage, 1 minus the probability on `plausible`, are read once from
+    the stacked span amplitudes; a step that drifts off norm 1 raises
+    (`_fold`)."""
     dim = 2**table.n_qubits
-    what = "joint operator factors"
-    u, cols = _entries(factors, span, dim, what)
-    start = _entries(factors, span, dim, what, [0])[0][:, 0]
+    u, cols = _entries(factors, span, dim, "joint operator factors")
     v, v_cols = None, span
     if schedule.locking is not None:
         v, v_cols = _entries(schedule.locking, span, dim, "locking unitaries")
-    step = _stepper(schedule.variant, schedule.delta, u, hamming_weights(table.n_qubits)[cols],
-                    -table.values[v_cols], v, start)
+    start = u[:, 0]
+    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v, start)
     states = _fold(step, start, schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
     in_plausible[plausible] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
-    amps = np.zeros((len(states), dim), dtype=complex)
-    amps[:, span] = states
-    steps = [TrajectoryStep(s, s / schedule.steps, StateVector(amps[s]), float(success[s]),
-                            float(leakage[s])) for s in range(len(states))]
-    return Trajectory(steps=steps, winner_index=winner_index, plausible=plausible)
+    return Trajectory(table.n_qubits, span, states, success, leakage, winner_index, plausible)
 
 
 def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:
@@ -636,7 +649,7 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     # span's rows and the columns those rows reach
     span = plausible_allocations(bids) if restrict else range(dim)
     u, cols = _entries([bidding_operator(b) for b in bids], span, dim, "bidding operators")
-    hb = (u * hamming_weights(table.n_qubits)[cols]) @ u.conj().T
+    hb = (u * _set_bits(cols)) @ u.conj().T
     hp = -table.values[span]  # diagonal
     if schedule.locking is not None:
         v, cols = _entries(schedule.locking, span, dim, "locking unitaries")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qauction.adversary import _mc_rng
-from qauction.core import StateVector, measurement_probabilities
+from qauction.core import StateVector, _max_off_diagonal, measurement_probabilities
 
 
 def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
@@ -128,3 +128,39 @@ def dense_first_hit_curve(p_hits, n_rounds: int, trials: int, rng: np.random.Gen
         np.maximum(last_hit, first, out=last_hit)
     learned_by = np.cumsum(np.bincount(last_hit, minlength=n_rounds + 2))
     return learned_by[1 : n_rounds + 1] / trials
+
+
+def scalar_phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """`core.phase_invariant_distance` as one `dist(theta)` call per coarse
+    angle and two per golden-section step, on valid input: the reference
+    that the broadcast scan and the carried golden-section values must
+    match with `==`."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    rest = 0.0
+    if v.ndim == 1:
+        rest, u = _max_off_diagonal(u), np.diagonal(u)
+    tr = np.vdot(v, u)
+    rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
+    u, v = u[v != 0], v[v != 0]
+
+    def dist(theta: float) -> float:
+        return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))
+
+    thetas = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    best = min(thetas, key=dist)
+    if abs(tr) > 1e-14:
+        cand = float(np.angle(tr))
+        if dist(cand) < dist(best):
+            best = cand
+    lo, hi = best - 2 * np.pi / 256, best + 2 * np.pi / 256
+    invphi = (np.sqrt(5.0) - 1) / 2
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    for _ in range(80):
+        if dist(c) < dist(d):
+            b, d = d, c
+            c = b - invphi * (b - a)
+        else:
+            a, c = c, d
+            d = a + invphi * (b - a)
+    return min(dist(best), dist((a + b) / 2))

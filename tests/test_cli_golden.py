@@ -1,0 +1,93 @@
+"""The README's CLI examples give the same numbers, to 1e-12, as the
+recorded ones in `tests/data/cli_golden.json`.
+
+Regenerate the file (only when a change is meant to move the numbers):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qauction import cli
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+LOCK = ["--alpha1", "0.9", "--alpha2", "0.7"]
+CASES = {
+    "converge": ["converge", "--bids", "10,11", "--steps", "20", "--delta", "1.5"],
+    "converge.lock": ["converge", "--bids", "11,10", "--defense", "lock"] + LOCK,
+    "variants": ["variants", "--bids", "10,11", "--steps", "40", "--delta", "1"],
+    "gap": ["gap", "--bids", "10,11", "--steps", "20"],
+    "gap.unrestricted": ["gap", "--bids", "10,11", "--restrict", "false"],
+    "gap.lock": ["gap", "--bids", "11,10", "--defense", "lock"] + LOCK,
+    "gap.spurious": ["gap", "--bids", "10,11", "--table", "spurious"],
+    "attack.spurious": ["attack", "--attack", "spurious", "--bids", "10,11"],
+    "attack.spurious.collude": ["attack", "--attack", "spurious", "--bids", "10,11",
+                                "--defense", "collude"],
+    "povm": ["povm"],
+}
+
+
+def _number(token: str) -> list[float] | None:
+    """A CSV or matrix entry as [value], or a complex one as [re, im]."""
+    try:
+        if token.endswith("j"):
+            z = complex(token)
+            return [z.real, z.imag]
+        return [float(token)]
+    except ValueError:
+        return None
+
+
+def numbers(text: str) -> dict:
+    """The numbers of a CLI output: `key=value` and `key = value` settings
+    whose value is a number, and every line whose fields are all numbers
+    (CSV rows, POVM matrix rows). Headers and labels are skipped."""
+    meta, rows = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            pairs = [field.partition("=") for field in line[1:].split()]
+        elif " = " in line:
+            pairs = [line.partition(" = ")]
+        else:
+            fields = [_number(tok) for tok in line.replace(",", " ").split()]
+            if fields and all(f is not None for f in fields):
+                rows.append([x for f in fields for x in f])
+            continue
+        for key, _, value in pairs:
+            got = _number(value.strip())
+            if got is not None and len(got) == 1:
+                meta[key.strip()] = got[0]
+    return {"meta": meta, "rows": rows}
+
+
+def run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_readme_example_numbers_match_the_golden(name):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    assert want["argv"] == CASES[name]
+    got = numbers(run(CASES[name]))
+    assert got["meta"].keys() == want["meta"].keys()
+    for key, value in want["meta"].items():
+        assert abs(got["meta"][key] - value) <= 1e-12, key
+    assert [len(r) for r in got["rows"]] == [len(r) for r in want["rows"]]
+    np.testing.assert_allclose(np.concatenate(got["rows"]), np.concatenate(want["rows"]),
+                               rtol=0, atol=1e-12)
+
+
+if __name__ == "__main__":
+    record = {name: {"argv": argv, **numbers(run(argv))} for name, argv in CASES.items()}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

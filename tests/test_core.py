@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import computational_povm, sample_measurement
+from helpers import computational_povm, sample_measurement, scalar_phase_invariant_distance
+from qauction import circuits, cli
 from qauction.core import (
     ContractViolation,
     StateVector,
@@ -184,6 +185,30 @@ class TestPhaseInvariantDistance:
             diag[5] = 0
         assert phase_invariant_distance(u, diag) == phase_invariant_distance(u, np.diag(diag))
         assert (phase_invariant_distance(u, diag) > 1e-9) == (case in ("dense", "zero_in_target"))
+
+    @pytest.mark.parametrize("kind", ["random", "near_phase", "zeros_in_target", "diagonal_target"])
+    def test_matches_the_scalar_loop_exactly(self, kind):
+        rng = np.random.default_rng(["random", "near_phase", "zeros_in_target", "diagonal_target"].index(kind))
+        for _ in range(150):
+            dim = int(rng.integers(1, 17))
+            u = random_unitary(rng, dim)
+            v = {"random": random_unitary(rng, dim),
+                 "near_phase": np.exp(1j * rng.uniform(-4, 4)) * u + rng.uniform(0, 1e-3) * random_unitary(rng, dim),
+                 "zeros_in_target": u * (rng.random((dim, dim)) < 0.6),
+                 "diagonal_target": np.exp(1j * rng.uniform(-3, 3, size=dim)) * (rng.random(dim) < 0.9)}[kind]
+            if kind == "diagonal_target" and rng.random() < 0.5:
+                u = np.diag(np.exp(1j * rng.uniform(-3, 3, size=dim)))
+            assert phase_invariant_distance(u, v) == scalar_phase_invariant_distance(u, v)
+
+    @pytest.mark.parametrize("target", ["bidder:1", "bidder:011", "bidder:1011", "P:1.3,0.4", "P:0.5,1",
+                                        "collusion:10,11", "collusion:01,11", "D:1.5,0.3,4", "D:0.9,0.7,8"])
+    def test_matches_the_scalar_loop_on_circuit_targets(self, target):
+        parsed = cli._parse_target(target)
+        got = circuits.circuit_to_matrix(cli._target_circuit(parsed))
+        want = cli._target_unitary(parsed)
+        nearby = want * np.exp(1e-3j * np.arange(want.size)).reshape(want.shape)
+        for v in (want, nearby):
+            assert phase_invariant_distance(got, v) == scalar_phase_invariant_distance(got, v)
 
     def test_diagonal_target_dimension_mismatch(self):
         with pytest.raises(ContractViolation, match="dimension mismatch"):

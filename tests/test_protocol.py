@@ -195,6 +195,12 @@ class TestBiddingOperators:
     def test_plausible_allocations(self):
         assert plausible_allocations(["10", "11"]) == [0b0000, 0b0011, 0b1000, 0b1011]
 
+    def test_empty_bidder_list_is_a_contract_violation(self):
+        with pytest.raises(ContractViolation, match="need at least one bidder"):
+            plausible_allocations([])
+        with pytest.raises(ContractViolation, match="need at least one bidder"):
+            run_adiabatic([], build_first_price_table(TOY), default_schedule())
+
 
 class TestSchedules:
     def test_presets(self):
@@ -589,6 +595,44 @@ class TestPlausibleSpan:
         assert peak < 10_000_000
 
 
+class TestSpanTrajectory:
+    """A run keeps its span amplitudes; the 2^n states are built once, on
+    the first read of `steps` or `final_state`."""
+
+    def test_steps_are_built_once_and_end_in_the_final_state(self, toy_setup, monkeypatch):
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
+        built = []
+        monkeypatch.setattr(protocol, "StateVector", lambda amps: built.append(amps) or StateVector(amps))
+        assert traj.final_state is traj.steps[-1].state
+        assert traj.steps is traj.steps and len(built) == len(traj.steps) == 21
+
+    def test_steps_scatter_the_span_amplitudes(self, toy_setup):
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("locked"))
+        assert list(traj.span) == traj.plausible and traj.amplitudes.shape == (21, 4)
+        for s, st in enumerate(traj.steps):
+            assert (st.s, st.f) == (s, s / 20)
+            assert np.array_equal(st.state.amplitudes[traj.span], traj.amplitudes[s])
+            assert np.count_nonzero(st.state.amplitudes) <= 4
+            assert (st.success_probability, st.subspace_leakage) == (traj.success[s], traj.leakage[s])
+
+    def test_n12_run_forms_no_full_length_state(self):
+        bids = ["0110", "1011", "0011"]
+        table = build_first_price_table(AuctionConfig(m=3, p=4))
+        factors = tuple(bidding_operator(b) for b in bids)
+        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+        plausible = plausible_allocations(bids)
+        winner = winning_allocation(table, plausible)
+        for variant, lock in (("zeroth", None), ("first", None), ("locked", locking)):
+            tracemalloc.start()
+            try:
+                traj = run_schedule(factors, plausible, winner, table, AdiabaticSchedule(20, 1.5, variant, lock))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096 * 16, f"{variant} peaked at {peak} bytes"  # one 2^12 complex vector
+            assert traj.final_state.n_qubits == 12 and len(traj.steps) == 21
+
+
 class TestSpan:
     """`protocol._span`: the span that the support of |Psi_0> = U|0...0>
     closes to under U and V, on which every variant runs."""
@@ -836,12 +880,25 @@ def _loop_diagonal(expansion, n):
     return diag
 
 
+WIDTHS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]  # every register split up to 12 qubits
+
+
+def _loop_plausible(bids):
+    p = len(bids[0])
+    out = []
+    for combo in itertools.product((False, True), repeat=len(bids)):
+        x = 0
+        for on, b in zip(combo, bids):
+            x = (x << p) | (int(b, 2) if on else 0)
+        out.append(x)
+    return sorted(out)
+
+
 class TestLoopDefinitions:
     """The array versions of the 2^n loops, and the closed-form bidding
     operator, give bit-identical results."""
 
-    @pytest.mark.parametrize("m,p", [(1, 1), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1), (4, 2),
-                                     (3, 3), (5, 2), (11, 1), (3, 4), (4, 3), (6, 2)])
+    @pytest.mark.parametrize("m,p", WIDTHS)
     def test_first_price_tables(self, m, p):
         n = m * p
         table = build_first_price_table(AuctionConfig(m=m, p=p))
@@ -851,6 +908,14 @@ class TestLoopDefinitions:
         # the diagonal loop costs terms x 2^n, so wide tables check a slice of the terms
         terms = expansion if n <= 8 else expansion[:40] + expansion[-40:]
         assert np.array_equal(expansion_diagonal(terms, n), _loop_diagonal(terms, n))
+
+    @pytest.mark.parametrize("m,p", WIDTHS)
+    def test_plausible_allocations(self, m, p):
+        rng = np.random.default_rng(m * 13 + p)
+        for _ in range(3):
+            bids = [format(int(rng.integers(1, 2**p)), f"0{p}b") for _ in range(m)]
+            got = plausible_allocations(bids)
+            assert got == _loop_plausible(bids) and all(type(x) is int for x in got), bids
 
     @pytest.mark.parametrize("width", range(1, 9))
     def test_bidding_operators(self, width):
