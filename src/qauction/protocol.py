@@ -117,20 +117,24 @@ def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
     return np.diag(-table.values).astype(complex)
 
 
+def hamming_weights(n_qubits: int) -> np.ndarray:
+    """Set-bit count of every basis index: the diagonal of W."""
+    if n_qubits < 1:
+        raise ContractViolation("need at least one qubit")
+    weights = np.zeros(1)
+    for _ in range(n_qubits):  # indices 2^k..2^(k+1)-1 add one set bit to 0..2^k-1
+        weights = np.concatenate([weights, weights + 1])
+    return weights
+
+
 def _set_bits(indices) -> np.ndarray:
-    """Set-bit count of each basis index in `indices`: W on those indices."""
+    """Set-bit count of each basis index in `indices`: W on those indices
+    alone, as `hamming_weights(n)[indices]` without the 2^n array."""
     x = np.asarray(indices, dtype=np.int64)
     weights = np.zeros(x.shape)
     for k in range(int(x.max(initial=0)).bit_length()):
         weights += (x >> k) & 1
     return weights
-
-
-def hamming_weights(n_qubits: int) -> np.ndarray:
-    """Set-bit count of every basis index: the diagonal of W."""
-    if n_qubits < 1:
-        raise ContractViolation("need at least one qubit")
-    return _set_bits(np.arange(2**n_qubits))
 
 
 def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
@@ -281,26 +285,15 @@ class TrajectoryStep(NamedTuple):
 
 @dataclass(eq=False)
 class Trajectory:
-    """A search run as it was stepped: the sorted basis indices `span` it
-    ran on, the (S + 1, k) amplitudes there at s = 0..S (exactly 0 off the
-    span), and the success and leakage at each s. The full-length 2^n
-    states are built once, when `steps` or `final_state` is first read."""
+    """A search run: the full-length state at s = 0..S (exactly 0 off the
+    span it ran on), with the success and leakage at each s also kept as
+    arrays."""
 
-    n_qubits: int
-    span: np.ndarray
-    amplitudes: np.ndarray
+    steps: list[TrajectoryStep]
     success: np.ndarray
     leakage: np.ndarray
     winner_index: int
     plausible: list[int] = field(default_factory=list)
-
-    @functools.cached_property
-    def steps(self) -> list[TrajectoryStep]:
-        amps = np.zeros((len(self.amplitudes), 2**self.n_qubits), dtype=complex)
-        amps[:, self.span] = self.amplitudes
-        last = len(amps) - 1
-        return [TrajectoryStep(s, s / last, StateVector(amps[s]), float(self.success[s]),
-                               float(self.leakage[s])) for s in range(len(amps))]
 
     @property
     def final_state(self) -> StateVector:
@@ -551,8 +544,6 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     operators that is the plausible span, and for a Haar U all 2^n indices.
     Each step maps that span into itself, so the run is the full-space run,
     with exactly 0 outside the span, and the leakage is the full-space one.
-    The trajectory keeps the span amplitudes; no 2^n state is formed until
-    its `steps` or `final_state` is read.
     """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
@@ -589,7 +580,11 @@ def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
     in_plausible[plausible] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
-    return Trajectory(table.n_qubits, span, states, success, leakage, winner_index, plausible)
+    amps = np.zeros((len(states), dim), dtype=complex)
+    amps[:, span] = states
+    steps = [TrajectoryStep(s, s / schedule.steps, StateVector(amps[s]), float(success[s]),
+                            float(leakage[s])) for s in range(len(states))]
+    return Trajectory(steps, success, leakage, winner_index, plausible)
 
 
 def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:
