@@ -24,13 +24,11 @@ class ContractViolation(ValueError):
     """An operation was handed an input that breaks its contract."""
 
 
-def _as_matrix(a, stack: bool = False) -> np.ndarray:
-    """`a` as a complex square matrix, or with `stack` also as a (k, b, b)
-    stack of k square matrices."""
+def _as_matrix(a) -> np.ndarray:
+    """`a` as a complex square matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
-        raise ContractViolation(f"expected a square matrix{' or a stack of them' if stack else ''}, "
-                                f"got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -40,13 +38,12 @@ def is_unitary(u, tol: float = ATOL_UNITARY) -> bool:
 
 
 def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
-    """Whether a matrix, or every member of a (k, b, b) stack, is Hermitian."""
-    h = _as_matrix(h, stack=True)
-    return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))) <= tol
+    h = _as_matrix(h)
+    return float(np.max(np.abs(h - h.conj().T))) <= tol
 
 
 def require_hermitian(h, tol: float = ATOL_HERMITIAN, what: str = "operator") -> np.ndarray:
-    h = _as_matrix(h, stack=True)
+    h = _as_matrix(h)
     if not is_hermitian(h, tol):
         raise ContractViolation(f"{what} is not Hermitian within {tol}")
     return h
@@ -90,17 +87,15 @@ class StateVector:
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending;
-    of a stack, one such pair per member along the leading axis."""
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalues[k]
 
 
 def eig_hermitian(h, tol: float = ATOL_HERMITIAN) -> Spectrum:
-    """Diagonalize a Hermitian operator, or every member of a (k, b, b)
-    stack in one `eigh` call; raises ContractViolation if any is not
-    Hermitian."""
+    """Diagonalize a Hermitian operator (in the search, H(f) on one span
+    or cell); raises ContractViolation if it is not Hermitian."""
     h = require_hermitian(h, tol)
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(vals, vecs)

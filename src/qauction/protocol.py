@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -30,6 +31,11 @@ class TieError(RuntimeError):
     """Maximum payoff is tied among plausible allocations; winner undefined."""
 
 
+def _is_count(x) -> bool:
+    """Whether `x` is an integer (Python or numpy), and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     """Register sizing for the single-item auction: m bidders, p qubits
@@ -39,6 +45,8 @@ class AuctionConfig:
     p: int
 
     def __post_init__(self):
+        if not (_is_count(self.m) and _is_count(self.p)):
+            raise ContractViolation(f"m and p must be integers, got {self.m!r} and {self.p!r}")
         if self.m < 1 or self.p < 1:
             raise ContractViolation("m and p must both be positive")
 
@@ -251,6 +259,10 @@ class AdiabaticSchedule:
     locking: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
+        if not _is_count(self.steps):
+            raise ContractViolation(f"step count must be an integer, got {self.steps!r}")
+        if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
+            raise ContractViolation(f"step size delta must be a real number, got {self.delta!r}")
         if self.steps < 1:
             raise ContractViolation("schedule needs at least one step")
         if not 0 < self.delta < math.inf:
@@ -317,110 +329,58 @@ def _factors(factors, dim: int, what: str) -> list[np.ndarray]:
     return factors
 
 
-def _entries(factors, rows: Sequence[int], dim: int, what: str,
-             cols: Sequence[int] | None = None) -> tuple[np.ndarray, Sequence[int]]:
-    """U[rows][:, cols] of the Kronecker product U of `factors` (register
-    order), with the columns it holds. Entry (x, y) is the product of
-    U_j[x_j, y_j] over the registers j, so the block is formed register by
-    register on the product of each register's column digits and U is
-    never built. `cols` None takes the column support of the rows: the
-    product of each factor's support on its picked rows. A lone factor
-    asked for all its rows and columns is returned as it is."""
+def _entries(factors, rows: Sequence[int], dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """U[rows][:, T] of the Kronecker product U of `factors` (register
+    order), with T, the sorted columns it holds: the product of each
+    factor's support on its picked rows, which holds every nonzero column
+    of the rows. Entry (x, y) is the product of U_j[x_j, y_j] over the
+    registers j, so the block is formed register by register on the
+    product of each register's column digits and U is never built."""
     factors = _factors(factors, dim, what)
     idx = np.asarray(rows, dtype=np.int64)
-    want = None if cols is None else np.asarray(cols, dtype=np.int64)
-    if len(factors) == 1 and idx.size == dim and np.array_equal(idx, np.arange(dim)) and (
-            want is None or np.array_equal(want, idx)):
-        return factors[0], range(dim)
     block, taken = np.ones((idx.size, 1), dtype=complex), np.zeros(1, dtype=np.int64)
     stride = dim
     for f in factors:
         stride //= f.shape[0]
         row_digits = (idx // stride) % f.shape[0]
-        if want is None:
-            digits = np.flatnonzero(np.any(f[row_digits] != 0, axis=0))
-        else:
-            digits = np.flatnonzero(np.bincount((want // stride) % f.shape[0], minlength=f.shape[0]))
+        digits = np.flatnonzero(np.any(f[row_digits] != 0, axis=0))
         picked = f[:, digits][row_digits]
         block = (block[:, :, None] * picked[:, None, :]).reshape(idx.size, -1)
         taken = (taken[:, None] * f.shape[0] + digits).reshape(-1)
-    if want is None:
-        return block, taken
-    if not np.array_equal(taken, want):  # `cols` is not a product of digit sets
-        block = block[:, np.searchsorted(taken, want)]
-    return block, cols
+    return block, taken
 
 
-def _blocks(*terms: np.ndarray) -> np.ndarray:
-    """Index blocks on which dense `terms` are jointly block diagonal.
-
-    The blocks are the connected components of the union of the terms'
-    nonzero patterns (made symmetric), found by spreading the smallest
-    index along its nonzero pairs: each sweep takes the least label among
-    each row's nonzero columns, held once as int32, one run per row. If all
-    k components have one size b, they come back as a (k, b) array, rows
-    in order of their smallest index and ascending within; otherwise as one
-    block of every index. A 1-D term is a diagonal and joins nothing."""
-    dim = terms[0].shape[0]
-    pattern = np.eye(dim, dtype=bool)  # every index reaches itself, so no row's run is empty
-    for t in terms:
-        if t.ndim == 2:
-            pattern |= t != 0
-    pattern |= pattern.T
-    cols = np.broadcast_to(np.arange(dim, dtype=np.int32), (dim, dim))[pattern]
-    per_row = np.count_nonzero(pattern, axis=1)
-    starts = np.cumsum(per_row) - per_row
-    labels = np.arange(dim, dtype=np.int32)
-    while True:
-        spread = np.minimum.reduceat(labels[cols], starts)
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    sizes = np.unique(labels, return_counts=True)[1]
-    if np.any(sizes != sizes[0]):
-        return np.arange(dim)[None, :]
-    return np.argsort(labels, kind="stable").reshape(sizes.size, sizes[0])
-
-
-def _block_stack(term: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The (k, b, b) diagonal blocks of a dense term, or of a 1-D diagonal."""
-    if term.ndim == 1:
-        return term[blocks][:, :, None] * np.eye(blocks.shape[1])
-    return term[blocks[:, :, None], blocks[:, None, :]]
+def _terms(u: np.ndarray, w_diag: np.ndarray, hp_diag: np.ndarray,
+           v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The k x k terms U W U^dag and V H_p V^dag of H(f) on a span or
+    cell, from the blocks that `_stepper` takes."""
+    h_p = np.diag(hp_diag) if v is None else (v * hp_diag) @ v.conj().T
+    return (u * w_diag) @ u.conj().T, h_p
 
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
-             hp_diag: np.ndarray, v: np.ndarray | None, start: np.ndarray):
-    """The map (psi, f) -> psi of one search step (see `adiabatic_step`).
+             hp_diag: np.ndarray, v: np.ndarray | None):
+    """The map (psi, f) -> psi of one search step (see `adiabatic_step`)
+    on a span of k indices that every step maps into itself: a run's span
+    (`_span`) or one cell of H(f) (`_cells`).
 
     `u` is the block U[span, T] of the joint operator on the span's rows
     and the columns T they reach, `w_diag` is W on T, `v` is the block
     V[span, T_V] of V, and `hp_diag` is H_p on T_V (on the span when `v` is
-    None), so a step on a span of k indices is k x k. What every step
-    shares is built here once: U^dag, and for "exact" the diagonal blocks
-    of the k x k terms U W U^dag and V H_p V^dag (`_blocks`), so a step
-    diagonalizes H(f) with one stacked `eig_hermitian`. "exact" keeps only
-    the blocks where `start`, the state the steps begin from, is nonzero:
-    a block where it is exactly 0 stays exactly 0 under every step, and
-    the step writes 0 there. "locked" is "zeroth" with V, and V is the
-    identity when absent.
+    None), so a step is k x k. What every step shares is built here once:
+    U^dag, and for "exact" the k x k terms of H(f) (`_terms`), so a step
+    diagonalizes the k x k H(f) with one `eig_hermitian`. "locked" is
+    "zeroth" with V, and V is the identity when absent.
     """
     if v is not None and variant in ("zeroth", "first"):
         raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
     ud = u.conj().T
     if variant == "exact":
-        h_b = (u * w_diag) @ ud
-        h_p = hp_diag if v is None else (v * hp_diag) @ v.conj().T
-        blocks = _blocks(h_b, h_p)
-        blocks = blocks[np.any(start[blocks] != 0, axis=1)]
-        h_b, h_p = _block_stack(h_b, blocks), _block_stack(h_p, blocks)
+        h_b, h_p = _terms(u, w_diag, hp_diag, v)
 
         def exact(psi: np.ndarray, f: float) -> np.ndarray:
             vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
-            amps = vecs.conj().swapaxes(1, 2) @ psi[blocks][:, :, None]
-            out = np.zeros_like(psi)
-            out[blocks] = (vecs @ (np.exp(-1j * delta * vals)[:, :, None] * amps))[:, :, 0]
-            return out
+            return vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
         return exact
     vd = v.conj().T if v is not None else None
 
@@ -450,7 +410,9 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p). V is `v`, or
     else the product of `schedule.locking`, or else the identity; a `v`
     that differs from `schedule.locking` is rejected, and "zeroth" and
-    "first" reject any V.
+    "first" reject any V. Every variant maps each cell of H(f) (`_cells`
+    of U and V) into itself, so the step goes cell by cell over the cells
+    where `state` is nonzero, and the others stay exactly 0.
     """
     if not 1 <= s <= schedule.steps:
         raise ContractViolation(f"step index {s} outside 1..{schedule.steps}")
@@ -458,14 +420,21 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
         raise ContractViolation("operator dimensions do not match the state")
     if schedule.locking is not None:
-        joint = _entries(schedule.locking, range(dim), dim, "locking unitaries", range(dim))[0]
+        joint = functools.reduce(np.kron, _factors(schedule.locking, dim, "locking unitaries"))
         if v is None:
             v = joint
         elif not np.allclose(v, joint, rtol=0, atol=1e-12):
             raise ContractViolation("v differs from the product of the schedule's locking unitaries")
-    step = _stepper(schedule.variant, schedule.delta, u, _diag_of(w, "W"), _diag_of(h_p, "H_p"), v,
-                    state.amplitudes)
-    return StateVector(step(state.amplitudes, s / schedule.steps))
+    w_diag, hp_diag = _diag_of(w, "W"), _diag_of(h_p, "H_p")
+    operators = [((u,), "joint operator")] + ([] if v is None else [((v,), "locking operator")])
+    psi = state.amplitudes
+    out = np.zeros(dim, dtype=complex)
+    for cell in _cells(operators, dim, psi != 0):
+        u_cell, cols = _entries((u,), cell, dim, "joint operator")
+        v_cell, v_cols = (None, cell) if v is None else _entries((v,), cell, dim, "locking operator")
+        step = _stepper(schedule.variant, schedule.delta, u_cell, w_diag[cols], hp_diag[v_cols], v_cell)
+        out[cell] = step(psi[cell], s / schedule.steps)
+    return StateVector(out)
 
 
 def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
@@ -484,28 +453,32 @@ def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
     return np.array(states)
 
 
-def _span(operators, dim: int) -> np.ndarray:
-    """Sorted indices of the span that the support of U|0...0> closes to
-    under the operators, (factors, what) pairs in register order with U's
-    first: two indices are joined when they share a nonzero column of one
+def _span(operators, dim: int, start: int) -> np.ndarray:
+    """Sorted indices of the span that index `start` closes to under the
+    operators, (factors, what) pairs in register order with U's first:
+    two indices are joined when they share a nonzero column of one
     operator. Every step is a function of U W U^dag and V H_p V^dag, so it
-    maps this span into itself.
+    maps this span into itself. Grown from an index of U|0...0>'s support
+    it is the span a run goes on; grown from every index it gives the
+    cells of H(f) (`_cells`).
 
     A Kronecker product joins x and y when every register pair (x_j, y_j)
     shares a nonzero column of that register's factor. When every operator
-    has the same m >= 2 factors of one width, the support of U|0...0> is a
-    product over the registers and so is its closure: all m registers'
-    digit sets grow at once, through the stacked nonzero patterns B of the
-    factors as B (B^T digits). Otherwise (a dense `u` is one factor) one
-    mask over the `dim` indices grows factor by factor, from the digits it
-    holds to the columns they reach and back, and no factor's whole
-    pattern is formed."""
+    has the same m >= 2 factors of one width, the span of `start` is a
+    product over the registers: all m registers' digit sets grow at once,
+    through the stacked nonzero patterns B of the factors as B (B^T digits).
+    Otherwise (a dense `u` is one factor) one mask over the `dim` indices
+    grows factor by factor, from the digits it holds to the columns they
+    reach and back, and no factor's whole pattern is formed."""
     ops = [_factors(factors, dim, what) for factors, what in operators]
     m = len(ops[0])
     if m > 1 and len({f.shape[0] for factors in ops for f in factors}) == 1 and all(
             len(factors) == m for factors in ops):
+        width = ops[0][0].shape[0]
         patterns = [np.array(factors) != 0 for factors in ops]
-        digits = patterns[0][:, :, :1]  # register j's digits of U|0...0>: column 0 of U_j
+        digits = np.zeros((m, width, 1), dtype=bool)
+        for j in range(m):  # register j's digit of `start`
+            digits[j, start // width ** (m - 1 - j) % width] = True
         while True:
             grown = digits
             for b in patterns:  # the digits, the columns they reach, and back
@@ -513,9 +486,8 @@ def _span(operators, dim: int) -> np.ndarray:
             if np.count_nonzero(grown) == np.count_nonzero(digits):
                 return np.flatnonzero(functools.reduce(np.logical_and.outer, digits[:, :, 0]))
             digits = grown
-    mask = np.ones(1, dtype=bool)
-    for f in ops[0]:
-        mask = np.logical_and.outer(mask, f[:, 0] != 0).reshape(-1)
+    mask = np.zeros(dim, dtype=bool)
+    mask[start] = True
     while True:
         grown = mask
         for factors in ops:
@@ -530,6 +502,23 @@ def _span(operators, dim: int) -> np.ndarray:
         if np.count_nonzero(grown) == np.count_nonzero(mask):
             return np.flatnonzero(mask)
         mask = grown
+
+
+def _cells(operators, dim: int, seeds: np.ndarray | None = None) -> np.ndarray:
+    """The cells of H(f) under the operators (as in `_span`) that hold an
+    index of `seeds`, a bool mask over the `dim` indices (every index when
+    None): the span of each such index that no earlier cell holds, as a
+    (k, b) array with rows in order of their smallest seed and ascending
+    within. Every step maps each cell into itself. If the cells differ in
+    size (a Haar U, or the one 16 x 16 collusion factor), one cell of
+    every index."""
+    cells, left = [], np.ones(dim, dtype=bool) if seeds is None else seeds.copy()
+    while left.any():
+        cells.append(_span(operators, dim, int(np.argmax(left))))
+        left[cells[-1]] = False
+    if len({cell.size for cell in cells}) > 1:
+        return np.arange(dim)[None, :]
+    return np.array(cells)
 
 
 def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int],
@@ -550,11 +539,15 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     if not math.isfinite(phase_bound):
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
-    factors = u if isinstance(u, tuple) else (u,)
+    dim = 2**table.n_qubits
+    factors = _factors(u if isinstance(u, tuple) else (u,), dim, "joint operator factors")
     operators = [(factors, "joint operator factors")]
     if schedule.locking is not None:
         operators.append((schedule.locking, "locking unitaries"))
-    span = _span(operators, 2**table.n_qubits)
+    start = 0  # an index where |Psi_0> is nonzero: each factor's first nonzero row in column 0
+    for f in factors:
+        start = start * f.shape[0] + next((i for i, a in enumerate(f[:, 0]) if a != 0), 0)
+    span = _span(operators, dim, start)
     return _run(factors, span, list(plausible), winner_index, table, schedule)
 
 
@@ -572,9 +565,8 @@ def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
     v, v_cols = None, span
     if schedule.locking is not None:
         v, v_cols = _entries(schedule.locking, span, dim, "locking unitaries")
-    start = u[:, 0]
-    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v, start)
-    states = _fold(step, start, schedule.steps)
+    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v)
+    states = _fold(step, u[:, 0], schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
     in_plausible[plausible] = True
@@ -634,23 +626,28 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
 
     When the schedule carries locking unitaries the final term is the
     conjugated V H_p V^dag, matching the locked search. Each row is the
-    sorted union of the spectra of H(f)'s diagonal blocks (`_blocks`).
+    sorted union of the spectra of H(f) on its cells: the plausible span
+    alone, or with `restrict` False the cells of the bidding (and locking)
+    factors (`_cells`), each built from the factor entries, so no
+    2^n x 2^n term is formed when the cells split the space.
     """
     bids = [as_bid(b) for b in bidders]
+    plausible = plausible_allocations(bids)
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
     dim = 2**table.n_qubits
-    # the span block of each term, from the entries of U and V on the
-    # span's rows and the columns those rows reach
-    span = plausible_allocations(bids) if restrict else range(dim)
-    u, cols = _entries([bidding_operator(b) for b in bids], span, dim, "bidding operators")
-    hb = (u * _set_bits(cols)) @ u.conj().T
-    hp = -table.values[span]  # diagonal
+    factors = [bidding_operator(b) for b in bids]
+    operators = [(factors, "bidding operators")]
     if schedule.locking is not None:
-        v, cols = _entries(schedule.locking, span, dim, "locking unitaries")
-        hp = (v * -table.values[cols]) @ v.conj().T
-    blocks = _blocks(hb, hp)
-    hb, hp = _block_stack(hb, blocks), _block_stack(hp, blocks)
+        operators.append((schedule.locking, "locking unitaries"))
+    cells = np.array([plausible]) if restrict else _cells(operators, dim)
+    terms = []
+    for cell in cells:  # from the entries on the cell's rows and the columns they reach
+        u, cols = _entries(factors, cell, dim, "bidding operators")
+        v, v_cols = (None, cell) if schedule.locking is None else _entries(
+            schedule.locking, cell, dim, "locking unitaries")
+        terms.append(_terms(u, _set_bits(cols), -table.values[v_cols], v))
+    hb, hp = np.array(terms).swapaxes(0, 1)
     fs, rows = [], []
     for s in range(schedule.steps + 1):
         f = s / schedule.steps

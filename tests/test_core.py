@@ -81,25 +81,13 @@ class TestEigHermitian:
         with pytest.raises(ContractViolation):
             eig_hermitian(np.array([[0, 1], [0.5, 0]], dtype=complex))
 
-    def test_stack_equals_each_member(self):
-        rng = np.random.default_rng(19)
-        stack = np.array([random_hermitian(rng, 6) for _ in range(5)])
-        vals, vecs = eig_hermitian(stack)
-        assert vals.shape == (5, 6) and vecs.shape == (5, 6, 6)
-        for h, lam, vec in zip(stack, vals, vecs):
-            ref_vals, ref_vecs = np.linalg.eigh(h)
-            np.testing.assert_allclose(lam, ref_vals, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(vec, ref_vecs, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("bad", [complex(0.5, 0), np.nan])
-    def test_stack_rejects_one_non_hermitian_member(self, bad):
-        rng = np.random.default_rng(23)
-        stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
-        stack[2, 0, 1] += bad
+    def test_rejects_nan_entry(self):
+        h = random_hermitian(np.random.default_rng(23), 3)
+        h[0, 1] += np.nan
         with pytest.raises(ContractViolation, match="not Hermitian"):
-            eig_hermitian(stack)
+            eig_hermitian(h)
 
-    @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 2), (4,), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 2), (4,), (2, 2, 2, 2), (3, 3, 3)])
     def test_rejects_non_square_stack(self, shape):
         with pytest.raises(ContractViolation, match="square"):
             eig_hermitian(np.zeros(shape, dtype=complex))

@@ -57,6 +57,14 @@ class TestAuctionConfig:
         with pytest.raises(ContractViolation):
             AuctionConfig(m=0, p=2)
 
+    @pytest.mark.parametrize("m, p", [(1.5, 2), (2, 2.0), (np.float64(2), 2), (True, 2), ("2", 2)])
+    def test_rejects_non_integer_sizes(self, m, p):
+        with pytest.raises(ContractViolation, match="integers"):
+            AuctionConfig(m, p)
+
+    def test_numpy_integers_are_sizes(self):
+        assert AuctionConfig(np.int64(2), 2).total_qubits == 4
+
 
 class TestBidSpec:
     def test_values(self):
@@ -225,6 +233,21 @@ class TestSchedules:
         for delta in (math.inf, math.nan):
             with pytest.raises(ContractViolation):
                 AdiabaticSchedule(steps=10, delta=delta)
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3), 3.0, True, "3"])
+    def test_rejects_non_integer_steps(self, steps):
+        with pytest.raises(ContractViolation, match="integer"):
+            AdiabaticSchedule(steps, 1.0)
+
+    @pytest.mark.parametrize("delta", ["1", None, 1j, True])
+    def test_rejects_non_real_delta(self, delta):
+        with pytest.raises(ContractViolation, match="real number"):
+            AdiabaticSchedule(3, delta)
+
+    def test_numpy_numbers_are_accepted(self):
+        schedule = AdiabaticSchedule(np.int64(3), np.float32(0.5))
+        assert (schedule.steps, schedule.delta) == (3, 0.5)
+        assert AdiabaticSchedule(3, 1).delta == 1
 
     def test_locking_requires_compatible_variant(self):
         v = np.eye(4, dtype=complex)
@@ -447,6 +470,16 @@ class TestEigenvalueTracks:
         assert tracks.eigenvalues.shape == (21, 16)
         np.testing.assert_allclose(tracks.eigenvalues[-1][0], -3, atol=1e-9)
 
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_no_bidders_is_a_contract_violation(self, restrict):
+        with pytest.raises(ContractViolation, match="need at least one bidder"):
+            eigenvalue_tracks([], PayoffTable(0, [0.0]), default_schedule(), restrict=restrict)
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_mixed_widths_are_a_contract_violation(self, restrict):
+        with pytest.raises(ContractViolation, match="share a register width"):
+            eigenvalue_tracks(["1", "10"], PayoffTable(3, np.zeros(8)), default_schedule(), restrict=restrict)
+
 
 def test_phase_invariant_helper_consistency(toy_setup):
     # the joint bidding operator equals the kron of singles
@@ -556,16 +589,12 @@ class TestPlausibleSpan:
         _assert_same_run(span, dense, 0)
 
     def test_entries_match_the_dense_product(self):
-        # any rows and columns (unsorted, not a product of digit sets), and
-        # the column support: the product of each factor's support on its
-        # rows, which holds every nonzero column of the rows
+        # any rows (unsorted), on the column support: the product of each
+        # factor's support on its rows, which holds every nonzero column of the rows
         rng = np.random.default_rng(5)
         factors = (_haar(2, rng), bidding_operator("011"), _haar(4, rng) * (rng.random((4, 4)) < 0.5))
         dense = reduce(np.kron, factors)
-        rows, cols = [37, 2, 40, 5], [63, 0, 9, 17, 44]
-        block, taken = protocol._entries(factors, rows, 64, "factors", cols)
-        assert taken == cols
-        np.testing.assert_array_equal(block, dense[np.ix_(rows, cols)])
+        rows = [37, 2, 40, 5]
         block, taken = protocol._entries(factors, rows, 64, "factors")
         assert set(np.flatnonzero(np.any(dense[rows] != 0, axis=0))) < set(taken)
         np.testing.assert_array_equal(block, dense[np.ix_(rows, taken)])
@@ -581,9 +610,9 @@ class TestPlausibleSpan:
             raise AssertionError("a dense operator was built")
         inner = protocol._entries
 
-        def few_entries(factors, rows, dim, what, cols=None):
+        def few_entries(factors, rows, dim, what):
             assert len(rows) < dim, f"all {dim} rows of the {what} were formed"
-            block, taken = inner(factors, rows, dim, what, cols)
+            block, taken = inner(factors, rows, dim, what)
             assert block.shape == (len(rows), len(taken)) and len(taken) <= len(rows), \
                 f"{len(taken)} columns of the {what} were formed for {len(rows)} rows"
             return block, taken
@@ -625,8 +654,10 @@ class TestSpan:
 
     @staticmethod
     def _span(*operators):
+        # grown from the first index where |Psi_0> = U|0...0> is nonzero
+        start = int(np.flatnonzero(reduce(np.kron, [f[:, 0] for f in operators[0]]))[0])
         n = sum(math.log2(f.shape[0]) for f in operators[0])
-        return protocol._span([(factors, "factors") for factors in operators], 2 ** round(n))
+        return protocol._span([(factors, "factors") for factors in operators], 2 ** round(n), start)
 
     @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
     def test_bidding_and_locking_operators_give_the_plausible_span(self, bids):
@@ -729,51 +760,58 @@ N8_BIDS = SPAN_BIDS[3]
 
 
 class TestBlockDiagonal:
-    """`exact` and the full-space tracks diagonalize H(f) block by block
-    (`protocol._blocks`); the dense eigh of the whole H(f) is the oracle."""
+    """`exact`, `adiabatic_step` and the full-space tracks go cell by cell
+    over H(f)'s cells (`protocol._cells`); the dense eigh of the whole H(f)
+    is the oracle."""
 
-    def _terms(self, bids, locking=None):
-        n = sum(len(b) for b in bids)
-        u = joint_bidding_operator(bids)
-        h_p = -build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0]))).values
-        if locking is not None:
-            v = reduce(np.kron, locking)
-            h_p = (v * h_p) @ v.conj().T
-        return (u * hamming_weights(n)) @ u.conj().T, h_p
+    @staticmethod
+    def _cells(*operators):
+        dim = math.prod(f.shape[0] for f in operators[0])
+        return protocol._cells([(factors, "factors") for factors in operators], dim)
 
     def test_bids_split_into_xor_orbits(self):
-        # each block is {x XOR y : y plausible}, and the blocks cover every index once
-        blocks = protocol._blocks(*self._terms(N8_BIDS))
-        assert blocks.shape == (16, 16)
-        for row in blocks:
+        # each cell is {x XOR y : y plausible}, and the cells cover every index once
+        factors = tuple(bidding_operator(b) for b in N8_BIDS)
+        cells = self._cells(factors)
+        assert cells.shape == (16, 16)
+        for row in cells:
             assert list(row) == sorted(row[0] ^ y for y in plausible_allocations(N8_BIDS))
-        assert sorted(blocks.ravel()) == list(range(256))
+        assert sorted(cells.ravel()) == list(range(256))
         _, schedule, _, _ = _span_setup(N8_BIDS, "locked")
-        np.testing.assert_array_equal(protocol._blocks(*self._terms(N8_BIDS, schedule.locking)), blocks)
+        np.testing.assert_array_equal(self._cells(factors, schedule.locking), cells)
+
+    def test_seeds_pick_the_cells_that_hold_them(self):
+        factors = tuple(bidding_operator(b) for b in N8_BIDS)
+        cells = self._cells(factors)
+        seeds = np.zeros(256, dtype=bool)
+        seeds[[cells[9][0], cells[3][5], cells[3][7]]] = True
+        np.testing.assert_array_equal(protocol._cells([(factors, "factors")], 256, seeds), cells[[3, 9]])
 
     def test_locked_pair_gives_the_same_split(self):
         pair = locking_operators(0.9, 0.7, ["1011", "0110"])
-        blocks = protocol._blocks(*self._terms(["1011", "0110"]))
-        assert blocks.shape == (64, 4)
-        np.testing.assert_array_equal(protocol._blocks(*self._terms(["1011", "0110"], pair.operators)), blocks)
+        factors = (bidding_operator("1011"), bidding_operator("0110"))
+        cells = self._cells(factors)
+        assert cells.shape == (64, 4)
+        np.testing.assert_array_equal(self._cells(factors, pair.operators), cells)
 
     def test_haar_factors_give_one_block(self):
         rng = np.random.default_rng(3)
-        u = np.kron(_haar(4, rng), _haar(4, rng))
-        blocks = protocol._blocks((u * hamming_weights(4)) @ u.conj().T, -np.arange(16.0))
-        np.testing.assert_array_equal(blocks, np.arange(16)[None, :])
+        every = np.arange(16)[None, :]
+        np.testing.assert_array_equal(self._cells((_haar(4, rng), _haar(4, rng))), every)
+        np.testing.assert_array_equal(self._cells((_haar(16, rng),)), every)
         # a Haar V joins what the bidding operators keep apart
-        blocks = protocol._blocks(*self._terms(["10", "11"], (_haar(4, rng), _haar(4, rng))))
-        np.testing.assert_array_equal(blocks, np.arange(16)[None, :])
+        bidding = (bidding_operator("10"), bidding_operator("11"))
+        np.testing.assert_array_equal(self._cells(bidding, (_haar(4, rng), _haar(4, rng))), every)
 
     def test_unequal_components_give_one_block(self):
-        h = np.zeros((4, 4))
-        h[0, 1] = h[1, 0] = h[1, 2] = h[2, 1] = 1.0  # components {0, 1, 2} and {3}
-        np.testing.assert_array_equal(protocol._blocks(h), [[0, 1, 2, 3]])
-        h = np.zeros((4, 4))
-        h[0, 2] = h[2, 0] = 1.0
-        h[1, 3] = 1e-300  # one side is enough to join two indices
-        np.testing.assert_array_equal(protocol._blocks(h, np.arange(4.0)), [[0, 2], [1, 3]])
+        u = np.zeros((4, 4), dtype=complex)
+        u[:3, :3] = _haar(3, np.random.default_rng(9))  # cells {0, 1, 2} and {3}
+        u[3, 3] = 1.0
+        np.testing.assert_array_equal(self._cells((u,)), [[0, 1, 2, 3]])
+        u = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2), np.eye(2))
+        np.testing.assert_array_equal(self._cells((u,)), [[0, 2], [1, 3]])
+        u[1, 0] = 1e-300  # one tiny entry is enough to join two indices
+        np.testing.assert_array_equal(self._cells((u,)), [[0, 1, 2, 3]])
 
     @pytest.mark.parametrize("bids, locked, steps", [
         (N8_BIDS, False, 12), (N8_BIDS, True, 12), (["10", "01", "11", "01", "10"], False, 4),
@@ -801,7 +839,7 @@ class TestBlockDiagonal:
 
     def test_ten_qubits_diagonalize_blocks_of_two_to_the_m(self, monkeypatch):
         # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5, and
-        # each exact step diagonalizes only the one block |Psi_0> touches
+        # each exact step diagonalizes only the span |Psi_0> closes to
         bids = ["10", "01", "11", "01", "10"]
         shapes = {"eig_hermitian": [], "eigvalsh": []}
         eig_hermitian, eigvalsh = protocol.eig_hermitian, np.linalg.eigvalsh
@@ -817,13 +855,46 @@ class TestBlockDiagonal:
         schedule = AdiabaticSchedule(20, 1.5, "exact")
         traj = run_adiabatic(bids, table, schedule)
         tracks = eigenvalue_tracks(bids, table, schedule, restrict=False)
-        assert shapes["eig_hermitian"] == [(1, 32, 32)] * 20
+        assert shapes["eig_hermitian"] == [(32, 32)] * 20
         assert len(shapes["eigvalsh"]) == 21 and max(shape[-1] for shape in shapes["eigvalsh"]) == 2**5
         assert traj.leakage.max() <= 1e-9 and tracks.eigenvalues.shape == (21, 1024)
         outside = np.ones(1024, dtype=bool)
         outside[plausible_allocations(bids)] = False
-        for st in traj.steps:  # the other blocks hold exactly nothing
+        for st in traj.steps:  # the other cells hold exactly nothing
             assert not np.any(st.state.amplitudes[outside])
+
+
+    def test_n12_full_space_tracks_go_cell_by_cell(self):
+        # 512 cells of 8: no 2^12 x 2^12 term; the endpoints are W and H_p
+        bids = ["0011", "0101", "1001"]
+        table = build_first_price_table(AuctionConfig(m=3, p=4))
+        tracemalloc.start()
+        try:
+            tracks = eigenvalue_tracks(bids, table, default_schedule(), restrict=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000_000
+        assert tracks.eigenvalues.shape == (21, 4096)
+        weights = [bin(x).count("1") for x in range(4096)]
+        np.testing.assert_allclose(tracks.eigenvalues[0], np.sort(weights), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(tracks.eigenvalues[-1], np.sort(-table.values), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+    def test_ten_qubit_exact_step_matches_the_dense_step(self, locked):
+        # a generic state touches all 32 cells; the oracle is one dense eigh of the 1024 x 1024 H(f)
+        bids = ["10", "01", "11", "01", "10"]
+        table = build_first_price_table(AuctionConfig(m=5, p=2))
+        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if locked else None
+        u, w, h_p = joint_bidding_operator(bids), hamming_hamiltonian(10), problem_hamiltonian(table)
+        v = reduce(np.kron, locking) if locked else np.eye(1024)
+        rng = np.random.default_rng(10)
+        psi = rng.normal(size=1024) + 1j * rng.normal(size=1024)
+        psi /= np.linalg.norm(psi)
+        out = adiabatic_step(StateVector(psi), 3, AdiabaticSchedule(10, 1.2, "exact", locking), u, w, h_p)
+        vals, vecs = np.linalg.eigh(0.7 * u @ w @ u.conj().T + 0.3 * v @ h_p @ v.conj().T)
+        expected = vecs @ (np.exp(-1.2j * vals) * (vecs.conj().T @ psi))
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def _loop_first_price(m, p):
