@@ -244,7 +244,7 @@ def cmd_converge(cfg: ScenarioConfig) -> str:
     if cfg.attack != "none":
         raise ConfigError("converge runs the honest schedule; use the attack subcommand")
     traj = _run_for_config(cfg)
-    rows = [(st.s, st.f, st.success_probability, st.subspace_leakage) for st in traj.steps]
+    rows = [(s, s / cfg.steps, traj.success[s], traj.leakage[s]) for s in range(cfg.steps + 1)]
     winner = format(traj.winner_index, f"0{_total_qubits(cfg)}b")
     return _render_csv(_meta(cfg, "converge", winner=winner),
                        ["s", "f", "success_prob", "leakage"], rows)
@@ -320,8 +320,9 @@ def cmd_attack(cfg: ScenarioConfig) -> str:
         cfg = dataclasses.replace(cfg, table="spurious")
         traj = _run_for_config(cfg)
         reveal = adversary.revealing_index(cfg.bids)
-        rows = [(st.s, st.f, st.success_probability, st.subspace_leakage,
-                 float(st.state.probabilities()[reveal])) for st in traj.steps]
+        revealing_prob = traj.probability(reveal)
+        rows = [(s, s / cfg.steps, traj.success[s], traj.leakage[s], revealing_prob[s])
+                for s in range(cfg.steps + 1)]
         revealing = format(reveal, f"0{_total_qubits(cfg)}b")
         return _render_csv(_meta(cfg, "attack", revealing=revealing),
                            ["s", "f", "success_prob", "leakage", "revealing_prob"], rows)

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 ATOL_STATE = 1e-10      # norm drift allowed on construction / per evolution step
 ATOL_UNITARY = 1e-9     # unitarity after operator products
 ATOL_HERMITIAN = 1e-10  # Hermiticity of operator inputs
-_SCAN_ENTRIES = 2**14   # coarse-scan chunk of the phase-invariant distance: 256 KB temporaries
+_SCAN_ENTRIES = 2**14   # scan chunks of the phase-invariant distance: 256 KB temporaries
 
 
 class ContractViolation(ValueError):
@@ -135,10 +136,20 @@ def measurement_probabilities(state: StateVector, povm) -> np.ndarray:
 
 
 def _max_off_diagonal(u: np.ndarray) -> float:
-    """max |u_ij| over i != j, a few rows at a time, so no copy of u is made."""
+    """max |u_ij| over i != j, read once in chunks of about _SCAN_ENTRIES
+    entries, so no copy of u is made; a non-finite entry raises."""
     dim = u.shape[0]
     off = u.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim]  # row i: u[i, i+1:], u[i+1, :i+1]
-    return max((float(np.max(np.abs(off[i:i + 64]))) for i in range(0, dim - 1, 64)), default=0.0)
+    rows = max(1, _SCAN_ENTRIES // dim)
+    top = 0.0
+    for i in range(0, dim - 1, rows):
+        chunk = off[i:i + rows]
+        peak = float(np.max(np.abs(chunk)))
+        if not peak <= top:  # a new maximum, or NaN
+            if not (math.isfinite(peak) or np.isfinite(chunk).all()):
+                raise ContractViolation("phase-invariant distance needs finite matrix entries")
+            top = peak
+    return top
 
 
 def phase_invariant_distance(u, v) -> float:
@@ -158,12 +169,11 @@ def phase_invariant_distance(u, v) -> float:
         v = _as_matrix(v)
     if u.shape != (v.shape * 2 if diagonal else v.shape):
         raise ContractViolation(f"dimension mismatch: {u.shape} vs {v.shape}")
+    rest = 0.0
+    if diagonal:  # u is read once: the off-diagonal maximum, then the diagonal
+        rest, u = _max_off_diagonal(u), np.diagonal(u)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ContractViolation("phase-invariant distance needs finite matrix entries")
-
-    rest = 0.0
-    if diagonal:
-        rest, u = _max_off_diagonal(u), np.diagonal(u)
     tr = np.vdot(v, u)  # tr(v^dag u)
     # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
     rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
 )
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
+_TRACK_ENTRIES = 2**16  # gap tracks: f rows per stacked eigvalsh hold at most this many H(f) entries (1 MB), or one row
 
 
 class TieError(RuntimeError):
@@ -295,21 +297,66 @@ class TrajectoryStep(NamedTuple):
     subspace_leakage: float
 
 
+class _Steps(Sequence):
+    """The steps of a trajectory as a read-only sequence: its length costs
+    nothing, and item s is built when read, with a 2^n state from
+    `Trajectory.state`."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.amplitudes)
+
+    def __getitem__(self, s: int) -> TrajectoryStep:
+        s = range(len(self))[s]
+        traj = self._traj
+        return TrajectoryStep(s, s / (len(self) - 1), traj.state(s), float(traj.success[s]),
+                              float(traj.leakage[s]))
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """A search run: the full-length state at s = 0..S (exactly 0 off the
-    span it ran on), with the success and leakage at each s also kept as
-    arrays."""
+    """A search run on the span it went on: the (S + 1, k) amplitudes on
+    `span` at s = 0..S, with the success and leakage at each s, and the
+    full-length final state (exactly 0 off the span). Other full-length
+    states are built only when read (`state`, `steps`)."""
 
-    steps: list[TrajectoryStep]
+    span: np.ndarray
+    amplitudes: np.ndarray
     success: np.ndarray
     leakage: np.ndarray
     winner_index: int
-    plausible: list[int] = field(default_factory=list)
+    plausible: list[int]
+    final_state: StateVector
+
+    def state(self, s: int) -> StateVector:
+        """The full-length state after step s; the last one is `final_state`."""
+        s = range(len(self.amplitudes))[s]
+        if s == len(self.amplitudes) - 1:
+            return self.final_state
+        return _scatter(self.span, self.amplitudes[s], len(self.final_state))
+
+    def probability(self, index: int) -> np.ndarray:
+        """The probability of basis index `index` at s = 0..S: a column of
+        the span amplitudes, or 0 throughout for an index off the span."""
+        if not (_is_count(index) and 0 <= index < len(self.final_state)):
+            raise ContractViolation(f"basis index {index!r} outside 0..{len(self.final_state) - 1}")
+        at = int(np.searchsorted(self.span, index))
+        if at == self.span.size or self.span[at] != index:
+            return np.zeros(len(self.amplitudes))
+        return np.abs(self.amplitudes[:, at]) ** 2
 
     @property
-    def final_state(self) -> StateVector:
-        return self.steps[-1].state
+    def steps(self) -> _Steps:
+        return _Steps(self)
+
+
+def _scatter(span: np.ndarray, amps: np.ndarray, dim: int) -> StateVector:
+    """The `dim`-long state that holds `amps` on `span` and 0 elsewhere."""
+    out = np.zeros(dim, dtype=complex)
+    out[span] = amps
+    return StateVector(out)
 
 
 def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
@@ -359,42 +406,47 @@ def _terms(u: np.ndarray, w_diag: np.ndarray, hp_diag: np.ndarray,
 
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
-             hp_diag: np.ndarray, v: np.ndarray | None):
-    """The map (psi, f) -> psi of one search step (see `adiabatic_step`)
-    on a span of k indices that every step maps into itself: a run's span
-    (`_span`) or one cell of H(f) (`_cells`).
+             hp_diag: np.ndarray, v: np.ndarray | None, fs: Sequence[float]):
+    """The map (psi, i) -> psi of one search step (see `adiabatic_step`) at
+    f = fs[i], on a span of k indices that every step maps into itself: a
+    run's span (`_span`) or one cell of H(f) (`_cells`).
 
     `u` is the block U[span, T] of the joint operator on the span's rows
     and the columns T they reach, `w_diag` is W on T, `v` is the block
     V[span, T_V] of V, and `hp_diag` is H_p on T_V (on the span when `v` is
     None), so a step is k x k. What every step shares is built here once:
-    U^dag, and for "exact" the k x k terms of H(f) (`_terms`), so a step
-    diagonalizes the k x k H(f) with one `eig_hermitian`. "locked" is
-    "zeroth" with V, and V is the identity when absent.
+    U^dag and the phase tables, (len(fs), |T|) mixer phases and
+    (len(fs), |T_V|) payoff phases from one `np.exp` each, and for "exact"
+    the k x k terms of H(f) (`_terms`), so a step diagonalizes the k x k
+    H(f) with one `eig_hermitian`. "locked" is "zeroth" with V, and V is
+    the identity when absent.
     """
     if v is not None and variant in ("zeroth", "first"):
         raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
-    ud = u.conj().T
     if variant == "exact":
         h_b, h_p = _terms(u, w_diag, hp_diag, v)
 
-        def exact(psi: np.ndarray, f: float) -> np.ndarray:
+        def exact(psi: np.ndarray, i: int) -> np.ndarray:
+            f = fs[i]
             vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
             return vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
         return exact
+    ud = u.conj().T
     vd = v.conj().T if v is not None else None
+    share = delta / 2 if variant == "first" else delta  # "first" mixes twice, half a step each
+    mixer_phases = np.exp(np.array([-1j * (share * (1 - f)) for f in fs])[:, None] * w_diag)
+    payoff_phases = np.exp(np.array([-1j * delta * f for f in fs])[:, None] * hp_diag)
 
-    def mixer(amount: float, psi: np.ndarray) -> np.ndarray:
-        return u @ (np.exp(-1j * amount * w_diag) * (ud @ psi))
+    def mixer(psi: np.ndarray, i: int) -> np.ndarray:
+        return u @ (mixer_phases[i] * (ud @ psi))
 
-    def payoff_phases(psi: np.ndarray, f: float) -> np.ndarray:
-        phases = np.exp(-1j * delta * f * hp_diag)
+    def payoff(psi: np.ndarray, i: int) -> np.ndarray:
+        phases = payoff_phases[i]
         return phases * psi if v is None else v @ (phases * (vd @ psi))
 
     if variant == "first":
-        return lambda psi, f: mixer(delta / 2 * (1 - f),
-                                    payoff_phases(mixer(delta / 2 * (1 - f), psi), f))
-    return lambda psi, f: mixer(delta * (1 - f), payoff_phases(psi, f))
+        return lambda psi, i: mixer(payoff(mixer(psi, i), i), i)
+    return lambda psi, i: mixer(payoff(psi, i), i)
 
 
 def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
@@ -432,18 +484,20 @@ def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
     for cell in _cells(operators, dim, psi != 0):
         u_cell, cols = _entries((u,), cell, dim, "joint operator")
         v_cell, v_cols = (None, cell) if v is None else _entries((v,), cell, dim, "locking operator")
-        step = _stepper(schedule.variant, schedule.delta, u_cell, w_diag[cols], hp_diag[v_cols], v_cell)
-        out[cell] = step(psi[cell], s / schedule.steps)
+        step = _stepper(schedule.variant, schedule.delta, u_cell, w_diag[cols], hp_diag[v_cols], v_cell,
+                        [s / schedule.steps])
+        out[cell] = step(psi[cell], 0)
     return StateVector(out)
 
 
 def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
     """The (S + 1, k) stack of `psi` and the states after steps 1..S, each
-    renormalised. A step that leaves its state more than ATOL_STATE off
-    norm 1 (NaN included) raises."""
+    renormalised; `step` takes step s as index s - 1 (`_stepper` over the
+    grid f = 1/S..1). A step that leaves its state more than ATOL_STATE
+    off norm 1 (NaN included) raises."""
     states = [psi]
     for s in range(1, steps + 1):
-        psi = step(psi, s / steps)
+        psi = step(psi, s - 1)
         re, im = psi.real, psi.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own arithmetic, unwrapped
         if not abs(norm - 1.0) <= ATOL_STATE:
@@ -453,14 +507,15 @@ def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
     return np.array(states)
 
 
-def _span(operators, dim: int, start: int) -> np.ndarray:
-    """Sorted indices of the span that index `start` closes to under the
-    operators, (factors, what) pairs in register order with U's first:
-    two indices are joined when they share a nonzero column of one
-    operator. Every step is a function of U W U^dag and V H_p V^dag, so it
-    maps this span into itself. Grown from an index of U|0...0>'s support
-    it is the span a run goes on; grown from every index it gives the
-    cells of H(f) (`_cells`).
+def _span(operators, dim: int, start) -> np.ndarray:
+    """Sorted indices of the span that the indices of `start` close to
+    under the operators, (factors, what) pairs in register order with U's
+    first: two indices are joined when they share a nonzero column of one
+    operator. `start` is a product set of indices, one array of digits per
+    factor of U. Every step is a function of U W U^dag and V H_p V^dag, so
+    it maps this span into itself. Grown from U|0...0>'s support (each
+    factor's nonzero rows in column 0) it is the span a run goes on; grown
+    from every index it gives the cells of H(f) (`_cells`).
 
     A Kronecker product joins x and y when every register pair (x_j, y_j)
     shares a nonzero column of that register's factor. When every operator
@@ -477,8 +532,8 @@ def _span(operators, dim: int, start: int) -> np.ndarray:
         width = ops[0][0].shape[0]
         patterns = [np.array(factors) != 0 for factors in ops]
         digits = np.zeros((m, width, 1), dtype=bool)
-        for j in range(m):  # register j's digit of `start`
-            digits[j, start // width ** (m - 1 - j) % width] = True
+        for j in range(m):  # register j's digits of `start`
+            digits[j, start[j]] = True
         while True:
             grown = digits
             for b in patterns:  # the digits, the columns they reach, and back
@@ -486,8 +541,11 @@ def _span(operators, dim: int, start: int) -> np.ndarray:
             if np.count_nonzero(grown) == np.count_nonzero(digits):
                 return np.flatnonzero(functools.reduce(np.logical_and.outer, digits[:, :, 0]))
             digits = grown
-    mask = np.zeros(dim, dtype=bool)
-    mask[start] = True
+    held = []
+    for f, digits in zip(ops[0], start):
+        held.append(np.zeros(f.shape[0], dtype=bool))
+        held[-1][digits] = True
+    mask = functools.reduce(np.logical_and.outer, held).reshape(-1)
     while True:
         grown = mask
         for factors in ops:
@@ -512,9 +570,11 @@ def _cells(operators, dim: int, seeds: np.ndarray | None = None) -> np.ndarray:
     within. Every step maps each cell into itself. If the cells differ in
     size (a Haar U, or the one 16 x 16 collusion factor), one cell of
     every index."""
+    factors, what = operators[0]
+    widths = [f.shape[0] for f in _factors(factors, dim, what)]
     cells, left = [], np.ones(dim, dtype=bool) if seeds is None else seeds.copy()
     while left.any():
-        cells.append(_span(operators, dim, int(np.argmax(left))))
+        cells.append(_span(operators, dim, np.unravel_index(int(np.argmax(left)), widths)))
         left[cells[-1]] = False
     if len({cell.size for cell in cells}) > 1:
         return np.arange(dim)[None, :]
@@ -544,9 +604,9 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
     operators = [(factors, "joint operator factors")]
     if schedule.locking is not None:
         operators.append((schedule.locking, "locking unitaries"))
-    start = 0  # an index where |Psi_0> is nonzero: each factor's first nonzero row in column 0
-    for f in factors:
-        start = start * f.shape[0] + next((i for i, a in enumerate(f[:, 0]) if a != 0), 0)
+    start = [np.flatnonzero(f[:, 0]) for f in factors]  # the support of |Psi_0>, register by register
+    if not all(digits.size for digits in start):
+        raise ContractViolation("U|0...0> is 0, so the search has no start state")
     span = _span(operators, dim, start)
     return _run(factors, span, list(plausible), winner_index, table, schedule)
 
@@ -559,24 +619,23 @@ def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
     of |0...0>, so U[span, T] starts with |Psi_0> on the span. Success and
     leakage, 1 minus the probability on `plausible`, are read once from
     the stacked span amplitudes; a step that drifts off norm 1 raises
-    (`_fold`)."""
+    (`_fold`). The final state is the one full-length state the run
+    builds; the trajectory forms the others only when they are read."""
     dim = 2**table.n_qubits
     u, cols = _entries(factors, span, dim, "joint operator factors")
     v, v_cols = None, span
     if schedule.locking is not None:
         v, v_cols = _entries(schedule.locking, span, dim, "locking unitaries")
-    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v)
+    fs = [s / schedule.steps for s in range(1, schedule.steps + 1)]
+    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v, fs)
     states = _fold(step, u[:, 0], schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
     in_plausible[plausible] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
-    amps = np.zeros((len(states), dim), dtype=complex)
-    amps[:, span] = states
-    steps = [TrajectoryStep(s, s / schedule.steps, StateVector(amps[s]), float(success[s]),
-                            float(leakage[s])) for s in range(len(states))]
-    return Trajectory(steps, success, leakage, winner_index, plausible)
+    return Trajectory(span, states, success, leakage, winner_index, plausible,
+                      _scatter(span, states[-1], dim))
 
 
 def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:
@@ -629,7 +688,9 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     sorted union of the spectra of H(f) on its cells: the plausible span
     alone, or with `restrict` False the cells of the bidding (and locking)
     factors (`_cells`), each built from the factor entries, so no
-    2^n x 2^n term is formed when the cells split the space.
+    2^n x 2^n term is formed when the cells split the space. One stacked
+    `eigvalsh` takes H(f) on every cell over a run of f rows, as many as
+    fit in `_TRACK_ENTRIES` entries, and at least one.
     """
     bids = [as_bid(b) for b in bidders]
     plausible = plausible_allocations(bids)
@@ -648,11 +709,10 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
             schedule.locking, cell, dim, "locking unitaries")
         terms.append(_terms(u, _set_bits(cols), -table.values[v_cols], v))
     hb, hp = np.array(terms).swapaxes(0, 1)
-    fs, rows = [], []
-    for s in range(schedule.steps + 1):
-        f = s / schedule.steps
-        rows.append(np.sort(np.linalg.eigvalsh((1 - f) * hb + f * hp), axis=None))
-        fs.append(f)
-    rows = np.array(rows)
+    fs = np.arange(schedule.steps + 1) / schedule.steps
+    chunk = max(1, _TRACK_ENTRIES // hb.size)  # f rows per stacked eigvalsh
+    rows = np.concatenate([np.linalg.eigvalsh((1 - f) * hb + f * hp).reshape(f.shape[0], -1)
+                           for f in (fs[i:i + chunk, None, None, None] for i in range(0, fs.size, chunk))])
+    rows.sort(axis=1)
     g_min = float(np.min(rows[:, 1] - rows[:, 0]))
-    return EigenTracks(np.array(fs), rows, g_min)
+    return EigenTracks(fs, rows, g_min)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import computational_povm, sample_measurement, scalar_phase_invariant_distance
-from qauction import circuits, cli
+from qauction import circuits, cli, core
 from qauction.core import (
     ContractViolation,
     StateVector,
@@ -211,6 +211,21 @@ class TestPhaseInvariantDistance:
                 phase_invariant_distance(u, v)
         with pytest.raises(ContractViolation, match="finite"):
             phase_invariant_distance(np.eye(2), np.array([1, bad]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_chunk", "last_entry"])
+    def test_diagonal_target_rejects_non_finite_off_diagonal_at_chunk_edges(self, bad, where):
+        # the off-diagonal entries go in chunks of `rows` rows of u.flat[1 + i*(dim + 1):][:dim]
+        dim = 256
+        rows = core._SCAN_ENTRIES // dim
+        u = np.eye(dim, dtype=complex)
+        at = {"last_of_chunk": (rows, rows - 1), "first_of_chunk": (rows, rows + 1),
+              "last_entry": (dim - 1, dim - 2)}[where]
+        u[at] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            phase_invariant_distance(u, np.ones(dim))
+        u[at] = 0.5  # a finite maximum there is read, not rejected
+        assert phase_invariant_distance(u, np.ones(dim)) == 0.5
 
 
 def test_hermiticity_predicate():

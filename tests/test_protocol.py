@@ -470,6 +470,34 @@ class TestEigenvalueTracks:
         assert tracks.eigenvalues.shape == (21, 16)
         np.testing.assert_allclose(tracks.eigenvalues[-1][0], -3, atol=1e-9)
 
+    @pytest.mark.parametrize("cap", [1, None, 2**30], ids=["per_f", "default", "one_call"])
+    @pytest.mark.parametrize("bids, restrict, locked", [
+        (["10", "01", "11", "01", "10"], True, False),
+        (["10", "01", "11", "01", "10"], False, False),
+        (["10", "01", "11"], False, True),
+    ], ids=["n10_restricted", "n10_cells", "n6_locked_cells"])
+    def test_stacked_tracks_equal_the_per_f_loop(self, bids, restrict, locked, cap, monkeypatch):
+        # the oracle: one eigvalsh per f over the stack of cells, each row sorted
+        table = build_first_price_table(AuctionConfig(m=len(bids), p=2))
+        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if locked else None
+        schedule = AdiabaticSchedule(20, 1.5, "locked" if locked else "zeroth", locking)
+        factors, dim = [bidding_operator(b) for b in bids], 2**table.n_qubits
+        operators = [(factors, "bidding")] + ([(locking, "locking")] if locked else [])
+        cells = np.array([plausible_allocations(bids)]) if restrict else protocol._cells(operators, dim)
+        terms = []
+        for cell in cells:
+            u, cols = protocol._entries(factors, cell, dim, "bidding")
+            v, v_cols = protocol._entries(locking, cell, dim, "locking") if locked else (None, cell)
+            terms.append(protocol._terms(u, protocol._set_bits(cols), -table.values[v_cols], v))
+        hb, hp = np.array(terms).swapaxes(0, 1)
+        fs = [s / 20 for s in range(21)]
+        rows = np.array([np.sort(np.linalg.eigvalsh((1 - f) * hb + f * hp), axis=None) for f in fs])
+        if cap is not None:
+            monkeypatch.setattr(protocol, "_TRACK_ENTRIES", cap)
+        tracks = eigenvalue_tracks(bids, table, schedule, restrict=restrict)
+        assert np.array_equal(tracks.f_values, fs) and np.array_equal(tracks.eigenvalues, rows)
+        assert tracks.g_min == float(np.min(rows[:, 1] - rows[:, 0]))
+
     @pytest.mark.parametrize("restrict", [True, False])
     def test_no_bidders_is_a_contract_violation(self, restrict):
         with pytest.raises(ContractViolation, match="need at least one bidder"):
@@ -632,12 +660,53 @@ class TestPlausibleSpan:
 
 
 class TestSpanTrajectory:
-    """A run's trajectory: full-length states, zero off the span it ran on,
-    and the success and leakage arrays that its steps carry."""
+    """A run's trajectory: the span amplitudes, one full-length final state,
+    other full-length states zero off the span and built when read, and the
+    success and leakage arrays that its steps carry."""
 
     def test_final_state_is_the_last_step(self, toy_setup):
         traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
         assert traj.final_state is traj.steps[-1].state and len(traj.steps) == 21
+        assert traj.state(20) is traj.state(-1) is traj.final_state
+
+    @pytest.mark.parametrize("variant", ["zeroth", "first", "locked", "exact"])
+    def test_a_run_builds_one_full_length_state(self, variant, monkeypatch):
+        bids = ["0011", "0101", "1001"]
+        table = build_first_price_table(AuctionConfig(m=3, p=4))
+        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if variant == "locked" else None
+        schedule = AdiabaticSchedule(20, 1.5, variant, locking)
+        factors = tuple(bidding_operator(b) for b in bids)  # no dense 4096 x 4096 operator for `exact`
+        plausible = plausible_allocations(bids)
+        built = []
+        init = StateVector.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(len(args[0]))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(StateVector, "__init__", counted)
+        traj = run_schedule(factors, plausible, winning_allocation(table, plausible), table, schedule)
+        assert built == [4096]
+        assert len(traj.steps) == 21 and traj.amplitudes.shape == (21, 8) and built == [4096]
+        assert traj.steps[3].state.n_qubits == 12 and built == [4096, 4096]
+
+    @pytest.mark.parametrize("variant", ["zeroth", "locked"])
+    def test_states_and_probabilities_are_the_dense_scatter(self, variant):
+        bids = ["10", "01", "11"]
+        table, schedule, plausible, winner = _span_setup(bids, variant)
+        traj = run_adiabatic(bids, table, schedule)
+        dense = np.zeros((schedule.steps + 1, 64), dtype=complex)
+        dense[:, traj.span] = traj.amplitudes
+        np.testing.assert_array_equal(traj.span, plausible)
+        for s in range(schedule.steps + 1):
+            assert traj.state(s).amplitudes.tobytes() == dense[s].tobytes()
+            assert traj.steps[s].state.amplitudes.tobytes() == dense[s].tobytes()
+        for index in range(64):
+            want = np.array([StateVector(row).probabilities()[index] for row in dense])
+            assert traj.probability(index).tobytes() == want.tobytes()
+        assert traj.probability(winner).tobytes() == traj.success.tobytes()
+        for bad in (-1, 64, 1.0, True):
+            with pytest.raises(ContractViolation, match="basis index"):
+                traj.probability(bad)
 
     def test_steps_are_zero_off_the_span(self, toy_setup):
         traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("locked"))
@@ -654,8 +723,8 @@ class TestSpan:
 
     @staticmethod
     def _span(*operators):
-        # grown from the first index where |Psi_0> = U|0...0> is nonzero
-        start = int(np.flatnonzero(reduce(np.kron, [f[:, 0] for f in operators[0]]))[0])
+        # grown from the support of |Psi_0> = U|0...0>: each factor's nonzero rows in column 0
+        start = [np.flatnonzero(f[:, 0]) for f in operators[0]]
         n = sum(math.log2(f.shape[0]) for f in operators[0])
         return protocol._span([(factors, "factors") for factors in operators], 2 ** round(n), start)
 
@@ -838,8 +907,9 @@ class TestBlockDiagonal:
         np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=1e-12)
 
     def test_ten_qubits_diagonalize_blocks_of_two_to_the_m(self, monkeypatch):
-        # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5, and
-        # each exact step diagonalizes only the span |Psi_0> closes to
+        # m = 5 bidders: no eigh or eigvalsh member may be wider than 2^5, each
+        # exact step diagonalizes only the span |Psi_0> closes to, and the tracks
+        # stack H(f) over runs of f rows and the 32 cells of 32
         bids = ["10", "01", "11", "01", "10"]
         shapes = {"eig_hermitian": [], "eigvalsh": []}
         eig_hermitian, eigvalsh = protocol.eig_hermitian, np.linalg.eigvalsh
@@ -856,7 +926,9 @@ class TestBlockDiagonal:
         traj = run_adiabatic(bids, table, schedule)
         tracks = eigenvalue_tracks(bids, table, schedule, restrict=False)
         assert shapes["eig_hermitian"] == [(32, 32)] * 20
-        assert len(shapes["eigvalsh"]) == 21 and max(shape[-1] for shape in shapes["eigvalsh"]) == 2**5
+        rows = protocol._TRACK_ENTRIES // 32**3  # f rows per stacked call
+        assert shapes["eigvalsh"] == [(min(rows, 21 - i), 32, 32, 32) for i in range(0, 21, rows)]
+        assert len(shapes["eigvalsh"]) < 21 and max(shape[-1] for shape in shapes["eigvalsh"]) == 2**5
         assert traj.leakage.max() <= 1e-9 and tracks.eigenvalues.shape == (21, 1024)
         outside = np.ones(1024, dtype=bool)
         outside[plausible_allocations(bids)] = False
