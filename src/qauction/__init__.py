@@ -21,20 +21,16 @@ from .protocol import (
     PayoffTable,
     TieError,
     Trajectory,
-    adiabatic_step,
     auto_delta,
     bidding_operator,
     build_first_price_table,
     default_schedule,
     eigenvalue_tracks,
     fine_schedule,
-    hamming_hamiltonian,
-    initial_superposition,
     joint_bidding_operator,
     pauli_z_expansion,
     payoff,
     plausible_allocations,
-    problem_hamiltonian,
     run_adiabatic,
 )
 from .circuits import (

@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    ATOL_STATE,
-    ContractViolation,
-    StateVector,
-    eig_hermitian,
-    require_hermitian,
-)
+from .core import ATOL_STATE, ContractViolation, StateVector, eig_hermitian
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
 _TRACK_ENTRIES = 2**16  # gap tracks: f rows per stacked eigvalsh hold at most this many H(f) entries (1 MB), or one row
@@ -122,11 +116,6 @@ def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     return PayoffTable(m * p, values)
 
 
-def problem_hamiltonian(table: PayoffTable) -> np.ndarray:
-    """Diagonal operator whose entries are negated payoffs."""
-    return np.diag(-table.values).astype(complex)
-
-
 def hamming_weights(n_qubits: int) -> np.ndarray:
     """Set-bit count of every basis index: the diagonal of W."""
     if n_qubits < 1:
@@ -145,11 +134,6 @@ def _set_bits(indices) -> np.ndarray:
     for k in range(int(x.max(initial=0)).bit_length()):
         weights += (x >> k) & 1
     return weights
-
-
-def hamming_hamiltonian(n_qubits: int) -> np.ndarray:
-    """Diagonal operator counting set bits; ground state |0...0> at 0."""
-    return np.diag(hamming_weights(n_qubits).astype(complex))
 
 
 def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]:
@@ -235,18 +219,6 @@ def plausible_allocations(bidders: Sequence[BidSpec | str]) -> list[int]:
     return out.tolist()
 
 
-def initial_superposition(bidders: Sequence[BidSpec | str]) -> StateVector:
-    """(tensor of bidding operators) applied to |0...0>: uniform amplitude
-    2^(-m/2) on every plausible allocation."""
-    bids = [as_bid(b) for b in bidders]
-    if not bids:
-        raise ContractViolation("need at least one bidder")
-    amps = np.array([1.0 + 0j])
-    for b in bids:
-        amps = np.kron(amps, bidding_operator(b)[:, 0])
-    return StateVector(amps)
-
-
 @dataclass(frozen=True)
 class AdiabaticSchedule:
     """Discrete schedule: S steps of size delta, f = s/S for s = 1..S.
@@ -300,7 +272,7 @@ class TrajectoryStep(NamedTuple):
 class _Steps(Sequence):
     """The steps of a trajectory as a read-only sequence: its length costs
     nothing, and item s is built when read, with a 2^n state from
-    `Trajectory.state`."""
+    `Trajectory.state`; a slice is the list of its items."""
 
     def __init__(self, traj: "Trajectory"):
         self._traj = traj
@@ -308,7 +280,9 @@ class _Steps(Sequence):
     def __len__(self) -> int:
         return len(self._traj.amplitudes)
 
-    def __getitem__(self, s: int) -> TrajectoryStep:
+    def __getitem__(self, s: int | slice) -> TrajectoryStep | list[TrajectoryStep]:
+        if isinstance(s, slice):
+            return [self[i] for i in range(len(self))[s]]
         s = range(len(self))[s]
         traj = self._traj
         return TrajectoryStep(s, s / (len(self) - 1), traj.state(s), float(traj.success[s]),
@@ -332,6 +306,8 @@ class Trajectory:
 
     def state(self, s: int) -> StateVector:
         """The full-length state after step s; the last one is `final_state`."""
+        if not _is_count(s):
+            raise ContractViolation(f"step index {s!r} is not an integer")
         s = range(len(self.amplitudes))[s]
         if s == len(self.amplitudes) - 1:
             return self.final_state
@@ -357,14 +333,6 @@ def _scatter(span: np.ndarray, amps: np.ndarray, dim: int) -> StateVector:
     out = np.zeros(dim, dtype=complex)
     out[span] = amps
     return StateVector(out)
-
-
-def _diag_of(op: np.ndarray, what: str) -> np.ndarray:
-    """Diagonal of an operator that the protocol requires to be diagonal."""
-    op = require_hermitian(op, what=what)
-    if float(np.max(np.abs(op - np.diag(np.diag(op))))) > 1e-12:
-        raise ContractViolation(f"{what} must be diagonal in the computational basis")
-    return np.real(np.diag(op))
 
 
 def _factors(factors, dim: int, what: str) -> list[np.ndarray]:
@@ -407,9 +375,15 @@ def _terms(u: np.ndarray, w_diag: np.ndarray, hp_diag: np.ndarray,
 
 def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
              hp_diag: np.ndarray, v: np.ndarray | None, fs: Sequence[float]):
-    """The map (psi, i) -> psi of one search step (see `adiabatic_step`) at
-    f = fs[i], on a span of k indices that every step maps into itself: a
-    run's span (`_span`) or one cell of H(f) (`_cells`).
+    """The map (psi, i) -> psi of one search step at f = fs[i]:
+
+    exact : exp(-i*delta*[(1-f) U W U^dag + f V H_p V^dag]) |psi>
+    zeroth: U D(delta,1-f) U^dag P(delta,f) |psi>
+    first : U D(delta/2,1-f) U^dag P(delta,f) U D(delta/2,1-f) U^dag |psi>
+    locked: U D(delta,1-f) U^dag V P(delta,f) V^dag |psi>
+
+    with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p), on a run's
+    span (`_span`), k indices that every step maps into itself.
 
     `u` is the block U[span, T] of the joint operator on the span's rows
     and the columns T they reach, `w_diag` is W on T, `v` is the block
@@ -421,8 +395,6 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     H(f) with one `eig_hermitian`. "locked" is "zeroth" with V, and V is
     the identity when absent.
     """
-    if v is not None and variant in ("zeroth", "first"):
-        raise ContractViolation(f"variant {variant!r} has no locking slot; use 'locked' or 'exact'")
     if variant == "exact":
         h_b, h_p = _terms(u, w_diag, hp_diag, v)
 
@@ -447,47 +419,6 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     if variant == "first":
         return lambda psi, i: mixer(payoff(mixer(psi, i), i), i)
     return lambda psi, i: mixer(payoff(psi, i), i)
-
-
-def adiabatic_step(state: StateVector, s: int, schedule: AdiabaticSchedule,
-                   u: np.ndarray, w: np.ndarray, h_p: np.ndarray,
-                   v: np.ndarray | None = None) -> StateVector:
-    """One iteration of the discrete search at f = s/S.
-
-    exact : exp(-i*delta*[(1-f) U W U^dag + f V H_p V^dag]) |psi>
-    zeroth: U D(delta,1-f) U^dag P(delta,f) |psi>
-    first : U D(delta/2,1-f) U^dag P(delta,f) U D(delta/2,1-f) U^dag |psi>
-    locked: U D(delta,1-f) U^dag V P(delta,f) V^dag |psi>
-
-    with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p). V is `v`, or
-    else the product of `schedule.locking`, or else the identity; a `v`
-    that differs from `schedule.locking` is rejected, and "zeroth" and
-    "first" reject any V. Every variant maps each cell of H(f) (`_cells`
-    of U and V) into itself, so the step goes cell by cell over the cells
-    where `state` is nonzero, and the others stay exactly 0.
-    """
-    if not 1 <= s <= schedule.steps:
-        raise ContractViolation(f"step index {s} outside 1..{schedule.steps}")
-    dim = len(state)
-    if any(op is not None and op.shape != (dim, dim) for op in (u, w, h_p, v)):
-        raise ContractViolation("operator dimensions do not match the state")
-    if schedule.locking is not None:
-        joint = functools.reduce(np.kron, _factors(schedule.locking, dim, "locking unitaries"))
-        if v is None:
-            v = joint
-        elif not np.allclose(v, joint, rtol=0, atol=1e-12):
-            raise ContractViolation("v differs from the product of the schedule's locking unitaries")
-    w_diag, hp_diag = _diag_of(w, "W"), _diag_of(h_p, "H_p")
-    operators = [((u,), "joint operator")] + ([] if v is None else [((v,), "locking operator")])
-    psi = state.amplitudes
-    out = np.zeros(dim, dtype=complex)
-    for cell in _cells(operators, dim, psi != 0):
-        u_cell, cols = _entries((u,), cell, dim, "joint operator")
-        v_cell, v_cols = (None, cell) if v is None else _entries((v,), cell, dim, "locking operator")
-        step = _stepper(schedule.variant, schedule.delta, u_cell, w_diag[cols], hp_diag[v_cols], v_cell,
-                        [s / schedule.steps])
-        out[cell] = step(psi[cell], 0)
-    return StateVector(out)
 
 
 def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
@@ -562,17 +493,15 @@ def _span(operators, dim: int, start) -> np.ndarray:
         mask = grown
 
 
-def _cells(operators, dim: int, seeds: np.ndarray | None = None) -> np.ndarray:
-    """The cells of H(f) under the operators (as in `_span`) that hold an
-    index of `seeds`, a bool mask over the `dim` indices (every index when
-    None): the span of each such index that no earlier cell holds, as a
-    (k, b) array with rows in order of their smallest seed and ascending
-    within. Every step maps each cell into itself. If the cells differ in
-    size (a Haar U, or the one 16 x 16 collusion factor), one cell of
-    every index."""
+def _cells(operators, dim: int) -> np.ndarray:
+    """The cells of H(f) under the operators (as in `_span`): the span of
+    each index that no earlier cell holds, as a (k, b) array with rows in
+    order of their smallest index and ascending within. Every step maps
+    each cell into itself. If the cells differ in size (a Haar U, or the
+    one 16 x 16 collusion factor), one cell of every index."""
     factors, what = operators[0]
     widths = [f.shape[0] for f in _factors(factors, dim, what)]
-    cells, left = [], np.ones(dim, dtype=bool) if seeds is None else seeds.copy()
+    cells, left = [], np.ones(dim, dtype=bool)
     while left.any():
         cells.append(_span(operators, dim, np.unravel_index(int(np.argmax(left)), widths)))
         left[cells[-1]] = False
@@ -581,14 +510,14 @@ def _cells(operators, dim: int, seeds: np.ndarray | None = None) -> np.ndarray:
     return np.array(cells)
 
 
-def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int],
+def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
                  winner_index: int, table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
     """Fold the schedule over |Psi_0> = U|0...0>, recording success
     probability against `winner_index` and leakage out of `plausible`.
 
-    `u` is the joint operator, dense or as a tuple of Kronecker factors in
-    register order (the convention of `schedule.locking`); a dense `u` is a
-    one-factor product. Every variant runs on the span that the support of
+    `u` is the joint operator as a tuple of Kronecker factors in register
+    order (the convention of `schedule.locking`); a dense joint operator
+    is a one-factor tuple. Every variant runs on the span that the support of
     |Psi_0> closes to under U and V (`_span`): for bidding and locking
     operators that is the plausible span, and for a Haar U all 2^n indices.
     Each step maps that span into itself, so the run is the full-space run,
@@ -600,7 +529,7 @@ def run_schedule(u: np.ndarray | tuple[np.ndarray, ...], plausible: Sequence[int
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
     dim = 2**table.n_qubits
-    factors = _factors(u if isinstance(u, tuple) else (u,), dim, "joint operator factors")
+    factors = _factors(u, dim, "joint operator factors")
     operators = [(factors, "joint operator factors")]
     if schedule.locking is not None:
         operators.append((schedule.locking, "locking unitaries"))
@@ -666,7 +595,7 @@ def run_adiabatic(bidders: Sequence[BidSpec | str], table: PayoffTable,
         raise ContractViolation("payoff table does not match the bidder registers")
     winner = winning_allocation(table, plausible)
     if schedule.variant == "exact":
-        u = joint_bidding_operator(bids)
+        u = (joint_bidding_operator(bids),)
     else:
         u = tuple(bidding_operator(b) for b in bids)
     return run_schedule(u, plausible, winner, table, schedule)

@@ -93,6 +93,47 @@ def kron_bidding_operator(bits: str) -> np.ndarray:
     return u
 
 
+def dense_run(u: np.ndarray, v: np.ndarray | None, table, schedule) -> np.ndarray:
+    """The (S + 1, 2^n) states of a search written out with dense
+    2^n x 2^n operators: |Psi_0> = U|0...0> and, for s = 1..S at f = s/S,
+    one step of the schedule's variant, renormalised. `u` is the dense
+    joint operator and `v` the dense locking operator (the identity when
+    None); W counts set bits and H_p = diag(-F). `exact` diagonalizes the
+    whole H(f) = (1-f) U W U^dag + f V H_p V^dag; the splittings apply
+    (U e^{-i theta W}) U^dag and (V e^{-i theta H_p}) V^dag."""
+    w = np.array([bin(x).count("1") for x in range(u.shape[0])], dtype=float)
+    h_p = -np.asarray(table.values, dtype=float)
+
+    def conjugated(op, diagonal):  # op diag(diagonal) op^dag, with op = None the identity
+        return np.diag(diagonal) if op is None else (op * diagonal) @ op.conj().T
+
+    h_b, h_payoff = conjugated(u, w), conjugated(v, h_p)
+    states = [u[:, 0]]
+    for s in range(1, schedule.steps + 1):
+        f, delta, psi = s / schedule.steps, schedule.delta, states[-1]
+        if schedule.variant == "exact":
+            vals, vecs = np.linalg.eigh((1 - f) * h_b + f * h_payoff)
+            psi = vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
+        else:
+            payoff = conjugated(v, np.exp(-1j * delta * f * h_p))
+            if schedule.variant == "first":
+                mixer = conjugated(u, np.exp(-1j * delta / 2 * (1 - f) * w))
+                psi = mixer @ (payoff @ (mixer @ psi))
+            else:  # zeroth, and locked, which is zeroth with V
+                psi = conjugated(u, np.exp(-1j * delta * (1 - f) * w)) @ (payoff @ psi)
+        states.append(psi / np.linalg.norm(psi))
+    return np.array(states)
+
+
+def assert_run_matches(traj, states: np.ndarray, atol: float):
+    """A run's states, success and leakage (1 minus the probability on
+    its plausible allocations) against states from `dense_run`."""
+    np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=atol)
+    np.testing.assert_allclose(traj.success, np.abs(states[:, traj.winner_index]) ** 2, rtol=0, atol=atol)
+    leakage = 1 - np.sum(np.abs(states[:, traj.plausible]) ** 2, axis=1)
+    np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=atol)
+
+
 def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """Strict-majority Monte Carlo curve from one full (trials, n_rounds)
     draw per bidder with running counts by `cumsum` along the rounds: the

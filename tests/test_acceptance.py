@@ -41,9 +41,8 @@ from qauction.protocol import (
     default_schedule,
     expansion_diagonal,
     fine_schedule,
-    hamming_hamiltonian,
+    hamming_weights,
     pauli_z_expansion,
-    problem_hamiltonian,
     run_adiabatic,
 )
 
@@ -88,8 +87,8 @@ def test_criterion_01_table_fidelity():
 
 def test_criterion_02_hamiltonian_fidelity():
     table = build_first_price_table(TOY)
-    h_p = np.diag(problem_hamiltonian(table)).real
-    w = np.diag(hamming_hamiltonian(4)).real
+    h_p = -table.values  # H_p = diag(-F), as the search takes it
+    w = hamming_weights(4)
     ok_hp = list(h_p) == [-v for v in TOY_PAYOFFS]
     ok_w = list(w) == [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4]
     expansion = pauli_z_expansion(table)

@@ -64,9 +64,10 @@ class TestSpuriousTable:
         assert payoff(table, 0b1111) == 6
 
     def test_problem_hamiltonian_diagonal(self):
-        from qauction.protocol import problem_hamiltonian
-        diag = np.diag(problem_hamiltonian(spurious_table())).real
-        np.testing.assert_array_equal(diag, [-v for v in SPURIOUS_PAYOFFS])
+        # H(1) = H_p = diag(-F): the f = 1 row of the full-space gap tracks
+        tracks = eigenvalue_tracks(["10", "11"], spurious_table(), default_schedule(), restrict=False)
+        np.testing.assert_allclose(tracks.eigenvalues[-1], np.sort([-v for v in SPURIOUS_PAYOFFS]),
+                                   rtol=0, atol=1e-12)
 
     def test_revealing_index(self):
         assert revealing_index(["10", "11"]) == 0b1011

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import kron_circuit_matrix
+from helpers import dense_run, kron_circuit_matrix
 
 from qauction.circuits import (
     KINDS,
@@ -29,13 +29,10 @@ from qauction.core import ContractViolation, is_unitary, phase_invariant_distanc
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
-    adiabatic_step,
     build_first_price_table,
-    hamming_hamiltonian,
-    initial_superposition,
+    hamming_weights,
     joint_bidding_operator,
     pauli_z_expansion,
-    problem_hamiltonian,
 )
 
 U2 = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]]) / math.sqrt(2)
@@ -156,7 +153,7 @@ class TestDCircuit:
     def test_hamming_phases(self):
         delta, f = 0.9, 0.7
         m = circuit_to_matrix(build_D_circuit(delta, f, 4))
-        weights = np.diag(hamming_hamiltonian(4)).real
+        weights = hamming_weights(4)
         np.testing.assert_allclose(m, np.diag(np.exp(-1j * delta * f * weights)), atol=1e-12)
 
     def test_zero_interpolation_is_identity(self):
@@ -259,7 +256,7 @@ class TestVerifyCircuit:
         assert report.passed and report.distance <= 1e-12
 
     def test_pass_on_mixing_phases(self):
-        weights = np.diag(hamming_hamiltonian(3)).real
+        weights = hamming_weights(3)
         target = np.diag(np.exp(-1j * 0.8 * 0.25 * weights))
         assert verify_circuit(build_D_circuit(0.8, 0.25, 3), target).passed
 
@@ -277,7 +274,7 @@ class TestVerifyCircuit:
                                          Circuit(3, (phase(0, 0.2), phase(2, 0.2)))],
                              ids=["match", "off_diagonal", "wrong_phases"])
     def test_diagonal_target_as_its_diagonal(self, circuit):
-        diagonal = np.exp(-1j * 0.8 * 0.25 * np.diag(hamming_hamiltonian(3)).real)
+        diagonal = np.exp(-1j * 0.8 * 0.25 * hamming_weights(3))
         report, dense = verify_circuit(circuit, diagonal), verify_circuit(circuit, np.diag(diagonal))
         assert report.passed == dense.passed
         assert report.distance == pytest.approx(dense.distance, rel=0, abs=1e-15)
@@ -291,7 +288,7 @@ class TestVerifyCircuit:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * u.nbytes
-        weights = np.diag(hamming_hamiltonian(10)).real
+        weights = hamming_weights(10)
         np.testing.assert_allclose(u, np.diag(np.exp(-1j * 0.45 * weights)), rtol=0, atol=1e-14)
 
 
@@ -315,9 +312,6 @@ class TestFullIterationFromCircuits:
         table = build_first_price_table(AuctionConfig(m=2, p=2))
         expansion = pauli_z_expansion(table)
         u = joint_bidding_operator(["10", "11"])
-        w = hamming_hamiltonian(4)
-        h_p = problem_hamiltonian(table)
-        psi0 = initial_superposition(["10", "11"])
 
         bidder_gates = tuple(build_bidder_circuit("10").gates) + tuple(
             Gate(g.kind, tuple(q + 2 for q in g.qubits), g.angle)
@@ -327,10 +321,8 @@ class TestFullIterationFromCircuits:
         backward = Circuit(4, bidder_gates[::-1])
 
         steps, delta = 20, 1.5
-        w_diag = np.diag(w).real
-        hp_diag = np.diag(h_p).real
-        state = psi0
-        schedule = AdiabaticSchedule(steps, delta, "zeroth")
+        w_diag = hamming_weights(4)
+        hp_diag = -table.values
         for s in range(1, steps + 1):
             f = s / steps
             iteration = (build_P_circuit(expansion, delta, f, 4)
@@ -341,8 +333,8 @@ class TestFullIterationFromCircuits:
                         @ np.diag(np.exp(-1j * delta * f * hp_diag)))
             # the dropped constant expansion term only shifts the global phase
             assert phase_invariant_distance(circuit_to_matrix(iteration), dense_op) <= 1e-8
-            state = adiabatic_step(state, s, schedule, u, w, h_p)
-        assert abs(state.probabilities()[0b0011] - 0.9730152304309398) <= 1e-9
+        state = dense_run(u, None, table, AdiabaticSchedule(steps, delta, "zeroth"))[-1]
+        assert abs(abs(state[0b0011]) ** 2 - 0.9730152304309398) <= 1e-9
 
 
 class TestTextFormat:

@@ -1,21 +1,31 @@
-"""Cross-route checks: the fast trajectory fold, the per-step operation,
-and the circuit layer must all describe the same dynamics, on registers
-larger than the two-bidder/two-qubit scenario too."""
+"""Cross-route checks: the span-native run, the dense step written out
+with 2^n x 2^n operators (`helpers.dense_run`) and the circuit layer must
+all describe the same dynamics, on registers larger than the
+two-bidder/two-qubit scenario too."""
+
+import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+from helpers import assert_run_matches, dense_run
 
-from qauction.adversary import locking_operators, run_locked_auction
+from qauction.adversary import (
+    build_collusion_circuit,
+    locking_operator,
+    locking_operators,
+    run_collusion_defense,
+    run_locked_auction,
+    spurious_table,
+)
+from qauction.circuits import circuit_to_matrix
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
-    adiabatic_step,
     build_first_price_table,
-    hamming_hamiltonian,
-    initial_superposition,
+    default_schedule,
     joint_bidding_operator,
     plausible_allocations,
-    problem_hamiltonian,
     run_adiabatic,
     run_schedule,
     winning_allocation,
@@ -28,14 +38,8 @@ TOY_TABLE = build_first_price_table(AuctionConfig(m=2, p=2))
 def test_fold_matches_single_steps(variant):
     schedule = AdiabaticSchedule(steps=12, delta=1.1, variant=variant)
     traj = run_adiabatic(["10", "11"], TOY_TABLE, schedule)
-    u = joint_bidding_operator(["10", "11"])
-    w = hamming_hamiltonian(4)
-    h_p = problem_hamiltonian(TOY_TABLE)
-    state = initial_superposition(["10", "11"])
-    for s in range(1, schedule.steps + 1):
-        state = adiabatic_step(state, s, schedule, u, w, h_p)
-        np.testing.assert_allclose(state.amplitudes, traj.steps[s].state.amplitudes,
-                                   atol=1e-10)
+    states = dense_run(joint_bidding_operator(["10", "11"]), None, TOY_TABLE, schedule)
+    assert_run_matches(traj, states, 1e-12)
 
 
 @pytest.mark.parametrize("variant", ["exact", "locked"])
@@ -44,15 +48,34 @@ def test_fold_matches_single_steps_locked(variant):
     schedule = AdiabaticSchedule(steps=10, delta=1.2, variant=variant,
                                  locking=pair.operators)
     traj = run_adiabatic(["11", "01"], TOY_TABLE, schedule)
-    u = joint_bidding_operator(["11", "01"])
-    w = hamming_hamiltonian(4)
-    h_p = problem_hamiltonian(TOY_TABLE)
-    v = np.kron(pair.v1, pair.v2)
-    state = initial_superposition(["11", "01"])
-    for s in range(1, schedule.steps + 1):
-        state = adiabatic_step(state, s, schedule, u, w, h_p, v=v)
-        np.testing.assert_allclose(state.amplitudes, traj.steps[s].state.amplitudes,
-                                   atol=1e-10)
+    states = dense_run(joint_bidding_operator(["11", "01"]), np.kron(pair.v1, pair.v2), TOY_TABLE, schedule)
+    assert_run_matches(traj, states, 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["zeroth", "first", "locked"])
+@pytest.mark.parametrize("bids, steps", [
+    (["10", "01", "11", "01"], 12), (["10", "01", "11", "01", "10"], 2),
+], ids=["n8", "n10"])
+def test_wider_runs_match_the_dense_run(bids, steps, variant):
+    # `exact` at n = 8 and 10 is checked by test_protocol's TestBlockDiagonal
+    table = build_first_price_table(AuctionConfig(m=len(bids), p=2))
+    locking = None
+    if variant == "locked":
+        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, (0.9, 0.7, 0.8, 0.6, 0.75)))
+    schedule = AdiabaticSchedule(steps, 1.3, variant, locking)
+    traj = run_adiabatic(bids, table, schedule)
+    v = None if locking is None else reduce(np.kron, locking)
+    states = dense_run(joint_bidding_operator(bids), v, table, schedule)
+    assert_run_matches(traj, states, 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["exact", "zeroth", "first"])
+@pytest.mark.parametrize("b1, b2", list(itertools.combinations(["01", "10", "11"], 2)))
+def test_collusion_run_matches_the_dense_run(b1, b2, variant):
+    schedule = default_schedule(variant)
+    traj = run_collusion_defense([b1, b2], spurious_table(), schedule)
+    states = dense_run(circuit_to_matrix(build_collusion_circuit(b1, b2)), None, spurious_table(), schedule)
+    assert_run_matches(traj, states, 1e-12)
 
 
 def test_locked_run_equals_manual_conjugation():
@@ -98,7 +121,7 @@ class TestWiderRegisters:
         plausible = plausible_allocations(bids)
         winner = winning_allocation(TOY_TABLE, plausible)
         schedule = AdiabaticSchedule(steps=20, delta=1.5, variant="first")
-        a = run_schedule(u, plausible, winner, TOY_TABLE, schedule)
+        a = run_schedule((u,), plausible, winner, TOY_TABLE, schedule)
         b = run_adiabatic(bids, TOY_TABLE, schedule)
         np.testing.assert_allclose(a.final_state.amplitudes,
                                    b.final_state.amplitudes, atol=1e-12)
