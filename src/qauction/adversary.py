@@ -182,38 +182,63 @@ def povm_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarr
     return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "first_correct"))
 
 
-def majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
+def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """Strict-majority rule over N POVM outcomes, for N = 1..n_rounds; a tie
-    counts as not learned, so this is not monotone in N. One categorical
-    outcome per trial and round. Trials go in blocks of _MC_BLOCK rows of
-    the one (trials, n_rounds) draw (consecutive row blocks of
-    `Generator.random` are that draw's doubles), and each block's counts
-    run round by round."""
+    counts as not learned, so this is not monotone in N. Each variant is a
+    per-bidder list of (outcome distribution, true index), every variant
+    with the same number of bidders, and the result has one curve per
+    variant as rows. All variants read the one draw: one categorical
+    outcome per trial and round from one uniform double. Trials go in
+    blocks of _MC_BLOCK rows of each bidder's (trials, n_rounds) draw
+    (consecutive row blocks of `Generator.random` are that draw's
+    doubles), and each block is drawn once and counted for every variant.
+    A trial has learned a bidder by round N when each running margin,
+    true count minus the count of another outcome, is positive; the
+    learned flags are kept packed, one bit per trial."""
+    variants = [list(per) for per in variants]
+    n_bidders = len(variants[0]) if variants else 0
+    if n_bidders == 0 or any(len(per) != n_bidders for per in variants):
+        raise ContractViolation("every variant needs the same, nonzero number of bidders")
     rng = _mc_rng(seed, "majority")
-    count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
-    learned = np.ones((n_rounds, trials), dtype=bool)
-    # one set of block buffers, refilled in place, so no block allocates
+    margin_type = np.min_scalar_type(-n_rounds - 1)  # holds -n_rounds..n_rounds
+    n_outcomes = max(np.size(dist) for per in variants for dist, _ in per)
+    # all ones; the first bidder's packed flags zero the padding bits past `trials`
+    learned = np.full((len(variants), n_rounds, -(-trials // 8)), 0xFF, dtype=np.uint8)
+    # one set of block buffers, refilled in place for every block and variant
     u = np.empty((min(trials, _MC_BLOCK), n_rounds))
     at_or_above = np.empty(u.shape, dtype=bool)
-    for dist, true_index in per_bidder:
-        cdf = np.cumsum(np.asarray(dist))
-        others = [c for c in range(cdf.size) if c != true_index]
-        outcomes = np.empty(u.shape, dtype=np.min_scalar_type(cdf.size))
-        by_round = np.empty(u.shape[::-1], dtype=outcomes.dtype)
+    outcomes = np.empty(u.shape, dtype=np.min_scalar_type(n_outcomes))
+    by_round = np.empty(u.shape[::-1], dtype=outcomes.dtype)
+    flags = np.empty(by_round.shape, dtype=bool)
+    margins = np.empty((n_outcomes - 1,) + by_round.shape, dtype=margin_type)
+    for bidder in range(n_bidders):
+        counted = []
+        for per in variants:
+            dist, true_index = per[bidder]
+            cdf = np.cumsum(np.asarray(dist))
+            # u < 1 never reaches an edge at or above 1.0
+            counted.append((cdf[cdf < 1.0], true_index,
+                            [c for c in range(cdf.size) if c != true_index]))
         for lo in range(0, trials, _MC_BLOCK):
             k = min(_MC_BLOCK, trials - lo)
             rng.random(out=u[:k])
-            outcomes[:k] = 0
-            for edge in cdf:  # outcome = number of cdf edges at or below u
-                outcomes[:k] += np.greater_equal(u[:k], edge, out=at_or_above[:k])
-            by_round[:, :k] = outcomes[:k].T
-            counts = np.zeros((cdf.size, k), dtype=count_type)
-            for r, row in enumerate(by_round[:, :k]):
-                for c in range(cdf.size):
-                    counts[c] += row == c
-                for c in others:
-                    learned[r, lo:lo + k] &= counts[true_index] > counts[c]
-    return learned.mean(axis=1)
+            for bits, (edges, true_index, others) in zip(learned, counted):
+                outcomes[:k] = 0
+                for edge in edges:  # outcome = number of cdf edges at or below u
+                    outcomes[:k] += np.greater_equal(u[:k], edge, out=at_or_above[:k])
+                rounds = by_round[:, :k]
+                rounds[...] = outcomes[:k].T
+                is_true = np.equal(rounds, true_index, out=flags[:, :k]).view(np.int8)
+                is_other = at_or_above[:k].reshape(rounds.shape)  # free once outcomes are in
+                margin = margins[:len(others), :, :k]
+                for m, c in zip(margin, others):
+                    np.subtract(is_true, np.equal(rounds, c, out=is_other).view(np.int8), out=m)
+                for r in range(1, n_rounds):  # running margins, round by round
+                    margin[:, r] += margin[:, r - 1]
+                # every margin positive; initial=1 leaves a single-outcome bidder learned
+                np.greater(np.minimum.reduce(margin, axis=0, initial=1), 0, out=flags[:, :k])
+                bits[:, lo // 8 : lo // 8 + -(-k // 8)] &= np.packbits(flags[:, :k], axis=1)
+    return np.bitwise_count(learned, out=learned).sum(axis=2) / trials
 
 
 def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,

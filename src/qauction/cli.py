@@ -31,11 +31,12 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
-# Largest Monte Carlo grid, trials * rounds: a locked attack peaks at about 1.1 B
-# per cell at 10^6 x 20 (2.5 B, 4.9 MB, at the 100000 x 20 default), most of it
-# the majority curve's one bool per cell, so the cap is about 110 MB at 20 rounds.
-# The first-hit curves hold one byte per trial up to 254 rounds: 10^6 x 1 peaks
-# at 1.2 MB and 10^7 x 1 at 10 MB, so about 100 MB at 10^8 x 1.
+# Largest Monte Carlo grid, trials * rounds: a locked attack's majority curves keep
+# one bit per cell for each column, so it peaks at about 0.25 B per cell plus 2.5 MB
+# of block buffers at 20 rounds (7.5 MB at 10^6 x 20, 27 MB at 5 * 10^6 x 20 on the
+# cap; 3.9 MB at the 100000 x 20 default). The first-hit curves hold one byte per
+# trial up to 254 rounds: 10^6 x 1 peaks at 1.2 MB and 10^7 x 1 at 10 MB, so about
+# 100 MB at 10^8 x 1, the largest peak under the cap.
 MAX_MC_CELLS = 10**8
 
 
@@ -291,20 +292,22 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
     meta_extra: dict = {}
     columns = [np.arange(1, cfg.rounds + 1)]
     rounds = np.arange(1, cfg.rounds + 1, dtype=float)
-    for suffix, lock in variants:
+    solved = [adversary.povm_outcome_distributions(cfg.bids, lock) for _, lock in variants]
+    pers = [[(dist, t) for dist, t, _ in bidders] for bidders in solved]
+    # one majority draw, counted for every variant
+    majority = adversary.majority_mc_curve(pers, cfg.rounds, cfg.trials, cfg.seed)
+    for (suffix, lock), bidders, per, majority_curve in zip(variants, solved, pers, majority):
         basis = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock)
         basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
                                                 mode="monte_carlo", trials=cfg.trials,
                                                 seed=cfg.seed)
-        solved = adversary.povm_outcome_distributions(cfg.bids, lock)
-        per = [(dist, t) for dist, t, _ in solved]
         povm_closed = np.ones(cfg.rounds)
-        for bidder, (_, _, p_e) in enumerate(solved):
+        for bidder, (_, _, p_e) in enumerate(bidders):
             povm_closed *= 1.0 - p_e**rounds
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
         columns += [basis.probabilities, basis_mc.probabilities, povm_closed,
                     adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),
-                    adversary.majority_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed)]
+                    majority_curve]
         header += [f"basis_closed{suffix}", f"basis_mc{suffix}",
                    f"povm_closed{suffix}", f"povm_mc{suffix}", f"povm_mc_majority{suffix}"]
     rows = [tuple(col[idx] for col in columns) for idx in range(cfg.rounds)]

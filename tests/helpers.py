@@ -136,9 +136,10 @@ def assert_run_matches(traj, states: np.ndarray, atol: float):
 
 def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """Strict-majority Monte Carlo curve from one full (trials, n_rounds)
-    draw per bidder with running counts by `cumsum` along the rounds: the
-    reference the blocked `adversary.majority_mc_curve` must match bit for
-    bit, since it reads the same stream."""
+    draw per bidder with running counts by `cumsum` along the rounds, for
+    one variant: the reference each row of the blocked, running-margin
+    `adversary.majority_mc_curve` must match bit for bit, since every
+    variant there reads the same stream."""
     rng = _mc_rng(seed, "majority")
     count_type = np.min_scalar_type(n_rounds)  # running counts never exceed n_rounds
     learned_all = np.ones((trials, n_rounds), dtype=bool)

@@ -179,7 +179,7 @@ class TestMonteCarloCurves:
         np.testing.assert_array_equal(closed, np.zeros(5))
         never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
         np.testing.assert_array_equal(povm_mc_curve(never, 4, 500, 0), np.zeros(4))
-        np.testing.assert_array_equal(majority_mc_curve(never, 4, 500, 0), np.zeros(4))
+        np.testing.assert_array_equal(majority_mc_curve([never], 4, 500, 0), np.zeros((1, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_first_hit_curves_non_decreasing(self, seed):
@@ -197,7 +197,7 @@ class TestMonteCarloCurves:
     def test_same_seed_same_arrays(self):
         dists = [locked_bidding_state(b, None).probabilities() for b in ("10", "11")]
         for curve, arg in ((basis_mc_curve, dists), (povm_mc_curve, SYNTHETIC_BIDDERS),
-                           (majority_mc_curve, SYNTHETIC_BIDDERS)):
+                           (majority_mc_curve, [SYNTHETIC_BIDDERS])):
             first = curve(arg, 6, 3000, 17)
             np.testing.assert_array_equal(first, curve(arg, 6, 3000, 17))
             assert not np.array_equal(first, curve(arg, 6, 3000, 18))
@@ -209,7 +209,7 @@ class TestMonteCarloCurves:
         majority = np.array([np.prod([exact_majority(d, t, n) for d, t in SYNTHETIC_BIDDERS])
                              for n in rounds])
         for mc, exact in ((povm_mc_curve(SYNTHETIC_BIDDERS, n_rounds, trials, 5), first_correct),
-                          (majority_mc_curve(SYNTHETIC_BIDDERS, n_rounds, trials, 5), majority)):
+                          (majority_mc_curve([SYNTHETIC_BIDDERS], n_rounds, trials, 5)[0], majority)):
             sigma = np.sqrt(exact * (1 - exact) / trials)
             assert np.all(np.abs(mc - exact) <= 4 * sigma + 1e-12)
 
@@ -218,52 +218,74 @@ FOUR_OUTCOMES = np.array([0.4, 0.3, 0.2, 0.1])
 
 
 class TestMajorityBlocks:
-    """The blocked, round-by-round majority counts read the same stream as
-    the dense cumsum reference, so every curve is bit for bit the same."""
+    """Every variant's blocked running-margin counts read the one draw that
+    the dense cumsum reference reads, so every curve is bit for bit the
+    same as the reference's for that variant alone."""
 
     @staticmethod
-    def assert_matches_dense(per, n_rounds, trials, seed=11):
-        blocked = majority_mc_curve(per, n_rounds, trials, seed)
-        assert np.array_equal(blocked, dense_majority_mc_curve(per, n_rounds, trials, seed))
-        return blocked
+    def assert_matches_dense(variants, n_rounds, trials, seed=11):
+        curves = majority_mc_curve(variants, n_rounds, trials, seed)
+        assert curves.shape == (len(variants), n_rounds)
+        for curve, per in zip(curves, variants):
+            assert np.array_equal(curve, dense_majority_mc_curve(per, n_rounds, trials, seed))
+        return curves
 
     @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001])
     def test_block_edges(self, trials):
-        self.assert_matches_dense(SYNTHETIC_BIDDERS, 7, trials)
+        # packed flags: one bit per trial, so the last byte of a block can be padding
+        self.assert_matches_dense([SYNTHETIC_BIDDERS, SYNTHETIC_BIDDERS[::-1]], 7, trials)
 
-    @pytest.mark.parametrize("n_rounds", [1, 255, 256])  # counts go uint8 -> uint16 at 256
+    @pytest.mark.parametrize("n_rounds", [1, 127, 128, 255, 256])  # margins go int8 -> int16 at 128
     def test_count_dtype_edges(self, n_rounds):
-        self.assert_matches_dense(SYNTHETIC_BIDDERS, n_rounds, 9000)
-        # a certain true outcome counts up to n_rounds itself, so an overflow would show
-        certain = [(np.array([0.0, 1.0, 0.0]), 1)]
-        np.testing.assert_array_equal(self.assert_matches_dense(certain, n_rounds, 9000),
-                                      np.ones(n_rounds))
+        # a certain true (other) outcome runs the margins to +n_rounds (-n_rounds),
+        # so an overflow would show
+        certain = [(np.array([0.0, 1.0, 0.0]), 1), (np.array([1.0, 0.0, 0.0]), 0)]
+        never = [(np.array([0.0, 1.0, 0.0]), 0), (np.array([0.0, 0.0, 1.0]), 1)]
+        curves = self.assert_matches_dense([SYNTHETIC_BIDDERS, certain, never], n_rounds, 9000)
+        np.testing.assert_array_equal(curves[1:], [np.ones(n_rounds), np.zeros(n_rounds)])
 
     @pytest.mark.parametrize("true_index", range(4))
     def test_four_outcomes(self, true_index):
-        self.assert_matches_dense([(FOUR_OUTCOMES, true_index), SYNTHETIC_BIDDERS[1]], 9, 8193)
+        # one call with a four-outcome and a three-outcome variant
+        self.assert_matches_dense([[(FOUR_OUTCOMES, true_index), SYNTHETIC_BIDDERS[1]],
+                                   SYNTHETIC_BIDDERS], 9, 8193)
 
     def test_never_learned(self):
         never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
-        np.testing.assert_array_equal(self.assert_matches_dense(never, 6, 8193), np.zeros(6))
+        np.testing.assert_array_equal(self.assert_matches_dense([never], 6, 8193), np.zeros((1, 6)))
+
+    def test_cdf_ending_below_and_at_one(self):
+        # a cdf ending below 1.0 has its last edge compared: a tenth of the draws
+        # land past it and count for no outcome; an edge at 1.0 is never reached
+        short, full = np.array([0.5, 0.2, 0.2]), np.array([0.5, 0.25, 0.25])
+        assert np.cumsum(short)[-1] < 1.0 and np.cumsum(full)[-1] == 1.0
+        self.assert_matches_dense([[(short, 0), (full, 1)], [(full, 2), (short, 2)]], 12, 8193)
+
+    def test_variants_need_one_bidder_count(self):
+        for variants in ([], [[]], [SYNTHETIC_BIDDERS, SYNTHETIC_BIDDERS[:1]]):
+            with pytest.raises(ContractViolation):
+                majority_mc_curve(variants, 4, 100, 0)
 
     @pytest.mark.parametrize("bids", [("10", "11"), ("01", "10"), ("01", "11")])
     @pytest.mark.parametrize("locked", [False, True])
     def test_toy_povm_distributions(self, bids, locked):
-        pair = locking_operators(0.77, 0.91, bids) if locked else None
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(bids, pair)]
-        self.assert_matches_dense(per, 20, 20_001)
+        # locked: the CLI's call, the unlocked and the locked variant on one draw
+        locks = [None, locking_operators(0.77, 0.91, bids)] if locked else [None]
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(bids, lock)]
+                    for lock in locks]
+        self.assert_matches_dense(variants, 20, 20_001)
 
     def test_peak_memory_at_cli_default(self):
-        # the dense reference peaks near 25 MB here: a full draw, outcomes and counts
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        # the dense reference peaks near 25 MB a variant here: a full draw, outcomes and counts
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], lock)]
+                    for lock in (None, locking_operators(0.9, 0.7, ["10", "11"]))]
         tracemalloc.start()
         try:
-            majority_mc_curve(per, 20, 100_000, 0)
+            majority_mc_curve(variants, 20, 100_000, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 4e6
 
 
 class TestFirstHitBlocks:
@@ -413,7 +435,7 @@ class TestPovmLearningCurves:
         _, _, p_e = toy_povm
         trials = 20_000
         per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
-        probs = majority_mc_curve(per, 2, trials, 2)
+        probs = majority_mc_curve([per], 2, trials, 2)[0]
         p1 = (1 - p_e) ** 2
         assert abs(probs[0] - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
         # even rounds can tie, so the majority rule is not monotone

@@ -26,6 +26,10 @@ CASES = {
     "gap.unrestricted": ["gap", "--bids", "10,11", "--restrict", "false"],
     "gap.lock": ["gap", "--bids", "11,10", "--defense", "lock"] + LOCK,
     "gap.spurious": ["gap", "--bids", "10,11", "--table", "spurious"],
+    "attack.probe_basis": ["attack", "--attack", "probe_basis", "--bids", "10,11",
+                           "--rounds", "20"],
+    "attack.probe_basis.lock": ["attack", "--attack", "probe_basis", "--bids", "11,10",
+                                "--defense", "lock"] + LOCK,
     "attack.spurious": ["attack", "--attack", "spurious", "--bids", "10,11"],
     "attack.spurious.collude": ["attack", "--attack", "spurious", "--bids", "10,11",
                                 "--defense", "collude"],
