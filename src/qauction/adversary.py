@@ -81,7 +81,7 @@ class LearningCurve:
 
 
 def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarray]:
-    """Hermitian unitary V with V(|0..0> + |b>)/sqrt(2) = alpha|0..0> + ...
+    """Real symmetric unitary V with V(|0..0> + |b>)/sqrt(2) = alpha|0..0> + ...
 
     Built as cos(theta) * Z on the bid's leading set bit plus
     sin(theta) * X on every set bit, with theta = arcsin(alpha) - pi/4.
@@ -96,7 +96,7 @@ def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarra
     dim = 2**p
     lead = min(q for q, ch in enumerate(bid.bits) if ch == "1")
     lead_bit = 1 << (p - 1 - lead)
-    v = np.zeros((dim, dim), dtype=complex)
+    v = np.zeros((dim, dim))
     for x in range(dim):
         v[x, x] = math.cos(theta) * (-1.0 if x & lead_bit else 1.0)
         v[x ^ k, x] += math.sin(theta)

@@ -1,11 +1,13 @@
-"""Dense complex linear algebra, Hermitian spectral tools, and POVM
-measurement for small qubit registers.
+"""Dense linear algebra, Hermitian spectral tools, and POVM measurement
+for small qubit registers.
 
 Conventions used throughout the package:
   * qubit 0 is the MOST significant bit of a basis index, so the basis
     state |q0 q1 ... q_{n-1}> has index q0*2^(n-1) + ... + q_{n-1}
-  * all amplitudes/matrices are complex128; matrices are plain numpy
-    arrays (no wrapper class), states are `StateVector`
+  * amplitudes are complex128; a matrix keeps the dtype of its entries,
+    float64 when they are real and complex128 otherwise, so a real
+    symmetric operator goes to LAPACK's real solvers. Matrices are plain
+    numpy arrays (no wrapper class), states are `StateVector`
 """
 
 from __future__ import annotations
@@ -25,9 +27,17 @@ class ContractViolation(ValueError):
     """An operation was handed an input that breaks its contract."""
 
 
+def as_operator(a) -> np.ndarray:
+    """`a` as a float64 array when its entries are real (bool, integer or
+    float), complex128 otherwise, object arrays included (no copy when it
+    already is one): the dtype of every operator the package builds or takes."""
+    a = np.asarray(a)
+    return a.astype(np.float64 if a.dtype.kind in "biuf" else np.complex128, copy=False)
+
+
 def _as_matrix(a) -> np.ndarray:
-    """`a` as a complex square matrix."""
-    m = np.asarray(a, dtype=complex)
+    """`a` as a square matrix, with the dtype `as_operator` gives."""
+    m = as_operator(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -39,8 +49,10 @@ def is_unitary(u, tol: float = ATOL_UNITARY) -> bool:
 
 
 def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
+    """Whether h equals its conjugate transpose within tol; a matrix with a
+    NaN or infinite entry is not (and inf - inf would warn)."""
     h = _as_matrix(h)
-    return float(np.max(np.abs(h - h.conj().T))) <= tol
+    return bool(np.isfinite(h).all()) and float(np.max(np.abs(h - h.conj().T))) <= tol
 
 
 def require_hermitian(h, tol: float = ATOL_HERMITIAN, what: str = "operator") -> np.ndarray:
@@ -96,7 +108,8 @@ class Spectrum(NamedTuple):
 
 def eig_hermitian(h, tol: float = ATOL_HERMITIAN) -> Spectrum:
     """Diagonalize a Hermitian operator (in the search, H(f) on one span
-    or cell); raises ContractViolation if it is not Hermitian."""
+    or cell); raises ContractViolation if it is not Hermitian. A real
+    symmetric operator gets LAPACK's real solver and real eigenvectors."""
     h = require_hermitian(h, tol)
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(vals, vecs)

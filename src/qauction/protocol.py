@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ATOL_STATE, ContractViolation, StateVector, eig_hermitian
+from .core import ATOL_STATE, ContractViolation, StateVector, as_operator, eig_hermitian
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
 _TRACK_ENTRIES = 2**16  # gap tracks: f rows per stacked eigvalsh hold at most this many H(f) entries (1 MB), or one row
@@ -120,20 +120,13 @@ def hamming_weights(n_qubits: int) -> np.ndarray:
     """Set-bit count of every basis index: the diagonal of W."""
     if n_qubits < 1:
         raise ContractViolation("need at least one qubit")
-    weights = np.zeros(1)
-    for _ in range(n_qubits):  # indices 2^k..2^(k+1)-1 add one set bit to 0..2^k-1
-        weights = np.concatenate([weights, weights + 1])
-    return weights
+    return _set_bits(np.arange(2**n_qubits))
 
 
 def _set_bits(indices) -> np.ndarray:
     """Set-bit count of each basis index in `indices`: W on those indices
     alone, as `hamming_weights(n)[indices]` without the 2^n array."""
-    x = np.asarray(indices, dtype=np.int64)
-    weights = np.zeros(x.shape)
-    for k in range(int(x.max(initial=0)).bit_length()):
-        weights += (x >> k) & 1
-    return weights
+    return np.bitwise_count(np.asarray(indices, dtype=np.int64)).astype(float)
 
 
 def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]:
@@ -174,7 +167,7 @@ def expansion_diagonal(expansion, n_qubits: int) -> np.ndarray:
 
 
 def bidding_operator(bid: BidSpec | str) -> np.ndarray:
-    """Unitary whose first column is (|0...0> + |bid>)/sqrt(2).
+    """Real unitary whose first column is (|0...0> + |bid>)/sqrt(2).
 
     It is Hadamard on the lowest-index set bit (the lead) followed by CNOT
     fan-out onto every other set bit, written in closed form: column x
@@ -188,7 +181,7 @@ def bidding_operator(bid: BidSpec | str) -> np.ndarray:
     lead = 1 << (bid.n_qubits - 1 - bid.bits.index("1"))
     x = np.arange(dim)
     cleared = x & ~lead
-    u = np.zeros((dim, dim), dtype=complex)
+    u = np.zeros((dim, dim))
     u[cleared, x] = 1 / math.sqrt(2)
     u[cleared ^ bid.index, x] = np.where(x & lead, -1.0, 1.0) / math.sqrt(2)
     return u
@@ -336,31 +329,33 @@ def _scatter(span: np.ndarray, amps: np.ndarray, dim: int) -> StateVector:
 
 
 def _factors(factors, dim: int, what: str) -> list[np.ndarray]:
-    """`factors` as complex square matrices whose dimensions multiply to `dim`."""
-    factors = [np.asarray(f, dtype=complex) for f in factors]
+    """`factors` as square matrices (`as_operator`: real ones stay real)
+    whose dimensions multiply to `dim`. A run checks each operator here
+    once and hands the lists on."""
+    factors = [as_operator(f) for f in factors]
     if (any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in factors)
             or math.prod(f.shape[0] for f in factors) != dim):
         raise ContractViolation(f"{what} do not match the register dimension")
     return factors
 
 
-def _entries(factors, rows: Sequence[int], dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """U[rows][:, T] of the Kronecker product U of `factors` (register
-    order), with T, the sorted columns it holds: the product of each
-    factor's support on its picked rows, which holds every nonzero column
-    of the rows. Entry (x, y) is the product of U_j[x_j, y_j] over the
-    registers j, so the block is formed register by register on the
-    product of each register's column digits and U is never built."""
-    factors = _factors(factors, dim, what)
+def _entries(factors: list[np.ndarray], rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """U[rows][:, T] of the Kronecker product U of the checked `factors`
+    (register order), with T, the sorted columns it holds: the product of
+    each factor's support on its picked rows, which holds every nonzero
+    column of the rows. Entry (x, y) is the product of U_j[x_j, y_j] over
+    the registers j, so the block is formed register by register on the
+    product of each register's column digits and U is never built. The
+    block has the factors' dtype: real factors give a real block."""
     idx = np.asarray(rows, dtype=np.int64)
-    block, taken = np.ones((idx.size, 1), dtype=complex), np.zeros(1, dtype=np.int64)
-    stride = dim
+    block, taken = np.ones((idx.size, 1)), np.zeros(1, dtype=np.int64)
+    stride = math.prod(f.shape[0] for f in factors)
     for f in factors:
         stride //= f.shape[0]
-        row_digits = (idx // stride) % f.shape[0]
-        digits = np.flatnonzero(np.any(f[row_digits] != 0, axis=0))
-        picked = f[:, digits][row_digits]
-        block = (block[:, :, None] * picked[:, None, :]).reshape(idx.size, -1)
+        picked = f[(idx // stride) % f.shape[0]]  # the factor's rows at each row's digit
+        digits = np.flatnonzero(picked.any(axis=0))
+        # in C order: the column gather alone would leave the block in Fortran order
+        block = np.multiply(block[:, :, None], picked[:, None, digits], order="C").reshape(idx.size, -1)
         taken = (taken[:, None] * f.shape[0] + digits).reshape(-1)
     return block, taken
 
@@ -394,6 +389,11 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     the k x k terms of H(f) (`_terms`), so a step diagonalizes the k x k
     H(f) with one `eig_hermitian`. "locked" is "zeroth" with V, and V is
     the identity when absent.
+
+    The blocks keep their factors' dtype, so for real U and V the "exact"
+    H(f) is real symmetric and goes to the real solver. The product
+    formulas cast real blocks to complex once here: a real-by-complex
+    matmul would cast its real operand at every step.
     """
     if variant == "exact":
         h_b, h_p = _terms(u, w_diag, hp_diag, v)
@@ -403,8 +403,11 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
             vals, vecs = eig_hermitian((1 - f) * h_b + f * h_p)
             return vecs @ (np.exp(-1j * delta * vals) * (vecs.conj().T @ psi))
         return exact
+    u = u.astype(complex, copy=False)
     ud = u.conj().T
-    vd = v.conj().T if v is not None else None
+    if v is not None:
+        v = v.astype(complex, copy=False)
+        vd = v.conj().T
     share = delta / 2 if variant == "first" else delta  # "first" mixes twice, half a step each
     mixer_phases = np.exp(np.array([-1j * (share * (1 - f)) for f in fs])[:, None] * w_diag)
     payoff_phases = np.exp(np.array([-1j * delta * f for f in fs])[:, None] * hp_diag)
@@ -438,15 +441,16 @@ def _fold(step, psi: np.ndarray, steps: int) -> np.ndarray:
     return np.array(states)
 
 
-def _span(operators, dim: int, start) -> np.ndarray:
+def _span(operators: list[list[np.ndarray]], dim: int, start) -> np.ndarray:
     """Sorted indices of the span that the indices of `start` close to
-    under the operators, (factors, what) pairs in register order with U's
-    first: two indices are joined when they share a nonzero column of one
-    operator. `start` is a product set of indices, one array of digits per
-    factor of U. Every step is a function of U W U^dag and V H_p V^dag, so
-    it maps this span into itself. Grown from U|0...0>'s support (each
-    factor's nonzero rows in column 0) it is the span a run goes on; grown
-    from every index it gives the cells of H(f) (`_cells`).
+    under the operators, checked factor lists (`_factors`) in register
+    order with U's first: two indices are joined when they share a
+    nonzero column of one operator. `start` is a product set of indices,
+    one array of digits per factor of U. Every step is a function of
+    U W U^dag and V H_p V^dag, so it maps this span into itself. Grown
+    from U|0...0>'s support (each factor's nonzero rows in column 0) it is
+    the span a run goes on; grown from every index it gives the cells of
+    H(f) (`_cells`).
 
     A Kronecker product joins x and y when every register pair (x_j, y_j)
     shares a nonzero column of that register's factor. When every operator
@@ -456,12 +460,11 @@ def _span(operators, dim: int, start) -> np.ndarray:
     Otherwise (a dense `u` is one factor) one mask over the `dim` indices
     grows factor by factor, from the digits it holds to the columns they
     reach and back, and no factor's whole pattern is formed."""
-    ops = [_factors(factors, dim, what) for factors, what in operators]
-    m = len(ops[0])
-    if m > 1 and len({f.shape[0] for factors in ops for f in factors}) == 1 and all(
-            len(factors) == m for factors in ops):
-        width = ops[0][0].shape[0]
-        patterns = [np.array(factors) != 0 for factors in ops]
+    m = len(operators[0])
+    if m > 1 and len({f.shape[0] for factors in operators for f in factors}) == 1 and all(
+            len(factors) == m for factors in operators):
+        width = operators[0][0].shape[0]
+        patterns = [np.array(factors) != 0 for factors in operators]
         digits = np.zeros((m, width, 1), dtype=bool)
         for j in range(m):  # register j's digits of `start`
             digits[j, start[j]] = True
@@ -473,13 +476,13 @@ def _span(operators, dim: int, start) -> np.ndarray:
                 return np.flatnonzero(functools.reduce(np.logical_and.outer, digits[:, :, 0]))
             digits = grown
     held = []
-    for f, digits in zip(ops[0], start):
+    for f, digits in zip(operators[0], start):
         held.append(np.zeros(f.shape[0], dtype=bool))
         held[-1][digits] = True
     mask = functools.reduce(np.logical_and.outer, held).reshape(-1)
     while True:
         grown = mask
-        for factors in ops:
+        for factors in operators:
             left = 1
             for f in factors:
                 t = grown.reshape(left, f.shape[0], -1)
@@ -499,8 +502,7 @@ def _cells(operators, dim: int) -> np.ndarray:
     order of their smallest index and ascending within. Every step maps
     each cell into itself. If the cells differ in size (a Haar U, or the
     one 16 x 16 collusion factor), one cell of every index."""
-    factors, what = operators[0]
-    widths = [f.shape[0] for f in _factors(factors, dim, what)]
+    widths = [f.shape[0] for f in operators[0]]
     cells, left = [], np.ones(dim, dtype=bool)
     while left.any():
         cells.append(_span(operators, dim, np.unravel_index(int(np.argmax(left)), widths)))
@@ -529,35 +531,36 @@ def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
     dim = 2**table.n_qubits
-    factors = _factors(u, dim, "joint operator factors")
-    operators = [(factors, "joint operator factors")]
+    operators = [_factors(u, dim, "joint operator factors")]
     if schedule.locking is not None:
-        operators.append((schedule.locking, "locking unitaries"))
-    start = [np.flatnonzero(f[:, 0]) for f in factors]  # the support of |Psi_0>, register by register
+        operators.append(_factors(schedule.locking, dim, "locking unitaries"))
+    start = [np.flatnonzero(f[:, 0]) for f in operators[0]]  # the support of |Psi_0>, register by register
     if not all(digits.size for digits in start):
         raise ContractViolation("U|0...0> is 0, so the search has no start state")
     span = _span(operators, dim, start)
-    return _run(factors, span, list(plausible), winner_index, table, schedule)
+    return _run(operators, span, list(plausible), winner_index, table, schedule)
 
 
-def _run(factors, span: np.ndarray, plausible: list[int], winner_index: int,
-         table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
+def _run(operators: list[list[np.ndarray]], span: np.ndarray, plausible: list[int],
+         winner_index: int, table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
     """The search on span(`span`), a span that U and V map into itself,
-    from their entries there: U[span, T] and V[span, T_V], with T and T_V
-    the columns the span's rows reach. T is sorted and holds 0, the column
-    of |0...0>, so U[span, T] starts with |Psi_0> on the span. Success and
+    from their entries there: U[span, T] and V[span, T_V], from the
+    checked factors in `operators` (U's, then V's when the schedule
+    locks), with T and T_V the columns the span's rows reach. T is sorted
+    and holds 0, the column of |0...0>, so U[span, T] starts with |Psi_0>
+    on the span, and the run's states are complex from it on. Success and
     leakage, 1 minus the probability on `plausible`, are read once from
     the stacked span amplitudes; a step that drifts off norm 1 raises
     (`_fold`). The final state is the one full-length state the run
     builds; the trajectory forms the others only when they are read."""
     dim = 2**table.n_qubits
-    u, cols = _entries(factors, span, dim, "joint operator factors")
+    u, cols = _entries(operators[0], span)
     v, v_cols = None, span
-    if schedule.locking is not None:
-        v, v_cols = _entries(schedule.locking, span, dim, "locking unitaries")
+    if len(operators) > 1:
+        v, v_cols = _entries(operators[1], span)
     fs = [s / schedule.steps for s in range(1, schedule.steps + 1)]
     step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v, fs)
-    states = _fold(step, u[:, 0], schedule.steps)
+    states = _fold(step, u[:, 0].astype(complex), schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
     in_plausible[plausible] = True
@@ -626,16 +629,14 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     if table.n_qubits != sum(b.n_qubits for b in bids):
         raise ContractViolation("payoff table does not match the bidder registers")
     dim = 2**table.n_qubits
-    factors = [bidding_operator(b) for b in bids]
-    operators = [(factors, "bidding operators")]
+    operators = [[bidding_operator(b) for b in bids]]
     if schedule.locking is not None:
-        operators.append((schedule.locking, "locking unitaries"))
+        operators.append(_factors(schedule.locking, dim, "locking unitaries"))
     cells = np.array([plausible]) if restrict else _cells(operators, dim)
     terms = []
     for cell in cells:  # from the entries on the cell's rows and the columns they reach
-        u, cols = _entries(factors, cell, dim, "bidding operators")
-        v, v_cols = (None, cell) if schedule.locking is None else _entries(
-            schedule.locking, cell, dim, "locking unitaries")
+        u, cols = _entries(operators[0], cell)
+        v, v_cols = (None, cell) if len(operators) == 1 else _entries(operators[1], cell)
         terms.append(_terms(u, _set_bits(cols), -table.values[v_cols], v))
     hb, hp = np.array(terms).swapaxes(0, 1)
     fs = np.arange(schedule.steps + 1) / schedule.steps

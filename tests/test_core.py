@@ -87,6 +87,30 @@ class TestEigHermitian:
         with pytest.raises(ContractViolation, match="not Hermitian"):
             eig_hermitian(h)
 
+    def test_real_symmetric_input_gets_real_eigenvectors(self):
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(6, 6))
+        h = a + a.T
+        vals, vecs = eig_hermitian(h)
+        assert vals.dtype == np.float64 and vecs.dtype == np.float64
+        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vals, eig_hermitian(h.astype(complex)).eigenvalues, rtol=0, atol=1e-12)
+        # integer entries are real entries; an object array is read as complex
+        assert eig_hermitian(np.array([[2, 1], [1, 2]])).eigenvectors.dtype == np.float64
+        assert eig_hermitian(np.array([[1, 1j], [-1j, 1]], dtype=object)).eigenvectors.dtype == np.complex128
+
+    def test_rejects_real_non_symmetric(self):
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            eig_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_rejects_real_non_finite_entries(self, bad, where):
+        h = np.eye(3)
+        h[where] = h[where[::-1]] = bad
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            eig_hermitian(h)
+
     @pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 2), (4,), (2, 2, 2, 2), (3, 3, 3)])
     def test_rejects_non_square_stack(self, shape):
         with pytest.raises(ContractViolation, match="square"):

@@ -441,12 +441,12 @@ class TestEigenvalueTracks:
         locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if locked else None
         schedule = AdiabaticSchedule(20, 1.5, "locked" if locked else "zeroth", locking)
         factors, dim = [bidding_operator(b) for b in bids], 2**table.n_qubits
-        operators = [(factors, "bidding")] + ([(locking, "locking")] if locked else [])
+        operators = [factors] + ([list(locking)] if locked else [])
         cells = np.array([plausible_allocations(bids)]) if restrict else protocol._cells(operators, dim)
         terms = []
         for cell in cells:
-            u, cols = protocol._entries(factors, cell, dim, "bidding")
-            v, v_cols = protocol._entries(locking, cell, dim, "locking") if locked else (None, cell)
+            u, cols = protocol._entries(factors, cell)
+            v, v_cols = protocol._entries(list(locking), cell) if locked else (None, cell)
             terms.append(protocol._terms(u, protocol._set_bits(cols), -table.values[v_cols], v))
         hb, hp = np.array(terms).swapaxes(0, 1)
         fs = [s / 20 for s in range(21)]
@@ -582,11 +582,19 @@ class TestPlausibleSpan:
         factors = (_haar(2, rng), bidding_operator("011"), _haar(4, rng) * (rng.random((4, 4)) < 0.5))
         dense = reduce(np.kron, factors)
         rows = [37, 2, 40, 5]
-        block, taken = protocol._entries(factors, rows, 64, "factors")
+        block, taken = protocol._entries(list(factors), rows)
         assert set(np.flatnonzero(np.any(dense[rows] != 0, axis=0))) < set(taken)
         np.testing.assert_array_equal(block, dense[np.ix_(rows, taken)])
+        # C order keeps the steps' matmuls on one BLAS path, so their bytes stay put
+        assert block.flags.c_contiguous and block.dtype == np.complex128
+        real_block, _ = protocol._entries([bidding_operator("01"), bidding_operator("11")], [0, 3, 12, 15])
+        assert real_block.flags.c_contiguous and real_block.dtype == np.float64
+        # the factors are checked once per run, where a run takes them
+        table = PayoffTable(7, np.zeros(128))
         with pytest.raises(ContractViolation, match="register dimension"):
-            protocol._entries(factors, rows, 128, "factors")
+            run_schedule(factors, [0], 0, table, AdiabaticSchedule(2, 1.0, "zeroth"))
+        with pytest.raises(ContractViolation, match="register dimension"):
+            eigenvalue_tracks(["1"] * 7, table, AdiabaticSchedule(2, 1.0, "locked", factors))
 
     def test_n12_runs_without_dense_operators(self, monkeypatch):
         bids = ["0110", "1011", "0011"]
@@ -597,11 +605,12 @@ class TestPlausibleSpan:
             raise AssertionError("a dense operator was built")
         inner = protocol._entries
 
-        def few_entries(factors, rows, dim, what):
-            assert len(rows) < dim, f"all {dim} rows of the {what} were formed"
-            block, taken = inner(factors, rows, dim, what)
+        def few_entries(factors, rows):
+            dim = math.prod(f.shape[0] for f in factors)
+            assert len(rows) < dim, f"all {dim} rows of the factors were formed"
+            block, taken = inner(factors, rows)
             assert block.shape == (len(rows), len(taken)) and len(taken) <= len(rows), \
-                f"{len(taken)} columns of the {what} were formed for {len(rows)} rows"
+                f"{len(taken)} columns of the factors were formed for {len(rows)} rows"
             return block, taken
         monkeypatch.setattr(protocol, "joint_bidding_operator", refuse)
         monkeypatch.setattr(protocol, "_entries", few_entries)
@@ -700,8 +709,9 @@ class TestSpan:
     def _span(*operators):
         # grown from the support of |Psi_0> = U|0...0>: each factor's nonzero rows in column 0
         start = [np.flatnonzero(f[:, 0]) for f in operators[0]]
-        n = sum(math.log2(f.shape[0]) for f in operators[0])
-        return protocol._span([(factors, "factors") for factors in operators], 2 ** round(n), start)
+        dim = 2 ** round(sum(math.log2(f.shape[0]) for f in operators[0]))
+        checked = [protocol._factors(factors, dim, "factors") for factors in operators]
+        return protocol._span(checked, dim, start)
 
     @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
     def test_bidding_and_locking_operators_give_the_plausible_span(self, bids):
@@ -795,7 +805,7 @@ class TestBlockDiagonal:
     @staticmethod
     def _cells(*operators):
         dim = math.prod(f.shape[0] for f in operators[0])
-        return protocol._cells([(factors, "factors") for factors in operators], dim)
+        return protocol._cells([protocol._factors(factors, dim, "factors") for factors in operators], dim)
 
     def test_bids_split_into_xor_orbits(self):
         # each cell is {x XOR y : y plausible}, and the cells cover every index once
@@ -913,6 +923,104 @@ class TestBlockDiagonal:
         vals, vecs = np.linalg.eigh(0.9 * (u * w) @ u.conj().T + 0.1 * (v * h_p) @ v.conj().T)
         expected = vecs @ (np.exp(-1.2j * vals) * (vecs.conj().T @ u[:, 0]))
         np.testing.assert_allclose(traj.state(1).amplitudes, expected, rtol=0, atol=1e-12)
+
+
+REAL_BIDS = [["10", "11"], N8_BIDS]
+REAL_VARIANTS = [("exact", False), ("zeroth", False), ("first", False), ("exact", True), ("locked", True)]
+
+
+def _as_complex(factors):
+    return None if factors is None else tuple(np.asarray(f).astype(complex) for f in factors)
+
+
+def _real_setup(bids, locked):
+    table = build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0])))
+    locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS)) if locked else None
+    return table, locking, plausible_allocations(bids)
+
+
+class TestRealOperators:
+    """Bidding and locking operators are real, so a search runs on float64
+    blocks and H(f) goes to the real symmetric solvers. The same factors
+    cast to complex take the same code and give the same numbers, and both
+    agree with the dense oracle."""
+
+    @pytest.mark.parametrize("bids", REAL_BIDS, ids=["n4", "n8"])
+    @pytest.mark.parametrize("variant, locked", REAL_VARIANTS,
+                             ids=["exact", "zeroth", "first", "exact_locked", "locked"])
+    def test_real_and_complex_factors_agree(self, bids, variant, locked):
+        table, locking, plausible = _real_setup(bids, locked)
+        winner = winning_allocation(table, plausible)
+        # `exact` takes the dense joint operator, as `run_adiabatic` gives it
+        u = tuple(bidding_operator(b) for b in bids)
+        if variant == "exact":
+            u = (joint_bidding_operator(bids),)
+        assert all(f.dtype == np.float64 for f in u + (locking or ()))
+        schedule = AdiabaticSchedule(12, 1.3, variant, locking)
+        real = run_schedule(u, plausible, winner, table, schedule)
+        cast = run_schedule(_as_complex(u), plausible, winner, table,
+                            AdiabaticSchedule(12, 1.3, variant, _as_complex(locking)))
+        _assert_same_run(real, cast, 1e-12)
+        dense = dense_run(joint_bidding_operator(bids), None if locking is None else reduce(np.kron, locking),
+                          table, schedule)
+        assert_run_matches(real, dense, 1e-12)
+        assert_run_matches(cast, dense, 1e-12)
+
+    @pytest.mark.parametrize("variant", ["exact", "zeroth", "first"])
+    @pytest.mark.parametrize("b1, b2", list(itertools.combinations(["01", "10", "11"], 2)))
+    def test_real_and_complex_collusion_runs_agree(self, b1, b2, variant):
+        # the collusion circuit's matrix is complex with a zero imaginary part
+        joint = _collusion_factor(b1, b2)
+        assert joint.dtype == np.complex128 and not np.any(joint.imag)
+        table, schedule = spurious_table(), default_schedule(variant)
+        plausible = sorted({0, BidSpec(b2).index, BidSpec(b1).index << 2})
+        winner = winning_allocation(table, plausible)
+        cast = run_schedule((joint,), plausible, winner, table, schedule)
+        real = run_schedule((joint.real,), plausible, winner, table, schedule)
+        _assert_same_run(real, cast, 1e-12)
+        dense = dense_run(joint, None, table, schedule)
+        assert_run_matches(real, dense, 1e-12)
+        assert_run_matches(cast, dense, 1e-12)
+
+    @pytest.mark.parametrize("bids", REAL_BIDS, ids=["n4", "n8"])
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "locked"])
+    @pytest.mark.parametrize("restrict", [True, False], ids=["restricted", "full"])
+    def test_real_and_complex_tracks_agree(self, bids, locked, restrict, monkeypatch):
+        # the real tracks against the dense projection: test_restricted_tracks_match_dense_projection
+        table, locking, _ = _real_setup(bids, locked)
+        variant = "locked" if locked else "zeroth"
+        real = eigenvalue_tracks(bids, table, AdiabaticSchedule(12, 1.3, variant, locking), restrict=restrict)
+        real_bidding_operator = protocol.bidding_operator
+        monkeypatch.setattr(protocol, "bidding_operator", lambda b: real_bidding_operator(b).astype(complex))
+        cast = eigenvalue_tracks(bids, table, AdiabaticSchedule(12, 1.3, variant, _as_complex(locking)),
+                                 restrict=restrict)
+        np.testing.assert_allclose(real.eigenvalues, cast.eigenvalues, rtol=0, atol=1e-12)
+        assert abs(real.g_min - cast.g_min) <= 1e-12
+
+    def test_solvers_get_real_matrices_from_real_operators(self, monkeypatch):
+        # n = 8 `exact` hands eig_hermitian float64 16 x 16 matrices, and its
+        # tracks stack float64 H(f); a Haar U hands eig_hermitian complex128
+        seen = {"eig_hermitian": [], "eigvalsh": []}
+        eig_hermitian, eigvalsh = protocol.eig_hermitian, np.linalg.eigvalsh
+
+        def recorded(name, decompose):
+            def call(h, *args):
+                seen[name].append((np.shape(h)[-2:], np.asarray(h).dtype))
+                return decompose(h, *args)
+            return call
+        monkeypatch.setattr(protocol, "eig_hermitian", recorded("eig_hermitian", eig_hermitian))
+        monkeypatch.setattr(protocol.np.linalg, "eigvalsh", recorded("eigvalsh", eigvalsh))
+        table = build_first_price_table(AuctionConfig(m=4, p=2))
+        schedule = AdiabaticSchedule(20, 1.5, "exact")
+        run_adiabatic(N8_BIDS, table, schedule)
+        eigenvalue_tracks(N8_BIDS, table, schedule, restrict=True)
+        assert seen["eig_hermitian"] == [((16, 16), np.float64)] * 20
+        assert seen["eigvalsh"] and all(record == ((16, 16), np.float64) for record in seen["eigvalsh"])
+        seen["eig_hermitian"].clear()
+        rng = np.random.default_rng(11)
+        run_schedule((_haar(4, rng), _haar(4, rng)), plausible_allocations(["10", "11"]), 0b0011,
+                     build_first_price_table(TOY), AdiabaticSchedule(5, 1.0, "exact"))
+        assert seen["eig_hermitian"] == [((16, 16), np.complex128)] * 5
 
 
 def _loop_first_price(m, p):
