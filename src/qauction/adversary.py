@@ -265,8 +265,16 @@ def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
         return LearningCurve(rounds, probs, "closed_form")
     if mode != "monte_carlo":
         raise ContractViolation(f"unknown mode {mode!r}")
-    dists = [locked_bidding_state(b, a).probabilities() for b, a in zip(bids, alphas)]
+    dists = basis_outcome_distributions(bids, locking)
     return LearningCurve(rounds, basis_mc_curve(dists, n_rounds, trials, seed), "monte_carlo")
+
+
+def basis_outcome_distributions(bids: Sequence[BidSpec | str],
+                                locking: LockingPair | None) -> list[np.ndarray]:
+    """Per bidder: the computational-basis outcome distribution of the
+    returned bidding state, locked when `locking` is given."""
+    return [locked_bidding_state(b, a).probabilities()
+            for b, a in zip(bids, _lock_amplitudes(bids, locking))]
 
 
 def _lock_amplitudes(bids, locking: LockingPair | None):
