@@ -140,6 +140,43 @@ def _mc_rng(seed: int, rule: str) -> np.random.Generator:
 _MC_BLOCK = 8192  # trials per block of a Monte Carlo draw, so a block's arrays stay in cache
 
 
+def _capped_geometric(p: float, never: int):
+    """A draw(rng, size) giving min(rng.geometric(p, size), never) in the
+    narrowest integer type that holds `never`, from the same random values
+    and leaving rng in the same state, without numpy's per-value loop.
+    numpy takes, for p >= 1/3, one uniform double u per value and returns
+    the first k with u <= p + pq + ... + pq^(k-1), summed term by term;
+    below 1/3 it returns ceil(-E / log1p(-p)) for one standard exponential
+    E. So the first is one plus the count of those sums below u, which a
+    full pass per sum counts while the sums stay under 0.95 and a search
+    finishes for the few values above."""
+    dtype = np.min_scalar_type(never)
+    if p < 1 / 3:
+        scale = -math.log1p(-p)
+        return lambda rng, size: np.minimum(
+            np.ceil(rng.standard_exponential(size) / scale), never).astype(dtype)
+    sums, q, term, total = [], 1.0 - p, p, p
+    while len(sums) < never - 1 and total < 1.0:  # u < 1 never passes a sum of 1
+        sums.append(total)
+        term *= q
+        total += term
+    split = min(len(sums), max(1, sum(s < 0.95 for s in sums)))
+    head, tail = sums[:split], np.array(sums[split:])
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        hits = np.ones(size, dtype=dtype)
+        above = np.empty(size, dtype=bool)
+        for s in head:
+            hits += np.greater(u, s, out=above).view(np.uint8)
+        if tail.size:  # `above` flags the values past the last head sum
+            beyond = np.flatnonzero(above)
+            hits[beyond] += np.searchsorted(tail, u[beyond]).astype(dtype)
+        return hits
+
+    return draw
+
+
 def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Fraction of trials where every bidder has been hit within N rounds,
@@ -147,18 +184,20 @@ def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
     bidder's first-hit round is geometric, so one draw per trial and
     bidder gives the whole curve; p = 0 means never hit. A bidder's draws
     go in blocks of _MC_BLOCK trials (consecutive blocks of
-    `Generator.geometric` are the one draw's values), so only the latest
-    first-hit round per trial, capped at n_rounds + 1 in the narrowest
-    integer type that holds it, is held whole."""
+    `Generator.geometric` are the one draw's values, which
+    _capped_geometric reproduces), so only the latest first-hit round per
+    trial, capped at n_rounds + 1 in the narrowest integer type that holds
+    it, is held whole."""
     never = n_rounds + 1
     last_hit = np.ones(trials, dtype=np.min_scalar_type(never))
     for p in p_hits:
         if not p > 0:
             last_hit.fill(never)
             continue
+        draw = _capped_geometric(min(p, 1.0), never)
         for lo in range(0, trials, _MC_BLOCK):
             block = last_hit[lo:lo + _MC_BLOCK]
-            block[:] = np.maximum(block, np.minimum(rng.geometric(min(p, 1.0), size=block.size), never))
+            np.maximum(block, draw(rng, block.size), out=block)
     # counted block by block too: bincount widens its input to intp
     counts = sum(np.bincount(last_hit[lo:lo + _MC_BLOCK], minlength=never + 1)
                  for lo in range(0, trials, _MC_BLOCK))
@@ -222,10 +261,12 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
         for lo in range(0, trials, _MC_BLOCK):
             k = min(_MC_BLOCK, trials - lo)
             rng.random(out=u[:k])
+            top = u[:k].max()  # an edge above every u of the block adds nothing
             for bits, (edges, true_index, others) in zip(learned, counted):
                 outcomes[:k] = 0
-                for edge in edges:  # outcome = number of cdf edges at or below u
-                    outcomes[:k] += np.greater_equal(u[:k], edge, out=at_or_above[:k])
+                for edge in edges[edges <= top]:  # outcome = number of cdf edges at or below u
+                    above = np.greater_equal(u[:k], edge, out=at_or_above[:k])
+                    outcomes[:k] += above.view(np.uint8)
                 rounds = by_round[:, :k]
                 rounds[...] = outcomes[:k].T
                 is_true = np.equal(rounds, true_index, out=flags[:, :k]).view(np.int8)
@@ -265,16 +306,8 @@ def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
         return LearningCurve(rounds, probs, "closed_form")
     if mode != "monte_carlo":
         raise ContractViolation(f"unknown mode {mode!r}")
-    dists = basis_outcome_distributions(bids, locking)
+    dists = [locked_bidding_state(b, a).probabilities() for b, a in zip(bids, alphas)]
     return LearningCurve(rounds, basis_mc_curve(dists, n_rounds, trials, seed), "monte_carlo")
-
-
-def basis_outcome_distributions(bids: Sequence[BidSpec | str],
-                                locking: LockingPair | None) -> list[np.ndarray]:
-    """Per bidder: the computational-basis outcome distribution of the
-    returned bidding state, locked when `locking` is given."""
-    return [locked_bidding_state(b, a).probabilities()
-            for b, a in zip(bids, _lock_amplitudes(bids, locking))]
 
 
 def _lock_amplitudes(bids, locking: LockingPair | None):

@@ -31,15 +31,9 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
-# Largest Monte Carlo grid, trials * rounds, and most probe rounds. A locked attack's
-# majority curves keep one bit per cell for each column, plus block buffers of about
-# 16 B per cell of a block of up to 8192 trials; at the same time the first-hit
-# curves, drawn on a worker thread, hold one byte per trial (two above 254 rounds).
-# Max RSS of a locked `attack`, 39 MB of it the interpreter at 1 x 1: 42 MB at the
-# 100000 x 20 default, 74 MB at 10^7 x 10, 159 MB at 10^8 x 1 and 204 MB at
-# 100000 x 1000, the largest peak under both caps. The block buffers grow with the
-# rounds (130 MB at 8192 x 1000, 1.3 GB at 8192 x 10^4), and each round adds a CSV row
-# whatever the trials.
+# Largest Monte Carlo grid, trials * rounds, and most probe rounds. The majority
+# curves' block buffers hold about 16 B per cell of a block of up to 8192 trials,
+# so they grow with the rounds whatever the trials, and each round adds a CSV row.
 MAX_MC_CELLS = 10**8
 MAX_MC_ROUNDS = 1000
 
@@ -289,39 +283,30 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
 
 
 def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
-    # imported here, as it loads `logging`: about 10 ms on the start of every other command
-    from concurrent.futures import ThreadPoolExecutor
-
-    locks: list[adversary.LockingPair | None] = [None]
-    if cfg.defense == "lock":
-        locks.append(cfg.locking())
+    locked = cfg.locking() if cfg.defense == "lock" else None
+    variants: list[tuple[str, adversary.LockingPair | None]] = [("", None)]
+    if locked is not None:
+        variants.append(("_lock", locked))
 
     header = ["N"]
     meta_extra: dict = {}
     columns = [np.arange(1, cfg.rounds + 1)]
     rounds = np.arange(1, cfg.rounds + 1, dtype=float)
-    mc = (cfg.rounds, cfg.trials, cfg.seed)
-    # the outcome distributions and POVM solves (BLAS and LAPACK) stay on this thread
-    solved = [adversary.povm_outcome_distributions(cfg.bids, lock) for lock in locks]
+    solved = [adversary.povm_outcome_distributions(cfg.bids, lock) for _, lock in variants]
     pers = [[(dist, t) for dist, t, _ in bidders] for bidders in solved]
-    basis_dists = [adversary.basis_outcome_distributions(cfg.bids, lock) for lock in locks]
-    # One worker draws the first-hit curves while this thread counts the one
-    # majority draw for every variant; numpy drops the GIL while it fills a
-    # Generator array. Each curve reads its own RNG stream, so the bytes do
-    # not depend on how the two threads are scheduled.
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        first_hits = [(worker.submit(adversary.basis_mc_curve, dists, *mc),
-                       worker.submit(adversary.povm_mc_curve, per, *mc))
-                      for dists, per in zip(basis_dists, pers)]
-        majority = adversary.majority_mc_curve(pers, *mc)
-    for suffix, lock, bidders, (basis_mc, povm_mc), majority_curve in zip(
-            ("", "_lock"), locks, solved, first_hits, majority):
+    # one majority draw, counted for every variant
+    majority = adversary.majority_mc_curve(pers, cfg.rounds, cfg.trials, cfg.seed)
+    for (suffix, lock), bidders, per, majority_curve in zip(variants, solved, pers, majority):
         basis = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock)
+        basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
+                                                mode="monte_carlo", trials=cfg.trials,
+                                                seed=cfg.seed)
         povm_closed = np.ones(cfg.rounds)
         for bidder, (_, _, p_e) in enumerate(bidders):
             povm_closed *= 1.0 - p_e**rounds
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
-        columns += [basis.probabilities, basis_mc.result(), povm_closed, povm_mc.result(),
+        columns += [basis.probabilities, basis_mc.probabilities, povm_closed,
+                    adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),
                     majority_curve]
         header += [f"basis_closed{suffix}", f"basis_mc{suffix}",
                    f"povm_closed{suffix}", f"povm_mc{suffix}", f"povm_mc_majority{suffix}"]

@@ -9,6 +9,7 @@ from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc
 from qauction.adversary import (
     LockingPair,
     Povm,
+    _capped_geometric,
     _first_hit_curve,
     _mc_rng,
     basis_mc_curve,
@@ -310,6 +311,25 @@ class TestFirstHitBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestCappedGeometric:
+    """_capped_geometric gives numpy's own geometric values, capped, from the
+    same random values, on both sides of numpy's switch at p = 1/3 between
+    its search and inversion draws."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.96, 0.9354, 0.8889, 0.5, 0.3476, 1 / 3,
+                                   np.nextafter(1 / 3, 0), np.nextafter(1 / 3, 1),
+                                   0.1775, 0.01, 1e-9])
+    @pytest.mark.parametrize("never", [2, 21, 129, 256, 1001])
+    def test_matches_numpy(self, p, never):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        draw = _capped_geometric(p, never)
+        for size in (1, 8191, 8192):  # consecutive calls continue the one stream
+            got = draw(ours, size)
+            assert got.dtype == np.min_scalar_type(never)
+            assert np.array_equal(got, np.minimum(theirs.geometric(p, size=size), never))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.fixture(scope="module")

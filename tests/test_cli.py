@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,7 +6,6 @@ import numpy as np
 import pytest
 
 from qauction import cli
-from qauction.core import ContractViolation
 
 
 def run_cli(args, capsys):
@@ -231,102 +228,6 @@ class TestAttack:
 
     def test_requires_attack_value(self, capsys):
         assert cli.main(["attack"]) == 1
-
-
-_LOCK = ["--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]
-_PROBE_CASES = {
-    "readme": ["--bids", "10,11", "--rounds", "20"],
-    "readme_lock": ["--bids", "11,10", *_LOCK],
-    **{f"t{t}_r{r}{suffix}": ["--bids", "11,10", "--trials", str(t), "--rounds", str(r), *extra]
-       for t in (1, 8191, 8193, 20001) for r in (1, 33, 128)
-       for suffix, extra in (("", []), ("_lock", _LOCK))},
-}
-
-
-class TestConcurrentProbeColumns:
-    """`_probe_columns` draws the four first-hit curves on one worker thread
-    while the caller counts the majority draw; every column must equal the
-    same curve drawn serially on the caller, and no thread may outlive it."""
-
-    @staticmethod
-    def _config(args):
-        parsed = cli.build_parser().parse_args(["attack", "--attack", "probe_basis", *args])
-        return cli.resolve_config(parsed)
-
-    @staticmethod
-    def _serial_columns(cfg):
-        """Every Monte Carlo column drawn one after another on this thread;
-        each majority variant from its own call."""
-        mc = (cfg.rounds, cfg.trials, cfg.seed)
-        locks = {"": None}
-        if cfg.defense == "lock":
-            locks["_lock"] = cfg.locking()
-        out = {}
-        for suffix, lock in locks.items():
-            per = [(dist, t) for dist, t, _ in cli.adversary.povm_outcome_distributions(cfg.bids, lock)]
-            out["basis_mc" + suffix] = cli.adversary.probe_attack_basis(
-                cfg.bids, cfg.rounds, locking=lock, mode="monte_carlo", trials=cfg.trials,
-                seed=cfg.seed).probabilities
-            out["povm_mc" + suffix] = cli.adversary.povm_mc_curve(per, *mc)
-            out["povm_mc_majority" + suffix] = cli.adversary.majority_mc_curve([per], *mc)[0]
-        return out
-
-    @pytest.mark.parametrize("args", list(_PROBE_CASES.values()), ids=list(_PROBE_CASES))
-    def test_columns_equal_the_serial_curves(self, args):
-        cfg = self._config(args)
-        header, rows, _ = cli._probe_columns(cfg)
-        serial = self._serial_columns(cfg)
-        assert len(serial) == (6 if cfg.defense == "lock" else 3)
-        for name, curve in serial.items():
-            assert np.array_equal([row[header.index(name)] for row in rows], curve), name
-
-    def test_columns_hold_under_a_short_switch_interval(self):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.test_columns_equal_the_serial_curves(_PROBE_CASES["t20001_r33_lock"])
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_first_hit_curves_run_off_the_caller(self, monkeypatch, capsys):
-        threads = {}
-
-        def recorded(name, fn):
-            def wrapper(*args, **kwargs):
-                threads.setdefault(name, set()).add(threading.current_thread())
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(cli.adversary, name, wrapper)
-
-        for name in ("basis_mc_curve", "povm_mc_curve", "majority_mc_curve"):
-            recorded(name, getattr(cli.adversary, name))
-        code, _ = run_cli(["attack", "--attack", "probe_basis", *_PROBE_CASES["readme_lock"],
-                           "--trials", "1000"], capsys)
-        assert code == 0
-        caller = threading.current_thread()
-        assert threads["majority_mc_curve"] == {caller}
-        for name in ("basis_mc_curve", "povm_mc_curve"):
-            assert len(threads[name]) == 1 and caller not in threads[name]
-
-    def test_no_thread_outlives_the_command(self, capsys):
-        before = threading.active_count()
-        code, _ = run_cli(["attack", "--attack", "probe_basis", *_PROBE_CASES["readme_lock"],
-                           "--trials", "1000"], capsys)
-        assert code == 0
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("where", ["basis_mc_curve", "povm_mc_curve", "majority_mc_curve"])
-    def test_contract_violation_in_a_curve_exits_2_in_one_line(self, where, monkeypatch, capsys):
-        def broken(*args, **kwargs):
-            raise ContractViolation("curve contract broken")
-        monkeypatch.setattr(cli.adversary, where, broken)
-        before = threading.active_count()
-        code = cli.main(["attack", "--attack", "probe_basis", "--bids", "10,11",
-                         "--trials", "100", "--rounds", "3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "simulation error: curve contract broken\n"
-        assert threading.active_count() == before
 
 
 class TestPovmCommand:
