@@ -26,10 +26,8 @@ from .protocol import (
     build_first_price_table,
     default_schedule,
     eigenvalue_tracks,
-    fine_schedule,
     joint_bidding_operator,
     pauli_z_expansion,
-    payoff,
     plausible_allocations,
     run_adiabatic,
 )
@@ -47,7 +45,6 @@ from .circuits import (
     verify_circuit,
 )
 from .adversary import (
-    LearningCurve,
     LockingPair,
     Povm,
     helstrom_error,
@@ -58,7 +55,6 @@ from .adversary import (
     probe_attack_povm,
     run_collusion_defense,
     run_locked_auction,
-    run_spurious_attack,
     spurious_table,
 )
 

@@ -71,15 +71,6 @@ class LockingPair:
         return (self.v1, self.v2)
 
 
-@dataclass(frozen=True)
-class LearningCurve:
-    """Probability the auctioneer knows every bid value after N rounds."""
-
-    rounds: np.ndarray          # 1..N
-    probabilities: np.ndarray
-    mode: str                   # "closed_form" or "monte_carlo"
-
-
 def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarray]:
     """Real symmetric unitary V with V(|0..0> + |b>)/sqrt(2) = alpha|0..0> + ...
 
@@ -121,12 +112,6 @@ def locked_bidding_state(bid: BidSpec | str, alpha: float | None) -> StateVector
         return StateVector(column)
     _, v = locking_operator(bid, alpha)
     return StateVector(v.conj().T @ column)
-
-
-def _revelation_probability(alpha: float | None) -> float:
-    # per-round chance a basis measurement shows the price state;
-    # alpha = 1/sqrt(2) when unprotected, so exactly 1/2
-    return 0.5 if alpha is None else 1.0 - alpha * alpha
 
 
 _MC_RULES = ("basis", "first_correct", "majority")
@@ -228,9 +213,10 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     with the same number of bidders, and the result has one curve per
     variant as rows. All variants read the one draw: one categorical
     outcome per trial and round from one uniform double. Trials go in
-    blocks of _MC_BLOCK rows of each bidder's (trials, n_rounds) draw
-    (consecutive row blocks of `Generator.random` are that draw's
-    doubles), and each block is drawn once and counted for every variant.
+    blocks of rows of each bidder's (trials, n_rounds) draw (consecutive
+    row blocks of `Generator.random` are that draw's doubles), of
+    _MC_BLOCK * 20 cells and at least 1024 rows, and each block is drawn
+    once and counted for every variant.
     A trial has learned a bidder by round N when each running margin,
     true count minus the count of another outcome, is positive; the
     learned flags are kept packed, one bit per trial."""
@@ -243,8 +229,10 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     n_outcomes = max(np.size(dist) for per in variants for dist, _ in per)
     # all ones; the first bidder's packed flags zero the padding bits past `trials`
     learned = np.full((len(variants), n_rounds, -(-trials // 8)), 0xFF, dtype=np.uint8)
-    # one set of block buffers, refilled in place for every block and variant
-    u = np.empty((min(trials, _MC_BLOCK), n_rounds))
+    # one set of block buffers, refilled in place for every block and variant;
+    # a whole number of packed bytes of trials a block
+    rows = max(1024, _MC_BLOCK * 20 // n_rounds // 8 * 8)
+    u = np.empty((min(trials, rows), n_rounds))
     at_or_above = np.empty(u.shape, dtype=bool)
     outcomes = np.empty(u.shape, dtype=np.min_scalar_type(n_outcomes))
     by_round = np.empty(u.shape[::-1], dtype=outcomes.dtype)
@@ -258,13 +246,12 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
             # u < 1 never reaches an edge at or above 1.0
             counted.append((cdf[cdf < 1.0], true_index,
                             [c for c in range(cdf.size) if c != true_index]))
-        for lo in range(0, trials, _MC_BLOCK):
-            k = min(_MC_BLOCK, trials - lo)
+        for lo in range(0, trials, rows):
+            k = min(rows, trials - lo)
             rng.random(out=u[:k])
-            top = u[:k].max()  # an edge above every u of the block adds nothing
             for bits, (edges, true_index, others) in zip(learned, counted):
                 outcomes[:k] = 0
-                for edge in edges[edges <= top]:  # outcome = number of cdf edges at or below u
+                for edge in edges:  # outcome = number of cdf edges at or below u
                     above = np.greater_equal(u[:k], edge, out=at_or_above[:k])
                     outcomes[:k] += above.view(np.uint8)
                 rounds = by_round[:, :k]
@@ -283,31 +270,25 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
 
 
 def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
-                       locking: LockingPair | None = None,
-                       mode: str = "closed_form",
-                       trials: int = 100_000, seed: int = 0) -> LearningCurve:
-    """Learning curve of qubit-by-qubit probe measurements.
-
-    Closed form: prod_i (1 - (1 - rho_i)^N) with per-round revelation
-    probability rho_i = 1 - |alpha_i|^2 (1/2 when unprotected). Monte
-    Carlo draws each bidder's first non-|0..0> round from the outcome
-    distribution of the returned bidding state and declares the bidder
-    learned from that round on.
-    """
+                       locking: LockingPair | None = None) -> np.ndarray:
+    """Closed-form learning curve of qubit-by-qubit probe measurements:
+    prod_i (1 - (1 - rho_i)^N) for N = 1..n_rounds, with per-round
+    revelation probability rho_i = 1 - |alpha_i|^2 (1/2 when unprotected).
+    `basis_mc_curve` samples the same attack."""
     if n_rounds < 1:
         raise ContractViolation("need at least one probe round")
-    alphas = _lock_amplitudes(bids, locking)
     rounds = np.arange(1, n_rounds + 1)
-    if mode == "closed_form":
-        probs = np.ones(n_rounds)
-        for alpha in alphas:
-            rho = _revelation_probability(alpha)
-            probs *= 1.0 - (1.0 - rho) ** rounds
-        return LearningCurve(rounds, probs, "closed_form")
-    if mode != "monte_carlo":
-        raise ContractViolation(f"unknown mode {mode!r}")
-    dists = [locked_bidding_state(b, a).probabilities() for b, a in zip(bids, alphas)]
-    return LearningCurve(rounds, basis_mc_curve(dists, n_rounds, trials, seed), "monte_carlo")
+    probs = np.ones(n_rounds)
+    for alpha in _lock_amplitudes(bids, locking):
+        rho = 0.5 if alpha is None else 1.0 - alpha * alpha
+        probs *= 1.0 - (1.0 - rho) ** rounds
+    return probs
+
+
+def probed_states(bids: Sequence[BidSpec | str],
+                  locking: LockingPair | None = None) -> list[StateVector]:
+    """The bidding state each probed bidder returns, locked by the pair if given."""
+    return [locked_bidding_state(b, a) for b, a in zip(bids, _lock_amplitudes(bids, locking))]
 
 
 def _lock_amplitudes(bids, locking: LockingPair | None):
@@ -422,17 +403,19 @@ def toy_bidding_states(alpha: float | None = None) -> list[StateVector]:
     return [locked_bidding_state(b, alpha) for b in TOY_BIDS]
 
 
-def probe_attack_povm(bids: Sequence[BidSpec | str], n_rounds: int,
-                      p_e: float) -> LearningCurve:
-    """Closed-form joint learning curve (1 - p_e^N)^m of the optimal-POVM
-    probe attack, taking the solved single-round error as input."""
-    if not 0 <= p_e < 1:
-        raise ContractViolation("error probability must lie in [0, 1)")
+def probe_attack_povm(p_errors: Sequence[float], n_rounds: int) -> np.ndarray:
+    """Closed-form joint learning curve prod_i (1 - p_e,i^N), N = 1..n_rounds,
+    of the optimal-POVM probe attack, from each bidder's solved
+    single-round error p_e,i."""
     if n_rounds < 1:
         raise ContractViolation("need at least one probe round")
-    rounds = np.arange(1, n_rounds + 1)
-    probs = (1.0 - p_e**rounds.astype(float)) ** len(list(bids))
-    return LearningCurve(rounds, probs, "closed_form")
+    rounds = np.arange(1, n_rounds + 1, dtype=float)
+    probs = np.ones(n_rounds)
+    for p_e in p_errors:
+        if not p_e < 1:
+            raise ContractViolation(f"error probability must lie below 1, got {p_e}")
+        probs *= 1.0 - p_e**rounds
+    return probs
 
 
 def povm_outcome_distributions(bids: Sequence[BidSpec | str], locking: LockingPair | None):
@@ -461,18 +444,6 @@ def revealing_index(bids: Sequence[BidSpec | str]) -> int:
         b = as_bid(b)
         x = (x << b.n_qubits) | b.index
     return x
-
-
-def run_spurious_attack(bids: Sequence[BidSpec | str],
-                        schedule: AdiabaticSchedule) -> Trajectory:
-    """Honest bidders, corrupt table: the search targets the revealing state
-    (it holds the top payoff among plausible allocations by construction)."""
-    traj = run_adiabatic(bids, spurious_table(), schedule)
-    if traj.winner_index != revealing_index(bids):
-        raise ContractViolation(
-            f"spurious table's winner {traj.winner_index} is not the revealing state "
-            f"{revealing_index(bids)}")
-    return traj
 
 
 def run_locked_auction(bids: Sequence[BidSpec | str], table: PayoffTable,

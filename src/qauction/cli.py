@@ -32,10 +32,14 @@ class ConfigError(ValueError):
 
 MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
 # Largest Monte Carlo grid, trials * rounds, and most probe rounds. The majority
-# curves' block buffers hold about 16 B per cell of a block of up to 8192 trials,
-# so they grow with the rounds whatever the trials, and each round adds a CSV row.
+# curves' block buffers hold about 16 B a cell of a block of at least 1024 trials,
+# so above 160 rounds they grow with the rounds, and each round adds a CSV row.
 MAX_MC_CELLS = 10**8
 MAX_MC_ROUNDS = 1000
+# Most schedule steps, and most eigenvalues, (steps + 1) * 2^n, of full-space gap
+# tracks: each step adds a CSV row and, in a full-space gap run, a spectrum per cell.
+MAX_STEPS = 10_000
+MAX_GAP_VALUES = 2**21
 
 
 def _parse_bool(raw: str) -> bool:
@@ -169,6 +173,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     cfg = ScenarioConfig(**{key: _typed(key, value) for key, value in raw.items()})
     if cfg.steps < 1:
         raise ConfigError("steps must be >= 1")
+    if cfg.steps > MAX_STEPS:
+        raise ConfigError(f"steps = {cfg.steps} exceeds the cap of {MAX_STEPS} steps")
     if cfg.delta == "auto":
         cfg.delta = protocol.auto_delta(cfg.steps)
     if not 0 < cfg.delta < math.inf:
@@ -267,6 +273,10 @@ def cmd_variants(cfg: ScenarioConfig) -> str:
 def cmd_gap(cfg: ScenarioConfig) -> str:
     if cfg.attack != "none" or cfg.defense == "collude":
         raise ConfigError("gap tracks support defense in {none, lock}")
+    values = (cfg.steps + 1) << _total_qubits(cfg)
+    if not cfg.restrict and values > MAX_GAP_VALUES:
+        raise ConfigError(f"full-space gap tracks: (steps + 1) * 2^n = {values} eigenvalues "
+                          f"exceed the cap of {MAX_GAP_VALUES}")
     schedule = cfg.schedule()
     if cfg.defense == "lock":
         schedule = dataclasses.replace(
@@ -291,21 +301,18 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
     header = ["N"]
     meta_extra: dict = {}
     columns = [np.arange(1, cfg.rounds + 1)]
-    rounds = np.arange(1, cfg.rounds + 1, dtype=float)
     solved = [adversary.povm_outcome_distributions(cfg.bids, lock) for _, lock in variants]
     pers = [[(dist, t) for dist, t, _ in bidders] for bidders in solved]
     # one majority draw, counted for every variant
     majority = adversary.majority_mc_curve(pers, cfg.rounds, cfg.trials, cfg.seed)
     for (suffix, lock), bidders, per, majority_curve in zip(variants, solved, pers, majority):
-        basis = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock)
-        basis_mc = adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock,
-                                                mode="monte_carlo", trials=cfg.trials,
-                                                seed=cfg.seed)
-        povm_closed = np.ones(cfg.rounds)
-        for bidder, (_, _, p_e) in enumerate(bidders):
-            povm_closed *= 1.0 - p_e**rounds
+        dists = [state.probabilities() for state in adversary.probed_states(cfg.bids, lock)]
+        p_errors = [p_e for _, _, p_e in bidders]
+        for bidder, p_e in enumerate(p_errors):
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
-        columns += [basis.probabilities, basis_mc.probabilities, povm_closed,
+        columns += [adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock),
+                    adversary.basis_mc_curve(dists, cfg.rounds, cfg.trials, cfg.seed),
+                    adversary.probe_attack_povm(p_errors, cfg.rounds),
                     adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),
                     majority_curve]
         header += [f"basis_closed{suffix}", f"basis_mc{suffix}",

@@ -80,12 +80,6 @@ class StateVector:
         self.amplitudes = amps
         self.n_qubits = n
 
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 

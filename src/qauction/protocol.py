@@ -99,12 +99,6 @@ class PayoffTable:
         object.__setattr__(self, "values", vals)
 
 
-def payoff(table: PayoffTable, x: int) -> float:
-    if not 0 <= x < table.values.size:
-        raise ContractViolation(f"allocation index {x} out of range")
-    return float(table.values[x])
-
-
 def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     """Single-item first-price payoffs: the unique nonzero register's dollar
     value when exactly one bidder register is nonzero, zero otherwise."""
@@ -248,10 +242,6 @@ def auto_delta(steps: int) -> float:
 
 def default_schedule(variant: str = "zeroth") -> AdiabaticSchedule:
     return AdiabaticSchedule(steps=20, delta=1.5, variant=variant)
-
-
-def fine_schedule(variant: str = "zeroth") -> AdiabaticSchedule:
-    return AdiabaticSchedule(steps=40, delta=1.0, variant=variant)
 
 
 class TrajectoryStep(NamedTuple):

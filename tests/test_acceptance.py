@@ -19,15 +19,17 @@ import pytest
 
 from qauction import cli
 from qauction.adversary import (
+    basis_mc_curve,
     min_error_povm,
     helstrom_error,
     locking_operators,
     povm_optimality_check,
     probe_attack_basis,
     probe_attack_povm,
+    probed_states,
+    revealing_index,
     run_collusion_defense,
     run_locked_auction,
-    run_spurious_attack,
     spurious_table,
     toy_bidding_states,
 )
@@ -40,7 +42,6 @@ from qauction.protocol import (
     build_first_price_table,
     default_schedule,
     expansion_diagonal,
-    fine_schedule,
     hamming_weights,
     pauli_z_expansion,
     run_adiabatic,
@@ -135,19 +136,19 @@ def test_criterion_04_povm():
 
 def test_criterion_05_learning_curves():
     rounds = 20
-    closed = probe_attack_basis(["10", "11"], rounds).probabilities
+    closed = probe_attack_basis(["10", "11"], rounds)
     expected = (1 - 0.5 ** np.arange(1, rounds + 1)) ** 2
     ok_closed = np.allclose(closed, expected, rtol=1e-15, atol=0)
     ok_quarter = closed[0] == 0.25
 
     trials = 100_000
-    mc = probe_attack_basis(["10", "11"], rounds, mode="monte_carlo",
-                            trials=trials, seed=1).probabilities
+    dists = [state.probabilities() for state in probed_states(["10", "11"])]
+    mc = basis_mc_curve(dists, rounds, trials, 1)
     sigma = np.sqrt(expected * (1 - expected) / trials)
     ok_mc = bool(np.all(np.abs(mc - expected) <= 3 * sigma + 1e-12))
 
     _, p_e = min_error_povm(toy_bidding_states(), [1 / 3] * 3)
-    povm_curve = probe_attack_povm(["10", "11"], 4, p_e).probabilities
+    povm_curve = probe_attack_povm([p_e, p_e], 4)
     ok_povm = povm_curve[3] > 0.999
     report(5, "basis curve is (1-(1/2)^N)^2 with N=1 at exactly 1/4; MC within 3 sigma at 1e5 trials; POVM curve > 0.999 by N=4",
            ok_closed and ok_quarter and ok_mc and ok_povm,
@@ -164,8 +165,8 @@ def test_criterion_06_convergence():
         runtimes[tuple(bids)] = time.perf_counter() - start
     ok_fig4 = all(v >= 0.9 for v in finals.values()) and all(t < 1.0 for t in runtimes.values())
 
-    zeroth = run_adiabatic(["10", "11"], table, fine_schedule("zeroth")).success[-1]
-    first = run_adiabatic(["10", "11"], table, fine_schedule("first")).success[-1]
+    zeroth = run_adiabatic(["10", "11"], table, AdiabaticSchedule(40, 1.0, "zeroth")).success[-1]
+    first = run_adiabatic(["10", "11"], table, AdiabaticSchedule(40, 1.0, "first")).success[-1]
     ok_ordering = first >= zeroth
     report(6, "ZEROTH at S=20, delta=1.5 ends >= 0.9 for all three bid pairs; FIRST final >= ZEROTH final at S=40, delta=1",
            ok_fig4 and ok_ordering,
@@ -231,8 +232,9 @@ def test_criterion_08_trotter_order():
 
 
 def test_criterion_09_spurious_and_collusion():
-    spurious = run_spurious_attack(["10", "11"], default_schedule())
-    ok_spurious = spurious.success[-1] >= 0.9
+    spurious = run_adiabatic(["10", "11"], spurious_table(), default_schedule())
+    ok_spurious = (spurious.winner_index == revealing_index(["10", "11"])
+                   and spurious.success[-1] >= 0.9)
 
     collusion = run_collusion_defense(["10", "11"], spurious_table(), default_schedule())
     reveal_amp = max(abs(st.state.amplitudes[0b1011]) for st in collusion.steps)

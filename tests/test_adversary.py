@@ -24,10 +24,10 @@ from qauction.adversary import (
     povm_outcome_distributions,
     probe_attack_basis,
     probe_attack_povm,
+    probed_states,
     revealing_index,
     run_collusion_defense,
     run_locked_auction,
-    run_spurious_attack,
     spurious_table,
     toy_bidding_states,
 )
@@ -38,7 +38,6 @@ from qauction.protocol import (
     build_first_price_table,
     default_schedule,
     eigenvalue_tracks,
-    payoff,
     run_adiabatic,
 )
 
@@ -54,15 +53,20 @@ def bits_of(value):
     return {1: "01", 2: "10", 3: "11"}[value]
 
 
+def sampled_distributions(bids, locking=None):
+    """Basis-outcome distributions of the probed bidders' states."""
+    return [state.probabilities() for state in probed_states(bids, locking)]
+
+
 class TestSpuriousTable:
     def test_all_rows(self):
         assert list(spurious_table().values) == SPURIOUS_PAYOFFS
 
     def test_spot_values(self):
         table = spurious_table()
-        assert payoff(table, 0b1011) == 5
-        assert payoff(table, 0b0000) == 0
-        assert payoff(table, 0b1111) == 6
+        assert table.values[0b1011] == 5
+        assert table.values[0b0000] == 0
+        assert table.values[0b1111] == 6
 
     def test_problem_hamiltonian_diagonal(self):
         # H(1) = H_p = diag(-F): the f = 1 row of the full-space gap tracks
@@ -123,35 +127,35 @@ class TestBasisLearningCurve:
     def test_unprotected_closed_form(self):
         curve = probe_attack_basis(["10", "11"], 8)
         expected = (1 - 0.5 ** np.arange(1, 9)) ** 2
-        np.testing.assert_allclose(curve.probabilities, expected, rtol=1e-15)
-        assert curve.probabilities[0] == 0.25
-        assert curve.probabilities[3] == 225 / 256
+        np.testing.assert_allclose(curve, expected, rtol=1e-15)
+        assert curve[0] == 0.25
+        assert curve[3] == 225 / 256
 
     def test_locked_closed_form(self):
         pair = locking_operators(0.9, 0.7, ["11", "10"])
         curve = probe_attack_basis(["11", "10"], 4, locking=pair)
-        assert curve.probabilities[0] == pytest.approx((1 - 0.81) * (1 - 0.49), abs=1e-12)
+        assert curve[0] == pytest.approx((1 - 0.81) * (1 - 0.49), abs=1e-12)
 
     def test_monte_carlo_within_3_sigma(self):
         trials = 100_000
         closed = probe_attack_basis(["10", "11"], 6)
-        mc = probe_attack_basis(["10", "11"], 6, mode="monte_carlo", trials=trials, seed=0)
-        for p_hat, p in zip(mc.probabilities, closed.probabilities):
+        mc = basis_mc_curve(sampled_distributions(["10", "11"]), 6, trials, 0)
+        for p_hat, p in zip(mc, closed):
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(p_hat - p) <= 3 * sigma + 1e-12
 
     def test_locked_strictly_slower_when_alpha_strong(self):
         for a1, a2 in ((0.8, 0.75), (0.9, 0.9), (0.95, 0.8)):
             pair = locking_operators(a1, a2, ["11", "10"])
-            locked = probe_attack_basis(["11", "10"], 20, locking=pair).probabilities
-            plain = probe_attack_basis(["11", "10"], 20).probabilities
+            locked = probe_attack_basis(["11", "10"], 20, locking=pair)
+            plain = probe_attack_basis(["11", "10"], 20)
             assert np.all(locked < plain)
 
     def test_curve_shape_invariants(self):
         for curve in (probe_attack_basis(["10", "11"], 20),
-                      probe_attack_basis(["10", "11"], 10, mode="monte_carlo", trials=5000)):
-            assert np.all(np.diff(curve.probabilities) >= -1e-12)
-            assert np.all((curve.probabilities >= 0) & (curve.probabilities <= 1))
+                      basis_mc_curve(sampled_distributions(["10", "11"]), 10, 5000, 0)):
+            assert np.all(np.diff(curve) >= -1e-12)
+            assert np.all((curve >= 0) & (curve <= 1))
 
 
 # Two synthetic bidders with three POVM outcomes each: (distribution, true index).
@@ -173,9 +177,8 @@ def exact_majority(dist, true_index, n):
 class TestMonteCarloCurves:
     def test_full_lock_is_never_learned(self):
         pair = locking_operators(1.0, 0.8, ["10", "11"])
-        mc = probe_attack_basis(["10", "11"], 5, locking=pair, mode="monte_carlo",
-                                trials=1000, seed=3).probabilities
-        closed = probe_attack_basis(["10", "11"], 5, locking=pair).probabilities
+        mc = basis_mc_curve(sampled_distributions(["10", "11"], pair), 5, 1000, 3)
+        closed = probe_attack_basis(["10", "11"], 5, locking=pair)
         np.testing.assert_array_equal(mc, np.zeros(5))
         np.testing.assert_array_equal(closed, np.zeros(5))
         never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
@@ -185,19 +188,16 @@ class TestMonteCarloCurves:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_first_hit_curves_non_decreasing(self, seed):
         pair = locking_operators(0.9, 0.75, ["11", "10"])
-        curves = [probe_attack_basis(["10", "11"], 12, mode="monte_carlo", trials=2000, seed=seed),
-                  probe_attack_basis(["11", "10"], 12, locking=pair, mode="monte_carlo",
-                                     trials=2000, seed=seed)]
-        probs = [c.probabilities for c in curves]
-        probs.append(povm_mc_curve(SYNTHETIC_BIDDERS, 12, 2000, seed))
+        probs = [basis_mc_curve(sampled_distributions(["10", "11"]), 12, 2000, seed),
+                 basis_mc_curve(sampled_distributions(["11", "10"], pair), 12, 2000, seed),
+                 povm_mc_curve(SYNTHETIC_BIDDERS, 12, 2000, seed)]
         for p in probs:
             assert p.shape == (12,)
             assert np.all(np.diff(p) >= 0)
             assert np.all((p >= 0) & (p <= 1))
 
     def test_same_seed_same_arrays(self):
-        dists = [locked_bidding_state(b, None).probabilities() for b in ("10", "11")]
-        for curve, arg in ((basis_mc_curve, dists), (povm_mc_curve, SYNTHETIC_BIDDERS),
+        for curve, arg in ((basis_mc_curve, sampled_distributions(["10", "11"])), (povm_mc_curve, SYNTHETIC_BIDDERS),
                            (majority_mc_curve, [SYNTHETIC_BIDDERS])):
             first = curve(arg, 6, 3000, 17)
             np.testing.assert_array_equal(first, curve(arg, 6, 3000, 17))
@@ -231,10 +231,16 @@ class TestMajorityBlocks:
             assert np.array_equal(curve, dense_majority_mc_curve(per, n_rounds, trials, seed))
         return curves
 
-    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001])
+    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001, 23_399, 23_400, 23_401, 46_801])
     def test_block_edges(self, trials):
-        # packed flags: one bit per trial, so the last byte of a block can be padding
+        # blocks of 23400 trials at 7 rounds; packed flags: one bit per trial, so
+        # the last byte of a block or of the draw can be padding
         self.assert_matches_dense([SYNTHETIC_BIDDERS, SYNTHETIC_BIDDERS[::-1]], 7, trials)
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049])
+    def test_block_edges_at_1000_rounds(self, trials):
+        # blocks of 1024 trials from 160 rounds up
+        self.assert_matches_dense([SYNTHETIC_BIDDERS, SYNTHETIC_BIDDERS[::-1]], 1000, trials)
 
     @pytest.mark.parametrize("n_rounds", [1, 127, 128, 255, 256])  # margins go int8 -> int16 at 128
     def test_count_dtype_edges(self, n_rounds):
@@ -287,6 +293,19 @@ class TestMajorityBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_peak_memory_at_the_rounds_cap(self):
+        # blocks of 1024 trials here, about 16 B a cell, plus the packed flags;
+        # blocks of all 8192 trials peaked at 150 MB
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], lock)]
+                    for lock in (None, locking_operators(0.9, 0.7, ["10", "11"]))]
+        tracemalloc.start()
+        try:
+            majority_mc_curve(variants, 1000, 8192, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestFirstHitBlocks:
@@ -433,18 +452,18 @@ class TestOptimalityCheck:
 
 class TestPovmLearningCurves:
     def test_closed_form_values(self):
-        curve = probe_attack_povm(["10", "11"], 4, 0.1112)
-        assert curve.probabilities[0] == pytest.approx((1 - 0.1112) ** 2, abs=1e-12)
-        assert curve.probabilities[3] > 0.999
+        curve = probe_attack_povm([0.1112, 0.1112], 4)
+        assert curve[0] == pytest.approx((1 - 0.1112) ** 2, abs=1e-12)
+        assert curve[3] > 0.999
 
     def test_zero_error(self):
-        curve = probe_attack_povm(["10", "11"], 5, 0.0)
-        np.testing.assert_array_equal(curve.probabilities, np.ones(5))
+        curve = probe_attack_povm([0.0, 0.0], 5)
+        np.testing.assert_array_equal(curve, np.ones(5))
 
     def test_monte_carlo_matches_closed_form(self, toy_povm):
         _, _, p_e = toy_povm
         trials = 100_000
-        closed = probe_attack_povm(["10", "11"], 5, p_e).probabilities
+        closed = probe_attack_povm([p_e, p_e], 5)
         per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
         mc = povm_mc_curve(per, 5, trials, 1)
         for p_hat, p in zip(mc, closed):
@@ -463,7 +482,7 @@ class TestPovmLearningCurves:
 
     def test_invalid_error_probability(self):
         with pytest.raises(ContractViolation):
-            probe_attack_povm(["10", "11"], 3, 1.0)
+            probe_attack_povm([0.1, 1.0], 3)
 
 
 class TestLockedAuction:
@@ -515,15 +534,9 @@ class TestLockedAuction:
 
 
 class TestSpuriousAttack:
-    def test_wrong_winner_raises(self, monkeypatch):
-        import qauction.adversary as adversary
-        monkeypatch.setattr(adversary, "revealing_index", lambda bids: 0)
-        with pytest.raises(ContractViolation, match="revealing"):
-            run_spurious_attack(["10", "11"], default_schedule())
-
     def test_converges_to_revealing_state(self):
-        traj = run_spurious_attack(["10", "11"], default_schedule())
-        assert traj.winner_index == 0b1011
+        traj = run_adiabatic(["10", "11"], spurious_table(), default_schedule())
+        assert traj.winner_index == revealing_index(["10", "11"]) == 0b1011
         assert traj.success[0] == pytest.approx(0.25, abs=1e-12)
         assert traj.success[-1] >= 0.9
 

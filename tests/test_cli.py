@@ -505,6 +505,94 @@ class TestMonteCarloCap:
         assert cfg.rounds <= cli.MAX_MC_ROUNDS
 
 
+class TestStepCap:
+    """More than cli.MAX_STEPS schedule steps, or full-space gap tracks of
+    more than cli.MAX_GAP_VALUES eigenvalues, (steps + 1) * 2^n, is a
+    configuration error, caught before any table or operator is built."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture()
+    def nothing_built(self, monkeypatch):
+        yield from _refused_and_small(monkeypatch, (
+            (cli.protocol, "build_first_price_table"), (cli.protocol, "run_adiabatic"),
+            (cli.protocol, "eigenvalue_tracks")))
+
+    @pytest.fixture()
+    def tracks_reached(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise self.Reached
+        monkeypatch.setattr(cli.protocol, "eigenvalue_tracks", reached)
+
+    @pytest.mark.parametrize("args", [
+        ["converge", "--steps", "10001"],
+        ["variants", "--steps", "10001"],
+        ["gap", "--steps", "10001"],
+        ["attack", "--attack", "spurious", "--steps", "10001"],
+        ["converge", "--steps", "1" * 30],
+    ], ids=["converge", "variants", "gap", "spurious", "30_digits"])
+    def test_steps_over_cap_rejected(self, args, nothing_built, capsys):
+        assert cli.MAX_STEPS == 10_000
+        _rejected_in_one_line(args, capsys, "cap of 10000 steps")
+
+    def test_steps_at_cap_accepted(self):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["variants", "--steps", "10000"]))
+        assert cfg.steps == cli.MAX_STEPS
+
+    # (bids, steps at the cap): 512 * 2^12, 1024 * 2^11, 2048 * 2^10 and 8192 * 2^8 eigenvalues
+    GAP_AT_CAP = [("0011,0101,1001", 511), ("10110100101", 1023),
+                  ("01,10,11,01,10", 2047), ("1011,0110", 8191)]
+
+    @pytest.mark.parametrize("bids, steps", GAP_AT_CAP)
+    def test_full_space_gap_over_cap_rejected(self, bids, steps, nothing_built, capsys):
+        assert cli.MAX_GAP_VALUES == 2**21
+        _rejected_in_one_line(["gap", "--bids", bids, "--restrict", "false",
+                               "--steps", str(steps + 1)], capsys, "exceed the cap of 2097152")
+
+    @pytest.mark.parametrize("bids, steps", GAP_AT_CAP)
+    def test_full_space_gap_at_cap_accepted(self, bids, steps, tracks_reached):
+        with pytest.raises(self.Reached):
+            cli.main(["gap", "--bids", bids, "--restrict", "false", "--steps", str(steps)])
+
+    def test_restricted_gap_not_capped(self, tracks_reached):
+        with pytest.raises(self.Reached):
+            cli.main(["gap", "--bids", "0011,0101,1001", "--steps", "10000"])
+
+
+# Bad values for every key: not a number, infinite, huge, subnormal, empty,
+# hexadecimal, and an integer of 30 digits
+BAD_VALUES = ["nan", "inf", "-inf", "1e308", "1e-320", "", "0x10", "1" * 30]
+
+
+class TestEveryKeyClosed:
+    """A bad value for any scenario key, on any scenario subcommand, with or
+    without the lock defense, ends in an exit code and never in a traceback
+    or a NaN in the output. The other keys keep small runs."""
+
+    SMALL = {"steps": "2", "trials": "16", "rounds": "3"}
+    LOCK = {"defense": "lock", "alpha1": "0.9", "alpha2": "0.7"}
+
+    @pytest.mark.parametrize("locked", [False, True], ids=["plain", "lock"])
+    @pytest.mark.parametrize("command", ["converge", "variants", "gap", "attack", "povm"])
+    @pytest.mark.parametrize("key", list(cli._KEY_SPECS))
+    def test_bad_values(self, key, command, locked, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # --out writes a file named after the value
+        settings = dict(self.SMALL, **(self.LOCK if locked else {}))
+        if command == "attack":
+            settings["attack"] = "probe_basis"
+        for value in BAD_VALUES:
+            argv = [command] + [part for k, v in dict(settings, **{key: value}).items()
+                                for part in (f"--{k}", v)]
+            code = cli.main(argv)
+            output = capsys.readouterr().out
+            for path in tmp_path.iterdir():
+                output += path.read_text()
+                path.unlink()
+            assert code in (0, 1, 2), argv
+            assert "nan" not in output.lower(), argv
+
+
 class TestConfigHandling:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"

@@ -48,7 +48,7 @@ class TestStateVector:
             StateVector([1.0, 0.0, 0.0])
 
     def test_basis_state(self):
-        s = StateVector.basis(2, 3)
+        s = StateVector(np.eye(4)[3])
         assert s.n_qubits == 2
         np.testing.assert_allclose(s.probabilities(), [0, 0, 0, 1])
 
@@ -119,7 +119,7 @@ class TestEigHermitian:
 
 class TestMeasurement:
     def test_basis_state(self):
-        probs = measurement_probabilities(StateVector.basis(2, 0), computational_povm(2))
+        probs = measurement_probabilities(StateVector([1, 0, 0, 0]), computational_povm(2))
         np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
     def test_superposition(self):
@@ -139,16 +139,16 @@ class TestMeasurement:
 
     def test_incomplete_povm_rejected(self):
         with pytest.raises(ContractViolation):
-            measurement_probabilities(StateVector.basis(1, 0), [np.diag([1.0, 0.0])])
+            measurement_probabilities(StateVector([1, 0]), [np.diag([1.0, 0.0])])
 
     def test_sampling_deterministic_outcome(self):
         for seed in (0, 1, 99):
             rng = np.random.default_rng(seed)
-            assert sample_measurement(StateVector.basis(2, 0), computational_povm(2), rng) == 0
+            assert sample_measurement(StateVector([1, 0, 0, 0]), computational_povm(2), rng) == 0
 
     def test_sampling_trivial_povm(self):
         rng = np.random.default_rng(4)
-        assert sample_measurement(StateVector.basis(1, 1), [np.eye(2)], rng) == 0
+        assert sample_measurement(StateVector([0, 1]), [np.eye(2)], rng) == 0
 
     def test_sampling_reproducible(self):
         state = StateVector(np.array([1, 1, 1, 1]) / 2)

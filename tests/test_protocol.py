@@ -23,11 +23,9 @@ from qauction.protocol import (
     default_schedule,
     eigenvalue_tracks,
     expansion_diagonal,
-    fine_schedule,
     hamming_weights,
     joint_bidding_operator,
     pauli_z_expansion,
-    payoff,
     plausible_allocations,
     run_adiabatic,
     run_schedule,
@@ -83,13 +81,9 @@ class TestPayoffTable:
 
     def test_payoff_lookup(self):
         table = build_first_price_table(TOY)
-        assert payoff(table, 0b0011) == 3
-        assert payoff(table, 0b0101) == 0
-        assert payoff(table, 0b0000) == 0
-
-    def test_payoff_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            payoff(build_first_price_table(TOY), 16)
+        assert table.values[0b0011] == 3
+        assert table.values[0b0101] == 0
+        assert table.values[0b0000] == 0
 
     def test_degenerate_auction(self):
         table = build_first_price_table(AuctionConfig(m=1, p=1))
@@ -97,7 +91,7 @@ class TestPayoffTable:
 
     def test_three_bidders(self):
         table = build_first_price_table(AuctionConfig(m=3, p=2))
-        assert payoff(table, 0b000010) == 2
+        assert table.values[0b000010] == 2
         # independent oracle: build the sparse table from the winner's side
         expected = np.zeros(64)
         for bidder in range(3):
@@ -226,7 +220,6 @@ class TestBiddingOperators:
 class TestSchedules:
     def test_presets(self):
         assert (default_schedule().steps, default_schedule().delta) == (20, 1.5)
-        assert (fine_schedule().steps, fine_schedule().delta) == (40, 1.0)
         assert auto_delta(16) == 0.25
 
     def test_validation(self):
@@ -364,7 +357,7 @@ class TestRunAdiabatic:
                 if v1 == v2:
                     continue
                 traj = run_adiabatic([bits[v1], bits[v2]], toy_setup["table"],
-                                     fine_schedule("first"))
+                                     AdiabaticSchedule(40, 1.0, "first"))
                 final = traj.final_state.probabilities()
                 best = max(traj.plausible, key=lambda x: final[x])
                 assert best == traj.winner_index
