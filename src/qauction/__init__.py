@@ -45,10 +45,9 @@ from .circuits import (
     verify_circuit,
 )
 from .adversary import (
-    LockingPair,
     Povm,
     helstrom_error,
-    locking_operators,
+    locking_unitaries,
     min_error_povm,
     povm_optimality_check,
     probe_attack_basis,

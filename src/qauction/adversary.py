@@ -49,28 +49,6 @@ class Povm:
         object.__setattr__(self, "elements", tuple(check_povm(self.elements)))
 
 
-@dataclass(frozen=True)
-class LockingPair:
-    """Secret per-bidder involutions V_i biasing bidding states toward |0..0>.
-
-    alpha_i = (cos(theta_i) + sin(theta_i)) / sqrt(2) is the locked
-    amplitude on |0..0>; the amplitude left on the price state is
-    (sin(theta_i) - cos(theta_i)) / sqrt(2), whose magnitude is
-    sqrt(1 - alpha_i^2).
-    """
-
-    theta1: float
-    theta2: float
-    v1: np.ndarray
-    v2: np.ndarray
-    alpha1: float
-    alpha2: float
-
-    @property
-    def operators(self) -> tuple[np.ndarray, np.ndarray]:
-        return (self.v1, self.v2)
-
-
 def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarray]:
     """Real symmetric unitary V with V(|0..0> + |b>)/sqrt(2) = alpha|0..0> + ...
 
@@ -94,13 +72,13 @@ def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarra
     return theta, v
 
 
-def locking_operators(alpha1: float, alpha2: float,
-                      bids: Sequence[BidSpec | str]) -> LockingPair:
-    if len(bids) != 2:
-        raise ContractViolation("locking pair covers exactly two bidders")
-    t1, v1 = locking_operator(bids[0], alpha1)
-    t2, v2 = locking_operator(bids[1], alpha2)
-    return LockingPair(theta1=t1, theta2=t2, v1=v1, v2=v2, alpha1=alpha1, alpha2=alpha2)
+def locking_unitaries(bids: Sequence[BidSpec | str],
+                      alphas: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The secret V_i of each bidder, locking bid i at amplitude alphas[i]:
+    the per-bidder locking factors a locked schedule takes."""
+    if len(alphas) != len(bids):
+        raise ContractViolation(f"{len(alphas)} lock amplitudes for {len(bids)} bidders")
+    return tuple(locking_operator(b, a)[1] for b, a in zip(bids, alphas))
 
 
 def locked_bidding_state(bid: BidSpec | str, alpha: float | None) -> StateVector:
@@ -269,34 +247,19 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     return np.bitwise_count(learned, out=learned).sum(axis=2) / trials
 
 
-def probe_attack_basis(bids: Sequence[BidSpec | str], n_rounds: int,
-                       locking: LockingPair | None = None) -> np.ndarray:
+def probe_attack_basis(alphas: Sequence[float | None], n_rounds: int) -> np.ndarray:
     """Closed-form learning curve of qubit-by-qubit probe measurements:
     prod_i (1 - (1 - rho_i)^N) for N = 1..n_rounds, with per-round
-    revelation probability rho_i = 1 - |alpha_i|^2 (1/2 when unprotected).
-    `basis_mc_curve` samples the same attack."""
+    revelation probability rho_i = 1 - |alpha_i|^2, or 1/2 for an unlocked
+    bidder (alpha_i None). `basis_mc_curve` samples the same attack."""
     if n_rounds < 1:
         raise ContractViolation("need at least one probe round")
     rounds = np.arange(1, n_rounds + 1)
     probs = np.ones(n_rounds)
-    for alpha in _lock_amplitudes(bids, locking):
+    for alpha in alphas:
         rho = 0.5 if alpha is None else 1.0 - alpha * alpha
         probs *= 1.0 - (1.0 - rho) ** rounds
     return probs
-
-
-def probed_states(bids: Sequence[BidSpec | str],
-                  locking: LockingPair | None = None) -> list[StateVector]:
-    """The bidding state each probed bidder returns, locked by the pair if given."""
-    return [locked_bidding_state(b, a) for b, a in zip(bids, _lock_amplitudes(bids, locking))]
-
-
-def _lock_amplitudes(bids, locking: LockingPair | None):
-    if locking is None:
-        return [None] * len(bids)
-    if len(bids) != 2:
-        raise ContractViolation("locking pair covers exactly two bidders")
-    return [locking.alpha1, locking.alpha2]
 
 
 def helstrom_error(state_a: StateVector, state_b: StateVector,
@@ -418,11 +381,13 @@ def probe_attack_povm(p_errors: Sequence[float], n_rounds: int) -> np.ndarray:
     return probs
 
 
-def povm_outcome_distributions(bids: Sequence[BidSpec | str], locking: LockingPair | None):
+def povm_outcome_distributions(bids: Sequence[BidSpec | str],
+                               alphas: Sequence[float | None]):
     """Per bidder: (outcome distribution of their true state under the
-    minimum-error POVM, index of the outcome naming the true bid, p_e)."""
+    minimum-error POVM, index of the outcome naming the true bid, p_e),
+    with bidder i locked at alphas[i], or unlocked where it is None."""
     out = []
-    for bid, alpha in zip(bids, _lock_amplitudes(bids, locking)):
+    for bid, alpha in zip(bids, alphas):
         povm, p_e = min_error_povm(toy_bidding_states(alpha), [1 / 3] * 3)
         true_index = TOY_BIDS.index(as_bid(bid).bits)
         dist = measurement_probabilities(locked_bidding_state(bid, alpha), povm.elements)
@@ -447,8 +412,9 @@ def revealing_index(bids: Sequence[BidSpec | str]) -> int:
 
 
 def run_locked_auction(bids: Sequence[BidSpec | str], table: PayoffTable,
-                       schedule: AdiabaticSchedule, locking: LockingPair) -> Trajectory:
-    """Search with the payoff phases conjugated by the secret V = V1 x V2.
+                       schedule: AdiabaticSchedule, alphas: Sequence[float]) -> Trajectory:
+    """Search with the payoff phases conjugated by the secret V = V1 x ... x Vm,
+    bidder i locked at amplitude alphas[i].
 
     A "zeroth" schedule is promoted to the "locked" iteration; "exact"
     keeps exact stepping with the conjugated final Hamiltonian.
@@ -458,7 +424,8 @@ def run_locked_auction(bids: Sequence[BidSpec | str], table: PayoffTable,
         variant = "locked"
     if variant not in ("locked", "exact"):
         raise ContractViolation("locked runs support the 'locked' and 'exact' variants only")
-    locked_schedule = dataclasses.replace(schedule, variant=variant, locking=locking.operators)
+    locked_schedule = dataclasses.replace(schedule, variant=variant,
+                                          locking=locking_unitaries(bids, alphas))
     return run_adiabatic(bids, table, locked_schedule)
 
 

@@ -125,13 +125,16 @@ class ScenarioConfig:
         p = len(self.bids[0])
         return protocol.build_first_price_table(AuctionConfig(m=len(self.bids), p=p))
 
-    def locking(self) -> adversary.LockingPair:
+    def locking(self) -> tuple[float, float]:
+        """The two lock amplitudes, each checked to lie in (0, 1]."""
         if self.alpha1 is None or self.alpha2 is None:
             raise ConfigError("defense=lock needs alpha1 and alpha2 in (0, 1]")
-        try:
-            return adversary.locking_operators(self.alpha1, self.alpha2, self.bids)
-        except ContractViolation as exc:
-            raise ConfigError(str(exc)) from exc
+        if len(self.bids) != 2:
+            raise ConfigError("locking pair covers exactly two bidders")
+        for alpha in (self.alpha1, self.alpha2):
+            if not 0 < alpha <= 1:
+                raise ConfigError(f"lock amplitude must lie in (0, 1], got {alpha}")
+        return self.alpha1, self.alpha2
 
 
 def read_config_file(path: str) -> dict:
@@ -277,12 +280,15 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
     if not cfg.restrict and values > MAX_GAP_VALUES:
         raise ConfigError(f"full-space gap tracks: (steps + 1) * 2^n = {values} eigenvalues "
                           f"exceed the cap of {MAX_GAP_VALUES}")
+    alphas = cfg.locking() if cfg.defense == "lock" else None
+    table = cfg.payoff_table()
+    # a tie is a simulation error, found before any operator is built
+    protocol.winning_allocation(table, protocol.plausible_allocations(cfg.bids))
     schedule = cfg.schedule()
-    if cfg.defense == "lock":
-        schedule = dataclasses.replace(
-            cfg.schedule("locked"), locking=cfg.locking().operators)
-    tracks = protocol.eigenvalue_tracks(cfg.bids, cfg.payoff_table(), schedule,
-                                        restrict=cfg.restrict)
+    if alphas is not None:
+        schedule = dataclasses.replace(cfg.schedule("locked"),
+                                       locking=adversary.locking_unitaries(cfg.bids, alphas))
+    tracks = protocol.eigenvalue_tracks(cfg.bids, table, schedule, restrict=cfg.restrict)
     k = tracks.eigenvalues.shape[1]
     header = ["s", "f"] + [f"lambda{i}" for i in range(k)] + ["gap"]
     rows = []
@@ -293,24 +299,24 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
 
 
 def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
-    locked = cfg.locking() if cfg.defense == "lock" else None
-    variants: list[tuple[str, adversary.LockingPair | None]] = [("", None)]
-    if locked is not None:
-        variants.append(("_lock", locked))
+    variants = [("", (None,) * len(cfg.bids))]
+    if cfg.defense == "lock":
+        variants.append(("_lock", cfg.locking()))
 
     header = ["N"]
     meta_extra: dict = {}
     columns = [np.arange(1, cfg.rounds + 1)]
-    solved = [adversary.povm_outcome_distributions(cfg.bids, lock) for _, lock in variants]
+    solved = [adversary.povm_outcome_distributions(cfg.bids, alphas) for _, alphas in variants]
     pers = [[(dist, t) for dist, t, _ in bidders] for bidders in solved]
     # one majority draw, counted for every variant
     majority = adversary.majority_mc_curve(pers, cfg.rounds, cfg.trials, cfg.seed)
-    for (suffix, lock), bidders, per, majority_curve in zip(variants, solved, pers, majority):
-        dists = [state.probabilities() for state in adversary.probed_states(cfg.bids, lock)]
+    for (suffix, alphas), bidders, per, majority_curve in zip(variants, solved, pers, majority):
+        dists = [adversary.locked_bidding_state(b, a).probabilities()
+                 for b, a in zip(cfg.bids, alphas)]
         p_errors = [p_e for _, _, p_e in bidders]
         for bidder, p_e in enumerate(p_errors):
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
-        columns += [adversary.probe_attack_basis(cfg.bids, cfg.rounds, locking=lock),
+        columns += [adversary.probe_attack_basis(alphas, cfg.rounds),
                     adversary.basis_mc_curve(dists, cfg.rounds, cfg.trials, cfg.seed),
                     adversary.probe_attack_povm(p_errors, cfg.rounds),
                     adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),

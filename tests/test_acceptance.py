@@ -22,11 +22,10 @@ from qauction.adversary import (
     basis_mc_curve,
     min_error_povm,
     helstrom_error,
-    locking_operators,
+    locked_bidding_state,
     povm_optimality_check,
     probe_attack_basis,
     probe_attack_povm,
-    probed_states,
     revealing_index,
     run_collusion_defense,
     run_locked_auction,
@@ -136,13 +135,13 @@ def test_criterion_04_povm():
 
 def test_criterion_05_learning_curves():
     rounds = 20
-    closed = probe_attack_basis(["10", "11"], rounds)
+    closed = probe_attack_basis([None, None], rounds)
     expected = (1 - 0.5 ** np.arange(1, rounds + 1)) ** 2
     ok_closed = np.allclose(closed, expected, rtol=1e-15, atol=0)
     ok_quarter = closed[0] == 0.25
 
     trials = 100_000
-    dists = [state.probabilities() for state in probed_states(["10", "11"])]
+    dists = [locked_bidding_state(b, None).probabilities() for b in ("10", "11")]
     mc = basis_mc_curve(dists, rounds, trials, 1)
     sigma = np.sqrt(expected * (1 - expected) / trials)
     ok_mc = bool(np.all(np.abs(mc - expected) <= 3 * sigma + 1e-12))
@@ -199,8 +198,7 @@ def test_criterion_06_diagnostic_splitting_order(bids):
 def test_criterion_07_subspace_preservation():
     table = build_first_price_table(TOY)
     honest = run_adiabatic(["10", "11"], table, default_schedule()).leakage.max()
-    pair = locking_operators(0.9, 0.7, ["11", "10"])
-    locked = run_locked_auction(["11", "10"], table, default_schedule(), pair).leakage.max()
+    locked = run_locked_auction(["11", "10"], table, default_schedule(), (0.9, 0.7)).leakage.max()
     collusion = run_collusion_defense(["10", "11"], spurious_table(),
                                       default_schedule()).leakage.max()
     ok = honest <= 1e-9 and locked <= 1e-9 and collusion <= 1e-9

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve
 from qauction.adversary import (
-    LockingPair,
     Povm,
     _capped_geometric,
     _first_hit_curve,
@@ -16,7 +15,7 @@ from qauction.adversary import (
     helstrom_error,
     locked_bidding_state,
     locking_operator,
-    locking_operators,
+    locking_unitaries,
     majority_mc_curve,
     min_error_povm,
     povm_mc_curve,
@@ -24,7 +23,6 @@ from qauction.adversary import (
     povm_outcome_distributions,
     probe_attack_basis,
     probe_attack_povm,
-    probed_states,
     revealing_index,
     run_collusion_defense,
     run_locked_auction,
@@ -53,9 +51,11 @@ def bits_of(value):
     return {1: "01", 2: "10", 3: "11"}[value]
 
 
-def sampled_distributions(bids, locking=None):
-    """Basis-outcome distributions of the probed bidders' states."""
-    return [state.probabilities() for state in probed_states(bids, locking)]
+def sampled_distributions(bids, alphas=None):
+    """Basis-outcome distributions of the probed bidders' states, bidder i
+    locked at alphas[i] if given."""
+    alphas = alphas or (None,) * len(bids)
+    return [locked_bidding_state(b, a).probabilities() for b, a in zip(bids, alphas)]
 
 
 class TestSpuriousTable:
@@ -83,6 +83,7 @@ class TestLockingOperators:
     @pytest.mark.parametrize("alpha", [0.6, 0.7, 0.9, 1 / math.sqrt(2), 1.0])
     def test_defining_action(self, bits, alpha):
         theta, v = locking_operator(bits, alpha)
+        assert (math.cos(theta) + math.sin(theta)) / math.sqrt(2) == pytest.approx(alpha, abs=1e-12)
         assert is_hermitian(v, 1e-12)
         assert is_unitary(v, 1e-10)
         locked = locked_bidding_state(bits, alpha)
@@ -110,11 +111,16 @@ class TestLockingOperators:
         assert theta == pytest.approx(math.asin(0.9) - math.pi / 4, abs=1e-12)
         assert theta == pytest.approx(0.3344, abs=5e-5)
 
-    def test_pair_invariants(self):
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
-        assert isinstance(pair, LockingPair)
-        for theta, alpha in ((pair.theta1, pair.alpha1), (pair.theta2, pair.alpha2)):
-            assert (math.cos(theta) + math.sin(theta)) / math.sqrt(2) == pytest.approx(alpha, abs=1e-12)
+    def test_unitaries_are_the_per_bidder_operators(self):
+        bids, alphas = ["11", "10", "01"], (0.9, 0.7, 0.8)
+        vs = locking_unitaries(bids, alphas)
+        assert len(vs) == 3
+        for v, b, a in zip(vs, bids, alphas):
+            np.testing.assert_array_equal(v, locking_operator(b, a)[1])
+
+    def test_unitaries_need_one_amplitude_per_bidder(self):
+        with pytest.raises(ContractViolation, match="2 lock amplitudes for 3 bidders"):
+            locking_unitaries(["11", "10", "01"], (0.9, 0.7))
 
     def test_alpha_range(self):
         with pytest.raises(ContractViolation):
@@ -125,20 +131,19 @@ class TestLockingOperators:
 
 class TestBasisLearningCurve:
     def test_unprotected_closed_form(self):
-        curve = probe_attack_basis(["10", "11"], 8)
+        curve = probe_attack_basis([None, None], 8)
         expected = (1 - 0.5 ** np.arange(1, 9)) ** 2
         np.testing.assert_allclose(curve, expected, rtol=1e-15)
         assert curve[0] == 0.25
         assert curve[3] == 225 / 256
 
     def test_locked_closed_form(self):
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
-        curve = probe_attack_basis(["11", "10"], 4, locking=pair)
+        curve = probe_attack_basis([0.9, 0.7], 4)
         assert curve[0] == pytest.approx((1 - 0.81) * (1 - 0.49), abs=1e-12)
 
     def test_monte_carlo_within_3_sigma(self):
         trials = 100_000
-        closed = probe_attack_basis(["10", "11"], 6)
+        closed = probe_attack_basis([None, None], 6)
         mc = basis_mc_curve(sampled_distributions(["10", "11"]), 6, trials, 0)
         for p_hat, p in zip(mc, closed):
             sigma = math.sqrt(p * (1 - p) / trials)
@@ -146,13 +151,12 @@ class TestBasisLearningCurve:
 
     def test_locked_strictly_slower_when_alpha_strong(self):
         for a1, a2 in ((0.8, 0.75), (0.9, 0.9), (0.95, 0.8)):
-            pair = locking_operators(a1, a2, ["11", "10"])
-            locked = probe_attack_basis(["11", "10"], 20, locking=pair)
-            plain = probe_attack_basis(["11", "10"], 20)
+            locked = probe_attack_basis([a1, a2], 20)
+            plain = probe_attack_basis([None, None], 20)
             assert np.all(locked < plain)
 
     def test_curve_shape_invariants(self):
-        for curve in (probe_attack_basis(["10", "11"], 20),
+        for curve in (probe_attack_basis([None, None], 20),
                       basis_mc_curve(sampled_distributions(["10", "11"]), 10, 5000, 0)):
             assert np.all(np.diff(curve) >= -1e-12)
             assert np.all((curve >= 0) & (curve <= 1))
@@ -176,9 +180,8 @@ def exact_majority(dist, true_index, n):
 
 class TestMonteCarloCurves:
     def test_full_lock_is_never_learned(self):
-        pair = locking_operators(1.0, 0.8, ["10", "11"])
-        mc = basis_mc_curve(sampled_distributions(["10", "11"], pair), 5, 1000, 3)
-        closed = probe_attack_basis(["10", "11"], 5, locking=pair)
+        mc = basis_mc_curve(sampled_distributions(["10", "11"], (1.0, 0.8)), 5, 1000, 3)
+        closed = probe_attack_basis([1.0, 0.8], 5)
         np.testing.assert_array_equal(mc, np.zeros(5))
         np.testing.assert_array_equal(closed, np.zeros(5))
         never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
@@ -187,9 +190,8 @@ class TestMonteCarloCurves:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_first_hit_curves_non_decreasing(self, seed):
-        pair = locking_operators(0.9, 0.75, ["11", "10"])
         probs = [basis_mc_curve(sampled_distributions(["10", "11"]), 12, 2000, seed),
-                 basis_mc_curve(sampled_distributions(["11", "10"], pair), 12, 2000, seed),
+                 basis_mc_curve(sampled_distributions(["11", "10"], (0.9, 0.75)), 12, 2000, seed),
                  povm_mc_curve(SYNTHETIC_BIDDERS, 12, 2000, seed)]
         for p in probs:
             assert p.shape == (12,)
@@ -277,15 +279,15 @@ class TestMajorityBlocks:
     @pytest.mark.parametrize("locked", [False, True])
     def test_toy_povm_distributions(self, bids, locked):
         # locked: the CLI's call, the unlocked and the locked variant on one draw
-        locks = [None, locking_operators(0.77, 0.91, bids)] if locked else [None]
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(bids, lock)]
-                    for lock in locks]
+        locks = [(None, None), (0.77, 0.91)] if locked else [(None, None)]
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(bids, alphas)]
+                    for alphas in locks]
         self.assert_matches_dense(variants, 20, 20_001)
 
     def test_peak_memory_at_cli_default(self):
         # the dense reference peaks near 25 MB a variant here: a full draw, outcomes and counts
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], lock)]
-                    for lock in (None, locking_operators(0.9, 0.7, ["10", "11"]))]
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], alphas)]
+                    for alphas in ((None, None), (0.9, 0.7))]
         tracemalloc.start()
         try:
             majority_mc_curve(variants, 20, 100_000, 0)
@@ -297,8 +299,8 @@ class TestMajorityBlocks:
     def test_peak_memory_at_the_rounds_cap(self):
         # blocks of 1024 trials here, about 16 B a cell, plus the packed flags;
         # blocks of all 8192 trials peaked at 150 MB
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], lock)]
-                    for lock in (None, locking_operators(0.9, 0.7, ["10", "11"]))]
+        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], alphas)]
+                    for alphas in ((None, None), (0.9, 0.7))]
         tracemalloc.start()
         try:
             majority_mc_curve(variants, 1000, 8192, 0)
@@ -464,7 +466,7 @@ class TestPovmLearningCurves:
         _, _, p_e = toy_povm
         trials = 100_000
         closed = probe_attack_povm([p_e, p_e], 5)
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], (None, None))]
         mc = povm_mc_curve(per, 5, trials, 1)
         for p_hat, p in zip(mc, closed):
             sigma = math.sqrt(p * (1 - p) / trials)
@@ -473,7 +475,7 @@ class TestPovmLearningCurves:
     def test_majority_vote_first_round(self, toy_povm):
         _, _, p_e = toy_povm
         trials = 20_000
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], None)]
+        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], (None, None))]
         probs = majority_mc_curve([per], 2, trials, 2)[0]
         p1 = (1 - p_e) ** 2
         assert abs(probs[0] - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)
@@ -487,20 +489,18 @@ class TestPovmLearningCurves:
 
 class TestLockedAuction:
     def test_neutral_lock_equals_unlocked_zeroth(self):
-        pair = locking_operators(1 / math.sqrt(2), 1 / math.sqrt(2), ["10", "11"])
-        locked = run_locked_auction(["10", "11"], TOY_TABLE, default_schedule(), pair)
+        neutral = (1 / math.sqrt(2), 1 / math.sqrt(2))
+        locked = run_locked_auction(["10", "11"], TOY_TABLE, default_schedule(), neutral)
         plain = run_adiabatic(["10", "11"], TOY_TABLE, default_schedule())
         assert abs(locked.success[-1] - plain.success[-1]) <= 1e-6
 
     def test_leakage_stays_in_subspace(self):
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
-        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule(), pair)
+        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule(), (0.9, 0.7))
         assert traj.leakage.max() <= 1e-9
 
     def test_strong_lock_winner_exact_variant(self):
         # exact stepping at the short schedule already resolves the winner
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
-        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("exact"), pair)
+        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("exact"), (0.9, 0.7))
         final = traj.final_state.probabilities()
         assert int(np.argmax(final)) == 0b1100
 
@@ -515,22 +515,20 @@ class TestLockedAuction:
             expected = int(np.argmax(honest.final_state.probabilities()))
             assert expected == honest.winner_index
             for a1, a2 in itertools.product(alphas, repeat=2):
-                pair = locking_operators(a1, a2, bids)
-                locked = run_locked_auction(bids, TOY_TABLE, schedule, pair)
+                locked = run_locked_auction(bids, TOY_TABLE, schedule, (a1, a2))
                 got = int(np.argmax(locked.final_state.probabilities()))
                 assert got == expected, (v1, v2, a1, a2)
 
     def test_locked_gap_shrinks(self):
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
-        locked_schedule = AdiabaticSchedule(20, 1.5, "locked", locking=pair.operators)
+        locking = locking_unitaries(["11", "10"], (0.9, 0.7))
+        locked_schedule = AdiabaticSchedule(20, 1.5, "locked", locking=locking)
         locked = eigenvalue_tracks(["11", "10"], TOY_TABLE, locked_schedule)
         honest = eigenvalue_tracks(["11", "10"], TOY_TABLE, default_schedule())
         assert 0 < locked.g_min < honest.g_min
 
     def test_first_variant_rejected(self):
-        pair = locking_operators(0.9, 0.7, ["11", "10"])
         with pytest.raises(ContractViolation):
-            run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("first"), pair)
+            run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("first"), (0.9, 0.7))
 
 
 class TestSpuriousAttack:

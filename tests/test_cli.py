@@ -78,6 +78,12 @@ class TestConverge:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["converge", "gap"])
+    def test_lock_needs_two_bidders(self, command, capsys):
+        _rejected_in_one_line([command, "--bids", "11,10,01", "--defense", "lock",
+                               "--alpha1", "0.9", "--alpha2", "0.7"], capsys,
+                              "locking pair covers exactly two bidders")
+
 
 class TestVariants:
     def test_initial_row_and_ordering(self, capsys):
@@ -147,6 +153,18 @@ class TestGap:
         _, header, _ = parse_csv(out)
         assert header[-1] == "gap"
         assert len(header) == 2 + 16 + 1
+
+    @pytest.mark.parametrize("restrict", ["true", "false"])
+    @pytest.mark.parametrize("bids", ["1,1", "10,10"])
+    def test_tie_exits_2_before_any_track(self, bids, restrict, monkeypatch, capsys):
+        # as in converge and variants: a tied auction has no winner to track
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvalue_tracks was called")
+        monkeypatch.setattr(cli.protocol, "eigenvalue_tracks", refuse)
+        assert cli.main(["gap", "--bids", bids, "--restrict", restrict]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tied among plausible allocations" in captured.err
 
 
 class TestAttack:

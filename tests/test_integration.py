@@ -13,7 +13,7 @@ from helpers import assert_run_matches, dense_run
 from qauction.adversary import (
     build_collusion_circuit,
     locking_operator,
-    locking_operators,
+    locking_unitaries,
     run_collusion_defense,
     run_locked_auction,
     spurious_table,
@@ -44,12 +44,14 @@ def test_fold_matches_single_steps(variant):
 
 @pytest.mark.parametrize("variant", ["exact", "locked"])
 def test_fold_matches_single_steps_locked(variant):
-    pair = locking_operators(0.85, 0.65, ["11", "01"])
-    schedule = AdiabaticSchedule(steps=10, delta=1.2, variant=variant,
-                                 locking=pair.operators)
+    locking = locking_unitaries(["11", "01"], (0.85, 0.65))
+    schedule = AdiabaticSchedule(steps=10, delta=1.2, variant=variant, locking=locking)
     traj = run_adiabatic(["11", "01"], TOY_TABLE, schedule)
-    states = dense_run(joint_bidding_operator(["11", "01"]), np.kron(pair.v1, pair.v2), TOY_TABLE, schedule)
+    states = dense_run(joint_bidding_operator(["11", "01"]), np.kron(*locking), TOY_TABLE, schedule)
     assert_run_matches(traj, states, 1e-12)
+
+
+WIDE_ALPHAS = (0.9, 0.7, 0.8, 0.6, 0.75)
 
 
 @pytest.mark.parametrize("variant", ["zeroth", "first", "locked"])
@@ -61,7 +63,7 @@ def test_wider_runs_match_the_dense_run(bids, steps, variant):
     table = build_first_price_table(AuctionConfig(m=len(bids), p=2))
     locking = None
     if variant == "locked":
-        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, (0.9, 0.7, 0.8, 0.6, 0.75)))
+        locking = locking_unitaries(bids, WIDE_ALPHAS[:len(bids)])
     schedule = AdiabaticSchedule(steps, 1.3, variant, locking)
     traj = run_adiabatic(bids, table, schedule)
     v = None if locking is None else reduce(np.kron, locking)
@@ -80,11 +82,10 @@ def test_collusion_run_matches_the_dense_run(b1, b2, variant):
 
 def test_locked_run_equals_manual_conjugation():
     # the LOCKED fold must equal a zeroth fold with explicitly conjugated phases
-    pair = locking_operators(0.9, 0.7, ["11", "10"])
     traj = run_locked_auction(["11", "10"], TOY_TABLE,
-                              AdiabaticSchedule(steps=20, delta=1.5), pair)
+                              AdiabaticSchedule(steps=20, delta=1.5), (0.9, 0.7))
     u = joint_bidding_operator(["11", "10"])
-    v = np.kron(pair.v1, pair.v2)
+    v = np.kron(*locking_unitaries(["11", "10"], (0.9, 0.7)))
     w_diag = np.array([bin(x).count("1") for x in range(16)], dtype=float)
     psi = u[:, 0].copy()
     for s in range(1, 21):
@@ -92,6 +93,19 @@ def test_locked_run_equals_manual_conjugation():
         psi = v @ (np.exp(1j * 1.5 * f * TOY_TABLE.values) * (v.conj().T @ psi))
         psi = u @ (np.exp(-1j * 1.5 * (1 - f) * w_diag) * (u.conj().T @ psi))
     np.testing.assert_allclose(traj.final_state.amplitudes, psi, atol=1e-10)
+
+
+def test_locked_auction_at_n10_is_the_hand_built_locked_schedule():
+    # five 2-qubit bidders, each V_i built on its own from locking_operator
+    bids = ["10", "01", "11", "01", "10"]
+    table = build_first_price_table(AuctionConfig(m=5, p=2))
+    locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, WIDE_ALPHAS))
+    by_hand = run_adiabatic(bids, table, AdiabaticSchedule(8, 1.3, "locked", locking))
+    traj = run_locked_auction(bids, table, AdiabaticSchedule(8, 1.3), WIDE_ALPHAS)
+    assert traj.winner_index == by_hand.winner_index
+    for name in ("span", "amplitudes", "success", "leakage"):
+        assert np.array_equal(getattr(traj, name), getattr(by_hand, name)), name
+    assert np.array_equal(traj.final_state.amplitudes, by_hand.final_state.amplitudes)
 
 
 class TestWiderRegisters:

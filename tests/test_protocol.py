@@ -8,7 +8,7 @@ import pytest
 from helpers import assert_run_matches, dense_run, kron_bidding_operator
 
 from qauction import protocol
-from qauction.adversary import build_collusion_circuit, locking_operator, locking_operators, spurious_table
+from qauction.adversary import build_collusion_circuit, locking_unitaries, spurious_table
 from qauction.circuits import circuit_to_matrix
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
 from qauction.protocol import (
@@ -286,13 +286,12 @@ class TestAdiabaticStep:
     @pytest.mark.parametrize("variant", ["exact", "zeroth", "first", "locked"])
     def test_matches_unrolled_definition(self, toy_setup, variant):
         # a Haar U, so |Psi_0> = U|0...0> is a generic state on all 16
-        # indices; V from the locking pair
-        pair = locking_operators(0.9, 0.7, ["10", "11"])
-        locking = pair.operators if variant in ("exact", "locked") else None
+        # indices; V from the two bidders' locks
+        locking = locking_unitaries(["10", "11"], (0.9, 0.7)) if variant in ("exact", "locked") else None
         u = _haar(16, np.random.default_rng(4))
         schedule = AdiabaticSchedule(4, 1.2, variant, locking)
         traj = run_schedule((u,), plausible_allocations(["10", "11"]), 0b0011, toy_setup["table"], schedule)
-        expected = dense_run(u, None if locking is None else np.kron(pair.v1, pair.v2), toy_setup["table"], schedule)
+        expected = dense_run(u, None if locking is None else np.kron(*locking), toy_setup["table"], schedule)
         assert traj.span.size == 16
         np.testing.assert_allclose(traj.state(1).amplitudes, expected[1], rtol=0, atol=1e-12)
 
@@ -431,7 +430,7 @@ class TestEigenvalueTracks:
     def test_stacked_tracks_equal_the_per_f_loop(self, bids, restrict, locked, cap, monkeypatch):
         # the oracle: one eigvalsh per f over the stack of cells, each row sorted
         table = build_first_price_table(AuctionConfig(m=len(bids), p=2))
-        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if locked else None
+        locking = locking_unitaries(bids, (0.8,) * len(bids)) if locked else None
         schedule = AdiabaticSchedule(20, 1.5, "locked" if locked else "zeroth", locking)
         factors, dim = [bidding_operator(b) for b in bids], 2**table.n_qubits
         operators = [factors] + ([list(locking)] if locked else [])
@@ -480,7 +479,7 @@ def _span_setup(bids, variant):
     table = build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0])))
     locking = None
     if variant in ("locked", "exact"):
-        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+        locking = locking_unitaries(bids, SPAN_ALPHAS[:len(bids)])
     plausible = plausible_allocations(bids)
     return table, AdiabaticSchedule(12, 1.3, variant, locking), plausible, winning_allocation(table, plausible)
 
@@ -592,7 +591,7 @@ class TestPlausibleSpan:
     def test_n12_runs_without_dense_operators(self, monkeypatch):
         bids = ["0110", "1011", "0011"]
         table = build_first_price_table(AuctionConfig(m=3, p=4))
-        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+        locking = locking_unitaries(bids, SPAN_ALPHAS[:len(bids)])
 
         def refuse(*args, **kwargs):
             raise AssertionError("a dense operator was built")
@@ -650,7 +649,7 @@ class TestSpanTrajectory:
     def test_a_run_builds_one_full_length_state(self, variant, monkeypatch):
         bids = ["0011", "0101", "1001"]
         table = build_first_price_table(AuctionConfig(m=3, p=4))
-        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if variant == "locked" else None
+        locking = locking_unitaries(bids, (0.8,) * len(bids)) if variant == "locked" else None
         schedule = AdiabaticSchedule(20, 1.5, variant, locking)
         factors = tuple(bidding_operator(b) for b in bids)  # no dense 4096 x 4096 operator for `exact`
         plausible = plausible_allocations(bids)
@@ -709,7 +708,7 @@ class TestSpan:
     @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
     def test_bidding_and_locking_operators_give_the_plausible_span(self, bids):
         factors = tuple(bidding_operator(b) for b in bids)
-        locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS))
+        locking = locking_unitaries(bids, SPAN_ALPHAS[:len(bids)])
         want = plausible_allocations(bids)
         assert self._span(factors).tolist() == want
         assert self._span(factors, locking).tolist() == want
@@ -812,11 +811,11 @@ class TestBlockDiagonal:
         np.testing.assert_array_equal(self._cells(factors, schedule.locking), cells)
 
     def test_locked_pair_gives_the_same_split(self):
-        pair = locking_operators(0.9, 0.7, ["1011", "0110"])
+        locking = locking_unitaries(["1011", "0110"], (0.9, 0.7))
         factors = (bidding_operator("1011"), bidding_operator("0110"))
         cells = self._cells(factors)
         assert cells.shape == (64, 4)
-        np.testing.assert_array_equal(self._cells(factors, pair.operators), cells)
+        np.testing.assert_array_equal(self._cells(factors, locking), cells)
 
     def test_haar_factors_give_one_block(self):
         rng = np.random.default_rng(3)
@@ -909,7 +908,7 @@ class TestBlockDiagonal:
         # step 1 of a 10-qubit run at f = 0.1; the oracle is one dense eigh of the 1024 x 1024 H(f)
         bids = ["10", "01", "11", "01", "10"]
         table = build_first_price_table(AuctionConfig(m=5, p=2))
-        locking = tuple(locking_operator(b, 0.8)[1] for b in bids) if locked else None
+        locking = locking_unitaries(bids, (0.8,) * len(bids)) if locked else None
         u, w, h_p = joint_bidding_operator(bids), hamming_weights(10), -table.values
         v = reduce(np.kron, locking) if locked else np.eye(1024)
         traj = run_adiabatic(bids, table, AdiabaticSchedule(10, 1.2, "exact", locking))
@@ -928,7 +927,7 @@ def _as_complex(factors):
 
 def _real_setup(bids, locked):
     table = build_first_price_table(AuctionConfig(m=len(bids), p=len(bids[0])))
-    locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, SPAN_ALPHAS)) if locked else None
+    locking = locking_unitaries(bids, SPAN_ALPHAS[:len(bids)]) if locked else None
     return table, locking, plausible_allocations(bids)
 
 
