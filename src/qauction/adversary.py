@@ -384,14 +384,15 @@ def probe_attack_povm(p_errors: Sequence[float], n_rounds: int) -> np.ndarray:
 def povm_outcome_distributions(bids: Sequence[BidSpec | str],
                                alphas: Sequence[float | None]):
     """Per bidder: (outcome distribution of their true state under the
-    minimum-error POVM, index of the outcome naming the true bid, p_e),
-    with bidder i locked at alphas[i], or unlocked where it is None."""
+    minimum-error POVM, index of the outcome naming the true bid, p_e,
+    computational-basis distribution of the true state), with bidder i
+    locked at alphas[i], or unlocked where it is None."""
     out = []
     for bid, alpha in zip(bids, alphas):
-        povm, p_e = min_error_povm(toy_bidding_states(alpha), [1 / 3] * 3)
-        true_index = TOY_BIDS.index(as_bid(bid).bits)
-        dist = measurement_probabilities(locked_bidding_state(bid, alpha), povm.elements)
-        out.append((dist, true_index, p_e))
+        states = toy_bidding_states(alpha)
+        povm, p_e = min_error_povm(states, [1 / 3] * 3)
+        t = TOY_BIDS.index(as_bid(bid).bits)
+        out.append((measurement_probabilities(states[t], povm.elements), t, p_e, states[t].probabilities()))
     return out
 
 

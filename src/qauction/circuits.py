@@ -27,7 +27,10 @@ import numpy as np
 from .core import ContractViolation, phase_invariant_distance
 from .protocol import BidSpec, as_bid
 
-KINDS = ("H", "CNOT", "PHASE", "ROT", "CTRL0")
+# Each flat gate's shape: how many qubits it takes and whether it takes an angle.
+_SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
+KINDS = (*_SHAPES, "CTRL0")
+MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
@@ -90,13 +93,6 @@ class Circuit:
             raise ContractViolation(f"repeated qubit in gate {g}")
         if any(not 0 <= q < self.n_qubits for q in g.qubits):
             raise ContractViolation(f"gate {g} addresses a qubit outside 0..{self.n_qubits - 1}")
-        expected = {"H": 1, "CNOT": 2, "PHASE": 1, "ROT": 1}
-        if g.kind in expected and len(g.qubits) != expected[g.kind]:
-            raise ContractViolation(f"{g.kind} takes {expected[g.kind]} qubit(s)")
-        if g.kind in ("PHASE", "ROT") and g.angle is None:
-            raise ContractViolation(f"{g.kind} needs an angle")
-        if g.angle is not None and not math.isfinite(g.angle):
-            raise ContractViolation(f"{g.kind} angle must be finite, got {g.angle}")
         if g.kind == "CTRL0":
             if not g.qubits:
                 raise ContractViolation("CTRL0 needs at least one control qubit")
@@ -104,6 +100,14 @@ class Circuit:
                 raise ContractViolation("CTRL0 inner circuit must share the outer width")
             if g.inner.acted_qubits() & set(g.qubits):
                 raise ContractViolation("CTRL0 inner circuit may not act on a control qubit")
+            return
+        count, angled = _SHAPES[g.kind]
+        if len(g.qubits) != count:
+            raise ContractViolation(f"{g.kind} takes {count} qubit(s)")
+        if angled != (g.angle is not None):
+            raise ContractViolation(f"{g.kind} takes {'an' if angled else 'no'} angle")
+        if angled and not math.isfinite(g.angle):
+            raise ContractViolation(f"{g.kind} angle must be finite, got {g.angle}")
 
     def acted_qubits(self) -> set[int]:
         out: set[int] = set()
@@ -124,17 +128,14 @@ def _gate_lines(gates, indent: int) -> list[str]:
     pad = "  " * indent
     lines = []
     for g in gates:
-        if g.kind == "H":
-            lines.append(f"{pad}H q{g.qubits[0]}")
-        elif g.kind == "CNOT":
-            lines.append(f"{pad}CNOT q{g.qubits[0]} q{g.qubits[1]}")
-        elif g.kind in ("PHASE", "ROT"):
-            lines.append(f"{pad}{g.kind} q{g.qubits[0]} {g.angle:.17g}")
-        else:
-            ctrl = " ".join(f"q{q}" for q in g.qubits)
-            lines.append(f"{pad}CTRL0 [{ctrl}] {{")
+        qubits = " ".join(f"q{q}" for q in g.qubits)
+        if g.kind == "CTRL0":
+            lines.append(f"{pad}CTRL0 [{qubits}] {{")
             lines.extend(_gate_lines(g.inner.gates, indent + 1))
             lines.append(f"{pad}}}")
+        else:
+            angle = f" {g.angle:.17g}" if _SHAPES[g.kind][1] else ""
+            lines.append(f"{pad}{g.kind} {qubits}{angle}")
     return lines
 
 
@@ -149,73 +150,54 @@ def _parse_qubit(tok: str) -> int:
 
 
 def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
-    """Parse the text format; width is inferred from the highest qubit
-    index unless given explicitly."""
-    lines = []
+    """Parse the text format in one pass over its lines; width is inferred
+    from the highest qubit index unless given explicitly."""
+    blocks = [((), [])]  # (controls, gates) of the top level and of each open CTRL0 block
+    closed = []  # (controls, gates, parent's gates, slot) per closed block, inner blocks first
+    hi = -1
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-
-    def parse_block(pos: int, nested: bool):
-        gates = []
-        while pos < len(lines):
-            line = lines[pos]
+        if not line:
+            continue
+        toks = line.split()
+        kind = toks[0].upper()
+        try:
             if line == "}":
-                if not nested:
-                    raise CircuitParseError("unbalanced '}' in circuit text")
-                return gates, pos + 1
-            toks = line.split()
-            kind = toks[0].upper()
-            try:
-                if kind == "H" and len(toks) == 2:
-                    gates.append(("H", (_parse_qubit(toks[1]),), None, None))
-                elif kind == "CNOT" and len(toks) == 3:
-                    gates.append(("CNOT", (_parse_qubit(toks[1]), _parse_qubit(toks[2])), None, None))
-                elif kind in ("PHASE", "ROT") and len(toks) == 3:
-                    gates.append((kind, (_parse_qubit(toks[1]),), float(toks[2]), None))
-                elif kind == "CTRL0" and line.endswith("{"):
-                    inside = line[line.index("[") + 1 : line.index("]")]
-                    controls = tuple(_parse_qubit(t) for t in inside.split())
-                    inner, pos = parse_block(pos + 1, nested=True)
-                    gates.append(("CTRL0", controls, None, inner))
-                    continue
-                else:
-                    raise CircuitParseError(f"cannot parse line {line!r}")
-            except (ValueError, IndexError) as exc:
-                raise CircuitParseError(f"cannot parse line {line!r}: {exc}") from exc
-            pos += 1
-        if nested:
-            raise CircuitParseError("missing '}' in circuit text")
-        return gates, pos
-
-    raw_gates, pos = parse_block(0, nested=False)
-    if pos != len(lines):
-        raise CircuitParseError("unbalanced '}' in circuit text")
-
-    def max_qubit(items) -> int:
-        hi = -1
-        for kind, qubits, _, inner in items:
-            hi = max(hi, *qubits)
-            if inner is not None:
-                hi = max(hi, max_qubit(inner))
-        return hi
-
-    width = n_qubits if n_qubits is not None else max_qubit(raw_gates) + 1
+                if len(blocks) == 1:
+                    raise CircuitParseError("unbalanced '}'")
+                closed.append((*blocks.pop(), blocks[-1][1], len(blocks[-1][1])))
+                blocks[-1][1].append(None)  # the CTRL0 gate, built once the width is known
+                continue
+            if kind in _SHAPES:
+                count, angled = _SHAPES[kind]
+                if len(toks) != 1 + count + angled:
+                    raise CircuitParseError(f"{kind} takes {count} qubit(s)"
+                                            + (" and an angle" if angled else ""))
+                qubits = tuple(_parse_qubit(t) for t in toks[1:1 + count])
+                blocks[-1][1].append(Gate(kind, qubits, float(toks[-1]) if angled else None))
+            else:
+                head, _, rest = line.partition("[")
+                inside, bracket, tail = rest.partition("]")
+                if head.strip().upper() != "CTRL0" or not bracket or tail.strip() != "{":
+                    raise CircuitParseError("expected a gate, 'CTRL0 [controls] {' or '}'")
+                qubits = tuple(_parse_qubit(t) for t in inside.split())
+                if not qubits:
+                    raise CircuitParseError("CTRL0 needs at least one control qubit")
+                if len(blocks) > MAX_NESTING:
+                    raise CircuitParseError(f"CTRL0 blocks nest deeper than {MAX_NESTING}")
+                blocks.append((qubits, []))
+        except ValueError as exc:  # a CircuitParseError too, so each error is wrapped once
+            raise CircuitParseError(f"cannot parse line {line!r}: {exc}") from exc
+        hi = max(hi, *qubits)
+    if len(blocks) > 1:
+        raise CircuitParseError("missing '}' in circuit text")
+    width = n_qubits if n_qubits is not None else hi + 1
     if width < 1:
         raise CircuitParseError("empty circuit needs an explicit qubit count")
-
-    def build(items) -> tuple[Gate, ...]:
-        out = []
-        for kind, qubits, angle, inner in items:
-            if kind == "CTRL0":
-                out.append(Gate("CTRL0", qubits, inner=Circuit(width, build(inner))))
-            else:
-                out.append(Gate(kind, qubits, angle=angle))
-        return tuple(out)
-
     try:
-        return Circuit(width, build(raw_gates))
+        for controls, gates, parent, slot in closed:
+            parent[slot] = Gate("CTRL0", controls, inner=Circuit(width, tuple(gates)))
+        return Circuit(width, tuple(blocks[0][1]))
     except ContractViolation as exc:
         raise CircuitParseError(str(exc)) from exc
 
@@ -309,12 +291,9 @@ def build_P_circuit(expansion, delta: float, f: float, n_qubits: int) -> Circuit
     All terms are commuting diagonals, so the concatenation is exactly the
     dense exponential up to the global phase of the dropped constant term.
     """
-    c = Circuit(n_qubits)
-    for qubits, coeff in expansion:
-        if not qubits:
-            continue  # constant term: global phase only
-        c = c.then(build_zz_exponential(qubits, -f * delta * coeff, n_qubits))
-    return c
+    gates = [g for qubits, coeff in expansion if qubits  # a constant term is a global phase only
+             for g in build_zz_exponential(qubits, -f * delta * coeff, n_qubits).gates]
+    return Circuit(n_qubits, tuple(gates))
 
 
 def build_collusion_circuit(bid1: BidSpec | str, bid2: BidSpec | str,

@@ -137,14 +137,17 @@ class ScenarioConfig:
         return self.alpha1, self.alpha2
 
 
-def read_config_file(path: str) -> dict:
-    values = {}
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_config_file(path: str) -> dict:
+    values = {}
+    for lineno, raw in enumerate(_read_text(path, "config file").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -307,13 +310,12 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
     meta_extra: dict = {}
     columns = [np.arange(1, cfg.rounds + 1)]
     solved = [adversary.povm_outcome_distributions(cfg.bids, alphas) for _, alphas in variants]
-    pers = [[(dist, t) for dist, t, _ in bidders] for bidders in solved]
+    pers = [[(dist, t) for dist, t, _, _ in bidders] for bidders in solved]
     # one majority draw, counted for every variant
     majority = adversary.majority_mc_curve(pers, cfg.rounds, cfg.trials, cfg.seed)
     for (suffix, alphas), bidders, per, majority_curve in zip(variants, solved, pers, majority):
-        dists = [adversary.locked_bidding_state(b, a).probabilities()
-                 for b, a in zip(cfg.bids, alphas)]
-        p_errors = [p_e for _, _, p_e in bidders]
+        dists = [basis for *_, basis in bidders]
+        p_errors = [p_e for _, _, p_e, _ in bidders]
         for bidder, p_e in enumerate(p_errors):
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
         columns += [adversary.probe_attack_basis(alphas, cfg.rounds),
@@ -394,14 +396,14 @@ class _Target:
     """A parsed circuit-verify target `kind:args`."""
 
     kind: str                                  # bidder, d, p or collusion
-    width: int                                 # register width in qubits
+    width: int | None                          # register width in qubits; None: the circuit file's
     bids: tuple[protocol.BidSpec, ...] = ()
     numbers: tuple[float, ...] = ()            # delta, f
 
 
-def _parse_target(target: str, inferred_width: int | None = None) -> _Target:
-    """Split and validate `kind:args` once. Target D takes its width from
-    the circuit file when the target leaves it out."""
+def _parse_target(target: str) -> _Target:
+    """Split and validate `kind:args` once. A D target that leaves out its
+    width gets width None: the circuit file fixes it."""
     kind, colon, arg = target.partition(":")
     if not colon:
         raise ConfigError(f"target must look like kind:args, got {target!r}")
@@ -409,29 +411,32 @@ def _parse_target(target: str, inferred_width: int | None = None) -> _Target:
     parts = [p.strip() for p in arg.split(",")]
     if kind == "bidder":
         bid = _target_bid(arg)
-        parsed = _Target(kind, bid.n_qubits, bids=(bid,))
-    elif kind == "d":
+        return _Target(kind, bid.n_qubits, bids=(bid,))
+    if kind == "d":
         if len(parts) not in (2, 3):
             raise ConfigError("target D takes delta,f[,n_qubits]")
         numbers = (_target_number(parts[0]), _target_number(parts[1]))
-        width = _target_number(parts[2], int) if len(parts) == 3 else inferred_width
-        if width is None or width < 1:
-            raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
-        parsed = _Target(kind, width, numbers=numbers)
-    elif kind == "p":
+        return _Target(kind, _target_number(parts[2], int) if len(parts) == 3 else None, numbers=numbers)
+    if kind == "p":
         if len(parts) != 2:
             raise ConfigError("target P takes delta,f (two-bidder first-price table)")
-        parsed = _Target(kind, 4, numbers=tuple(_target_number(p) for p in parts))
-    elif kind == "collusion":
+        return _Target(kind, 4, numbers=tuple(_target_number(p) for p in parts))
+    if kind == "collusion":
         if len(parts) != 2:
             raise ConfigError("target collusion takes bid1,bid2")
-        parsed = _Target(kind, 4, bids=tuple(_target_bid(b) for b in parts))
-    else:
-        raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
-    _check_width(parsed.width, f"target {target!r}")
-    if not math.isfinite(math.prod(parsed.numbers) * parsed.width):  # largest phase delta*f*n
-        raise ConfigError(f"target {target!r}: the phases delta * f overflow")
-    return parsed
+        return _Target(kind, 4, bids=tuple(_target_bid(b) for b in parts))
+    raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
+
+
+def _sized(target: _Target, width: int | None, text: str) -> _Target:
+    """The target at `width` qubits, checked against the width cap and for
+    phases delta * f * n that overflow."""
+    if width is None or width < 1:
+        raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
+    _check_width(width, f"target {text!r}")
+    if not math.isfinite(math.prod(target.numbers) * width):  # largest phase delta*f*n
+        raise ConfigError(f"target {text!r}: the phases delta * f overflow")
+    return dataclasses.replace(target, width=width)
 
 
 def _target_circuit(target: _Target) -> circuits.Circuit:
@@ -462,26 +467,13 @@ def _target_unitary(target: _Target) -> np.ndarray:
 
 
 def cmd_circuit_verify(args: argparse.Namespace) -> str:
+    if args.emit == (args.circuit is not None):
+        raise ConfigError("pass a circuit file, or --emit and no file")
+    target = _parse_target(args.target)
     if args.emit:
-        if args.circuit is not None:
-            raise ConfigError("--emit prints the reference circuit; no circuit file expected")
-        return _target_circuit(_parse_target(args.target)).to_text()
-    if args.circuit is None:
-        raise ConfigError("circuit file required (or pass --emit)")
-    try:
-        with open(args.circuit, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read circuit file {args.circuit}: {exc}") from exc
-    probe = None
-    try:
-        probe = circuits.parse_circuit(text)
-    except circuits.CircuitParseError:
-        pass  # maybe only the width was missing; retry once the target fixes it
-    target = _parse_target(args.target, probe.n_qubits if probe else None)
-    circuit = probe
-    if probe is None or probe.n_qubits != target.width:
-        circuit = circuits.parse_circuit(text, n_qubits=target.width)
+        return _target_circuit(_sized(target, target.width, args.target)).to_text()
+    circuit = circuits.parse_circuit(_read_text(args.circuit, "circuit file"), target.width)
+    target = _sized(target, circuit.n_qubits, args.target)
     report = circuits.verify_circuit(circuit, _target_unitary(target))
     verdict = "pass" if report.passed else "fail"
     return (f"target={args.target}\ndistance={report.distance:.12g}\n"
@@ -530,17 +522,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         output, out_path = args.run(args)
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(output)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {out_path}: {exc}") from exc
+        else:
+            sys.stdout.write(output)
     except (ConfigError, circuits.CircuitParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TieError, ContractViolation) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 2
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

@@ -280,13 +280,13 @@ class TestMajorityBlocks:
     def test_toy_povm_distributions(self, bids, locked):
         # locked: the CLI's call, the unlocked and the locked variant on one draw
         locks = [(None, None), (0.77, 0.91)] if locked else [(None, None)]
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(bids, alphas)]
+        variants = [[(dist, t) for dist, t, *_ in povm_outcome_distributions(bids, alphas)]
                     for alphas in locks]
         self.assert_matches_dense(variants, 20, 20_001)
 
     def test_peak_memory_at_cli_default(self):
         # the dense reference peaks near 25 MB a variant here: a full draw, outcomes and counts
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], alphas)]
+        variants = [[(dist, t) for dist, t, *_ in povm_outcome_distributions(["10", "11"], alphas)]
                     for alphas in ((None, None), (0.9, 0.7))]
         tracemalloc.start()
         try:
@@ -299,7 +299,7 @@ class TestMajorityBlocks:
     def test_peak_memory_at_the_rounds_cap(self):
         # blocks of 1024 trials here, about 16 B a cell, plus the packed flags;
         # blocks of all 8192 trials peaked at 150 MB
-        variants = [[(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], alphas)]
+        variants = [[(dist, t) for dist, t, *_ in povm_outcome_distributions(["10", "11"], alphas)]
                     for alphas in ((None, None), (0.9, 0.7))]
         tracemalloc.start()
         try:
@@ -466,7 +466,7 @@ class TestPovmLearningCurves:
         _, _, p_e = toy_povm
         trials = 100_000
         closed = probe_attack_povm([p_e, p_e], 5)
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], (None, None))]
+        per = [(dist, t) for dist, t, *_ in povm_outcome_distributions(["10", "11"], (None, None))]
         mc = povm_mc_curve(per, 5, trials, 1)
         for p_hat, p in zip(mc, closed):
             sigma = math.sqrt(p * (1 - p) / trials)
@@ -475,7 +475,7 @@ class TestPovmLearningCurves:
     def test_majority_vote_first_round(self, toy_povm):
         _, _, p_e = toy_povm
         trials = 20_000
-        per = [(dist, t) for dist, t, _ in povm_outcome_distributions(["10", "11"], (None, None))]
+        per = [(dist, t) for dist, t, *_ in povm_outcome_distributions(["10", "11"], (None, None))]
         probs = majority_mc_curve([per], 2, trials, 2)[0]
         p1 = (1 - p_e) ** 2
         assert abs(probs[0] - p1) <= 3 * math.sqrt(p1 * (1 - p1) / trials)

@@ -7,7 +7,9 @@ import pytest
 from helpers import dense_run, kron_circuit_matrix
 
 from qauction.circuits import (
+    _SHAPES,
     KINDS,
+    MAX_NESTING,
     Circuit,
     CircuitParseError,
     Gate,
@@ -362,6 +364,33 @@ class TestTextFormat:
             parse_circuit("CTRL0 [q0] {\nH q1\n")  # missing closing brace
         with pytest.raises(CircuitParseError):
             parse_circuit("}")
+
+    def test_each_error_wrapped_once(self):
+        with pytest.raises(CircuitParseError) as info:
+            parse_circuit("H q0\nH q0 q1\n")
+        assert str(info.value) == "cannot parse line 'H q0 q1': H takes 1 qubit(s)"
+
+    def test_nesting_bound(self):
+        def nested(depth):
+            return "CTRL0 [q0] {\n" * depth + "H q1\n" + "}\n" * depth
+        parsed = parse_circuit(nested(MAX_NESTING))
+        assert parse_circuit(parsed.to_text()) == parsed
+        for _ in range(MAX_NESTING):
+            assert parsed.n_qubits == 2 and [g.kind for g in parsed.gates] == ["CTRL0"]
+            parsed = parsed.gates[0].inner
+        assert parsed.gates == (hadamard(1),)
+        with pytest.raises(CircuitParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_circuit(nested(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("kind", _SHAPES)
+    def test_flat_gate_shapes(self, kind):
+        count, angled = _SHAPES[kind]
+        angle = 0.5 if angled else None
+        Circuit(3, (Gate(kind, tuple(range(count)), angle),))
+        for qubits, bad_angle in [(range(count - 1), angle), (range(count + 1), angle),
+                                  (range(count), None if angled else 0.5)]:
+            with pytest.raises(ContractViolation, match=kind):
+                Circuit(3, (Gate(kind, tuple(qubits), bad_angle),))
 
     def test_empty_needs_width(self):
         with pytest.raises(CircuitParseError):

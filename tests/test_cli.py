@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauction import cli
+from qauction import circuits, cli
 
 
 def run_cli(args, capsys):
@@ -197,6 +197,17 @@ class TestAttack:
         locked = column(header, rows, "basis_closed_lock")
         assert all(lo < pl for lo, pl in zip(locked, plain))
 
+    def test_locked_states_built_once(self, monkeypatch, capsys):
+        # each (bid, alpha) lock is built once: the true states and their basis
+        # distributions come from the candidate sets that the POVM solves use
+        seen = []
+        build = cli.adversary.locking_operator
+        monkeypatch.setattr(cli.adversary, "locking_operator",
+                            lambda bid, alpha: seen.append((str(bid), alpha)) or build(bid, alpha))
+        assert cli.main(["attack", "--attack", "probe_basis", "--bids", "11,10", "--rounds", "2",
+                         "--trials", "16", "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]) == 0
+        assert len(seen) == len(set(seen)) == 6
+
     def test_full_lock_basis_column_is_zero(self, capsys):
         code, out = run_cli(["attack", "--attack", "probe_basis", "--bids", "10,11",
                              "--rounds", "4", "--trials", "1000", "--defense", "lock",
@@ -361,12 +372,14 @@ class TestCircuitVerify:
         assert "result=pass" in out
         assert peak < 1.25 * 16 * 4**12
 
-    @pytest.mark.parametrize("text,target,calls", [
-        (None, "P:1,0.5", 1),
-        ("PHASE q0 1\n", "D:1,1,3", 2),
+    @pytest.mark.parametrize("text,target", [
+        (None, "P:1,0.5"),
+        ("PHASE q0 1\n", "D:1,1,3"),
     ], ids=["width_from_file", "target_widens"])
     def test_parses_circuit_file_once_unless_target_widens(self, tmp_path, monkeypatch,
-                                                           text, target, calls):
+                                                           text, target):
+        # once in both cases: the file is parsed at the target's width, or at
+        # the width it implies when the target leaves it out
         from qauction.circuits import build_P_circuit
         from qauction.protocol import AuctionConfig, build_first_price_table, pauli_z_expansion
         if text is None:
@@ -379,7 +392,67 @@ class TestCircuitVerify:
         monkeypatch.setattr(cli.circuits, "parse_circuit",
                             lambda *a, **kw: seen.append(kw) or parse(*a, **kw))
         assert cli.main(["circuit-verify", str(path), target]) == 0
-        assert len(seen) == calls
+        assert len(seen) == 1
+
+
+def _malformed_circuits():
+    """Malformed circuit texts: per flat gate kind in the shape table, one
+    qubit too few or too many and a missing, extra or non-finite angle;
+    then bad CTRL0 heads, nesting one over the bound and unbalanced braces."""
+    cases = {}
+    for kind, (count, angled) in circuits._SHAPES.items():
+        qubits = [f"q{q}" for q in range(count + 1)]
+        angle = ["0.5"] if angled else []
+        cases[f"{kind}_too_few"] = [kind, *qubits[:count - 1], *angle]
+        cases[f"{kind}_too_many"] = [kind, *qubits, *angle]
+        if angled:
+            cases[f"{kind}_no_angle"] = [kind, *qubits[:count]]
+            cases.update({f"{kind}_{bad}": [kind, *qubits[:count], bad] for bad in ("nan", "-inf")})
+        else:
+            cases[f"{kind}_angle"] = [kind, *qubits[:count], "0.5"]
+    cases = {name: " ".join(toks) + "\n" for name, toks in cases.items()}
+    deep = circuits.MAX_NESTING + 1
+    cases.update({
+        "ctrl0_no_control": "CTRL0 [] {\n}\n",
+        "ctrl0_brackets_reversed": "CTRL0 ]q0[ {\n}\n",
+        "ctrl0_no_brace": "CTRL0 [q0]\nH q1\n}\n",
+        "nested_over_bound": "CTRL0 [q0] {\n" * deep + "H q1\n" + "}\n" * deep,
+        "unopened_brace": "H q0\n}\n",
+        "unclosed_brace": "CTRL0 [q0] {\nH q1\n",
+    })
+    return cases
+
+
+MALFORMED = _malformed_circuits()
+
+
+class TestMalformedCircuitFiles:
+    """A malformed circuit file ends in exit 1 and one stderr line with the
+    file's parse error, whether the target fixes the width (bidder:11) or
+    leaves it to the file (D:1,1); never a traceback."""
+
+    @pytest.mark.parametrize("target,width", [("bidder:11", 2), ("D:1,1", None)],
+                             ids=["bidder", "D"])
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_one_line_with_the_file_error(self, name, target, width, tmp_path, capsys):
+        text = MALFORMED[name]
+        with pytest.raises(circuits.CircuitParseError) as info:
+            circuits.parse_circuit(text, width)
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        assert cli.main(["circuit-verify", str(path), target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["bidder:11", "D:1,1"])
+    def test_nesting_at_the_bound_verifies(self, target, tmp_path, capsys):
+        depth = circuits.MAX_NESTING
+        path = tmp_path / "c.txt"
+        path.write_text("CTRL0 [q0] {\n" * depth + "H q1\n" + "}\n" * depth)
+        code, out = run_cli(["circuit-verify", str(path), target], capsys)
+        assert code == 0 and "result=" in out
 
 
 def _refused_and_small(monkeypatch, targets):
@@ -620,6 +693,20 @@ class TestConfigHandling:
         comments, _, rows = parse_csv(out)
         assert comments["steps"] == "10"
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("command", [["converge", "--config"], ["circuit-verify"]],
+                             ids=["config", "circuit"])
+    def test_non_utf8_file_gives_one_line(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        tail = ["bidder:11"] if command == ["circuit-verify"] else []
+        _rejected_in_one_line([*command, str(path), *tail], capsys, "can't decode byte 0xff")
+
+    def test_unwritable_out_gives_one_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        _rejected_in_one_line(["converge", "--bids", "10,11", "--out", str(target)], capsys,
+                              f"cannot write {target}")
+        assert not target.parent.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
