@@ -103,6 +103,11 @@ def _mc_rng(seed: int, rule: str) -> np.random.Generator:
 _MC_BLOCK = 8192  # trials per block of a Monte Carlo draw, so a block's arrays stay in cache
 
 
+def _check_counts(n_rounds: int, trials: int = 1) -> None:
+    if n_rounds < 1 or trials < 1:
+        raise ContractViolation(f"need n_rounds >= 1 and trials >= 1, got {n_rounds} and {trials}")
+
+
 def _capped_geometric(p: float, never: int):
     """A draw(rng, size) giving min(rng.geometric(p, size), never) in the
     narrowest integer type that holds `never`, from the same random values
@@ -151,6 +156,7 @@ def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
     _capped_geometric reproduces), so only the latest first-hit round per
     trial, capped at n_rounds + 1 in the narrowest integer type that holds
     it, is held whole."""
+    _check_counts(n_rounds, trials)
     never = n_rounds + 1
     last_hit = np.ones(trials, dtype=np.min_scalar_type(never))
     for p in p_hits:
@@ -198,6 +204,7 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     A trial has learned a bidder by round N when each running margin,
     true count minus the count of another outcome, is positive; the
     learned flags are kept packed, one bit per trial."""
+    _check_counts(n_rounds, trials)
     variants = [list(per) for per in variants]
     n_bidders = len(variants[0]) if variants else 0
     if n_bidders == 0 or any(len(per) != n_bidders for per in variants):
@@ -252,11 +259,12 @@ def probe_attack_basis(alphas: Sequence[float | None], n_rounds: int) -> np.ndar
     prod_i (1 - (1 - rho_i)^N) for N = 1..n_rounds, with per-round
     revelation probability rho_i = 1 - |alpha_i|^2, or 1/2 for an unlocked
     bidder (alpha_i None). `basis_mc_curve` samples the same attack."""
-    if n_rounds < 1:
-        raise ContractViolation("need at least one probe round")
+    _check_counts(n_rounds)
     rounds = np.arange(1, n_rounds + 1)
     probs = np.ones(n_rounds)
     for alpha in alphas:
+        if alpha is not None and not 0 < alpha <= 1:
+            raise ContractViolation(f"lock amplitude must lie in (0, 1], got {alpha}")
         rho = 0.5 if alpha is None else 1.0 - alpha * alpha
         probs *= 1.0 - (1.0 - rho) ** rounds
     return probs
@@ -370,13 +378,12 @@ def probe_attack_povm(p_errors: Sequence[float], n_rounds: int) -> np.ndarray:
     """Closed-form joint learning curve prod_i (1 - p_e,i^N), N = 1..n_rounds,
     of the optimal-POVM probe attack, from each bidder's solved
     single-round error p_e,i."""
-    if n_rounds < 1:
-        raise ContractViolation("need at least one probe round")
+    _check_counts(n_rounds)
     rounds = np.arange(1, n_rounds + 1, dtype=float)
     probs = np.ones(n_rounds)
     for p_e in p_errors:
-        if not p_e < 1:
-            raise ContractViolation(f"error probability must lie below 1, got {p_e}")
+        if not 0 <= p_e < 1:
+            raise ContractViolation(f"error probability must lie in [0, 1), got {p_e}")
         probs *= 1.0 - p_e**rounds
     return probs
 

@@ -31,7 +31,7 @@ from .protocol import BidSpec, as_bid
 _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
 KINDS = (*_SHAPES, "CTRL0")
 MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _single_qubit_matrix(g: Gate) -> np.ndarray:
     if g.kind == "H":
         return _HADAMARD
     c, s = math.cos(g.angle), math.sin(g.angle)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return np.array([[c, s], [s, -c]])
 
 
 def _scale(a: np.ndarray, z: complex) -> None:
@@ -224,8 +224,14 @@ def _scale(a: np.ndarray, z: complex) -> None:
     a += imaginary
 
 
+def _has_phase(gates) -> bool:
+    return any(g.kind == "PHASE" or g.kind == "CTRL0" and _has_phase(g.inner.gates) for g in gates)
+
+
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit, first listed gate applied first.
+    """Dense unitary of the circuit, first listed gate applied first: float64
+    when no PHASE gate is in it at any depth (H, CNOT and ROT are real), as
+    `core.as_operator` keeps real operators, and complex128 otherwise.
 
     The columns are held as a (2,)*n + (2^n,) tensor, one axis per qubit,
     and each gate acts on its own axes only: H, PHASE, ROT and CNOT cost
@@ -233,7 +239,8 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     work in place on a slice.
     """
     n = c.n_qubits
-    m = np.eye(2**n, dtype=complex).reshape((2,) * n + (2**n,))
+    dtype = complex if _has_phase(c.gates) else float
+    m = np.eye(2**n, dtype=dtype).reshape((2,) * n + (2**n,))
     for g in c.gates:
         if g.kind == "CNOT":
             control, target = g.qubits

@@ -386,95 +386,79 @@ def _target_number(raw: str, parse=float):
 
 def _target_bid(raw: str) -> protocol.BidSpec:
     try:
-        return protocol.BidSpec(raw.strip())
+        return protocol.BidSpec(raw)
     except ContractViolation as exc:
         raise ConfigError(f"bad bid in circuit target: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class _Target:
-    """A parsed circuit-verify target `kind:args`."""
-
-    kind: str                                  # bidder, d, p or collusion
-    width: int | None                          # register width in qubits; None: the circuit file's
-    bids: tuple[protocol.BidSpec, ...] = ()
-    numbers: tuple[float, ...] = ()            # delta, f
+class _TargetKind(NamedTuple):
+    usage: str           # the arguments after `kind:`
+    counts: tuple        # the argument counts it accepts
+    parse: Callable      # arguments -> (values, width in qubits, or None: the circuit file's)
+    circuit: Callable    # (*values, width) -> the circuit that --emit prints
+    reference: Callable  # (*values, width) -> the unitary a file is checked against, or its diagonal
 
 
-def _parse_target(target: str) -> _Target:
-    """Split and validate `kind:args` once. A D target that leaves out its
-    width gets width None: the circuit file fixes it."""
-    kind, colon, arg = target.partition(":")
+# Every circuit-verify target `kind:args`; kinds match case-insensitively.
+_TARGETS = {
+    "bidder": _TargetKind(
+        "BITS", (1,), lambda args: ((_target_bid(args[0]),), len(args[0])),
+        lambda bid, n: circuits.build_bidder_circuit(bid),
+        lambda bid, n: protocol.bidding_operator(bid)),
+    "D": _TargetKind(
+        "delta,f[,n_qubits]", (2, 3),
+        lambda args: (tuple(map(_target_number, args[:2])),
+                      _target_number(args[2], int) if args[2:] else None),
+        circuits.build_D_circuit,
+        lambda delta, f, n: np.exp(-1j * delta * f * protocol.hamming_weights(n))),
+    "P": _TargetKind(  # the payoff phases of two 2-qubit bidders' first-price table
+        "delta,f", (2,), lambda args: ((*map(_target_number, args),
+                                        protocol.build_first_price_table(AuctionConfig(m=2, p=2))), 4),
+        lambda delta, f, table, n: circuits.build_P_circuit(
+            protocol.pauli_z_expansion(table), delta, f, n),
+        lambda delta, f, table, n: np.exp(-1j * delta * f * (-table.values))),
+    "collusion": _TargetKind(
+        "B1,B2", (2,), lambda args: (tuple(map(_target_bid, args)), 4),
+        lambda bid1, bid2, n: circuits.build_collusion_circuit(bid1, bid2),
+        lambda bid1, bid2, n: circuits.circuit_to_matrix(circuits.build_collusion_circuit(bid1, bid2))),
+}
+
+
+def _parse_target(text: str) -> tuple[_TargetKind, tuple, int | None]:
+    """Split and check `kind:args` once: its row, values and width (None: the file's)."""
+    kind, colon, arg = text.partition(":")
     if not colon:
-        raise ConfigError(f"target must look like kind:args, got {target!r}")
-    kind = kind.strip().lower()
-    parts = [p.strip() for p in arg.split(",")]
-    if kind == "bidder":
-        bid = _target_bid(arg)
-        return _Target(kind, bid.n_qubits, bids=(bid,))
-    if kind == "d":
-        if len(parts) not in (2, 3):
-            raise ConfigError("target D takes delta,f[,n_qubits]")
-        numbers = (_target_number(parts[0]), _target_number(parts[1]))
-        return _Target(kind, _target_number(parts[2], int) if len(parts) == 3 else None, numbers=numbers)
-    if kind == "p":
-        if len(parts) != 2:
-            raise ConfigError("target P takes delta,f (two-bidder first-price table)")
-        return _Target(kind, 4, numbers=tuple(_target_number(p) for p in parts))
-    if kind == "collusion":
-        if len(parts) != 2:
-            raise ConfigError("target collusion takes bid1,bid2")
-        return _Target(kind, 4, bids=tuple(_target_bid(b) for b in parts))
-    raise ConfigError(f"unknown target kind {kind!r}; use bidder/D/P/collusion")
+        raise ConfigError(f"target must look like kind:args, got {text!r}")
+    kind = {name.lower(): name for name in _TARGETS}.get(kind.strip().lower(), kind.strip())
+    if kind not in _TARGETS:
+        raise ConfigError(f"unknown target kind {kind!r}; use {'/'.join(_TARGETS)}")
+    row, args = _TARGETS[kind], [part.strip() for part in arg.split(",")]
+    if len(args) not in row.counts:
+        raise ConfigError(f"target {kind} takes {row.usage}")
+    values, width = row.parse(args)
+    return row, values, width if width is None else _sized(values, width, text)
 
 
-def _sized(target: _Target, width: int | None, text: str) -> _Target:
-    """The target at `width` qubits, checked against the width cap and for
-    phases delta * f * n that overflow."""
+def _sized(values: tuple, width: int | None, text: str) -> int:
+    """`width`, checked to be given and at least 1, within the width cap, and
+    free of D's and P's phases delta * f * width that overflow (bids carry none)."""
     if width is None or width < 1:
-        raise ConfigError("cannot infer the qubit count for target D; pass D:delta,f,n")
+        raise ConfigError(f"target {text!r} needs a width of at least 1 qubit")
     _check_width(width, f"target {text!r}")
-    if not math.isfinite(math.prod(target.numbers) * width):  # largest phase delta*f*n
+    if not math.isfinite(math.prod(v for v in values if isinstance(v, float)) * width):
         raise ConfigError(f"target {text!r}: the phases delta * f overflow")
-    return dataclasses.replace(target, width=width)
-
-
-def _target_circuit(target: _Target) -> circuits.Circuit:
-    """The gate circuit that --emit prints."""
-    if target.kind == "bidder":
-        return circuits.build_bidder_circuit(target.bids[0])
-    if target.kind == "d":
-        return circuits.build_D_circuit(*target.numbers, target.width)
-    if target.kind == "p":
-        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
-        return circuits.build_P_circuit(protocol.pauli_z_expansion(table), *target.numbers, 4)
-    return circuits.build_collusion_circuit(*target.bids)
-
-
-def _target_unitary(target: _Target) -> np.ndarray:
-    """The reference unitary a circuit file is checked against: dense, or
-    for the diagonal D and P targets its diagonal."""
-    if target.kind == "bidder":
-        return protocol.bidding_operator(target.bids[0])
-    if target.kind == "d":
-        delta, f = target.numbers
-        return np.exp(-1j * delta * f * protocol.hamming_weights(target.width))
-    if target.kind == "p":
-        delta, f = target.numbers
-        table = protocol.build_first_price_table(AuctionConfig(m=2, p=2))
-        return np.exp(-1j * delta * f * (-table.values))
-    return circuits.circuit_to_matrix(_target_circuit(target))
+    return width
 
 
 def cmd_circuit_verify(args: argparse.Namespace) -> str:
     if args.emit == (args.circuit is not None):
         raise ConfigError("pass a circuit file, or --emit and no file")
-    target = _parse_target(args.target)
+    row, values, width = _parse_target(args.target)
     if args.emit:
-        return _target_circuit(_sized(target, target.width, args.target)).to_text()
-    circuit = circuits.parse_circuit(_read_text(args.circuit, "circuit file"), target.width)
-    target = _sized(target, circuit.n_qubits, args.target)
-    report = circuits.verify_circuit(circuit, _target_unitary(target))
+        return row.circuit(*values, _sized(values, width, args.target)).to_text()
+    circuit = circuits.parse_circuit(_read_text(args.circuit, "circuit file"), width)
+    reference = row.reference(*values, _sized(values, circuit.n_qubits, args.target))
+    report = circuits.verify_circuit(circuit, reference)
     verdict = "pass" if report.passed else "fail"
     return (f"target={args.target}\ndistance={report.distance:.12g}\n"
             f"tolerance={report.tolerance:.12g}\nresult={verdict}\n")
@@ -509,7 +493,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("circuit-verify")
     p.add_argument("circuit", nargs="?", help="circuit text file")
-    p.add_argument("target", help="bidder:BITS | D:delta,f[,n] | P:delta,f | collusion:B1,B2")
+    p.add_argument("target", help=" | ".join(f"{kind}:{row.usage}" for kind, row in _TARGETS.items()))
     p.add_argument("--emit", action="store_true",
                    help="print the reference circuit for the target instead of verifying")
     p.add_argument("--out", help=_KEY_SPECS["out"].help)

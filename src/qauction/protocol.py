@@ -94,8 +94,8 @@ class PayoffTable:
         if vals.size != 2**self.n_qubits:
             raise ContractViolation(
                 f"payoff table length {vals.size} != 2^{self.n_qubits}")
-        if np.any(vals < 0):
-            raise ContractViolation("payoffs must be nonnegative")
+        if not (np.isfinite(vals).all() and np.all(vals >= 0)):
+            raise ContractViolation("payoffs must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
 
 

@@ -33,6 +33,7 @@ from qauction.core import ContractViolation, is_hermitian, is_unitary
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
+    PayoffTable,
     build_first_price_table,
     default_schedule,
     eigenvalue_tracks,
@@ -634,3 +635,31 @@ class TestPovmSolverOnRandomEnsembles:
         states = self._random_states(rng, 4, 2)
         _, p_e = min_error_povm(states, [0.5, 0.5])
         assert p_e == pytest.approx(helstrom_error(states[0], states[1]), abs=1e-9)
+
+
+TWO_OUTCOMES = np.array([0.5, 0.5])
+# Library entries that a bad scalar used to pass: NaN or infinite payoffs, a
+# NaN or out-of-range lock amplitude, a non-finite or negative error
+# probability, and fewer than one round or trial for a Monte Carlo curve.
+BAD_ENTRIES = {
+    "payoff_nan": lambda: PayoffTable(1, [0.0, np.nan]),
+    "payoff_inf": lambda: PayoffTable(1, [0.0, np.inf]),
+    "basis_alpha_nan": lambda: probe_attack_basis([np.nan], 3),
+    "basis_alpha_2": lambda: probe_attack_basis([2.0], 3),
+    "basis_alpha_0": lambda: probe_attack_basis([None, 0.0], 3),
+    "povm_p_e_-inf": lambda: probe_attack_povm([-np.inf], 3),
+    "povm_p_e_nan": lambda: probe_attack_povm([np.nan], 3),
+    "povm_p_e_negative": lambda: probe_attack_povm([-0.1], 3),
+    "basis_mc_0_rounds": lambda: basis_mc_curve([TWO_OUTCOMES], 0, 10, 0),
+    "basis_mc_0_trials": lambda: basis_mc_curve([TWO_OUTCOMES], 3, 0, 0),
+    "povm_mc_negative_trials": lambda: povm_mc_curve([(TWO_OUTCOMES, 0)], 3, -1, 0),
+    "povm_mc_0_rounds": lambda: povm_mc_curve([(TWO_OUTCOMES, 0)], 0, 10, 0),
+    "majority_negative_trials": lambda: majority_mc_curve([[(TWO_OUTCOMES, 0)]], 3, -5, 0),
+    "majority_0_rounds": lambda: majority_mc_curve([[(TWO_OUTCOMES, 0)]], 0, 10, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ENTRIES))
+def test_library_entries_reject_bad_scalars(name):
+    with pytest.raises(ContractViolation):
+        BAD_ENTRIES[name]()

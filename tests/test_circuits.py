@@ -130,6 +130,26 @@ class TestAgainstKroneckerProducts:
         assert np.array_equal(circuit_to_matrix(circuit), kron_circuit_matrix(circuit))
 
 
+class TestMatrixDtype:
+    """A circuit with no PHASE gate at any depth has a float64 matrix, as
+    `core.as_operator` keeps real operators; one PHASE anywhere makes it
+    complex128."""
+
+    @pytest.mark.parametrize("circuit,dtype", [
+        (build_bidder_circuit("1011"), np.float64),
+        (build_collusion_circuit("10", "11"), np.float64),
+        (Circuit(2, (rotation(0, 0.3), cnot(0, 1))), np.float64),
+        (build_D_circuit(1.5, 0.3, 3), np.complex128),
+        (Circuit(2, (zero_controlled((0,), Circuit(2, (phase(1, 0.3),))),)), np.complex128),
+        (Circuit(2, (hadamard(0), zero_controlled((0,), Circuit(2, (hadamard(1),))), phase(1, 0.2))),
+         np.complex128),
+    ], ids=["bidder", "collusion", "rot_cnot", "D", "phase_in_ctrl0", "real_ctrl0_then_phase"])
+    def test_real_unless_a_phase_gate(self, circuit, dtype):
+        m = circuit_to_matrix(circuit)
+        assert m.dtype == dtype
+        assert np.array_equal(m, kron_circuit_matrix(circuit))
+
+
 class TestBidderCircuits:
     def test_gate_sequences(self):
         c = build_bidder_circuit("11")

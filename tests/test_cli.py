@@ -455,13 +455,89 @@ class TestMalformedCircuitFiles:
         assert code == 0 and "result=" in out
 
 
+# Valid arguments per circuit-verify target kind; every kind in cli._TARGETS needs some.
+TARGET_ARGS = {
+    "bidder": ["1", "011", "1011", "101"],
+    "D": ["1.5,0.4,3", "1.5,0.3,4", "0.9,0.7,8"],
+    "P": ["1,0.5", "1.3,0.4", "0.5,1"],
+    "collusion": ["10,11", "01,11", "11,11"],
+}
+# How a kind whose width is one of its arguments writes width w; P and
+# collusion are fixed at 4 qubits.
+WIDTH_ARGS = {"bidder": lambda w: "1" * w, "D": lambda w: f"1,1,{w}"}
+
+
+def _bad_targets():
+    """Per kind in cli._TARGETS: one argument more than it takes and, where
+    it takes more than one, one fewer; a bad number or bid; widths 0, -2
+    and 13 where the width is an argument. Then an unknown kind and a
+    target with no colon."""
+    cases = {"unknown_kind": "Q:1", "no_colon": "bidder"}
+    for kind, row in cli._TARGETS.items():
+        args = TARGET_ARGS.get(kind, ["1"])[0].split(",")
+        cases[f"{kind}_too_many"] = f"{kind}:" + ",".join(args + ["1"] * (max(row.counts) + 1 - len(args)))
+        if min(row.counts) > 1:
+            cases[f"{kind}_too_few"] = f"{kind}:" + ",".join(args[:min(row.counts) - 1])
+        cases[f"{kind}_bad_value"] = f"{kind}:" + ",".join(["x", *args[1:]])
+        for width in (0, -2, 13) if kind in WIDTH_ARGS else ():
+            cases[f"{kind}_width_{width}"] = f"{kind}:{WIDTH_ARGS[kind](width)}"
+    return cases
+
+
+BAD_TARGETS = _bad_targets()
+
+
+class TestEveryTargetKind:
+    """Generated from cli._TARGETS: every kind's --emit output verifies as a
+    pass, at its own width and (where the kind takes one argument fewer)
+    with the width left to the file; every bad target is one stderr line
+    and exit 1, with nothing on stdout and no --out file."""
+
+    def test_every_kind_has_arguments(self):
+        assert set(TARGET_ARGS) == set(cli._TARGETS)
+
+    @pytest.mark.parametrize("target", [f"{kind}:{args}" for kind in cli._TARGETS
+                                        for args in TARGET_ARGS.get(kind, [])])
+    def test_emit_then_verify_passes(self, target, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        assert cli.main(["circuit-verify", "--emit", target, "--out", str(path)]) == 0
+        kind, args = target.split(":")
+        checked = [target]
+        if args.count(",") in cli._TARGETS[kind].counts:  # one argument fewer: the width
+            checked.append(target.rsplit(",", 1)[0])
+        for verified in checked:
+            code, out = run_cli(["circuit-verify", str(path), verified], capsys)
+            lines = out.splitlines()
+            assert code == 0 and lines[0] == f"target={verified}" and lines[-1] == "result=pass"
+
+    @pytest.mark.parametrize("mode", ["emit", "verify"])
+    @pytest.mark.parametrize("name", list(BAD_TARGETS))
+    def test_bad_target_is_one_line(self, name, mode, tmp_path, capsys):
+        circuit, out = tmp_path / "c.txt", tmp_path / "out.txt"
+        circuit.write_text("H q0\n")
+        head = ["--emit"] if mode == "emit" else [str(circuit)]
+        assert cli.main(["circuit-verify", *head, BAD_TARGETS[name], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_help_and_unknown_kind_name_every_kind(self, capsys):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        target = next(a for a in subparsers.choices["circuit-verify"]._actions if a.dest == "target")
+        for kind, row in cli._TARGETS.items():
+            assert f"{kind}:{row.usage}" in target.help
+        _rejected_in_one_line(["circuit-verify", "--emit", "Q:1"], capsys, "/".join(cli._TARGETS))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused builder was called")
+
+
 def _refused_and_small(monkeypatch, targets):
     """Make each (module, name) raise if called, and keep the traced
     allocation peak of the test under 10 MB."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a refused builder was called")
     for module, name in targets:
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, name, _refuse)
     tracemalloc.start()
     yield
     _, peak = tracemalloc.get_traced_memory()
@@ -482,8 +558,10 @@ class TestWidthCap:
 
     @pytest.fixture(autouse=True)
     def no_dense_builds(self, monkeypatch):
+        for kind, row in cli._TARGETS.items():  # every kind's dense or diagonal reference
+            monkeypatch.setitem(cli._TARGETS, kind, row._replace(reference=_refuse))
         yield from _refused_and_small(monkeypatch, (
-            (cli, "_target_unitary"), (cli.circuits, "circuit_to_matrix"),
+            (cli.circuits, "circuit_to_matrix"),
             (cli.protocol, "build_first_price_table"), (cli.protocol, "joint_bidding_operator")))
 
     @staticmethod

@@ -215,9 +215,9 @@ class TestPhaseInvariantDistance:
     @pytest.mark.parametrize("target", ["bidder:1", "bidder:011", "bidder:1011", "P:1.3,0.4", "P:0.5,1",
                                         "collusion:10,11", "collusion:01,11", "D:1.5,0.3,4", "D:0.9,0.7,8"])
     def test_matches_the_scalar_loop_on_circuit_targets(self, target):
-        parsed = cli._parse_target(target)
-        got = circuits.circuit_to_matrix(cli._target_circuit(parsed))
-        want = cli._target_unitary(parsed)
+        row, values, width = cli._parse_target(target)
+        got = circuits.circuit_to_matrix(row.circuit(*values, width))
+        want = row.reference(*values, width)
         nearby = want * np.exp(1e-3j * np.arange(want.size)).reshape(want.shape)
         for v in (want, nearby):
             assert phase_invariant_distance(got, v) == scalar_phase_invariant_distance(got, v)
