@@ -29,6 +29,7 @@ from .protocol import (
     BidSpec,
     PayoffTable,
     Trajectory,
+    _is_count,
     as_bid,
     bidding_operator,
     run_adiabatic,
@@ -61,14 +62,10 @@ def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarra
         raise ContractViolation(f"lock amplitude must lie in (0, 1], got {alpha}")
     bid = as_bid(bid)
     theta = math.asin(alpha) - math.pi / 4
-    p, k = bid.n_qubits, bid.index
-    dim = 2**p
-    lead = min(q for q, ch in enumerate(bid.bits) if ch == "1")
-    lead_bit = 1 << (p - 1 - lead)
-    v = np.zeros((dim, dim))
-    for x in range(dim):
-        v[x, x] = math.cos(theta) * (-1.0 if x & lead_bit else 1.0)
-        v[x ^ k, x] += math.sin(theta)
+    x = np.arange(2**bid.n_qubits)
+    v = np.zeros((x.size, x.size))
+    v[x, x] = np.where(x & 1 << (bid.n_qubits - 1 - bid.lead), -math.cos(theta), math.cos(theta))
+    v[x ^ bid.index, x] = math.sin(theta)
     return theta, v
 
 
@@ -106,6 +103,17 @@ _MC_BLOCK = 8192  # trials per block of a Monte Carlo draw, so a block's arrays 
 def _check_counts(n_rounds: int, trials: int = 1) -> None:
     if n_rounds < 1 or trials < 1:
         raise ContractViolation(f"need n_rounds >= 1 and trials >= 1, got {n_rounds} and {trials}")
+
+
+def _check_distribution(dist, true_index: int | None = None) -> np.ndarray:
+    """`dist` as a float array of finite probabilities in [0, 1] summing to 1
+    within 1e-9, with `true_index`, when given, one of its outcomes."""
+    d = np.asarray(dist, dtype=float).reshape(-1)
+    if not (np.isfinite(d).all() and np.all((0 <= d) & (d <= 1)) and abs(d.sum() - 1.0) <= 1e-9):
+        raise ContractViolation(f"a distribution needs finite entries in [0, 1] summing to 1, got {d}")
+    if true_index is not None and not (_is_count(true_index) and 0 <= true_index < d.size):
+        raise ContractViolation(f"true index {true_index!r} outside 0..{d.size - 1}")
+    return d
 
 
 def _capped_geometric(p: float, never: int):
@@ -163,7 +171,7 @@ def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
         if not p > 0:
             last_hit.fill(never)
             continue
-        draw = _capped_geometric(min(p, 1.0), never)
+        draw = _capped_geometric(p, never)
         for lo in range(0, trials, _MC_BLOCK):
             block = last_hit[lo:lo + _MC_BLOCK]
             np.maximum(block, draw(rng, block.size), out=block)
@@ -179,14 +187,14 @@ def basis_mc_curve(dists: Sequence[np.ndarray], n_rounds: int, trials: int,
     of trials where every bidder produced a non-|0..0> outcome within N
     rounds. The hit probability 1 - dist[0] is read off each sampled
     outcome distribution."""
-    p_hits = [max(0.0, 1.0 - float(dist[0])) for dist in dists]
+    p_hits = [1.0 - float(_check_distribution(dist)[0]) for dist in dists]
     return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "basis"))
 
 
 def povm_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -> np.ndarray:
     """First-correct-outcome rule: a bidder is learned once any of N POVM
     outcomes names their true state (matches the closed form exactly)."""
-    p_hits = [float(dist[true_index]) for dist, true_index in per_bidder]
+    p_hits = [float(_check_distribution(dist, true_index)[true_index]) for dist, true_index in per_bidder]
     return _first_hit_curve(p_hits, n_rounds, trials, _mc_rng(seed, "first_correct"))
 
 
@@ -227,7 +235,7 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
         counted = []
         for per in variants:
             dist, true_index = per[bidder]
-            cdf = np.cumsum(np.asarray(dist))
+            cdf = np.cumsum(_check_distribution(dist, true_index))
             # u < 1 never reaches an edge at or above 1.0
             counted.append((cdf[cdf < 1.0], true_index,
                             [c for c in range(cdf.size) if c != true_index]))
@@ -270,16 +278,28 @@ def probe_attack_basis(alphas: Sequence[float | None], n_rounds: int) -> np.ndar
     return probs
 
 
-def helstrom_error(state_a: StateVector, state_b: StateVector,
-                   prior_a: float = 0.5) -> float:
-    """Minimum two-state discrimination error for pure states."""
+def helstrom_error(state_a: StateVector, state_b: StateVector) -> float:
+    """Minimum error of telling two equally likely pure states apart."""
     overlap = abs(state_a.overlap(state_b)) ** 2
-    prior_b = 1.0 - prior_a
-    return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * prior_a * prior_b * overlap))
+    return 0.5 * (1.0 - math.sqrt(1.0 - overlap))
 
 
 _SOLVE_ITERATIONS = 1000  # cap of the fixed-point loop in min_error_povm
 _SUPPORT_CUTOFF = 1e-12    # eigenvalues below this share of the largest are off the support
+_SOLVE_TOL = 1e-10         # minimum-error conditions that stop the solve in min_error_povm
+_CHECK_TOL = 1e-8          # minimum-error conditions of povm_optimality_check
+
+
+def _weighted_states(states: Sequence[StateVector], priors) -> tuple[np.ndarray, np.ndarray, list]:
+    """The checked priors (one per state), the states' amplitudes as rows and
+    the weighted states p_i |psi_i><psi_i|, real when every imaginary part is
+    exactly 0, so LAPACK's real solvers take them."""
+    priors = _check_distribution(priors)
+    if priors.size != len(states):
+        raise ContractViolation(f"{priors.size} priors for {len(states)} states")
+    psis = np.array([s.amplitudes for s in states])
+    psis = psis if psis.imag.any() else psis.real.copy()
+    return priors, psis, [p * np.outer(psi, psi.conj()) for p, psi in zip(priors, psis)]
 
 
 def _optimality_holds(elements, weighted, tol: float) -> bool:
@@ -305,8 +325,7 @@ def _square_root_measurement(psis: np.ndarray, weights: np.ndarray) -> np.ndarra
     return scaled @ root.T
 
 
-def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
-                   tol: float = 1e-10) -> tuple[Povm, float]:
+def min_error_povm(states: Sequence[StateVector], priors: Sequence[float]) -> tuple[Povm, float]:
     """Minimum-error measurement for discriminating pure states.
 
     Starts from the square-root measurement Pi_k = rho^{-1/2} p_k
@@ -316,7 +335,7 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
     Hausladen & Wootters 1994, Jezek, Rehacek & Fiurasek 2002). For pure
     states every iterate is again a square-root measurement, with weights
     p_k^2 <psi_k|Pi_k|psi_k>. The loop stops once the minimum-error
-    conditions of `povm_optimality_check` hold within `tol`, and raises
+    conditions of `povm_optimality_check` hold within _SOLVE_TOL, and raises
     ContractViolation if they still fail after a fixed number of
     iterations: the result is a certified optimum or an error. Linearly
     independent sets stop within a few dozen iterations, and symmetric or
@@ -327,16 +346,12 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
     """
     if not states:
         raise ContractViolation("need at least one state")
-    priors = np.asarray(priors, dtype=float)
-    if priors.size != len(states) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-9:
-        raise ContractViolation("priors must be nonnegative and sum to 1")
     dim = len(states[0])
     if any(len(s) != dim for s in states):
         raise ContractViolation("states must share a dimension")
     if len(states) > dim:
         raise ContractViolation("cannot assign more states than outcomes")
-    psis = np.array([s.amplitudes for s in states])  # rows
-    weighted = [p * np.outer(psi, psi.conj()) for p, psi in zip(priors, psis)]
+    priors, psis, weighted = _weighted_states(states, priors)
 
     weights = priors
     for _ in range(_SOLVE_ITERATIONS + 1):
@@ -344,7 +359,7 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
         elements = [np.outer(m, m.conj()) for m in ms]
         remainder = (np.eye(dim) - sum(elements)) / len(states)
         elements = [e + remainder for e in elements]
-        if _optimality_holds(elements, weighted, tol):
+        if _optimality_holds(elements, weighted, _SOLVE_TOL):
             break
         weights = priors**2 * np.abs(np.sum(psis.conj() * ms, axis=1)) ** 2
     else:
@@ -357,15 +372,14 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float],
 
 
 def povm_optimality_check(povm: Povm, states: Sequence[StateVector],
-                          priors: Sequence[float], tol: float = 1e-8) -> bool:
+                          priors: Sequence[float]) -> bool:
     """Necessary minimum-error conditions: G = sum_i p_i Pi_i |psi_i><psi_i|
     Hermitian, and G - p_j |psi_j><psi_j| positive semidefinite for all j,
-    each within tol. For pure states they are also sufficient. The same
-    test stops the solve in `min_error_povm`."""
+    each within _CHECK_TOL. For pure states they are also sufficient. The
+    same test stops the solve in `min_error_povm`."""
     if len(povm.elements) < len(states):
         raise ContractViolation("need at least one POVM element per state")
-    weighted = [p * np.outer(s.amplitudes, s.amplitudes.conj()) for p, s in zip(priors, states)]
-    return _optimality_holds(povm.elements, weighted, tol)
+    return _optimality_holds(povm.elements, _weighted_states(states, priors)[2], _CHECK_TOL)
 
 
 def toy_bidding_states(alpha: float | None = None) -> list[StateVector]:

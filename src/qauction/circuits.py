@@ -32,6 +32,8 @@ _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, T
 KINDS = (*_SHAPES, "CTRL0")
 MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_COLLUSION_ANGLE = math.atan2(math.sqrt(1 / 3), math.sqrt(2 / 3))  # keeps sqrt(2/3) and sqrt(1/3)
+_VERIFY_TOL = 1e-8  # phase-invariant distance within which verify_circuit passes
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,6 @@ class Circuit:
         for g in self.gates:
             out |= g.acted_qubits()
         return out
-
-    def then(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise ContractViolation("cannot concatenate circuits of different widths")
-        return Circuit(self.n_qubits, self.gates + other.gates)
 
     def to_text(self) -> str:
         return "\n".join(_gate_lines(self.gates, indent=0)) + "\n"
@@ -260,13 +257,16 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     return m.reshape(2**n, 2**n)
 
 
+def _fan_out(bid: BidSpec, offset: int) -> list[Gate]:
+    """CNOTs from the lead qubit onto the other set bits of a bid whose register starts at `offset`."""
+    return [cnot(bid.lead + offset, q + offset) for q, ch in enumerate(bid.bits)
+            if ch == "1" and q != bid.lead]
+
+
 def build_bidder_circuit(bid: BidSpec | str) -> Circuit:
-    """H on the lowest-index set bit, then CNOT fan-out to the other set bits."""
+    """H on the lead (lowest-index set) qubit, then CNOT fan-out to the other set bits."""
     bid = as_bid(bid)
-    set_bits = [q for q, ch in enumerate(bid.bits) if ch == "1"]
-    gates = [hadamard(set_bits[0])]
-    gates += [cnot(set_bits[0], q) for q in set_bits[1:]]
-    return Circuit(bid.n_qubits, tuple(gates))
+    return Circuit(bid.n_qubits, (hadamard(bid.lead), *_fan_out(bid, 0)))
 
 
 def build_D_circuit(delta: float, f: float, n_qubits: int) -> Circuit:
@@ -276,7 +276,7 @@ def build_D_circuit(delta: float, f: float, n_qubits: int) -> Circuit:
     return Circuit(n_qubits, tuple(phase(q, f * delta) for q in range(n_qubits)))
 
 
-def build_zz_exponential(qubits, theta: float, n_qubits: int | None = None) -> Circuit:
+def build_zz_exponential(qubits, theta: float, n_qubits: int) -> Circuit:
     """exp(i*theta * Z x ... x Z on `qubits`), up to a global phase.
 
     CNOT ladder folds the parity of the subset onto its last qubit, a
@@ -286,10 +286,9 @@ def build_zz_exponential(qubits, theta: float, n_qubits: int | None = None) -> C
     qs = sorted(set(int(q) for q in qubits))
     if not qs:
         raise ContractViolation("need a nonempty qubit subset")
-    width = n_qubits if n_qubits is not None else qs[-1] + 1
     ladder = [cnot(qs[i], qs[i + 1]) for i in range(len(qs) - 1)]
     gates = ladder + [phase(qs[-1], 2 * theta)] + ladder[::-1]
-    return Circuit(width, tuple(gates))
+    return Circuit(n_qubits, tuple(gates))
 
 
 def build_P_circuit(expansion, delta: float, f: float, n_qubits: int) -> Circuit:
@@ -303,16 +302,14 @@ def build_P_circuit(expansion, delta: float, f: float, n_qubits: int) -> Circuit
     return Circuit(n_qubits, tuple(gates))
 
 
-def build_collusion_circuit(bid1: BidSpec | str, bid2: BidSpec | str,
-                            keep_amplitude: tuple[float, float] = (math.sqrt(2 / 3), math.sqrt(1 / 3)),
-                            ) -> Circuit:
+def build_collusion_circuit(bid1: BidSpec | str, bid2: BidSpec | str) -> Circuit:
     """Joint two-bidder operator U_c that removes the double-nonzero state.
 
     Let lead1 be bidder 1's first set qubit and lead2 = 2 + bidder 2's
     first set qubit, with e1, e2 the one-hot registers on those qubits.
-    The circuit applies CTRL0[lead2]{ROT lead1 atan2(b, a)}, then
-    CTRL0[lead1]{H lead2}, then each bidder's CNOT fan-out from its lead
-    qubit (which maps e_i onto b_i). On |0000> the output is
+    With a = sqrt(2/3) and b = sqrt(1/3), the circuit applies CTRL0[lead2]{ROT
+    lead1 atan2(b, a)}, then CTRL0[lead1]{H lead2}, then each bidder's CNOT
+    fan-out from its lead qubit (which maps e_i onto b_i). On |0000> the output is
     a/sqrt(2)*(|0000> + |00 b2>) + b|b1 00>, so the revealing state
     |b1 b2> carries zero amplitude.
 
@@ -325,37 +322,27 @@ def build_collusion_circuit(bid1: BidSpec | str, bid2: BidSpec | str,
     bid1, bid2 = as_bid(bid1), as_bid(bid2)
     if bid1.n_qubits != 2 or bid2.n_qubits != 2:
         raise ContractViolation("collusion circuit is defined at the two-qubit-per-bidder scale")
-    a, b = keep_amplitude
-    if not (a > 0 and b > 0) or abs(a * a + b * b - 1.0) > 1e-9:
-        raise ContractViolation("keep_amplitude must be positive and normalized")
-    n = 4
-
-    def lead_and_fan_out(bid: BidSpec, offset: int):
-        h, *fan_out = build_bidder_circuit(bid).gates
-        return h.qubits[0] + offset, [cnot(*(q + offset for q in g.qubits)) for g in fan_out]
-
-    lead1, fan_out1 = lead_and_fan_out(bid1, 0)
-    lead2, fan_out2 = lead_and_fan_out(bid2, 2)
-    gates = [zero_controlled((lead2,), Circuit(n, (rotation(lead1, math.atan2(b, a)),))),
+    n, lead1, lead2 = 4, bid1.lead, bid2.lead + 2
+    gates = [zero_controlled((lead2,), Circuit(n, (rotation(lead1, _COLLUSION_ANGLE),))),
              zero_controlled((lead1,), Circuit(n, (hadamard(lead2),)))]
-    return Circuit(n, tuple(gates + fan_out1 + fan_out2))
+    return Circuit(n, tuple(gates + _fan_out(bid1, 0) + _fan_out(bid2, 2)))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     distance: float
     passed: bool
-    tolerance: float = 1e-8
+    tolerance: float
 
 
-def verify_circuit(c: Circuit, target: np.ndarray, tolerance: float = 1e-8) -> VerificationReport:
-    """Compare the circuit's unitary with a target up to global phase. A
-    1-D target is the diagonal of a diagonal unitary (see
-    `phase_invariant_distance`)."""
-    target = np.asarray(target, dtype=complex)
+def verify_circuit(c: Circuit, target: np.ndarray) -> VerificationReport:
+    """Compare the circuit's unitary with a target up to global phase,
+    passing within _VERIFY_TOL. A 1-D target is the diagonal of a diagonal
+    unitary (see `phase_invariant_distance`)."""
+    target = np.asarray(target)
     extracted = circuit_to_matrix(c)
     if extracted.shape != (target.shape * 2 if target.ndim == 1 else target.shape):
         raise ContractViolation(
             f"dimension mismatch: circuit gives {extracted.shape}, target is {target.shape}")
     d = phase_invariant_distance(extracted, target)
-    return VerificationReport(distance=d, passed=d <= tolerance, tolerance=tolerance)
+    return VerificationReport(distance=d, passed=d <= _VERIFY_TOL, tolerance=_VERIFY_TOL)

@@ -43,9 +43,9 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_unitary(u, tol: float = ATOL_UNITARY) -> bool:
+def is_unitary(u) -> bool:
     u = _as_matrix(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= tol
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= ATOL_UNITARY
 
 
 def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
@@ -55,25 +55,16 @@ def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
     return bool(np.isfinite(h).all()) and float(np.max(np.abs(h - h.conj().T))) <= tol
 
 
-def require_hermitian(h, tol: float = ATOL_HERMITIAN, what: str = "operator") -> np.ndarray:
-    h = _as_matrix(h)
-    if not is_hermitian(h, tol):
-        raise ContractViolation(f"{what} is not Hermitian within {tol}")
-    return h
-
-
 class StateVector:
     """Normalized complex amplitude vector over n qubits (length 2^n)."""
 
     __slots__ = ("amplitudes", "n_qubits")
 
-    def __init__(self, amplitudes, n_qubits: int | None = None):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         n = int(amps.size).bit_length() - 1
         if amps.size != 2**n or amps.size < 2:
             raise ContractViolation(f"amplitude length {amps.size} is not a power of two >= 2")
-        if n_qubits is not None and n_qubits != n:
-            raise ContractViolation(f"length {amps.size} does not match n_qubits={n_qubits}")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= ATOL_STATE:  # also rejects NaN
             raise ContractViolation(f"state norm {norm} deviates from 1 by more than {ATOL_STATE}")
@@ -100,17 +91,19 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalues[k]
 
 
-def eig_hermitian(h, tol: float = ATOL_HERMITIAN) -> Spectrum:
-    """Diagonalize a Hermitian operator (in the search, H(f) on one span
-    or cell); raises ContractViolation if it is not Hermitian. A real
+def eig_hermitian(h) -> Spectrum:
+    """Diagonalize a Hermitian operator (in the search, H(f) on one span or
+    cell); raises ContractViolation if it is not within ATOL_HERMITIAN. A real
     symmetric operator gets LAPACK's real solver and real eigenvectors."""
-    h = require_hermitian(h, tol)
+    h = _as_matrix(h)
+    if not is_hermitian(h):
+        raise ContractViolation(f"operator is not Hermitian within {ATOL_HERMITIAN}")
     vals, vecs = np.linalg.eigh(h)
     return Spectrum(vals, vecs)
 
 
-def check_povm(elements, tol: float = ATOL_UNITARY) -> list[np.ndarray]:
-    """Validate a POVM: every element PSD, elements summing to identity."""
+def check_povm(elements) -> list[np.ndarray]:
+    """Validate a POVM within ATOL_UNITARY: PSD elements summing to identity."""
     if not elements:
         raise ContractViolation("POVM needs at least one element")
     mats = [_as_matrix(e) for e in elements]
@@ -119,13 +112,13 @@ def check_povm(elements, tol: float = ATOL_UNITARY) -> list[np.ndarray]:
     for k, e in enumerate(mats):
         if e.shape[0] != dim:
             raise ContractViolation("POVM elements differ in dimension")
-        if not is_hermitian(e, tol):
+        if not is_hermitian(e, ATOL_UNITARY):
             raise ContractViolation(f"POVM element {k} is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2))) < -tol:
+        if float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2))) < -ATOL_UNITARY:
             raise ContractViolation(f"POVM element {k} is not positive semidefinite")
         total += e
-    if float(np.max(np.abs(total - np.eye(dim)))) > tol:
-        raise ContractViolation(f"POVM elements do not sum to identity within {tol}")
+    if float(np.max(np.abs(total - np.eye(dim)))) > ATOL_UNITARY:
+        raise ContractViolation(f"POVM elements do not sum to identity within {ATOL_UNITARY}")
     return mats
 
 
@@ -184,7 +177,8 @@ def phase_invariant_distance(u, v) -> float:
     tr = np.vdot(v, u)  # tr(v^dag u)
     # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
     rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
-    u, v = u[v != 0], v[v != 0]
+    # a real u is cast once here, not in each of the distance evaluations below
+    u, v = u[v != 0].astype(complex, copy=False), v[v != 0]
 
     def dist(theta: float) -> float:
         return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))

@@ -46,10 +46,6 @@ class AuctionConfig:
         if self.m < 1 or self.p < 1:
             raise ContractViolation("m and p must both be positive")
 
-    @property
-    def total_qubits(self) -> int:
-        return self.m * self.p
-
 
 @dataclass(frozen=True)
 class BidSpec:
@@ -73,9 +69,9 @@ class BidSpec:
         return int(self.bits, 2)
 
     @property
-    def value(self) -> int:
-        """Dollar value in the single-item layout (whole register is price)."""
-        return self.index
+    def lead(self) -> int:
+        """Qubit of the first set bit (qubit 0 is the most significant)."""
+        return self.bits.index("1")
 
 
 def as_bid(b) -> BidSpec:
@@ -172,7 +168,7 @@ def bidding_operator(bid: BidSpec | str) -> np.ndarray:
     """
     bid = as_bid(bid)
     dim = 2**bid.n_qubits
-    lead = 1 << (bid.n_qubits - 1 - bid.bits.index("1"))
+    lead = 1 << (bid.n_qubits - 1 - bid.lead)
     x = np.arange(dim)
     cleared = x & ~lead
     u = np.zeros((dim, dim))
@@ -240,8 +236,8 @@ def auto_delta(steps: int) -> float:
     return 1.0 / math.sqrt(steps)
 
 
-def default_schedule(variant: str = "zeroth") -> AdiabaticSchedule:
-    return AdiabaticSchedule(steps=20, delta=1.5, variant=variant)
+def default_schedule() -> AdiabaticSchedule:
+    return AdiabaticSchedule(steps=20, delta=1.5)
 
 
 class TrajectoryStep(NamedTuple):

@@ -29,7 +29,7 @@ from qauction.adversary import (
     spurious_table,
     toy_bidding_states,
 )
-from qauction.core import ContractViolation, is_hermitian, is_unitary
+from qauction.core import ContractViolation, is_hermitian
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
@@ -86,7 +86,7 @@ class TestLockingOperators:
         theta, v = locking_operator(bits, alpha)
         assert (math.cos(theta) + math.sin(theta)) / math.sqrt(2) == pytest.approx(alpha, abs=1e-12)
         assert is_hermitian(v, 1e-12)
-        assert is_unitary(v, 1e-10)
+        assert np.max(np.abs(v.T @ v - np.eye(v.shape[0]))) <= 1e-10
         locked = locked_bidding_state(bits, alpha)
         # amplitude alpha stays on |00>, the rest on the price state
         assert abs(locked.amplitudes[0]) == pytest.approx(alpha, abs=1e-12)
@@ -265,9 +265,10 @@ class TestMajorityBlocks:
         np.testing.assert_array_equal(self.assert_matches_dense([never], 6, 8193), np.zeros((1, 6)))
 
     def test_cdf_ending_below_and_at_one(self):
-        # a cdf ending below 1.0 has its last edge compared: a tenth of the draws
-        # land past it and count for no outcome; an edge at 1.0 is never reached
-        short, full = np.array([0.5, 0.2, 0.2]), np.array([0.5, 0.25, 0.25])
+        # a cdf that rounds to just below 1.0 has its last edge compared; an edge
+        # at 1.0 is never reached (a cdf ending well below 1.0 is no distribution
+        # and is rejected: BAD_DISTRIBUTIONS)
+        short, full = np.array([0.7, 0.2, 0.1]), np.array([0.5, 0.25, 0.25])
         assert np.cumsum(short)[-1] < 1.0 and np.cumsum(full)[-1] == 1.0
         self.assert_matches_dense([[(short, 0), (full, 1)], [(full, 2), (short, 2)]], 12, 8193)
 
@@ -501,7 +502,7 @@ class TestLockedAuction:
 
     def test_strong_lock_winner_exact_variant(self):
         # exact stepping at the short schedule already resolves the winner
-        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("exact"), (0.9, 0.7))
+        traj = run_locked_auction(["11", "10"], TOY_TABLE, AdiabaticSchedule(20, 1.5, "exact"), (0.9, 0.7))
         final = traj.final_state.probabilities()
         assert int(np.argmax(final)) == 0b1100
 
@@ -529,7 +530,7 @@ class TestLockedAuction:
 
     def test_first_variant_rejected(self):
         with pytest.raises(ContractViolation):
-            run_locked_auction(["11", "10"], TOY_TABLE, default_schedule("first"), (0.9, 0.7))
+            run_locked_auction(["11", "10"], TOY_TABLE, AdiabaticSchedule(20, 1.5, "first"), (0.9, 0.7))
 
 
 class TestSpuriousAttack:
@@ -663,3 +664,32 @@ BAD_ENTRIES = {
 def test_library_entries_reject_bad_scalars(name):
     with pytest.raises(ContractViolation):
         BAD_ENTRIES[name]()
+
+
+# Outcome distributions and priors that used to pass or end in another
+# error: NaN and infinite entries (read as "never hit" by the first-hit
+# curves, or giving a plausible curve), sums other than 1, fewer priors than
+# states, and a true index that is a float or outside the outcomes.
+BAD_DISTRIBUTIONS = {
+    "povm_priors_nan": lambda: min_error_povm(toy_bidding_states(), [np.nan, 0.5, 0.5]),
+    "optimality_check_priors_nan": lambda: povm_optimality_check(
+        Povm(tuple(computational_povm(2))), toy_bidding_states(), [np.nan, 0.5, 0.5]),
+    "optimality_check_2_priors_for_3_states": lambda: povm_optimality_check(
+        Povm(tuple(computational_povm(2))), toy_bidding_states(), [0.5, 0.5]),
+    "basis_mc_nan": lambda: basis_mc_curve([np.array([np.nan, 0.5])], 3, 10, 0),
+    "basis_mc_sums_to_3": lambda: basis_mc_curve([np.ones(3)], 3, 10, 0),
+    "povm_mc_nan": lambda: povm_mc_curve([(np.array([np.nan, 0.5, 0.5]), 1)], 3, 10, 0),
+    "povm_mc_inf": lambda: povm_mc_curve([(np.array([np.inf, 0.5]), 1)], 3, 10, 0),
+    "povm_mc_index_5": lambda: povm_mc_curve([(TWO_OUTCOMES, 5)], 3, 10, 0),
+    "povm_mc_index_-1": lambda: povm_mc_curve([(TWO_OUTCOMES, -1)], 3, 10, 0),
+    "majority_nan": lambda: majority_mc_curve([[(np.array([np.nan, 0.5, 0.5]), 0)]], 3, 10, 0),
+    "majority_sums_to_0.9": lambda: majority_mc_curve([[(np.array([0.5, 0.2, 0.2]), 0)]], 3, 10, 0),
+    "majority_index_2": lambda: majority_mc_curve([[(TWO_OUTCOMES, 2)]], 3, 10, 0),
+    "majority_index_float": lambda: majority_mc_curve([[(TWO_OUTCOMES, 1.0)]], 3, 10, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DISTRIBUTIONS))
+def test_library_entries_reject_bad_distributions(name):
+    with pytest.raises(ContractViolation):
+        BAD_DISTRIBUTIONS[name]()

@@ -202,7 +202,7 @@ class TestZZExponential:
 
     def test_three_qubit_weight(self):
         theta = 1.5
-        c = build_zz_exponential({0, 1, 2}, theta)
+        c = build_zz_exponential({0, 1, 2}, theta, n_qubits=3)
         assert phase_invariant_distance(circuit_to_matrix(c), _zz_target([0, 1, 2], theta, 3)) <= 1e-10
 
     def test_parity_pattern_at_right_angle(self):
@@ -267,10 +267,6 @@ class TestCollusionCircuit:
         with pytest.raises(ContractViolation):
             build_collusion_circuit("100", "011")
 
-    def test_rejects_unnormalized_amplitudes(self):
-        with pytest.raises(ContractViolation):
-            build_collusion_circuit("10", "11", keep_amplitude=(0.9, 0.9))
-
 
 class TestVerifyCircuit:
     def test_pass_on_reference_matrix(self):
@@ -321,12 +317,12 @@ class TestBuildersAreUnitary:
             build_bidder_circuit("11"),
             build_bidder_circuit("010101"),
             build_D_circuit(1.5, 0.3, 4),
-            build_zz_exponential({0, 2, 3}, 0.7),
+            build_zz_exponential({0, 2, 3}, 0.7, n_qubits=4),
             build_P_circuit(pauli_z_expansion(table), 1.5, 0.6, 4),
             build_collusion_circuit("10", "11"),
         ]
         for c in circuits:
-            assert is_unitary(circuit_to_matrix(c), 1e-9)
+            assert is_unitary(circuit_to_matrix(c))
 
 
 class TestFullIterationFromCircuits:
@@ -347,10 +343,8 @@ class TestFullIterationFromCircuits:
         hp_diag = -table.values
         for s in range(1, steps + 1):
             f = s / steps
-            iteration = (build_P_circuit(expansion, delta, f, 4)
-                         .then(backward)
-                         .then(build_D_circuit(delta, 1 - f, 4))
-                         .then(forward))
+            iteration = Circuit(4, build_P_circuit(expansion, delta, f, 4).gates + backward.gates
+                                + build_D_circuit(delta, 1 - f, 4).gates + forward.gates)
             dense_op = (u @ np.diag(np.exp(-1j * delta * (1 - f) * w_diag)) @ u.conj().T
                         @ np.diag(np.exp(-1j * delta * f * hp_diag)))
             # the dropped constant expansion term only shifts the global phase

@@ -23,7 +23,6 @@ from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
     build_first_price_table,
-    default_schedule,
     joint_bidding_operator,
     plausible_allocations,
     run_adiabatic,
@@ -74,7 +73,7 @@ def test_wider_runs_match_the_dense_run(bids, steps, variant):
 @pytest.mark.parametrize("variant", ["exact", "zeroth", "first"])
 @pytest.mark.parametrize("b1, b2", list(itertools.combinations(["01", "10", "11"], 2)))
 def test_collusion_run_matches_the_dense_run(b1, b2, variant):
-    schedule = default_schedule(variant)
+    schedule = AdiabaticSchedule(20, 1.5, variant)
     traj = run_collusion_defense([b1, b2], spurious_table(), schedule)
     states = dense_run(circuit_to_matrix(build_collusion_circuit(b1, b2)), None, spurious_table(), schedule)
     assert_run_matches(traj, states, 1e-12)

@@ -45,7 +45,7 @@ U3 = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / math
 
 class TestAuctionConfig:
     def test_single_item_uses_all_qubits_for_price(self):
-        assert TOY.total_qubits == 4
+        assert build_first_price_table(TOY).n_qubits == 4
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ContractViolation):
@@ -57,13 +57,14 @@ class TestAuctionConfig:
             AuctionConfig(m, p)
 
     def test_numpy_integers_are_sizes(self):
-        assert AuctionConfig(np.int64(2), 2).total_qubits == 4
+        assert build_first_price_table(AuctionConfig(np.int64(2), 2)).n_qubits == 4
 
 
 class TestBidSpec:
     def test_values(self):
-        assert BidSpec("10").value == 2
+        assert BidSpec("10").index == 2
         assert BidSpec("11").index == 3
+        assert (BidSpec("011").lead, BidSpec("100").lead) == (1, 0)
 
     def test_rejects_zero_bid(self):
         with pytest.raises(ContractViolation):
@@ -327,16 +328,16 @@ class TestRunAdiabatic:
         traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule())
         assert traj.success[-1] >= 0.9
         assert all(b >= a - 0.05 for a, b in zip(traj.success, traj.success[1:]))
-        exact = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("exact"))
+        exact = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, "exact"))
         assert exact.success[-1] >= 0.9
 
     def test_leakage_stays_tiny(self, toy_setup):
         for variant in ("exact", "zeroth", "first"):
-            traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule(variant))
+            traj = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, variant))
             assert traj.leakage.max() <= 1e-9
 
     def test_norms_along_trajectory(self, toy_setup):
-        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, "first"))
         for step in traj.steps:
             assert abs(np.linalg.norm(step.state.amplitudes) - 1.0) <= 1e-9
 
@@ -625,12 +626,12 @@ class TestSpanTrajectory:
     success and leakage arrays that its steps carry."""
 
     def test_final_state_is_the_last_step(self, toy_setup):
-        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, "first"))
         assert traj.final_state is traj.steps[-1].state and len(traj.steps) == 21
         assert traj.state(20) is traj.state(-1) is traj.final_state
 
     def test_steps_slice_to_a_list_and_state_takes_integers(self, toy_setup):
-        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("first"))
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, "first"))
         part = traj.steps[1:3]
         assert isinstance(part, list) and [(st.s, st.f) for st in part] == [(1, 0.05), (2, 0.1)]
         for st in part:
@@ -685,7 +686,7 @@ class TestSpanTrajectory:
                 traj.probability(bad)
 
     def test_steps_are_zero_off_the_span(self, toy_setup):
-        traj = run_adiabatic(["10", "11"], toy_setup["table"], default_schedule("locked"))
+        traj = run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(20, 1.5, "locked"))
         off_span = np.setdiff1d(np.arange(16), traj.plausible)
         for s, st in enumerate(traj.steps):
             assert (st.s, st.f) == (s, s / 20)
@@ -964,7 +965,7 @@ class TestRealOperators:
         # the collusion circuit has no PHASE gate, so its matrix is float64
         joint = _collusion_factor(b1, b2)
         assert joint.dtype == np.float64
-        table, schedule = spurious_table(), default_schedule(variant)
+        table, schedule = spurious_table(), AdiabaticSchedule(20, 1.5, variant)
         plausible = sorted({0, BidSpec(b2).index, BidSpec(b1).index << 2})
         winner = winning_allocation(table, plausible)
         cast = run_schedule((joint.astype(complex),), plausible, winner, table, schedule)
