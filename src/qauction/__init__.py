@@ -53,7 +53,6 @@ from .adversary import (
     probe_attack_basis,
     probe_attack_povm,
     run_collusion_defense,
-    run_locked_auction,
     spurious_table,
 )
 

@@ -10,7 +10,6 @@ colluding joint bidding operator that removes the revealing state.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +31,6 @@ from .protocol import (
     _is_count,
     as_bid,
     bidding_operator,
-    run_adiabatic,
     run_schedule,
     winning_allocation,
 )
@@ -291,9 +289,11 @@ _CHECK_TOL = 1e-8          # minimum-error conditions of povm_optimality_check
 
 
 def _weighted_states(states: Sequence[StateVector], priors) -> tuple[np.ndarray, np.ndarray, list]:
-    """The checked priors (one per state), the states' amplitudes as rows and
-    the weighted states p_i |psi_i><psi_i|, real when every imaginary part is
-    exactly 0, so LAPACK's real solvers take them."""
+    """The checked priors (one per state), the states' amplitudes as rows, of
+    one dimension, and the weighted states p_i |psi_i><psi_i|, real when every
+    imaginary part is exactly 0, so LAPACK's real solvers take them."""
+    if len({len(s) for s in states}) != 1:
+        raise ContractViolation("need at least one state, and states must share a dimension")
     priors = _check_distribution(priors)
     if priors.size != len(states):
         raise ContractViolation(f"{priors.size} priors for {len(states)} states")
@@ -344,14 +344,10 @@ def min_error_povm(states: Sequence[StateVector], priors: Sequence[float]) -> tu
     equally over the returned elements so they sum to the identity; the
     states carry no weight on it.
     """
-    if not states:
-        raise ContractViolation("need at least one state")
-    dim = len(states[0])
-    if any(len(s) != dim for s in states):
-        raise ContractViolation("states must share a dimension")
+    priors, psis, weighted = _weighted_states(states, priors)
+    dim = psis.shape[1]
     if len(states) > dim:
         raise ContractViolation("cannot assign more states than outcomes")
-    priors, psis, weighted = _weighted_states(states, priors)
 
     weights = priors
     for _ in range(_SOLVE_ITERATIONS + 1):
@@ -379,7 +375,11 @@ def povm_optimality_check(povm: Povm, states: Sequence[StateVector],
     same test stops the solve in `min_error_povm`."""
     if len(povm.elements) < len(states):
         raise ContractViolation("need at least one POVM element per state")
-    return _optimality_holds(povm.elements, _weighted_states(states, priors)[2], _CHECK_TOL)
+    _, psis, weighted = _weighted_states(states, priors)
+    if len(povm.elements[0]) != psis.shape[1]:
+        raise ContractViolation(f"a POVM on dimension {len(povm.elements[0])} "
+                                f"for states of dimension {psis.shape[1]}")
+    return _optimality_holds(povm.elements, weighted, _CHECK_TOL)
 
 
 def toy_bidding_states(alpha: float | None = None) -> list[StateVector]:
@@ -431,24 +431,6 @@ def revealing_index(bids: Sequence[BidSpec | str]) -> int:
         b = as_bid(b)
         x = (x << b.n_qubits) | b.index
     return x
-
-
-def run_locked_auction(bids: Sequence[BidSpec | str], table: PayoffTable,
-                       schedule: AdiabaticSchedule, alphas: Sequence[float]) -> Trajectory:
-    """Search with the payoff phases conjugated by the secret V = V1 x ... x Vm,
-    bidder i locked at amplitude alphas[i].
-
-    A "zeroth" schedule is promoted to the "locked" iteration; "exact"
-    keeps exact stepping with the conjugated final Hamiltonian.
-    """
-    variant = schedule.variant
-    if variant == "zeroth":
-        variant = "locked"
-    if variant not in ("locked", "exact"):
-        raise ContractViolation("locked runs support the 'locked' and 'exact' variants only")
-    locked_schedule = dataclasses.replace(schedule, variant=variant,
-                                          locking=locking_unitaries(bids, alphas))
-    return run_adiabatic(bids, table, locked_schedule)
 
 
 def run_collusion_defense(bids: Sequence[BidSpec | str], table: PayoffTable,

@@ -95,6 +95,18 @@ _KEY_SPECS = {
     "out": _Key(str, None, "output path (default: stdout)"),
 }
 
+# The (attack, defense) pairs each scenario subcommand runs.
+_PAIRS = {
+    "converge": {("none", "none"), ("none", "lock"), ("none", "collude")},
+    "variants": {("none", "none")},
+    "gap": {("none", "none"), ("none", "lock")},
+    "attack": {("probe_basis", "none"), ("probe_basis", "lock"),
+               ("spurious", "none"), ("spurious", "collude")},
+}
+# The settings defined for two 2-qubit bidders only, as in the paper.
+_TWO_BY_TWO = (("table", "spurious"), ("attack", "probe_basis"),
+               ("attack", "spurious"), ("defense", "collude"))
+
 
 @dataclass
 class ScenarioConfig:
@@ -114,27 +126,21 @@ class ScenarioConfig:
     out: str | None
 
     def schedule(self, variant: str | None = None) -> AdiabaticSchedule:
-        return AdiabaticSchedule(steps=self.steps, delta=self.delta,
-                                 variant=variant or self.variant)
+        """The schedule at `variant` (default: the configured one). Under
+        defense=lock it carries each bidder's secret V_i and runs "zeroth"
+        as "locked"; a locked schedule has no "first" variant."""
+        variant = variant or self.variant
+        if self.defense != "lock":
+            return AdiabaticSchedule(self.steps, self.delta, variant)
+        if variant == "first":
+            raise ConfigError("locked runs support the 'zeroth', 'locked' and 'exact' variants only")
+        return AdiabaticSchedule(self.steps, self.delta, "locked" if variant == "zeroth" else variant,
+                                 adversary.locking_unitaries(self.bids, (self.alpha1, self.alpha2)))
 
     def payoff_table(self) -> protocol.PayoffTable:
         if self.table == "spurious":
-            if [len(b) for b in self.bids] != [2, 2]:
-                raise ConfigError("the spurious table is defined for two 2-qubit bidders")
             return adversary.spurious_table()
-        p = len(self.bids[0])
-        return protocol.build_first_price_table(AuctionConfig(m=len(self.bids), p=p))
-
-    def locking(self) -> tuple[float, float]:
-        """The two lock amplitudes, each checked to lie in (0, 1]."""
-        if self.alpha1 is None or self.alpha2 is None:
-            raise ConfigError("defense=lock needs alpha1 and alpha2 in (0, 1]")
-        if len(self.bids) != 2:
-            raise ConfigError("locking pair covers exactly two bidders")
-        for alpha in (self.alpha1, self.alpha2):
-            if not 0 < alpha <= 1:
-                raise ConfigError(f"lock amplitude must lie in (0, 1], got {alpha}")
-        return self.alpha1, self.alpha2
+        return protocol.build_first_price_table(AuctionConfig(m=len(self.bids), p=len(self.bids[0])))
 
 
 def _read_text(path: str, what: str) -> str:
@@ -197,6 +203,21 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"rounds = {cfg.rounds} exceeds the cap of {MAX_MC_ROUNDS} probe rounds")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if args.command not in _PAIRS:  # povm reads only seed and out
+        return cfg
+    if (cfg.attack, cfg.defense) not in _PAIRS[args.command]:
+        allowed = ", ".join(sorted(map("/".join, _PAIRS[args.command])))
+        raise ConfigError(f"{args.command} runs attack/defense pairs {allowed}, "
+                          f"not {cfg.attack}/{cfg.defense}")
+    for key, value in _TWO_BY_TWO:
+        if getattr(cfg, key) == value and [len(b) for b in cfg.bids] != [2, 2]:
+            raise ConfigError(f"{key}={value} is defined for two 2-qubit bidders")
+    if cfg.defense == "lock":
+        if len(cfg.bids) != 2:
+            raise ConfigError("locking pair covers exactly two bidders")
+        if not all(alpha is not None and 0 < alpha <= 1 for alpha in (cfg.alpha1, cfg.alpha2)):
+            raise ConfigError(f"defense=lock needs alpha1 and alpha2 in (0, 1], "
+                              f"got {cfg.alpha1} and {cfg.alpha2}")
     return cfg
 
 
@@ -246,16 +267,12 @@ def _total_qubits(cfg: ScenarioConfig) -> int:
 
 def _run_for_config(cfg: ScenarioConfig) -> protocol.Trajectory:
     table, schedule = cfg.payoff_table(), cfg.schedule()
-    if cfg.defense == "lock":
-        return adversary.run_locked_auction(cfg.bids, table, schedule, cfg.locking())
     if cfg.defense == "collude":
         return adversary.run_collusion_defense(cfg.bids, table, schedule)
     return protocol.run_adiabatic(cfg.bids, table, schedule)
 
 
 def cmd_converge(cfg: ScenarioConfig) -> str:
-    if cfg.attack != "none":
-        raise ConfigError("converge runs the honest schedule; use the attack subcommand")
     traj = _run_for_config(cfg)
     rows = [(s, s / cfg.steps, traj.success[s], traj.leakage[s]) for s in range(cfg.steps + 1)]
     winner = format(traj.winner_index, f"0{_total_qubits(cfg)}b")
@@ -264,8 +281,6 @@ def cmd_converge(cfg: ScenarioConfig) -> str:
 
 
 def cmd_variants(cfg: ScenarioConfig) -> str:
-    if cfg.attack != "none" or cfg.defense != "none":
-        raise ConfigError("variants compares honest integrators only")
     table = cfg.payoff_table()
     curves = {}
     for variant in ("exact", "zeroth", "first"):
@@ -277,21 +292,15 @@ def cmd_variants(cfg: ScenarioConfig) -> str:
 
 
 def cmd_gap(cfg: ScenarioConfig) -> str:
-    if cfg.attack != "none" or cfg.defense == "collude":
-        raise ConfigError("gap tracks support defense in {none, lock}")
     values = (cfg.steps + 1) << _total_qubits(cfg)
     if not cfg.restrict and values > MAX_GAP_VALUES:
         raise ConfigError(f"full-space gap tracks: (steps + 1) * 2^n = {values} eigenvalues "
                           f"exceed the cap of {MAX_GAP_VALUES}")
-    alphas = cfg.locking() if cfg.defense == "lock" else None
     table = cfg.payoff_table()
     # a tie is a simulation error, found before any operator is built
     protocol.winning_allocation(table, protocol.plausible_allocations(cfg.bids))
-    schedule = cfg.schedule()
-    if alphas is not None:
-        schedule = dataclasses.replace(cfg.schedule("locked"),
-                                       locking=adversary.locking_unitaries(cfg.bids, alphas))
-    tracks = protocol.eigenvalue_tracks(cfg.bids, table, schedule, restrict=cfg.restrict)
+    # the tracks read no variant, so a lock is taken under any --variant
+    tracks = protocol.eigenvalue_tracks(cfg.bids, table, cfg.schedule("locked"), restrict=cfg.restrict)
     k = tracks.eigenvalues.shape[1]
     header = ["s", "f"] + [f"lambda{i}" for i in range(k)] + ["gap"]
     rows = []
@@ -304,7 +313,7 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
 def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
     variants = [("", (None,) * len(cfg.bids))]
     if cfg.defense == "lock":
-        variants.append(("_lock", cfg.locking()))
+        variants.append(("_lock", (cfg.alpha1, cfg.alpha2)))
 
     header = ["N"]
     meta_extra: dict = {}
@@ -330,11 +339,7 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
 
 
 def cmd_attack(cfg: ScenarioConfig) -> str:
-    if cfg.attack == "none":
-        raise ConfigError("attack subcommand needs attack in {probe_basis, spurious}")
     if cfg.attack == "spurious":
-        if cfg.defense not in ("none", "collude"):
-            raise ConfigError("the spurious attack composes with defense in {none, collude}")
         cfg = dataclasses.replace(cfg, table="spurious")
         traj = _run_for_config(cfg)
         reveal = adversary.revealing_index(cfg.bids)
@@ -344,10 +349,6 @@ def cmd_attack(cfg: ScenarioConfig) -> str:
         revealing = format(reveal, f"0{_total_qubits(cfg)}b")
         return _render_csv(_meta(cfg, "attack", revealing=revealing),
                            ["s", "f", "success_prob", "leakage", "revealing_prob"], rows)
-    if cfg.defense == "collude":
-        raise ConfigError("probe attacks compose with defense in {none, lock}")
-    if any(len(b) != 2 for b in cfg.bids) or len(cfg.bids) != 2:
-        raise ConfigError("probe attacks are defined for two 2-qubit bidders")
     header, rows, extra = _probe_columns(cfg)
     return _render_csv(_meta(cfg, "attack", trials=cfg.trials, rounds=cfg.rounds, **extra),
                        header, rows)

@@ -23,12 +23,12 @@ from qauction.adversary import (
     min_error_povm,
     helstrom_error,
     locked_bidding_state,
+    locking_unitaries,
     povm_optimality_check,
     probe_attack_basis,
     probe_attack_povm,
     revealing_index,
     run_collusion_defense,
-    run_locked_auction,
     spurious_table,
     toy_bidding_states,
 )
@@ -198,7 +198,8 @@ def test_criterion_06_diagnostic_splitting_order(bids):
 def test_criterion_07_subspace_preservation():
     table = build_first_price_table(TOY)
     honest = run_adiabatic(["10", "11"], table, default_schedule()).leakage.max()
-    locked = run_locked_auction(["11", "10"], table, default_schedule(), (0.9, 0.7)).leakage.max()
+    locking = locking_unitaries(["11", "10"], (0.9, 0.7))
+    locked = run_adiabatic(["11", "10"], table, AdiabaticSchedule(20, 1.5, "locked", locking)).leakage.max()
     collusion = run_collusion_defense(["10", "11"], spurious_table(),
                                       default_schedule()).leakage.max()
     ok = honest <= 1e-9 and locked <= 1e-9 and collusion <= 1e-9

@@ -25,11 +25,10 @@ from qauction.adversary import (
     probe_attack_povm,
     revealing_index,
     run_collusion_defense,
-    run_locked_auction,
     spurious_table,
     toy_bidding_states,
 )
-from qauction.core import ContractViolation, is_hermitian
+from qauction.core import ContractViolation, StateVector, is_hermitian
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
@@ -489,27 +488,30 @@ class TestPovmLearningCurves:
             probe_attack_povm([0.1, 1.0], 3)
 
 
+def _locked(bids, alphas, variant="locked", steps=20, delta=1.5):
+    return AdiabaticSchedule(steps, delta, variant, locking_unitaries(bids, alphas))
+
+
 class TestLockedAuction:
     def test_neutral_lock_equals_unlocked_zeroth(self):
         neutral = (1 / math.sqrt(2), 1 / math.sqrt(2))
-        locked = run_locked_auction(["10", "11"], TOY_TABLE, default_schedule(), neutral)
+        locked = run_adiabatic(["10", "11"], TOY_TABLE, _locked(["10", "11"], neutral))
         plain = run_adiabatic(["10", "11"], TOY_TABLE, default_schedule())
         assert abs(locked.success[-1] - plain.success[-1]) <= 1e-6
 
     def test_leakage_stays_in_subspace(self):
-        traj = run_locked_auction(["11", "10"], TOY_TABLE, default_schedule(), (0.9, 0.7))
+        traj = run_adiabatic(["11", "10"], TOY_TABLE, _locked(["11", "10"], (0.9, 0.7)))
         assert traj.leakage.max() <= 1e-9
 
     def test_strong_lock_winner_exact_variant(self):
         # exact stepping at the short schedule already resolves the winner
-        traj = run_locked_auction(["11", "10"], TOY_TABLE, AdiabaticSchedule(20, 1.5, "exact"), (0.9, 0.7))
+        traj = run_adiabatic(["11", "10"], TOY_TABLE, _locked(["11", "10"], (0.9, 0.7), "exact"))
         final = traj.final_state.probabilities()
         assert int(np.argmax(final)) == 0b1100
 
     def test_winner_never_changes_on_alpha_grid(self):
         # the locked interpolation roughly halves g_min, so run the locked
         # iteration on a longer schedule before asserting the argmax
-        schedule = AdiabaticSchedule(steps=60, delta=1.0, variant="locked")
         alphas = (0.6, 0.7, 0.8, 0.9)
         for v1, v2 in itertools.permutations((1, 2, 3), 2):
             bids = [bits_of(v1), bits_of(v2)]
@@ -517,20 +519,19 @@ class TestLockedAuction:
             expected = int(np.argmax(honest.final_state.probabilities()))
             assert expected == honest.winner_index
             for a1, a2 in itertools.product(alphas, repeat=2):
-                locked = run_locked_auction(bids, TOY_TABLE, schedule, (a1, a2))
+                locked = run_adiabatic(bids, TOY_TABLE, _locked(bids, (a1, a2), steps=60, delta=1.0))
                 got = int(np.argmax(locked.final_state.probabilities()))
                 assert got == expected, (v1, v2, a1, a2)
 
     def test_locked_gap_shrinks(self):
-        locking = locking_unitaries(["11", "10"], (0.9, 0.7))
-        locked_schedule = AdiabaticSchedule(20, 1.5, "locked", locking=locking)
-        locked = eigenvalue_tracks(["11", "10"], TOY_TABLE, locked_schedule)
+        locked = eigenvalue_tracks(["11", "10"], TOY_TABLE, _locked(["11", "10"], (0.9, 0.7)))
         honest = eigenvalue_tracks(["11", "10"], TOY_TABLE, default_schedule())
         assert 0 < locked.g_min < honest.g_min
 
     def test_first_variant_rejected(self):
+        locking = locking_unitaries(["11", "10"], (0.9, 0.7))
         with pytest.raises(ContractViolation):
-            run_locked_auction(["11", "10"], TOY_TABLE, AdiabaticSchedule(20, 1.5, "first"), (0.9, 0.7))
+            AdiabaticSchedule(20, 1.5, "first", locking)
 
 
 class TestSpuriousAttack:
@@ -693,3 +694,20 @@ BAD_DISTRIBUTIONS = {
 def test_library_entries_reject_bad_distributions(name):
     with pytest.raises(ContractViolation):
         BAD_DISTRIBUTIONS[name]()
+
+
+# States of mixed dimension, and a POVM of another dimension than the
+# states', that used to end in numpy's shape or matmul ValueError.
+BAD_DIMENSIONS = {
+    "optimality_check_states_of_2_and_4": lambda: povm_optimality_check(
+        Povm(tuple(computational_povm(2))), [StateVector([1, 0]), StateVector([1, 0, 0, 0])],
+        [0.5, 0.5]),
+    "optimality_check_4x4_povm_for_2_amplitude_states": lambda: povm_optimality_check(
+        Povm(tuple(computational_povm(2))), [StateVector([1, 0]), StateVector([0, 1])], [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DIMENSIONS))
+def test_library_entries_reject_bad_dimensions(name):
+    with pytest.raises(ContractViolation):
+        BAD_DIMENSIONS[name]()

@@ -253,7 +253,7 @@ class TestAttack:
 
     def test_spurious_rejects_other_widths(self, capsys):
         _rejected_in_one_line(["attack", "--attack", "spurious", "--bids", "101,110"], capsys,
-                              "the spurious table is defined for two 2-qubit bidders")
+                              "attack=spurious is defined for two 2-qubit bidders")
 
     def test_requires_attack_value(self, capsys):
         assert cli.main(["attack"]) == 1
@@ -760,6 +760,51 @@ class TestEveryKeyClosed:
                 path.unlink()
             assert code in (0, 1, 2), argv
             assert "nan" not in output.lower(), argv
+
+
+class TestEveryScenario:
+    """Every (attack, defense) pair on every scenario subcommand of
+    cli._PAIRS: a listed pair runs on a tiny grid and exits 0, and any other
+    pair, a setting of cli._TWO_BY_TWO on other bidders, or a locked
+    `converge` at variant first exits 1 with one stderr line, nothing on
+    stdout and no --out file."""
+
+    SMALL = ["--steps", "2", "--trials", "16", "--rounds", "3", "--alpha1", "0.9", "--alpha2", "0.7"]
+    PAIRS = [(command, attack, defense) for command in cli._PAIRS
+             for attack in cli._KEY_SPECS["attack"].choices
+             for defense in cli._KEY_SPECS["defense"].choices]
+    # each listed pair that a two-2-qubit setting can ride on, with each other bidder shape
+    SCALE = [(command, attack, defense, key, value, bids)
+             for command, pairs in cli._PAIRS.items() for attack, defense in sorted(pairs)
+             for key, value in cli._TWO_BY_TWO
+             if {"table": value, "attack": attack, "defense": defense}[key] == value
+             for bids in ("100,011", "10,11,01")]
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys, needle=""):
+        out = tmp_path / "out.csv"
+        _rejected_in_one_line([*argv, "--out", str(out)], capsys, needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, attack, defense", PAIRS)
+    def test_pair(self, command, attack, defense, tmp_path, capsys):
+        argv = [command, "--attack", attack, "--defense", defense, *self.SMALL]
+        if (attack, defense) in cli._PAIRS[command]:
+            out = tmp_path / "out.csv"
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert out.read_text().startswith(f"# command={command}\n")
+        else:
+            self._refused(argv, tmp_path, capsys, f"not {attack}/{defense}")
+
+    @pytest.mark.parametrize("command, attack, defense, key, value, bids", SCALE)
+    def test_two_by_two_settings_on_other_bidders(self, command, attack, defense, key, value,
+                                                  bids, tmp_path, capsys):
+        self._refused([command, "--attack", attack, "--defense", defense, f"--{key}", value,
+                       "--bids", bids, *self.SMALL], tmp_path, capsys, "two 2-qubit bidders")
+
+    def test_locked_converge_refuses_first(self, tmp_path, capsys):
+        self._refused(["converge", "--defense", "lock", "--variant", "first", *self.SMALL],
+                      tmp_path, capsys, "'zeroth', 'locked' and 'exact'")
 
 
 class TestConfigHandling:

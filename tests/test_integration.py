@@ -15,7 +15,6 @@ from qauction.adversary import (
     locking_operator,
     locking_unitaries,
     run_collusion_defense,
-    run_locked_auction,
     spurious_table,
 )
 from qauction.circuits import circuit_to_matrix
@@ -81,10 +80,10 @@ def test_collusion_run_matches_the_dense_run(b1, b2, variant):
 
 def test_locked_run_equals_manual_conjugation():
     # the LOCKED fold must equal a zeroth fold with explicitly conjugated phases
-    traj = run_locked_auction(["11", "10"], TOY_TABLE,
-                              AdiabaticSchedule(steps=20, delta=1.5), (0.9, 0.7))
+    locking = locking_unitaries(["11", "10"], (0.9, 0.7))
+    traj = run_adiabatic(["11", "10"], TOY_TABLE, AdiabaticSchedule(20, 1.5, "locked", locking))
     u = joint_bidding_operator(["11", "10"])
-    v = np.kron(*locking_unitaries(["11", "10"], (0.9, 0.7)))
+    v = np.kron(*locking)
     w_diag = np.array([bin(x).count("1") for x in range(16)], dtype=float)
     psi = u[:, 0].copy()
     for s in range(1, 21):
@@ -100,7 +99,8 @@ def test_locked_auction_at_n10_is_the_hand_built_locked_schedule():
     table = build_first_price_table(AuctionConfig(m=5, p=2))
     locking = tuple(locking_operator(b, a)[1] for b, a in zip(bids, WIDE_ALPHAS))
     by_hand = run_adiabatic(bids, table, AdiabaticSchedule(8, 1.3, "locked", locking))
-    traj = run_locked_auction(bids, table, AdiabaticSchedule(8, 1.3), WIDE_ALPHAS)
+    traj = run_adiabatic(bids, table,
+                         AdiabaticSchedule(8, 1.3, "locked", locking_unitaries(bids, WIDE_ALPHAS)))
     assert traj.winner_index == by_hand.winner_index
     for name in ("span", "amplitudes", "success", "leakage"):
         assert np.array_equal(getattr(traj, name), getattr(by_hand, name)), name
