@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import build_collusion_circuit, circuit_to_matrix
 from .core import (
     ContractViolation,
     StateVector,
@@ -433,6 +432,26 @@ def revealing_index(bids: Sequence[BidSpec | str]) -> int:
     return x
 
 
+def collusion_operator(bid1: BidSpec | str, bid2: BidSpec | str) -> np.ndarray:
+    """The colluding joint operator U_c of two 2-qubit bidders in closed form: on
+    the lead-qubit pair, |00> -> a/sqrt(2) (|00> + |01>) + b|10>, |01> -> (|00> -
+    |01>)/sqrt(2), |10> -> b/sqrt(2) (|00> + |01>) - a|10> and |11> -> |11>, with
+    a = sqrt(2/3) and b = sqrt(1/3); then each bidder's other set bits flip where
+    its lead is 1. `circuits.build_collusion_circuit` builds it gate by gate."""
+    bid1, bid2 = as_bid(bid1), as_bid(bid2)
+    if bid1.n_qubits != 2 or bid2.n_qubits != 2:
+        raise ContractViolation("collusion operator is defined at the two-qubit-per-bidder scale")
+    a, b, h = math.sqrt(2 / 3), math.sqrt(1 / 3), 1 / math.sqrt(2)
+    lead_map = np.array([[a * h, h, b * h, 0], [a * h, -h, b * h, 0], [b, 0, -a, 0], [0, 0, 0, 1]])
+    x, lead1, lead2 = np.arange(16), 8 >> bid1.lead, 2 >> bid2.lead
+    column = 2 * (x & lead1 > 0) + (x & lead2 > 0)  # the lead pair's basis state, 0b(lead1)(lead2)
+    u = np.zeros((16, 16))
+    # row r of lead_map lands on lead pair r; each set lead XORs its bid in (the fan-out)
+    for row, flip in enumerate((0, bid2.index, bid1.index << 2, bid1.index << 2 ^ bid2.index)):
+        u[x & ~(lead1 | lead2) ^ flip, x] = lead_map[row, column]
+    return u
+
+
 def run_collusion_defense(bids: Sequence[BidSpec | str], table: PayoffTable,
                           schedule: AdiabaticSchedule) -> Trajectory:
     """Search where the colluding joint operator replaces U1 x U2 in every
@@ -444,7 +463,7 @@ def run_collusion_defense(bids: Sequence[BidSpec | str], table: PayoffTable,
     if schedule.locking is not None:
         raise ContractViolation("collusion and locking defenses do not compose")
     bid1, bid2 = (as_bid(b) for b in bids)
-    joint = circuit_to_matrix(build_collusion_circuit(bid1, bid2))
+    joint = collusion_operator(bid1, bid2)
     p = bid1.n_qubits
     plausible = sorted({0, bid2.index, bid1.index << p})
     winner = winning_allocation(table, plausible)

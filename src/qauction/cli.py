@@ -12,11 +12,9 @@ row, and ``#`` comment lines for resolved settings, so identical
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,7 +75,7 @@ class _Key(NamedTuple):
     choices: tuple[str, ...] = ()
 
 
-# Every scenario key: its flag, config-file key and ScenarioConfig field.
+# Every scenario key: its flag, config-file key and ScenarioConfig attribute.
 _KEY_SPECS = {
     "bids": _Key(_parse_bids, "10,11", "comma-separated price states, e.g. 10,11"),
     "steps": _Key(int, 20, "iteration count S"),
@@ -108,22 +106,8 @@ _TWO_BY_TWO = (("table", "spurious"), ("attack", "probe_basis"),
                ("attack", "spurious"), ("defense", "collude"))
 
 
-@dataclass
-class ScenarioConfig:
-    bids: list[str]
-    steps: int
-    delta: float
-    variant: str
-    table: str
-    attack: str
-    defense: str
-    alpha1: float | None
-    alpha2: float | None
-    seed: int
-    trials: int
-    rounds: int
-    restrict: bool
-    out: str | None
+class ScenarioConfig(argparse.Namespace):
+    """A resolved scenario: one attribute per _KEY_SPECS key."""
 
     def schedule(self, variant: str | None = None) -> AdiabaticSchedule:
         """The schedule at `variant` (default: the configured one). Under
@@ -212,6 +196,8 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     for key, value in _TWO_BY_TWO:
         if getattr(cfg, key) == value and [len(b) for b in cfg.bids] != [2, 2]:
             raise ConfigError(f"{key}={value} is defined for two 2-qubit bidders")
+    if cfg.attack == "spurious":  # the attack runs on its own table
+        cfg.table = "spurious"
     if cfg.defense == "lock":
         if len(cfg.bids) != 2:
             raise ConfigError("locking pair covers exactly two bidders")
@@ -340,7 +326,6 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
 
 def cmd_attack(cfg: ScenarioConfig) -> str:
     if cfg.attack == "spurious":
-        cfg = dataclasses.replace(cfg, table="spurious")
         traj = _run_for_config(cfg)
         reveal = adversary.revealing_index(cfg.bids)
         revealing_prob = traj.probability(reveal)
@@ -385,11 +370,14 @@ def _target_number(raw: str, parse=float):
     return value
 
 
-def _target_bid(raw: str) -> protocol.BidSpec:
+def _target_bid(raw: str, n_qubits: int | None = None) -> protocol.BidSpec:
     try:
-        return protocol.BidSpec(raw)
+        bid = protocol.BidSpec(raw)
     except ContractViolation as exc:
         raise ConfigError(f"bad bid in circuit target: {exc}") from exc
+    if n_qubits not in (None, bid.n_qubits):
+        raise ConfigError(f"bad bid in circuit target: {raw!r} is not a {n_qubits}-qubit bid")
+    return bid
 
 
 class _TargetKind(NamedTuple):
@@ -419,9 +407,9 @@ _TARGETS = {
             protocol.pauli_z_expansion(table), delta, f, n),
         lambda delta, f, table, n: np.exp(-1j * delta * f * (-table.values))),
     "collusion": _TargetKind(
-        "B1,B2", (2,), lambda args: (tuple(map(_target_bid, args)), 4),
+        "B1,B2", (2,), lambda args: (tuple(_target_bid(arg, 2) for arg in args), 4),
         lambda bid1, bid2, n: circuits.build_collusion_circuit(bid1, bid2),
-        lambda bid1, bid2, n: circuits.circuit_to_matrix(circuits.build_collusion_circuit(bid1, bid2))),
+        lambda bid1, bid2, n: adversary.collusion_operator(bid1, bid2)),
 }
 
 

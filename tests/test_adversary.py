@@ -12,6 +12,7 @@ from qauction.adversary import (
     _first_hit_curve,
     _mc_rng,
     basis_mc_curve,
+    collusion_operator,
     helstrom_error,
     locked_bidding_state,
     locking_operator,
@@ -28,6 +29,7 @@ from qauction.adversary import (
     spurious_table,
     toy_bidding_states,
 )
+from qauction.circuits import build_collusion_circuit, circuit_to_matrix
 from qauction.core import ContractViolation, StateVector, is_hermitian
 from qauction.protocol import (
     AdiabaticSchedule,
@@ -568,6 +570,11 @@ class TestCollusionDefense:
     def test_rejects_three_bidders(self):
         with pytest.raises(ContractViolation):
             run_collusion_defense(["10", "11", "01"], TOY_TABLE, default_schedule())
+
+    @pytest.mark.parametrize("b1,b2", list(itertools.product(["01", "10", "11"], repeat=2)))
+    def test_operator_is_the_circuit_bit_for_bit(self, b1, b2):
+        assert np.array_equal(collusion_operator(b1, b2),
+                              circuit_to_matrix(build_collusion_circuit(b1, b2)))
 
     @pytest.mark.parametrize("table", ["first_price", "spurious"])
     @pytest.mark.parametrize("b1,b2", list(itertools.permutations(["01", "10", "11"], 2)))

@@ -355,6 +355,15 @@ class TestCircuitVerify:
         assert code == 0
         assert "result=pass" in out
 
+    def test_collusion_reference_is_not_the_emitted_circuit(self, tmp_path, monkeypatch, capsys):
+        # the reference is adversary.collusion_operator, so a wrong builder shows up as a fail
+        monkeypatch.setattr(circuits, "build_collusion_circuit",
+                            lambda bid1, bid2: circuits.Circuit(4, (circuits.hadamard(0),)))
+        path = tmp_path / "collusion.txt"
+        assert cli.main(["circuit-verify", "--emit", "collusion:10,11", "--out", str(path)]) == 0
+        code, out = run_cli(["circuit-verify", str(path), "collusion:10,11"], capsys)
+        assert code == 0 and out.splitlines()[-1] == "result=fail"
+
     def test_emit_roundtrip_at_width_cap(self, tmp_path, capsys):
         code, out = run_cli(["circuit-verify", "--emit", "D:1.5,0.3,12"], capsys)
         assert code == 0
@@ -460,7 +469,7 @@ TARGET_ARGS = {
     "bidder": ["1", "011", "1011", "101"],
     "D": ["1.5,0.4,3", "1.5,0.3,4", "0.9,0.7,8"],
     "P": ["1,0.5", "1.3,0.4", "0.5,1"],
-    "collusion": ["10,11", "01,11", "11,11"],
+    "collusion": ["10,11", "01,11", "11,11", "11,01"],
 }
 # How a kind whose width is one of its arguments writes width w; P and
 # collusion are fixed at 4 qubits.
@@ -470,9 +479,10 @@ WIDTH_ARGS = {"bidder": lambda w: "1" * w, "D": lambda w: f"1,1,{w}"}
 def _bad_targets():
     """Per kind in cli._TARGETS: one argument more than it takes and, where
     it takes more than one, one fewer; a bad number or bid; widths 0, -2
-    and 13 where the width is an argument. Then an unknown kind and a
-    target with no colon."""
-    cases = {"unknown_kind": "Q:1", "no_colon": "bidder"}
+    and 13 where the width is an argument. Then an unknown kind, a target
+    with no colon, and collusion bids that are not two qubits each."""
+    cases = {"unknown_kind": "Q:1", "no_colon": "bidder",
+             "collusion_1_qubit_bid": "collusion:1,10", "collusion_3_qubit_bids": "collusion:100,011"}
     for kind, row in cli._TARGETS.items():
         args = TARGET_ARGS.get(kind, ["1"])[0].split(",")
         cases[f"{kind}_too_many"] = f"{kind}:" + ",".join(args + ["1"] * (max(row.counts) + 1 - len(args)))
@@ -730,8 +740,8 @@ class TestStepCap:
 
 
 # Bad values for every key: not a number, infinite, huge, subnormal, empty,
-# hexadecimal, and an integer of 30 digits
-BAD_VALUES = ["nan", "inf", "-inf", "1e308", "1e-320", "", "0x10", "1" * 30]
+# hexadecimal, an integer of 30 digits, zero and negative
+BAD_VALUES = ["nan", "inf", "-inf", "1e308", "1e-320", "", "0x10", "1" * 30, "0", "-1"]
 
 
 class TestEveryKeyClosed:
@@ -808,6 +818,38 @@ class TestEveryScenario:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("argv", [["converge"], ["variants"], ["gap"],
+                                      ["attack", "--attack", "spurious"], ["povm"]], ids=lambda a: a[0])
+    def test_one_attribute_per_key(self, argv):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert list(vars(cfg)) == list(cli._KEY_SPECS)
+
+    def test_spurious_attack_resolves_to_spurious_table(self):
+        args = cli.build_parser().parse_args(["attack", "--attack", "spurious", "--table", "first_price"])
+        assert cli.resolve_config(args).table == "spurious"
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["converge", "--steps", "0"], "steps must be >= 1"),
+        (["converge", "--steps", "-1"], "steps must be >= 1"),
+        (["attack", "--attack", "probe_basis", "--trials", "0"], "trials and rounds must be positive"),
+        (["attack", "--attack", "probe_basis", "--rounds", "-1"], "trials and rounds must be positive"),
+        (["converge", "--bids", "10,011"], "bids must share a register width"),
+    ], ids=["steps_0", "steps_-1", "trials_0", "rounds_-1", "bids_of_two_widths"])
+    def test_out_of_range_value_gives_one_line(self, argv, needle, capsys):
+        _rejected_in_one_line(argv, capsys, needle)
+
+    def test_comment_only_line_is_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("# a comment\n   # indented\nsteps = 3\n")
+        code, out = run_cli(["converge", "--config", str(cfg)], capsys)
+        assert code == 0 and parse_csv(out)[0]["steps"] == "3"
+
+    def test_line_without_equals_gives_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("seed = 1\nsteps 5\n")
+        _rejected_in_one_line(["converge", "--config", str(cfg)], capsys,
+                              f"{cfg}:2: expected 'key = value', got 'steps 5'")
+
     def test_config_file_and_override(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("bids = 10,11\nsteps = 20\ndelta = 1.5\nseed = 7\n")
@@ -899,6 +941,11 @@ class TestConfigHandling:
         parser = cli.build_parser()
         for key in cli._KEY_SPECS:
             assert getattr(parser.parse_args([command, f"--{key}", "v"]), key) == "v"
+
+    @pytest.mark.parametrize("head", [["--emit", "c.txt"], []], ids=["file_and_emit", "neither"])
+    def test_circuit_verify_needs_file_or_emit(self, head, capsys):
+        _rejected_in_one_line(["circuit-verify", *head, "bidder:11"], capsys,
+                              "pass a circuit file, or --emit and no file")
 
     def test_circuit_verify_has_no_scenario_flags(self, capsys):
         assert cli.main(["circuit-verify", "--emit", "bidder:11", "--steps", "3"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import computational_povm, sample_measurement, scalar_phase_invariant_distance
-from qauction import circuits, cli, core
+from qauction import adversary, circuits, cli, core, protocol
 from qauction.core import (
     ContractViolation,
     StateVector,
@@ -255,3 +255,58 @@ class TestPhaseInvariantDistance:
 def test_hermiticity_predicate():
     assert is_hermitian(Z)
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+TWO_STATES = [StateVector([1, 0]), StateVector([0, 1])]
+FIRST_PRICE = protocol.build_first_price_table(protocol.AuctionConfig(m=2, p=2))
+SIX_QUBIT_TABLE = protocol.build_first_price_table(protocol.AuctionConfig(m=3, p=2))
+# Library contracts, each with the message it raises: malformed POVMs and
+# ensembles, a locked collusion run, tables and registers of the wrong size,
+# a joint operator with no start state, and malformed circuits.
+CONTRACTS = {
+    "povm_empty": (lambda: core.check_povm([]), "at least one element"),
+    "povm_mixed_dimensions": (lambda: core.check_povm([I2, np.eye(4)]), "differ in dimension"),
+    "povm_not_hermitian": (lambda: core.check_povm([np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]])]),
+                           "element 0 is not Hermitian"),
+    "povm_not_psd": (lambda: core.check_povm([np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]),
+                     "element 1 is not positive semidefinite"),
+    "povm_of_another_dimension": (lambda: measurement_probabilities(TWO_STATES[0], [np.eye(4)]),
+                                  "does not match the state"),
+    "min_error_3_states_of_dimension_2": (lambda: adversary.min_error_povm(
+        [*TWO_STATES, StateVector(np.ones(2) / math.sqrt(2))], [1 / 3] * 3),
+        "cannot assign more states than outcomes"),
+    "optimality_check_1_element_for_2_states": (lambda: adversary.povm_optimality_check(
+        adversary.Povm((I2,)), TWO_STATES, [0.5, 0.5]), "at least one POVM element per state"),
+    "collusion_with_lock": (lambda: adversary.run_collusion_defense(
+        ["10", "11"], FIRST_PRICE, protocol.AdiabaticSchedule(
+            4, 1.0, "locked", adversary.locking_unitaries(["10", "11"], (0.9, 0.7)))),
+        "do not compose"),
+    "collusion_operator_3_qubit_bids": (lambda: adversary.collusion_operator("100", "011"),
+                                        "two-qubit-per-bidder scale"),
+    "payoff_table_3_values_for_2_qubits": (lambda: protocol.PayoffTable(2, [0, 1, 2]), r"3 != 2\^2"),
+    "hamming_weights_0_qubits": (lambda: protocol.hamming_weights(0), "at least one qubit"),
+    "joint_operator_no_bidders": (lambda: protocol.joint_bidding_operator([]), "at least one bidder"),
+    "run_schedule_zero_factor": (lambda: protocol.run_schedule(
+        (np.zeros((4, 4)), protocol.bidding_operator("11")), [0, 3], 3, FIRST_PRICE,
+        protocol.AdiabaticSchedule(4, 1.0)), r"U\|0\.\.\.0> is 0"),
+    "run_adiabatic_6_qubit_table": (lambda: protocol.run_adiabatic(
+        ["10", "11"], SIX_QUBIT_TABLE, protocol.AdiabaticSchedule(4, 1.0)), "does not match the bidder"),
+    "tracks_6_qubit_table": (lambda: protocol.eigenvalue_tracks(
+        ["10", "11"], SIX_QUBIT_TABLE, protocol.AdiabaticSchedule(4, 1.0)), "does not match the bidder"),
+    "circuit_0_qubits": (lambda: circuits.Circuit(0), "at least one qubit"),
+    "gate_of_unknown_kind": (lambda: circuits.Circuit(1, (circuits.Gate("SWAP", (0,)),)),
+                             "unknown gate kind 'SWAP'"),
+    "ctrl0_no_controls": (lambda: circuits.Circuit(2, (circuits.zero_controlled(
+        (), circuits.Circuit(2, (circuits.hadamard(1),))),)), "at least one control qubit"),
+    "ctrl0_inner_of_another_width": (lambda: circuits.Circuit(2, (circuits.zero_controlled(
+        (0,), circuits.Circuit(3, (circuits.hadamard(1),))),)), "must share the outer width"),
+    "parse_bad_qubit": (lambda: circuits.parse_circuit("H x0"), "expected a qubit like q0, got 'x0'"),
+    "D_circuit_0_qubits": (lambda: circuits.build_D_circuit(1, 0.5, 0), "at least one qubit"),
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACTS))
+def test_library_contracts_raise(name):
+    entry, message = CONTRACTS[name]
+    with pytest.raises((ContractViolation, circuits.CircuitParseError), match=message):
+        entry()

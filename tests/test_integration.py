@@ -11,13 +11,12 @@ import pytest
 from helpers import assert_run_matches, dense_run
 
 from qauction.adversary import (
-    build_collusion_circuit,
     locking_operator,
     locking_unitaries,
     run_collusion_defense,
     spurious_table,
 )
-from qauction.circuits import circuit_to_matrix
+from qauction.circuits import build_collusion_circuit, circuit_to_matrix
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,

@@ -8,8 +8,8 @@ import pytest
 from helpers import assert_run_matches, dense_run, kron_bidding_operator
 
 from qauction import protocol
-from qauction.adversary import build_collusion_circuit, locking_unitaries, spurious_table
-from qauction.circuits import circuit_to_matrix
+from qauction.adversary import locking_unitaries, spurious_table
+from qauction.circuits import build_collusion_circuit, circuit_to_matrix
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
@@ -345,6 +345,15 @@ class TestRunAdiabatic:
         # delta * f * weight overflows to inf, so the phases and the state are NaN
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ContractViolation, match="nan"):
             run_adiabatic(["10", "11"], toy_setup["table"], AdiabaticSchedule(steps=2, delta=1e308))
+
+    @pytest.mark.parametrize("variant", protocol.VARIANTS)
+    def test_norm_drift_stops_the_run(self, variant, toy_setup):
+        # a joint operator 1.01 times a unitary grows the state at every step
+        u = (1.01 * bidding_operator("10"), bidding_operator("11"))
+        plausible = plausible_allocations(["10", "11"])
+        winner = winning_allocation(toy_setup["table"], plausible)
+        with pytest.raises(ContractViolation, match=r"norm drifted to 1\.0\d* at step 1$"):
+            run_schedule(u, plausible, winner, toy_setup["table"], AdiabaticSchedule(4, 1.5, variant))
 
     def test_tied_bids_abort(self, toy_setup):
         with pytest.raises(TieError):
