@@ -9,7 +9,6 @@ from .core import (
     StateVector,
     eig_hermitian,
     is_hermitian,
-    is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
 )
@@ -46,7 +45,6 @@ from .circuits import (
 )
 from .adversary import (
     Povm,
-    helstrom_error,
     locking_unitaries,
     min_error_povm,
     povm_optimality_check,

@@ -275,12 +275,6 @@ def probe_attack_basis(alphas: Sequence[float | None], n_rounds: int) -> np.ndar
     return probs
 
 
-def helstrom_error(state_a: StateVector, state_b: StateVector) -> float:
-    """Minimum error of telling two equally likely pure states apart."""
-    overlap = abs(state_a.overlap(state_b)) ** 2
-    return 0.5 * (1.0 - math.sqrt(1.0 - overlap))
-
-
 _SOLVE_ITERATIONS = 1000  # cap of the fixed-point loop in min_error_povm
 _SUPPORT_CUTOFF = 1e-12    # eigenvalues below this share of the largest are off the support
 _SOLVE_TOL = 1e-10         # minimum-error conditions that stop the solve in min_error_povm

@@ -493,7 +493,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # argparse splits operands at an option: `FILE --out P TARGET` leaves TARGET
+            if args.command != "circuit-verify" or args.circuit is not None or len(extra) > 1 \
+                    or extra[0].startswith("-"):
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.circuit, args.target = args.target, extra[0]  # FILE was taken as the target
         output, out_path = args.run(args)
         if out_path:
             try:

@@ -43,11 +43,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_unitary(u) -> bool:
-    u = _as_matrix(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= ATOL_UNITARY
-
-
 def is_hermitian(h, tol: float = ATOL_HERMITIAN) -> bool:
     """Whether h equals its conjugate transpose within tol; a matrix with a
     NaN or infinite entry is not (and inf - inf would warn)."""
@@ -73,9 +68,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(other.amplitudes, self.amplitudes))
 
     def __len__(self) -> int:
         return self.amplitudes.size

@@ -21,6 +21,7 @@ from .core import ATOL_STATE, ContractViolation, StateVector, as_operator, eig_h
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
 _TRACK_ENTRIES = 2**16  # gap tracks: f rows per stacked eigvalsh hold at most this many H(f) entries (1 MB), or one row
+_TRACK_WORK = 2**33  # gap tracks: at most (steps + 1) * sum of k^3 over the cells; the CLI's largest run, 512 * 64 * 64^3
 
 
 class TieError(RuntimeError):
@@ -141,19 +142,6 @@ def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]
         out.append((qubits, float(coeffs[mask])))
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
-
-
-def expansion_diagonal(expansion, n_qubits: int) -> np.ndarray:
-    """Re-assemble the diagonal encoded by a Pauli-Z expansion."""
-    x = np.arange(2**n_qubits)
-    odd = np.zeros(x.size, dtype=bool)  # parity of every index's set bits
-    for k in range(n_qubits):
-        odd ^= ((x >> k) & 1).astype(bool)
-    diag = np.zeros(x.size)
-    for qubits, c in expansion:
-        mask = sum(1 << (n_qubits - 1 - q) for q in qubits)
-        diag += np.where(odd[x & mask], -c, c)
-    return diag
 
 
 def bidding_operator(bid: BidSpec | str) -> np.ndarray:
@@ -608,7 +596,9 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     factors (`_cells`), each built from the factor entries, so no
     2^n x 2^n term is formed when the cells split the space. One stacked
     `eigvalsh` takes H(f) on every cell over a run of f rows, as many as
-    fit in `_TRACK_ENTRIES` entries, and at least one.
+    fit in `_TRACK_ENTRIES` entries, and at least one. A run whose work,
+    (steps + 1) * sum of k^3 over its cells of k indices, exceeds
+    `_TRACK_WORK` raises ContractViolation before any term is built.
     """
     bids = [as_bid(b) for b in bidders]
     plausible = plausible_allocations(bids)
@@ -619,6 +609,10 @@ def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
     if schedule.locking is not None:
         operators.append(_factors(schedule.locking, dim, "locking unitaries"))
     cells = np.array([plausible]) if restrict else _cells(operators, dim)
+    work = (int(schedule.steps) + 1) * len(cells) * cells.shape[1]**3
+    if work > _TRACK_WORK:
+        raise ContractViolation(f"gap tracks need (steps + 1) * sum of cell sizes cubed = {work}, "
+                                f"more than {_TRACK_WORK}")
     terms = []
     for cell in cells:  # from the entries on the cell's rows and the columns they reach
         u, cols = _entries(operators[0], cell)

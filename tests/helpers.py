@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qauction.adversary import _mc_rng
-from qauction.core import StateVector, _max_off_diagonal, measurement_probabilities
+from qauction.core import ATOL_UNITARY, StateVector, _max_off_diagonal, measurement_probabilities
 
 
 def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
@@ -28,6 +28,27 @@ def computational_povm(n_qubits: int) -> list[np.ndarray]:
         e[k, k] = 1.0
         out.append(e)
     return out
+
+
+def is_unitary(u) -> bool:
+    u = np.asarray(u)
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= ATOL_UNITARY
+
+
+def helstrom_error(state_a: StateVector, state_b: StateVector) -> float:
+    """Minimum error of telling two equally likely pure states apart."""
+    overlap = abs(np.vdot(state_b.amplitudes, state_a.amplitudes)) ** 2
+    return 0.5 * (1.0 - math.sqrt(1.0 - overlap))
+
+
+def expansion_diagonal(expansion, n: int) -> np.ndarray:
+    """Re-assemble the diagonal encoded by a Pauli-Z expansion, one index at a time."""
+    diag = np.zeros(2**n)
+    for qubits, c in expansion:
+        mask = sum(1 << (n - 1 - q) for q in qubits)
+        for x in range(diag.size):
+            diag[x] += c if bin(x & mask).count("1") % 2 == 0 else -c
+    return diag
 
 
 # The Kronecker construction of gate unitaries: one 2^n x 2^n matrix per

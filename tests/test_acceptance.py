@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import expansion_diagonal, helstrom_error
 from qauction import cli
 from qauction.adversary import (
     basis_mc_curve,
     min_error_povm,
-    helstrom_error,
     locked_bidding_state,
     locking_unitaries,
     povm_optimality_check,
@@ -40,7 +40,6 @@ from qauction.protocol import (
     bidding_operator,
     build_first_price_table,
     default_schedule,
-    expansion_diagonal,
     hamming_weights,
     pauli_z_expansion,
     run_adiabatic,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve
+from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve, helstrom_error
 from qauction.adversary import (
     Povm,
     _capped_geometric,
@@ -13,7 +13,6 @@ from qauction.adversary import (
     _mc_rng,
     basis_mc_curve,
     collusion_operator,
-    helstrom_error,
     locked_bidding_state,
     locking_operator,
     locking_unitaries,

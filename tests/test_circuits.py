@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import dense_run, kron_circuit_matrix
+from helpers import dense_run, is_unitary, kron_circuit_matrix
 
 from qauction.circuits import (
     _SHAPES,
@@ -27,7 +27,7 @@ from qauction.circuits import (
     verify_circuit,
     zero_controlled,
 )
-from qauction.core import ContractViolation, is_unitary, phase_invariant_distance
+from qauction.core import ContractViolation, phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,

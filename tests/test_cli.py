@@ -942,10 +942,19 @@ class TestConfigHandling:
         for key in cli._KEY_SPECS:
             assert getattr(parser.parse_args([command, f"--{key}", "v"]), key) == "v"
 
-    @pytest.mark.parametrize("head", [["--emit", "c.txt"], []], ids=["file_and_emit", "neither"])
+    @pytest.mark.parametrize("head", [["--emit", "c.txt"], ["c.txt", "--emit"], []],
+                             ids=["emit_then_file", "file_then_emit", "neither"])
     def test_circuit_verify_needs_file_or_emit(self, head, capsys):
         _rejected_in_one_line(["circuit-verify", *head, "bidder:11"], capsys,
                               "pass a circuit file, or --emit and no file")
+
+    def test_circuit_verify_takes_an_option_between_its_operands(self, tmp_path, capsys):
+        circuit, out = tmp_path / "c.txt", tmp_path / "out.txt"
+        assert cli.main(["circuit-verify", "--emit", "bidder:101", "--out", str(circuit)]) == 0
+        code, expected = run_cli(["circuit-verify", str(circuit), "bidder:101"], capsys)
+        assert code == 0 and expected.endswith("result=pass\n")
+        assert cli.main(["circuit-verify", str(circuit), "--out", str(out), "bidder:101"]) == 0
+        assert capsys.readouterr().out == "" and out.read_text() == expected
 
     def test_circuit_verify_has_no_scenario_flags(self, capsys):
         assert cli.main(["circuit-verify", "--emit", "bidder:11", "--steps", "3"]) == 1

@@ -10,7 +10,6 @@ from qauction.core import (
     StateVector,
     eig_hermitian,
     is_hermitian,
-    is_unitary,
     measurement_probabilities,
     phase_invariant_distance,
 )
@@ -49,7 +48,7 @@ class TestStateVector:
 
     def test_basis_state(self):
         s = StateVector(np.eye(4)[3])
-        assert s.n_qubits == 2
+        assert s.n_qubits == 2 and repr(s) == "StateVector(n_qubits=2)"
         np.testing.assert_allclose(s.probabilities(), [0, 0, 0, 1])
 
 
@@ -272,6 +271,10 @@ CONTRACTS = {
                      "element 1 is not positive semidefinite"),
     "povm_of_another_dimension": (lambda: measurement_probabilities(TWO_STATES[0], [np.eye(4)]),
                                   "does not match the state"),
+    # each element I/2 + 0.45e-9 (J - I): the sum passes check_povm, the uniform state's outcomes do not
+    "povm_probabilities_off_1": (lambda: measurement_probabilities(
+        StateVector(np.ones(4) / 2), [np.eye(4) / 2 + 0.45e-9 * (np.ones((4, 4)) - np.eye(4))] * 2),
+        r"POVM probabilities sum to 1\.0000000027"),
     "min_error_3_states_of_dimension_2": (lambda: adversary.min_error_povm(
         [*TWO_STATES, StateVector(np.ones(2) / math.sqrt(2))], [1 / 3] * 3),
         "cannot assign more states than outcomes"),

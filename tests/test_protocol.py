@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from helpers import assert_run_matches, dense_run, kron_bidding_operator
+from helpers import assert_run_matches, dense_run, expansion_diagonal, kron_bidding_operator
 
 from qauction import protocol
 from qauction.adversary import locking_unitaries, spurious_table
@@ -22,7 +22,6 @@ from qauction.protocol import (
     build_first_price_table,
     default_schedule,
     eigenvalue_tracks,
-    expansion_diagonal,
     hamming_weights,
     joint_bidding_operator,
     pauli_z_expansion,
@@ -468,6 +467,36 @@ class TestEigenvalueTracks:
     def test_mixed_widths_are_a_contract_violation(self, restrict):
         with pytest.raises(ContractViolation, match="share a register width"):
             eigenvalue_tracks(["1", "10"], PayoffTable(3, np.zeros(8)), default_schedule(), restrict=restrict)
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_work_over_the_bound_raises_before_any_term(self, restrict, monkeypatch):
+        # eleven one-qubit bidders: one cell of 2^11 indices, 2 * 2^33 at one step
+        monkeypatch.setattr(protocol, "_terms", _refuse)
+        table = PayoffTable(11, np.random.default_rng(3).uniform(0, 5, size=2**11))
+        with pytest.raises(ContractViolation, match=f"= {2**34}, more than {2**33}"):
+            eigenvalue_tracks(["1"] * 11, table, AdiabaticSchedule(1, 1.0, "zeroth"), restrict=restrict)
+
+    def test_the_clis_largest_run_is_within_the_bound(self, monkeypatch):
+        # 512 rows x 64 cells x 64^3 = 2^33: the check lets it through to the terms
+        monkeypatch.setattr(protocol, "_terms", _refuse)
+        bids = ["01", "10", "11", "01", "10", "01"]
+        table = build_first_price_table(AuctionConfig(m=6, p=2))
+        with pytest.raises(AssertionError, match="refused"):
+            eigenvalue_tracks(bids, table, AdiabaticSchedule(511, 1.0, "zeroth"), restrict=False)
+
+    @pytest.mark.parametrize("restrict, work", [(True, 21 * 4**3), (False, 21 * 4 * 4**3)],
+                             ids=["one_cell", "four_cells"])
+    def test_work_bound_edge(self, toy_setup, restrict, work, monkeypatch):
+        monkeypatch.setattr(protocol, "_TRACK_WORK", work)
+        tracks = eigenvalue_tracks(["10", "11"], toy_setup["table"], default_schedule(), restrict=restrict)
+        assert tracks.eigenvalues.shape == (21, 4 if restrict else 16)
+        monkeypatch.setattr(protocol, "_TRACK_WORK", work - 1)
+        with pytest.raises(ContractViolation, match=f"= {work}, more than {work - 1}"):
+            eigenvalue_tracks(["10", "11"], toy_setup["table"], default_schedule(), restrict=restrict)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused builder was called")
 
 
 def test_phase_invariant_helper_consistency(toy_setup):
@@ -1056,15 +1085,6 @@ def _loop_expansion(values, n):
     return out
 
 
-def _loop_diagonal(expansion, n):
-    diag = np.zeros(2**n)
-    for qubits, c in expansion:
-        mask = sum(1 << (n - 1 - q) for q in qubits)
-        for x in range(diag.size):
-            diag[x] += c if bin(x & mask).count("1") % 2 == 0 else -c
-    return diag
-
-
 WIDTHS = [(m, p) for m in range(1, 13) for p in range(1, 13) if m * p <= 12]  # every register split up to 12 qubits
 
 
@@ -1088,11 +1108,7 @@ class TestLoopDefinitions:
         n = m * p
         table = build_first_price_table(AuctionConfig(m=m, p=p))
         assert np.array_equal(table.values, _loop_first_price(m, p))
-        expansion = pauli_z_expansion(table)
-        assert expansion == _loop_expansion(table.values, n)
-        # the diagonal loop costs terms x 2^n, so wide tables check a slice of the terms
-        terms = expansion if n <= 8 else expansion[:40] + expansion[-40:]
-        assert np.array_equal(expansion_diagonal(terms, n), _loop_diagonal(terms, n))
+        assert pauli_z_expansion(table) == _loop_expansion(table.values, n)
 
     @pytest.mark.parametrize("m,p", WIDTHS)
     def test_plausible_allocations(self, m, p):
@@ -1111,6 +1127,4 @@ class TestLoopDefinitions:
 
     def test_spurious_table(self):
         table = spurious_table()
-        expansion = pauli_z_expansion(table)
-        assert expansion == _loop_expansion(table.values, 4)
-        assert np.array_equal(expansion_diagonal(expansion, 4), _loop_diagonal(expansion, 4))
+        assert pauli_z_expansion(table) == _loop_expansion(table.values, 4)
