@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, phase_invariant_distance
+from .core import ContractViolation, _phase_search, phase_invariant_distance
 from .protocol import BidSpec, as_bid
 
 # Each flat gate's shape: how many qubits it takes and whether it takes an angle.
@@ -257,6 +257,31 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     return m.reshape(2**n, 2**n)
 
 
+def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary of a circuit of CNOT and PHASE gates only, as its column
+    map: column j holds phases[j] in row rows[j] and 0 elsewhere.
+
+    A CNOT flips the target bit of the rows whose control bit is set, and a
+    PHASE scales the phases whose row has the qubit set, with `_scale`'s
+    arithmetic, so each phase equals `circuit_to_matrix`'s entry bit for bit,
+    in its dtype. `phases` is column 0 of a (2^n, 2) buffer, strided as a
+    dense diagonal is (see `core._phase_search`).
+    """
+    n = c.n_qubits
+    rows = np.arange(2**n)
+    phases = np.ones((2**n, 2), dtype=complex if _has_phase(c.gates) else float)[:, 0]
+    for g in c.gates:
+        bits = [n - 1 - q for q in g.qubits]  # qubit 0 is the most significant bit
+        if g.kind == "CNOT":
+            rows ^= (rows >> bits[0] & 1) << bits[1]
+        else:
+            on = (rows >> bits[0] & 1).astype(bool)
+            part = phases[on]
+            _scale(part, np.exp(-1j * g.angle))
+            phases[on] = part
+    return rows, phases
+
+
 def _fan_out(bid: BidSpec, offset: int) -> list[Gate]:
     """CNOTs from the lead qubit onto the other set bits of a bid whose register starts at `offset`."""
     return [cnot(bid.lead + offset, q + offset) for q, ch in enumerate(bid.bits)
@@ -338,11 +363,19 @@ class VerificationReport:
 def verify_circuit(c: Circuit, target: np.ndarray) -> VerificationReport:
     """Compare the circuit's unitary with a target up to global phase,
     passing within _VERIFY_TOL. A 1-D target is the diagonal of a diagonal
-    unitary (see `phase_invariant_distance`)."""
+    unitary (see `phase_invariant_distance`); a circuit of CNOT and PHASE
+    gates is checked against one as its column map, with no dense matrix."""
     target = np.asarray(target)
-    extracted = circuit_to_matrix(c)
-    if extracted.shape != (target.shape * 2 if target.ndim == 1 else target.shape):
+    dim = 2**c.n_qubits
+    if target.shape != ((dim,) if target.ndim == 1 else (dim, dim)):
         raise ContractViolation(
-            f"dimension mismatch: circuit gives {extracted.shape}, target is {target.shape}")
-    d = phase_invariant_distance(extracted, target)
+            f"dimension mismatch: circuit gives {(dim, dim)}, target is {target.shape}")
+    if target.ndim == 1 and all(g.kind in ("CNOT", "PHASE") for g in c.gates):
+        rows, diagonal = _monomial(c)
+        moved = rows != np.arange(dim)  # the columns whose entry lies off the diagonal
+        rest = float(np.max(np.abs(diagonal[moved]), initial=0.0))
+        diagonal[moved] = 0
+        d = _phase_search(diagonal, target.astype(complex, copy=False), rest)
+    else:
+        d = phase_invariant_distance(circuit_to_matrix(c), target)
     return VerificationReport(distance=d, passed=d <= _VERIFY_TOL, tolerance=_VERIFY_TOL)

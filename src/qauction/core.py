@@ -144,6 +144,21 @@ def _max_off_diagonal(u: np.ndarray) -> float:
     return top
 
 
+def _distinct_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (u_i, v_i) pairs of two 1-D complex arrays, each repeated pair kept
+    once: a D target at n qubits has n + 1 distinct pairs among its 2^n.
+    Every distance of the phase search is a maximum over pairs, so a pair
+    kept twice changes no distance. Copies of a pair share Re u, so after one
+    sort on it (several times cheaper than a sort on all four parts) a copy
+    lands next to another unless a pair with the same Re u sits between them."""
+    order = np.argsort(u.real)
+    u, v = u[order], v[order]
+    kept = np.ones(u.size, dtype=bool)
+    np.not_equal(u[1:], u[:-1], out=kept[1:])
+    kept[1:] |= v[1:] != v[:-1]
+    return u[kept], v[kept]
+
+
 def phase_invariant_distance(u, v) -> float:
     """min over unit-magnitude phi of max-entry |u - phi*v|.
 
@@ -164,13 +179,21 @@ def phase_invariant_distance(u, v) -> float:
     rest = 0.0
     if diagonal:  # u is read once: the off-diagonal maximum, then the diagonal
         rest, u = _max_off_diagonal(u), np.diagonal(u)
+    return _phase_search(u, v, rest)
+
+
+def _phase_search(u: np.ndarray, v: np.ndarray, rest: float) -> float:
+    """min over unit-magnitude phi of max(rest, max |u - phi*v|), for u and v
+    of one shape, v complex. `np.vdot` sums a strided u (the diagonal of a
+    dense matrix) in another order than a contiguous one, so a caller that
+    hands over a diagonal keeps it strided."""
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ContractViolation("phase-invariant distance needs finite matrix entries")
-    tr = np.vdot(v, u)  # tr(v^dag u)
+    tr = np.vdot(v, u)  # tr(v^dag u), over every entry, repeated ones too
     # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
     rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
     # a real u is cast once here, not in each of the distance evaluations below
-    u, v = u[v != 0].astype(complex, copy=False), v[v != 0]
+    u, v = _distinct_pairs(u[v != 0].astype(complex, copy=False), v[v != 0])
 
     def dist(theta: float) -> float:
         return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))

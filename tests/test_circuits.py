@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import dense_run, is_unitary, kron_circuit_matrix
 
+from qauction import cli
 from qauction.circuits import (
     _SHAPES,
     KINDS,
@@ -13,6 +14,7 @@ from qauction.circuits import (
     Circuit,
     CircuitParseError,
     Gate,
+    _monomial,
     build_bidder_circuit,
     build_collusion_circuit,
     build_D_circuit,
@@ -308,6 +310,55 @@ class TestVerifyCircuit:
         assert peak < 1.25 * u.nbytes
         weights = hamming_weights(10)
         np.testing.assert_allclose(u, np.diag(np.exp(-1j * 0.45 * weights)), rtol=0, atol=1e-14)
+
+
+class TestColumnMap:
+    """`verify_circuit` checks a circuit of CNOT and PHASE gates against a
+    diagonal target as its column map; the dense path must agree with it."""
+
+    @pytest.mark.parametrize("target", ["P:1.3,0.4", "P:0.5,1", "D:1.5,0.3,4", "D:0.9,0.7,8",
+                                        "D:1.5,0.3,12", "D:0.9,0.7,10"])
+    def test_matches_the_dense_path_on_circuit_targets(self, target):
+        row, values, width = cli._parse_target(target)
+        c = row.circuit(*values, width)
+        want = row.reference(*values, width)
+        dense = circuit_to_matrix(c)
+        rows, phases = _monomial(c)
+        assert np.array_equal(rows, np.arange(2**width))
+        assert np.array_equal(phases, np.diagonal(dense))
+        assert np.count_nonzero(dense) == np.count_nonzero(phases)  # every off-diagonal entry is 0
+        nearby = want * np.exp(1e-3j * np.arange(want.size))
+        for v in (want, nearby):
+            assert verify_circuit(c, v).distance == phase_invariant_distance(dense, v)
+
+    def test_matches_the_dense_path_on_random_circuits(self):
+        # CNOTs that do not unwind leave entries off the diagonal
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            gates = [cnot(*rng.choice(n, size=2, replace=False)) if n > 1 and rng.random() < 0.5
+                     else phase(int(rng.integers(n)), rng.uniform(-4, 4))
+                     for _ in range(int(rng.integers(0, 12)))]
+            c = Circuit(n, tuple(gates))
+            dense = circuit_to_matrix(c)
+            rows, phases = _monomial(c)
+            columns = np.arange(2**n)
+            assert phases.dtype == dense.dtype
+            assert np.array_equal(dense[rows, columns], phases)
+            assert np.count_nonzero(dense) == np.count_nonzero(phases)
+            for v in (np.exp(1j * rng.uniform(-3, 3, size=2**n)) * (rng.random(2**n) < 0.8),
+                      np.diagonal(dense) * np.exp(1e-3j * rng.random()), np.ones(2**n)):
+                assert verify_circuit(c, v).distance == phase_invariant_distance(dense, v)
+
+    def test_wrong_width_raises_the_same_message_on_both_paths(self):
+        column_map = build_D_circuit(0.8, 0.25, 3)
+        dense = Circuit(3, (*column_map.gates, hadamard(0)))
+        messages = []
+        for c in (column_map, dense):
+            with pytest.raises(ContractViolation, match="dimension mismatch") as raised:
+                verify_circuit(c, np.ones(4))
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 class TestBuildersAreUnitary:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -598,6 +601,49 @@ class TestWidthCap:
         code, out = run_cli(["circuit-verify", "--emit", "D:1,1,12"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 12
+
+
+# Runs `python ARGS...` with stdout to OUT and prints its exit code and max RSS
+# in KB. A child's max RSS counts the resident pages of the process that spawned
+# it, so the test process, whose RSS grows with the tests before it, spawns this
+# small launcher, and the launcher spawns the measured child.
+_MAX_RSS_LAUNCHER = """
+import os, sys
+out = (os.POSIX_SPAWN_OPEN, 1, sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]], os.environ, file_actions=[out])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="max RSS of a child needs os.wait4")
+class TestMemoryBound:
+    """A `circuit-verify` run at the width cap holds its operands, not a
+    2^n x 2^n matrix: D and P circuits checked against their diagonal
+    references stay within the max RSS of an interpreter that imports the
+    CLI, plus 16 MB (the operands are 2^12-entry vectors of 64 KB each)."""
+
+    SLACK_MB = 16
+
+    @staticmethod
+    def _child(args, out):
+        """Run `python args` in a grandchild process, stdout to `out`; its exit code and max RSS in MB."""
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        launched = subprocess.run([sys.executable, "-c", _MAX_RSS_LAUNCHER, str(out), *args],
+                                  env=env, capture_output=True, text=True, check=True)
+        code, kb = launched.stdout.split()
+        return int(code), int(kb) / 1024  # ru_maxrss is in KB on Linux
+
+    @pytest.mark.parametrize("target", ["D:1.5,0.3,12", "P:1.3,0.4"])
+    def test_verify_stays_within_the_interpreter_plus_its_operands(self, target, tmp_path, capsys):
+        circuit, out = tmp_path / "circuit.txt", tmp_path / "verify.txt"
+        assert run_cli(["circuit-verify", "--emit", target, "--out", str(circuit)], capsys)[0] == 0
+        code, baseline = self._child(["-c", "import qauction.cli"], out)
+        assert code == 0
+        code, peak = self._child(["-m", "qauction", "circuit-verify", str(circuit), target], out)
+        assert code == 0 and "result=pass" in out.read_text().splitlines()
+        assert peak <= baseline + self.SLACK_MB, f"{target}: {peak:.1f} MB max RSS, bound {baseline:.1f} + {self.SLACK_MB}"
 
 
 class TestExactCap:

@@ -197,11 +197,27 @@ class TestPhaseInvariantDistance:
         assert phase_invariant_distance(u, diag) == phase_invariant_distance(u, np.diag(diag))
         assert (phase_invariant_distance(u, diag) > 1e-9) == (case in ("dense", "zero_in_target"))
 
-    @pytest.mark.parametrize("kind", ["random", "near_phase", "zeros_in_target", "diagonal_target"])
+    SCALAR_LOOP_KINDS = ("random", "near_phase", "zeros_in_target", "diagonal_target", "repeated_pairs")
+
+    @pytest.mark.parametrize("kind", SCALAR_LOOP_KINDS)
     def test_matches_the_scalar_loop_exactly(self, kind):
-        rng = np.random.default_rng(["random", "near_phase", "zeros_in_target", "diagonal_target"].index(kind))
+        rng = np.random.default_rng(self.SCALAR_LOOP_KINDS.index(kind))
         for _ in range(150):
             dim = int(rng.integers(1, 17))
+            if kind == "repeated_pairs":  # entries from at most 5 (u, v) pairs, some with v = 0
+                k = int(rng.integers(1, 6))
+                pool_u = np.exp(1j * rng.uniform(-3, 3, size=k))
+                pool_v = (np.exp(1j * rng.uniform(-4, 4)) * pool_u
+                          + rng.choice([0, 1e-3, 1]) * np.exp(1j * rng.uniform(-3, 3, size=k)))
+                pool_v *= rng.random(k) < 0.8
+                pick = rng.integers(0, k, size=(dim, dim))
+                u, v = pool_u[pick], pool_v[pick]
+                if rng.random() < 0.5:  # a diagonal target, against a dense or a diagonal u
+                    v = np.diagonal(v)
+                    if rng.random() < 0.5:
+                        u = np.diag(np.diagonal(u))
+                assert phase_invariant_distance(u, v) == scalar_phase_invariant_distance(u, v)
+                continue
             u = random_unitary(rng, dim)
             v = {"random": random_unitary(rng, dim),
                  "near_phase": np.exp(1j * rng.uniform(-4, 4)) * u + rng.uniform(0, 1e-3) * random_unitary(rng, dim),
