@@ -31,6 +31,9 @@ from .protocol import BidSpec, as_bid
 _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
 KINDS = (*_SHAPES, "CTRL0")
 MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
+# Most entries, (depth + 1) * 4^n, of the full-width matrices that circuit_to_matrix
+# holds at once down a CTRL0 nesting of that depth at n qubits: one level at 12 qubits.
+MAX_NESTED_ENTRIES = 2 * 4**12
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 _COLLUSION_ANGLE = math.atan2(math.sqrt(1 / 3), math.sqrt(2 / 3))  # keeps sqrt(2/3) and sqrt(1/3)
 _VERIFY_TOL = 1e-8  # phase-invariant distance within which verify_circuit passes
@@ -151,7 +154,7 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     from the highest qubit index unless given explicitly."""
     blocks = [((), [])]  # (controls, gates) of the top level and of each open CTRL0 block
     closed = []  # (controls, gates, parent's gates, slot) per closed block, inner blocks first
-    hi = -1
+    hi, depth = -1, 0  # highest qubit index, deepest CTRL0 nesting
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,6 +186,7 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
                 if len(blocks) > MAX_NESTING:
                     raise CircuitParseError(f"CTRL0 blocks nest deeper than {MAX_NESTING}")
                 blocks.append((qubits, []))
+                depth = max(depth, len(blocks) - 1)
         except ValueError as exc:  # a CircuitParseError too, so each error is wrapped once
             raise CircuitParseError(f"cannot parse line {line!r}: {exc}") from exc
         hi = max(hi, *qubits)
@@ -194,9 +198,14 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     try:
         for controls, gates, parent, slot in closed:
             parent[slot] = Gate("CTRL0", controls, inner=Circuit(width, tuple(gates)))
-        return Circuit(width, tuple(blocks[0][1]))
+        circuit = Circuit(width, tuple(blocks[0][1]))
     except ContractViolation as exc:
         raise CircuitParseError(str(exc)) from exc
+    if depth and (depth + 1) * 4**width > MAX_NESTED_ENTRIES:
+        raise CircuitParseError(f"CTRL0 blocks nested {depth} deep at {width} qubits need "
+                                f"{depth + 1} matrices of 4^{width} entries, more than "
+                                f"{MAX_NESTED_ENTRIES} entries in all")
+    return circuit
 
 
 def _single_qubit_matrix(g: Gate) -> np.ndarray:

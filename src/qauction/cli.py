@@ -218,15 +218,22 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _render_csv(meta: dict, header: list[str], rows: list[tuple],
-                trailing: dict | None = None) -> str:
+def _render_csv(meta: dict, columns: dict, trailing: dict | None = None) -> str:
+    """The CSV of `columns`, a map from each column's name to its values, all
+    of one length: the names are the header, and row i holds entry i of each."""
     lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
+    lines.append(",".join(columns))
+    for row in zip(*columns.values(), strict=True):
         lines.append(",".join(_fmt(x) for x in row))
     for key, value in (trailing or {}).items():
         lines.append(f"# {key}={_fmt(value)}")
     return "\n".join(lines) + "\n"
+
+
+def _grid(cfg: ScenarioConfig) -> dict:
+    """The step columns of a schedule's curves: s = 0..S and f = s/S."""
+    steps = range(cfg.steps + 1)
+    return {"s": steps, "f": [s / cfg.steps for s in steps]}
 
 
 def _meta(cfg: ScenarioConfig, command: str, **extra) -> dict:
@@ -247,38 +254,37 @@ def _meta(cfg: ScenarioConfig, command: str, **extra) -> dict:
     return meta
 
 
-def _total_qubits(cfg: ScenarioConfig) -> int:
-    return len(cfg.bids) * len(cfg.bids[0])
-
-
-def _run_for_config(cfg: ScenarioConfig) -> protocol.Trajectory:
-    table, schedule = cfg.payoff_table(), cfg.schedule()
-    if cfg.defense == "collude":
-        return adversary.run_collusion_defense(cfg.bids, table, schedule)
-    return protocol.run_adiabatic(cfg.bids, table, schedule)
+def _bits(cfg: ScenarioConfig, index: int) -> str:
+    """Joint basis index `index` as a bit string over every bidder's qubits."""
+    return format(index, f"0{sum(map(len, cfg.bids))}b")
 
 
 def cmd_converge(cfg: ScenarioConfig) -> str:
-    traj = _run_for_config(cfg)
-    rows = [(s, s / cfg.steps, traj.success[s], traj.leakage[s]) for s in range(cfg.steps + 1)]
-    winner = format(traj.winner_index, f"0{_total_qubits(cfg)}b")
-    return _render_csv(_meta(cfg, "converge", winner=winner),
-                       ["s", "f", "success_prob", "leakage"], rows)
+    """The search's convergence. Under the spurious attack it is the attack's
+    output: the same search, plus the revealing state's probability."""
+    table, schedule = cfg.payoff_table(), cfg.schedule()
+    if cfg.defense == "collude":
+        traj = adversary.run_collusion_defense(cfg.bids, table, schedule)
+    else:
+        traj = protocol.run_adiabatic(cfg.bids, table, schedule)
+    columns = {**_grid(cfg), "success_prob": traj.success, "leakage": traj.leakage}
+    if cfg.attack != "spurious":
+        return _render_csv(_meta(cfg, "converge", winner=_bits(cfg, traj.winner_index)), columns)
+    reveal = adversary.revealing_index(cfg.bids)
+    columns["revealing_prob"] = traj.probability(reveal)
+    return _render_csv(_meta(cfg, "attack", revealing=_bits(cfg, reveal)), columns)
 
 
 def cmd_variants(cfg: ScenarioConfig) -> str:
     table = cfg.payoff_table()
-    curves = {}
+    columns = _grid(cfg)
     for variant in ("exact", "zeroth", "first"):
-        curves[variant] = protocol.run_adiabatic(cfg.bids, table, cfg.schedule(variant)).success
-    rows = []
-    for s in range(cfg.steps + 1):
-        rows.append((s, s / cfg.steps, curves["exact"][s], curves["zeroth"][s], curves["first"][s]))
-    return _render_csv(_meta(cfg, "variants"), ["s", "f", "exact", "zeroth", "first"], rows)
+        columns[variant] = protocol.run_adiabatic(cfg.bids, table, cfg.schedule(variant)).success
+    return _render_csv(_meta(cfg, "variants"), columns)
 
 
 def cmd_gap(cfg: ScenarioConfig) -> str:
-    values = (cfg.steps + 1) << _total_qubits(cfg)
+    values = (cfg.steps + 1) << sum(map(len, cfg.bids))
     if not cfg.restrict and values > MAX_GAP_VALUES:
         raise ConfigError(f"full-space gap tracks: (steps + 1) * 2^n = {values} eigenvalues "
                           f"exceed the cap of {MAX_GAP_VALUES}")
@@ -287,23 +293,23 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
     protocol.winning_allocation(table, protocol.plausible_allocations(cfg.bids))
     # the tracks read no variant, so a lock is taken under any --variant
     tracks = protocol.eigenvalue_tracks(cfg.bids, table, cfg.schedule("locked"), restrict=cfg.restrict)
-    k = tracks.eigenvalues.shape[1]
-    header = ["s", "f"] + [f"lambda{i}" for i in range(k)] + ["gap"]
-    rows = []
-    for s, (f, lams) in enumerate(zip(tracks.f_values, tracks.eigenvalues)):
-        rows.append((s, f, *lams, lams[1] - lams[0]))
+    lams = tracks.eigenvalues.T
+    columns = _grid(cfg)
+    columns.update((f"lambda{i}", track) for i, track in enumerate(lams))
+    columns["gap"] = lams[1] - lams[0]
     return _render_csv(_meta(cfg, "gap", restrict=str(cfg.restrict).lower()),
-                       header, rows, trailing={"g_min": tracks.g_min})
+                       columns, trailing={"g_min": tracks.g_min})
 
 
-def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
+def cmd_attack(cfg: ScenarioConfig) -> str:
+    if cfg.attack == "spurious":  # converge's search on the attack's table
+        return cmd_converge(cfg)
     variants = [("", (None,) * len(cfg.bids))]
     if cfg.defense == "lock":
         variants.append(("_lock", (cfg.alpha1, cfg.alpha2)))
 
-    header = ["N"]
     meta_extra: dict = {}
-    columns = [np.arange(1, cfg.rounds + 1)]
+    columns = {"N": range(1, cfg.rounds + 1)}
     solved = [adversary.povm_outcome_distributions(cfg.bids, alphas) for _, alphas in variants]
     pers = [[(dist, t) for dist, t, _, _ in bidders] for bidders in solved]
     # one majority draw, counted for every variant
@@ -313,30 +319,13 @@ def _probe_columns(cfg: ScenarioConfig) -> tuple[list[str], list[tuple], dict]:
         p_errors = [p_e for _, _, p_e, _ in bidders]
         for bidder, p_e in enumerate(p_errors):
             meta_extra[f"p_e{suffix}_bidder{bidder}"] = _fmt(p_e)
-        columns += [adversary.probe_attack_basis(alphas, cfg.rounds),
-                    adversary.basis_mc_curve(dists, cfg.rounds, cfg.trials, cfg.seed),
-                    adversary.probe_attack_povm(p_errors, cfg.rounds),
-                    adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed),
-                    majority_curve]
-        header += [f"basis_closed{suffix}", f"basis_mc{suffix}",
-                   f"povm_closed{suffix}", f"povm_mc{suffix}", f"povm_mc_majority{suffix}"]
-    rows = [tuple(col[idx] for col in columns) for idx in range(cfg.rounds)]
-    return header, rows, meta_extra
-
-
-def cmd_attack(cfg: ScenarioConfig) -> str:
-    if cfg.attack == "spurious":
-        traj = _run_for_config(cfg)
-        reveal = adversary.revealing_index(cfg.bids)
-        revealing_prob = traj.probability(reveal)
-        rows = [(s, s / cfg.steps, traj.success[s], traj.leakage[s], revealing_prob[s])
-                for s in range(cfg.steps + 1)]
-        revealing = format(reveal, f"0{_total_qubits(cfg)}b")
-        return _render_csv(_meta(cfg, "attack", revealing=revealing),
-                           ["s", "f", "success_prob", "leakage", "revealing_prob"], rows)
-    header, rows, extra = _probe_columns(cfg)
-    return _render_csv(_meta(cfg, "attack", trials=cfg.trials, rounds=cfg.rounds, **extra),
-                       header, rows)
+        columns[f"basis_closed{suffix}"] = adversary.probe_attack_basis(alphas, cfg.rounds)
+        columns[f"basis_mc{suffix}"] = adversary.basis_mc_curve(dists, cfg.rounds, cfg.trials, cfg.seed)
+        columns[f"povm_closed{suffix}"] = adversary.probe_attack_povm(p_errors, cfg.rounds)
+        columns[f"povm_mc{suffix}"] = adversary.povm_mc_curve(per, cfg.rounds, cfg.trials, cfg.seed)
+        columns[f"povm_mc_majority{suffix}"] = majority_curve
+    return _render_csv(_meta(cfg, "attack", trials=cfg.trials, rounds=cfg.rounds, **meta_extra),
+                       columns)
 
 
 def _fmt_complex(z: complex) -> str:

@@ -10,6 +10,7 @@ from qauction import cli
 from qauction.circuits import (
     _SHAPES,
     KINDS,
+    MAX_NESTED_ENTRIES,
     MAX_NESTING,
     Circuit,
     CircuitParseError,
@@ -446,6 +447,20 @@ class TestTextFormat:
         assert parsed.gates == (hadamard(1),)
         with pytest.raises(CircuitParseError, match=f"deeper than {MAX_NESTING}"):
             parse_circuit(nested(MAX_NESTING + 1))
+
+    def test_nested_entry_bound(self):
+        # (depth + 1) * 4^width entries: refused above MAX_NESTED_ENTRIES, and
+        # a circuit with no CTRL0 block is not bounded
+        def nested(depth, width):
+            return "CTRL0 [q0] {\n" * depth + f"H q{width - 1}\n" + "}\n" * depth
+        assert (1 + 1) * 4**12 == MAX_NESTED_ENTRIES
+        for depth, width in [(1, 12), (MAX_NESTING, 9), (0, 16)]:
+            assert parse_circuit(nested(depth, width)).n_qubits == width
+        for depth, width in [(2, 12), (MAX_NESTING, 10), (1, 13)]:
+            with pytest.raises(CircuitParseError, match=f"nested {depth} deep at {width} qubits"):
+                parse_circuit(nested(depth, width))
+        with pytest.raises(CircuitParseError, match=f"nested {MAX_NESTING} deep at 12 qubits"):
+            parse_circuit(nested(MAX_NESTING, 2), 12)  # the width a target gives counts
 
     @pytest.mark.parametrize("kind", _SHAPES)
     def test_flat_gate_shapes(self, kind):

@@ -438,6 +438,11 @@ def _malformed_circuits():
 MALFORMED = _malformed_circuits()
 
 
+def _nested(depth: int, width: int) -> str:
+    """`depth` CTRL0 blocks on q0 around an H on the last of `width` qubits."""
+    return "CTRL0 [q0] {\n" * depth + f"H q{width - 1}\n" + "}\n" * depth
+
+
 class TestMalformedCircuitFiles:
     """A malformed circuit file ends in exit 1 and one stderr line with the
     file's parse error, whether the target fixes the width (bidder:11) or
@@ -465,6 +470,18 @@ class TestMalformedCircuitFiles:
         path.write_text("CTRL0 [q0] {\n" * depth + "H q1\n" + "}\n" * depth)
         code, out = run_cli(["circuit-verify", str(path), target], capsys)
         assert code == 0 and "result=" in out
+
+    def test_nesting_over_the_entry_bound_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
+        def no_matrix(c):
+            raise AssertionError("built a matrix")
+        monkeypatch.setattr(circuits, "circuit_to_matrix", no_matrix)
+        path = tmp_path / "c.txt"
+        path.write_text(_nested(circuits.MAX_NESTING, 12))
+        assert cli.main(["circuit-verify", str(path), "D:1,0.5,12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: CTRL0 blocks nested {circuits.MAX_NESTING} deep at 12 qubits")
 
 
 # Valid arguments per circuit-verify target kind; every kind in cli._TARGETS needs some.
@@ -616,22 +633,27 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this `qauction`."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="max RSS of a child needs os.wait4")
 class TestMemoryBound:
     """A `circuit-verify` run at the width cap holds its operands, not a
     2^n x 2^n matrix: D and P circuits checked against their diagonal
-    references stay within the max RSS of an interpreter that imports the
-    CLI, plus 16 MB (the operands are 2^12-entry vectors of 64 KB each)."""
+    references, and a CTRL0 nesting refused for its matrices, stay within
+    the max RSS of an interpreter that imports the CLI, plus 16 MB (the
+    operands are 2^12-entry vectors of 64 KB each)."""
 
     SLACK_MB = 16
 
     @staticmethod
     def _child(args, out):
         """Run `python args` in a grandchild process, stdout to `out`; its exit code and max RSS in MB."""
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         launched = subprocess.run([sys.executable, "-c", _MAX_RSS_LAUNCHER, str(out), *args],
-                                  env=env, capture_output=True, text=True, check=True)
+                                  env=_child_env(), capture_output=True, text=True, check=True)
         code, kb = launched.stdout.split()
         return int(code), int(kb) / 1024  # ru_maxrss is in KB on Linux
 
@@ -644,6 +666,39 @@ class TestMemoryBound:
         code, peak = self._child(["-m", "qauction", "circuit-verify", str(circuit), target], out)
         assert code == 0 and "result=pass" in out.read_text().splitlines()
         assert peak <= baseline + self.SLACK_MB, f"{target}: {peak:.1f} MB max RSS, bound {baseline:.1f} + {self.SLACK_MB}"
+
+    def test_nesting_over_the_entry_bound_is_refused_within_the_interpreter(self, tmp_path):
+        # 65 matrices of 4^12 entries: about 8.7 GB of float64 if they were built
+        circuit, out = tmp_path / "circuit.txt", tmp_path / "verify.txt"
+        circuit.write_text(_nested(circuits.MAX_NESTING, 12))
+        code, baseline = self._child(["-c", "import qauction.cli"], out)
+        assert code == 0
+        code, peak = self._child(["-m", "qauction", "circuit-verify", str(circuit), "D:1,0.5,12"], out)
+        assert code == 1 and out.read_text() == ""
+        assert peak <= baseline + self.SLACK_MB, f"{peak:.1f} MB max RSS, bound {baseline:.1f} + {self.SLACK_MB}"
+
+
+class TestModuleEntryPoint:
+    """`python -m qauction.cli`, the entry point the README names beside the
+    `qauction` script, prints what `cli.main` prints and fails as it does."""
+
+    ARGS = ["converge", "--bids", "10,11"]
+
+    @staticmethod
+    def _run(args):
+        return subprocess.run([sys.executable, "-m", "qauction.cli", *args],
+                              env=_child_env(), capture_output=True)
+
+    def test_output_is_main_output(self, capsys):
+        child = self._run(self.ARGS)
+        code, out = run_cli(self.ARGS, capsys)
+        assert child.returncode == code == 0
+        assert child.stdout == out.encode() and child.stderr == b""
+
+    def test_bad_flag_exits_1_with_one_line(self):
+        child = self._run(self.ARGS + ["--no-such-flag"])
+        assert child.returncode == 1 and child.stdout == b""
+        assert child.stderr == b"error: unrecognized arguments: --no-such-flag\n"
 
 
 class TestExactCap:

@@ -1,5 +1,5 @@
-"""The README's CLI examples give the same numbers, to 1e-12, as the
-recorded ones in `tests/data/cli_golden.json`.
+"""The README's CLI examples give the same numbers, to 1e-12, and the same
+text, exactly, as the recorded ones in `tests/data/cli_golden.json`.
 
 Regenerate the file (only when a change is meant to move the numbers):
 
@@ -7,6 +7,7 @@ Regenerate the file (only when a change is meant to move the numbers):
 """
 
 import contextlib
+import functools
 import io
 import json
 from pathlib import Path
@@ -48,11 +49,17 @@ def _number(token: str) -> list[float] | None:
         return None
 
 
-def numbers(text: str) -> dict:
-    """The numbers of a CLI output: `key=value` and `key = value` settings
-    whose value is a number, and every line whose fields are all numbers
-    (CSV rows, POVM matrix rows). Headers and labels are skipped."""
-    meta, rows = {}, []
+# Settings whose values are bit strings: read as numbers they would lose their leading zeros.
+TEXT_KEYS = ("winner", "revealing")
+
+
+def record(text: str) -> dict:
+    """A CLI output split into its numbers and its text. `meta` holds the
+    `key=value` and `key = value` settings whose value is a real number,
+    and `rows` every line whose fields are all numbers (CSV rows, POVM
+    matrix rows). `text` holds, in order, every other setting as written
+    and every other line (headers, labels)."""
+    meta, rows, words = {}, [], []
     for line in text.splitlines():
         if line.startswith("#"):
             pairs = [field.partition("=") for field in line[1:].split()]
@@ -62,12 +69,16 @@ def numbers(text: str) -> dict:
             fields = [_number(tok) for tok in line.replace(",", " ").split()]
             if fields and all(f is not None for f in fields):
                 rows.append([x for f in fields for x in f])
+            else:
+                words.append(line)
             continue
-        for key, _, value in pairs:
-            got = _number(value.strip())
-            if got is not None and len(got) == 1:
+        for key, sep, value in pairs:
+            got = None if key.strip() in TEXT_KEYS else _number(value.strip())
+            if got is None:
+                words.append(key + sep + value)
+            elif len(got) == 1:
                 meta[key.strip()] = got[0]
-    return {"meta": meta, "rows": rows}
+    return {"meta": meta, "rows": rows, "text": words}
 
 
 def run(argv: list[str]) -> str:
@@ -78,11 +89,17 @@ def run(argv: list[str]) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_readme_example_numbers_match_the_golden(name):
+@functools.cache
+def recorded(name: str) -> tuple[dict, dict]:
+    """The golden record of case `name` and the record of its output now."""
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert want["argv"] == CASES[name]
-    got = numbers(run(CASES[name]))
+    return want, record(run(CASES[name]))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_readme_example_numbers_match_the_golden(name):
+    want, got = recorded(name)
     assert got["meta"].keys() == want["meta"].keys()
     for key, value in want["meta"].items():
         assert abs(got["meta"][key] - value) <= 1e-12, key
@@ -91,7 +108,13 @@ def test_readme_example_numbers_match_the_golden(name):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_readme_example_text_matches_the_golden(name):
+    want, got = recorded(name)
+    assert got["text"] == want["text"]
+
+
 if __name__ == "__main__":
-    record = {name: {"argv": argv, **numbers(run(argv))} for name, argv in CASES.items()}
+    golden = {name: {"argv": argv, **record(run(argv))} for name, argv in CASES.items()}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
