@@ -201,7 +201,8 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         circuit = Circuit(width, tuple(blocks[0][1]))
     except ContractViolation as exc:
         raise CircuitParseError(str(exc)) from exc
-    if depth and (depth + 1) * 4**width > MAX_NESTED_ENTRIES:
+    # (depth + 1) * 4^width > MAX_NESTED_ENTRIES, with no integer of 2 bits per qubit of width
+    if depth and depth + 1 > MAX_NESTED_ENTRIES >> 2 * width:
         raise CircuitParseError(f"CTRL0 blocks nested {depth} deep at {width} qubits need "
                                 f"{depth + 1} matrices of 4^{width} entries, more than "
                                 f"{MAX_NESTED_ENTRIES} entries in all")
@@ -273,12 +274,11 @@ def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     A CNOT flips the target bit of the rows whose control bit is set, and a
     PHASE scales the phases whose row has the qubit set, with `_scale`'s
     arithmetic, so each phase equals `circuit_to_matrix`'s entry bit for bit,
-    in its dtype. `phases` is column 0 of a (2^n, 2) buffer, strided as a
-    dense diagonal is (see `core._phase_search`).
+    in its dtype.
     """
     n = c.n_qubits
     rows = np.arange(2**n)
-    phases = np.ones((2**n, 2), dtype=complex if _has_phase(c.gates) else float)[:, 0]
+    phases = np.ones(2**n, dtype=complex if _has_phase(c.gates) else float)
     for g in c.gates:
         bits = [n - 1 - q for q in g.qubits]  # qubit 0 is the most significant bit
         if g.kind == "CNOT":
@@ -373,18 +373,18 @@ def verify_circuit(c: Circuit, target: np.ndarray) -> VerificationReport:
     """Compare the circuit's unitary with a target up to global phase,
     passing within _VERIFY_TOL. A 1-D target is the diagonal of a diagonal
     unitary (see `phase_invariant_distance`); a circuit of CNOT and PHASE
-    gates is checked against one as its column map, with no dense matrix."""
+    gates is checked against one as its column map, on its support, with no dense matrix."""
     target = np.asarray(target)
     dim = 2**c.n_qubits
     if target.shape != ((dim,) if target.ndim == 1 else (dim, dim)):
         raise ContractViolation(
             f"dimension mismatch: circuit gives {(dim, dim)}, target is {target.shape}")
     if target.ndim == 1 and all(g.kind in ("CNOT", "PHASE") for g in c.gates):
-        rows, diagonal = _monomial(c)
-        moved = rows != np.arange(dim)  # the columns whose entry lies off the diagonal
-        rest = float(np.max(np.abs(diagonal[moved]), initial=0.0))
-        diagonal[moved] = 0
-        d = _phase_search(diagonal, target.astype(complex, copy=False), rest)
+        rows, phases = _monomial(c)
+        on = np.flatnonzero(target)  # the target's support, on the diagonal
+        kept = rows[on] == on  # the columns of `on` whose one entry lies on that support
+        rest = float(np.max(np.abs(np.delete(phases, on[kept])), initial=0.0))
+        d = _phase_search(np.where(kept, phases[on], 0), target[on], rest)
     else:
         d = phase_invariant_distance(circuit_to_matrix(c), target)
     return VerificationReport(distance=d, passed=d <= _VERIFY_TOL, tolerance=_VERIFY_TOL)

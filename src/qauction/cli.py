@@ -28,7 +28,9 @@ class ConfigError(ValueError):
     pass
 
 
-MAX_QUBITS = 12  # widest register the dense paths build: 2^12 x 2^12 complex is 268 MB a copy
+# Widest register the dense paths build: at 2^12 x 2^12, 134 MB a float64 copy (the bidder and
+# collusion references, H/CNOT/ROT circuits), 268 MB a complex one (only with a PHASE gate).
+MAX_QUBITS = 12
 # Largest Monte Carlo grid, trials * rounds, and most probe rounds. The majority
 # curves' block buffers hold about 16 B a cell of a block of at least 1024 trials,
 # so above 160 rounds they grow with the rounds, and each round adds a CSV row.

@@ -127,16 +127,17 @@ def measurement_probabilities(state: StateVector, povm) -> np.ndarray:
     return probs
 
 
-def _max_off_diagonal(u: np.ndarray) -> float:
-    """max |u_ij| over i != j, read once in chunks of about _SCAN_ENTRIES
-    entries, so no copy of u is made; a non-finite entry raises."""
-    dim = u.shape[0]
-    off = u.reshape(-1)[1:].reshape(dim - 1, dim + 1)[:, :dim]  # row i: u[i, i+1:], u[i+1, :i+1]
-    rows = max(1, _SCAN_ENTRIES // dim)
+def _max_off(u: np.ndarray, on: np.ndarray) -> float:
+    """max |u| off the sorted flat indices `on`, read once in flat chunks of
+    _SCAN_ENTRIES entries, so no copy of u is made; a non-finite entry raises."""
+    flat = u.reshape(-1)
     top = 0.0
-    for i in range(0, dim - 1, rows):
-        chunk = off[i:i + rows]
-        peak = float(np.max(np.abs(chunk)))
+    for start in range(0, flat.size, _SCAN_ENTRIES):
+        chunk = flat[start:start + _SCAN_ENTRIES]
+        magnitudes = np.abs(chunk)
+        lo, hi = np.searchsorted(on, [start, start + _SCAN_ENTRIES])  # the part of `on` in the chunk
+        magnitudes[on[lo:hi] - start] = 0
+        peak = float(np.max(magnitudes))
         if not peak <= top:  # a new maximum, or NaN
             if not (math.isfinite(peak) or np.isfinite(chunk).all()):
                 raise ContractViolation("phase-invariant distance needs finite matrix entries")
@@ -166,34 +167,31 @@ def phase_invariant_distance(u, v) -> float:
     coarse phase scan refined by golden-section search, with the
     Frobenius-optimal phase (phase of tr(v^dag u)) as an extra candidate --
     exact whenever the matrices really do agree up to phase. A 1-D `v` is
-    the diagonal of a diagonal matrix: u is then read on its diagonal and
-    through its largest off-diagonal entry, and no dense v is formed.
+    the diagonal of a diagonal matrix, and no dense v is formed. u is read on
+    v's support (the flat indices of its nonzero entries) and through its
+    largest entry off it, so neither operand is copied.
     """
     u = _as_matrix(u)
-    v = np.asarray(v, dtype=complex)
+    v = as_operator(v)
     diagonal = v.ndim == 1
-    if not diagonal:
-        v = _as_matrix(v)
     if u.shape != (v.shape * 2 if diagonal else v.shape):
         raise ContractViolation(f"dimension mismatch: {u.shape} vs {v.shape}")
-    rest = 0.0
-    if diagonal:  # u is read once: the off-diagonal maximum, then the diagonal
-        rest, u = _max_off_diagonal(u), np.diagonal(u)
-    return _phase_search(u, v, rest)
+    nonzero = np.flatnonzero(v)
+    on = nonzero * (u.shape[0] + 1) if diagonal else nonzero  # flat indices into u
+    return _phase_search(u.reshape(-1)[on], v.reshape(-1)[nonzero], _max_off(u, on))
 
 
 def _phase_search(u: np.ndarray, v: np.ndarray, rest: float) -> float:
-    """min over unit-magnitude phi of max(rest, max |u - phi*v|), for u and v
-    of one shape, v complex. `np.vdot` sums a strided u (the diagonal of a
-    dense matrix) in another order than a contiguous one, so a caller that
-    hands over a diagonal keeps it strided."""
+    """min over unit-magnitude phi of max(rest, max |u_i - phi*v_i|), over
+    the pairs of two 1-D arrays: a target's nonzero entries v_i and the
+    entries u_i in their places. `rest` is the largest |u| off those places,
+    where |u - phi*v| = |u| at every phase."""
+    # a real operand is cast once here, not in each of the distance evaluations below
+    u, v = u.astype(complex, copy=False), v.astype(complex, copy=False)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ContractViolation("phase-invariant distance needs finite matrix entries")
-    tr = np.vdot(v, u)  # tr(v^dag u), over every entry, repeated ones too
-    # Where v is 0, |u - phi*v| = |u| at every phase: a constant of the search.
-    rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
-    # a real u is cast once here, not in each of the distance evaluations below
-    u, v = _distinct_pairs(u[v != 0].astype(complex, copy=False), v[v != 0])
+    tr = np.vdot(v, u)  # tr(v^dag u), over every pair, repeated ones too
+    u, v = _distinct_pairs(u, v)
 
     def dist(theta: float) -> float:
         return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))

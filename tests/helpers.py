@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from qauction.adversary import _mc_rng
-from qauction.core import ATOL_UNITARY, StateVector, _max_off_diagonal, measurement_probabilities
+from qauction.core import ATOL_UNITARY, StateVector, _max_off, measurement_probabilities
 
 
 def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
@@ -199,12 +199,11 @@ def scalar_phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     that the broadcast scan and the carried golden-section values must
     match with `==`."""
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    rest = 0.0
-    if v.ndim == 1:
-        rest, u = _max_off_diagonal(u), np.diagonal(u)
+    nonzero = np.flatnonzero(v)
+    on = nonzero * (len(u) + 1) if v.ndim == 1 else nonzero
+    rest = _max_off(u, on)
+    u, v = u.reshape(-1)[on], v.reshape(-1)[nonzero]
     tr = np.vdot(v, u)
-    rest = max(rest, float(np.max(np.abs(u[v == 0]), initial=0.0)))
-    u, v = u[v != 0], v[v != 0]
 
     def dist(theta: float) -> float:
         return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))

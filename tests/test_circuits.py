@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -461,6 +462,13 @@ class TestTextFormat:
                 parse_circuit(nested(depth, width))
         with pytest.raises(CircuitParseError, match=f"nested {MAX_NESTING} deep at 12 qubits"):
             parse_circuit(nested(MAX_NESTING, 2), 12)  # the width a target gives counts
+
+    def test_nested_entry_bound_forms_no_power_of_the_width(self):
+        # 4^width at a billion qubits is an integer of 2 billion bits: seconds to form
+        start = time.perf_counter()
+        with pytest.raises(CircuitParseError, match="nested 1 deep at 1000000001 qubits"):
+            parse_circuit("CTRL0 [q0] {\nH q1000000000\n}\n")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("kind", _SHAPES)
     def test_flat_gate_shapes(self, kind):

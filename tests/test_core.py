@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,19 +253,36 @@ class TestPhaseInvariantDistance:
             phase_invariant_distance(np.eye(2), np.array([1, bad]))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_chunk", "last_entry"])
+    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_chunk", "last_entry",
+                                       "last_of_flat_chunk", "first_of_flat_chunk"])
     def test_diagonal_target_rejects_non_finite_off_diagonal_at_chunk_edges(self, bad, where):
-        # the off-diagonal entries go in chunks of `rows` rows of u.flat[1 + i*(dim + 1):][:dim]
+        # u is scanned in flat chunks of _SCAN_ENTRIES entries, `rows` rows of u each, with
+        # the target's support zeroed: (rows, rows - 1) and (rows, rows + 1) flank the support
+        # entry (rows, rows), and (rows - 1, dim - 1) and (rows, 0) are the edges of chunks 0 and 1
         dim = 256
         rows = core._SCAN_ENTRIES // dim
         u = np.eye(dim, dtype=complex)
         at = {"last_of_chunk": (rows, rows - 1), "first_of_chunk": (rows, rows + 1),
-              "last_entry": (dim - 1, dim - 2)}[where]
+              "last_entry": (dim - 1, dim - 2), "last_of_flat_chunk": (rows - 1, dim - 1),
+              "first_of_flat_chunk": (rows, 0)}[where]
         u[at] = bad
         with pytest.raises(ContractViolation, match="finite"):
             phase_invariant_distance(u, np.ones(dim))
         u[at] = 0.5  # a finite maximum there is read, not rejected
         assert phase_invariant_distance(u, np.ones(dim)) == 0.5
+
+    def test_reads_no_copy_of_either_operand(self):
+        # the real bidder operands meet on their 2^10 nonzero entries: no complex copy
+        # of the reference, no cast of the circuit matrix, no dense mask
+        u = circuits.circuit_to_matrix(circuits.build_bidder_circuit("1011011011"))
+        v = protocol.bidding_operator("1011011011")
+        tracemalloc.start()
+        try:
+            assert phase_invariant_distance(u, v) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * u.nbytes
 
 
 def test_hermiticity_predicate():
