@@ -5,7 +5,7 @@ constructions."""
 
 from .core import (
     ContractViolation,
-    Spectrum,
+    Povm,
     StateVector,
     eig_hermitian,
     is_hermitian,
@@ -44,7 +44,6 @@ from .circuits import (
     verify_circuit,
 )
 from .adversary import (
-    Povm,
     locking_unitaries,
     min_error_povm,
     povm_optimality_check,

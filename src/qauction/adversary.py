@@ -11,17 +11,11 @@ colluding joint bidding operator that removes the revealing state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ContractViolation,
-    StateVector,
-    check_povm,
-    measurement_probabilities,
-)
+from .core import ContractViolation, Povm, StateVector, measurement_probabilities
 from .protocol import (
     AdiabaticSchedule,
     BidSpec,
@@ -35,16 +29,6 @@ from .protocol import (
 )
 
 TOY_BIDS = ("01", "10", "11")  # the three admissible price states at p=2
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Positive operators summing to identity; element i decides state i."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(check_povm(self.elements)))
 
 
 def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarray]:
@@ -406,7 +390,7 @@ def povm_outcome_distributions(bids: Sequence[BidSpec | str],
         states = toy_bidding_states(alpha)
         povm, p_e = min_error_povm(states, [1 / 3] * 3)
         t = TOY_BIDS.index(as_bid(bid).bits)
-        out.append((measurement_probabilities(states[t], povm.elements), t, p_e, states[t].probabilities()))
+        out.append((measurement_probabilities(states[t], povm), t, p_e, states[t].probabilities()))
     return out
 
 

@@ -46,18 +46,6 @@ class Gate:
     angle: float | None = None
     inner: "Circuit | None" = None
 
-    def acted_qubits(self) -> set[int]:
-        """Qubits whose computational-basis content the gate can change.
-
-        CNOT controls and CTRL0 controls only read their qubit, so the
-        gate stays block diagonal in those bits.
-        """
-        if self.kind == "CNOT":
-            return {self.qubits[1]}
-        if self.kind == "CTRL0":
-            return self.inner.acted_qubits()
-        return set(self.qubits)
-
 
 def hadamard(q: int) -> Gate:
     return Gate("H", (q,))
@@ -103,7 +91,7 @@ class Circuit:
                 raise ContractViolation("CTRL0 needs at least one control qubit")
             if g.inner is None or g.inner.n_qubits != self.n_qubits:
                 raise ContractViolation("CTRL0 inner circuit must share the outer width")
-            if g.inner.acted_qubits() & set(g.qubits):
+            if _acted(g.inner.gates) & set(g.qubits):
                 raise ContractViolation("CTRL0 inner circuit may not act on a control qubit")
             return
         count, angled = _SHAPES[g.kind]
@@ -114,14 +102,21 @@ class Circuit:
         if angled and not math.isfinite(g.angle):
             raise ContractViolation(f"{g.kind} angle must be finite, got {g.angle}")
 
-    def acted_qubits(self) -> set[int]:
-        out: set[int] = set()
-        for g in self.gates:
-            out |= g.acted_qubits()
-        return out
-
     def to_text(self) -> str:
         return "\n".join(_gate_lines(self.gates, indent=0)) + "\n"
+
+
+def _acted(gates) -> set[int]:
+    """Qubits whose computational-basis content the gates can change. A CNOT
+    or CTRL0 control only reads its qubit, so the gates stay block diagonal
+    in those bits."""
+    acted = set()
+    for g in gates:
+        if g.kind == "CTRL0":
+            acted |= _acted(g.inner.gates)
+        else:
+            acted.update(g.qubits[-1:] if g.kind == "CNOT" else g.qubits)
+    return acted
 
 
 def _gate_lines(gates, indent: int) -> list[str]:

@@ -77,12 +77,14 @@ class _Key(NamedTuple):
     choices: tuple[str, ...] = ()
 
 
+# The search variants; a lock comes from defense=lock alone (see ScenarioConfig.schedule).
+_VARIANTS = ("exact", "zeroth", "first")
 # Every scenario key: its flag, config-file key and ScenarioConfig attribute.
 _KEY_SPECS = {
     "bids": _Key(_parse_bids, "10,11", "comma-separated price states, e.g. 10,11"),
     "steps": _Key(int, 20, "iteration count S"),
     "delta": _Key(_parse_delta, "1.5", "step size, or 'auto' for 1/sqrt(S)"),
-    "variant": _Key(str, "zeroth", choices=protocol.VARIANTS),
+    "variant": _Key(str, "zeroth", choices=_VARIANTS),
     "table": _Key(str, "first_price", choices=("first_price", "spurious")),
     "attack": _Key(str, "none", choices=("none", "probe_basis", "spurious")),
     "defense": _Key(str, "none", choices=("none", "lock", "collude")),
@@ -114,12 +116,12 @@ class ScenarioConfig(argparse.Namespace):
     def schedule(self, variant: str | None = None) -> AdiabaticSchedule:
         """The schedule at `variant` (default: the configured one). Under
         defense=lock it carries each bidder's secret V_i and runs "zeroth"
-        as "locked"; a locked schedule has no "first" variant."""
+        as the library's "locked"; a locked schedule has no "first" variant."""
         variant = variant or self.variant
         if self.defense != "lock":
             return AdiabaticSchedule(self.steps, self.delta, variant)
         if variant == "first":
-            raise ConfigError("locked runs support the 'zeroth', 'locked' and 'exact' variants only")
+            raise ConfigError("locked runs support the 'zeroth' and 'exact' variants only")
         return AdiabaticSchedule(self.steps, self.delta, "locked" if variant == "zeroth" else variant,
                                  adversary.locking_unitaries(self.bids, (self.alpha1, self.alpha2)))
 
@@ -280,7 +282,7 @@ def cmd_converge(cfg: ScenarioConfig) -> str:
 def cmd_variants(cfg: ScenarioConfig) -> str:
     table = cfg.payoff_table()
     columns = _grid(cfg)
-    for variant in ("exact", "zeroth", "first"):
+    for variant in _VARIANTS:
         columns[variant] = protocol.run_adiabatic(cfg.bids, table, cfg.schedule(variant)).success
     return _render_csv(_meta(cfg, "variants"), columns)
 
@@ -294,7 +296,7 @@ def cmd_gap(cfg: ScenarioConfig) -> str:
     # a tie is a simulation error, found before any operator is built
     protocol.winning_allocation(table, protocol.plausible_allocations(cfg.bids))
     # the tracks read no variant, so a lock is taken under any --variant
-    tracks = protocol.eigenvalue_tracks(cfg.bids, table, cfg.schedule("locked"), restrict=cfg.restrict)
+    tracks = protocol.eigenvalue_tracks(cfg.bids, table, cfg.schedule("zeroth"), restrict=cfg.restrict)
     lams = tracks.eigenvalues.T
     columns = _grid(cfg)
     columns.update((f"lambda{i}", track) for i, track in enumerate(lams))

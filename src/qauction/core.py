@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,47 +76,46 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, column k pairs with eigenvalues[k]
-
-
-def eig_hermitian(h) -> Spectrum:
+def eig_hermitian(h):
     """Diagonalize a Hermitian operator (in the search, H(f) on one span or
-    cell); raises ContractViolation if it is not within ATOL_HERMITIAN. A real
-    symmetric operator gets LAPACK's real solver and real eigenvectors."""
+    cell) as numpy's `EighResult`: eigenvalues ascending, eigenvectors in
+    orthonormal columns. Raises ContractViolation if it is not Hermitian within
+    ATOL_HERMITIAN. A real symmetric operator gets LAPACK's real solver."""
     h = _as_matrix(h)
     if not is_hermitian(h):
         raise ContractViolation(f"operator is not Hermitian within {ATOL_HERMITIAN}")
-    vals, vecs = np.linalg.eigh(h)
-    return Spectrum(vals, vecs)
+    return np.linalg.eigh(h)
 
 
-def check_povm(elements) -> list[np.ndarray]:
-    """Validate a POVM within ATOL_UNITARY: PSD elements summing to identity."""
-    if not elements:
-        raise ContractViolation("POVM needs at least one element")
-    mats = [_as_matrix(e) for e in elements]
-    dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for k, e in enumerate(mats):
-        if e.shape[0] != dim:
-            raise ContractViolation("POVM elements differ in dimension")
-        if not is_hermitian(e, ATOL_UNITARY):
-            raise ContractViolation(f"POVM element {k} is not Hermitian")
-        if float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2))) < -ATOL_UNITARY:
-            raise ContractViolation(f"POVM element {k} is not positive semidefinite")
-        total += e
-    if float(np.max(np.abs(total - np.eye(dim)))) > ATOL_UNITARY:
-        raise ContractViolation(f"POVM elements do not sum to identity within {ATOL_UNITARY}")
-    return mats
+@dataclass(frozen=True)
+class Povm:
+    """Positive operators summing to identity within ATOL_UNITARY, checked
+    once here; element i decides state i."""
+
+    elements: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if not self.elements:
+            raise ContractViolation("POVM needs at least one element")
+        mats = tuple(_as_matrix(e) for e in self.elements)
+        dim = mats[0].shape[0]
+        total = np.zeros((dim, dim), dtype=complex)
+        for k, e in enumerate(mats):
+            if e.shape[0] != dim:
+                raise ContractViolation("POVM elements differ in dimension")
+            if not is_hermitian(e, ATOL_UNITARY):
+                raise ContractViolation(f"POVM element {k} is not Hermitian")
+            if float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2))) < -ATOL_UNITARY:
+                raise ContractViolation(f"POVM element {k} is not positive semidefinite")
+            total += e
+        if float(np.max(np.abs(total - np.eye(dim)))) > ATOL_UNITARY:
+            raise ContractViolation(f"POVM elements do not sum to identity within {ATOL_UNITARY}")
+        object.__setattr__(self, "elements", mats)
 
 
-def measurement_probabilities(state: StateVector, povm) -> np.ndarray:
-    """Outcome distribution <psi|Pi_j|psi> for a validated POVM."""
-    mats = check_povm(povm)
+def measurement_probabilities(state: StateVector, povm: Povm) -> np.ndarray:
+    """Outcome distribution <psi|Pi_j|psi> of a POVM, checked when it was built."""
+    mats = povm.elements
     if mats[0].shape[0] != len(state):
         raise ContractViolation("POVM dimension does not match the state")
     psi = state.amplitudes

@@ -194,8 +194,8 @@ def plausible_allocations(bidders: Sequence[BidSpec | str]) -> list[int]:
 class AdiabaticSchedule:
     """Discrete schedule: S steps of size delta, f = s/S for s = 1..S.
 
-    `locking` optionally carries the per-bidder locking unitaries
-    (V_1, ..., V_m); only the "exact" and "locked" variants accept it.
+    `locking` carries the per-bidder locking unitaries (V_1, ..., V_m):
+    "locked" needs them, "exact" takes them too, "zeroth" and "first" refuse them.
     """
 
     steps: int
@@ -217,6 +217,8 @@ class AdiabaticSchedule:
         if self.locking is not None and self.variant in ("zeroth", "first"):
             raise ContractViolation(
                 f"variant {self.variant!r} has no locking slot; use 'locked' or 'exact'")
+        if self.locking is None and self.variant == "locked":
+            raise ContractViolation("variant 'locked' needs the locking unitaries")
 
 
 def auto_delta(steps: int) -> float:
@@ -268,7 +270,6 @@ class Trajectory:
     success: np.ndarray
     leakage: np.ndarray
     winner_index: int
-    plausible: list[int]
     final_state: StateVector
 
     def state(self, s: int) -> StateVector:
@@ -361,8 +362,7 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     U^dag and the phase tables, (len(fs), |T|) mixer phases and
     (len(fs), |T_V|) payoff phases from one `np.exp` each, and for "exact"
     the k x k terms of H(f) (`_terms`), so a step diagonalizes the k x k
-    H(f) with one `eig_hermitian`. "locked" is "zeroth" with V, and V is
-    the identity when absent.
+    H(f) with one `eig_hermitian`. "locked" is "zeroth" with V.
 
     The blocks keep their factors' dtype, so for real U and V the "exact"
     H(f) is real symmetric and goes to the real solver. The product
@@ -540,8 +540,7 @@ def _run(operators: list[list[np.ndarray]], span: np.ndarray, plausible: list[in
     in_plausible[plausible] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
-    return Trajectory(span, states, success, leakage, winner_index, plausible,
-                      _scatter(span, states[-1], dim))
+    return Trajectory(span, states, success, leakage, winner_index, _scatter(span, states[-1], dim))
 
 
 def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 
 from qauction.adversary import _mc_rng
-from qauction.core import ATOL_UNITARY, StateVector, _max_off, measurement_probabilities
+from qauction.core import ATOL_UNITARY, Povm, StateVector, _max_off, measurement_probabilities
 
 
-def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
+def sample_measurement(state: StateVector, povm: Povm, rng: np.random.Generator,
                        size: int | None = None):
     """Draw outcome indices from the POVM distribution; reproducible per rng.
 
@@ -19,7 +19,7 @@ def sample_measurement(state: StateVector, povm, rng: np.random.Generator,
     return picked if size is not None else int(picked)
 
 
-def computational_povm(n_qubits: int) -> list[np.ndarray]:
+def computational_povm(n_qubits: int) -> Povm:
     """Projective measurement onto all 2^n computational basis states."""
     dim = 2**n_qubits
     out = []
@@ -27,7 +27,7 @@ def computational_povm(n_qubits: int) -> list[np.ndarray]:
         e = np.zeros((dim, dim), dtype=complex)
         e[k, k] = 1.0
         out.append(e)
-    return out
+    return Povm(tuple(out))
 
 
 def is_unitary(u) -> bool:
@@ -146,12 +146,12 @@ def dense_run(u: np.ndarray, v: np.ndarray | None, table, schedule) -> np.ndarra
     return np.array(states)
 
 
-def assert_run_matches(traj, states: np.ndarray, atol: float):
+def assert_run_matches(traj, plausible, states: np.ndarray, atol: float):
     """A run's states, success and leakage (1 minus the probability on
-    its plausible allocations) against states from `dense_run`."""
+    the run's `plausible` allocations) against states from `dense_run`."""
     np.testing.assert_allclose([st.state.amplitudes for st in traj.steps], states, rtol=0, atol=atol)
     np.testing.assert_allclose(traj.success, np.abs(states[:, traj.winner_index]) ** 2, rtol=0, atol=atol)
-    leakage = 1 - np.sum(np.abs(states[:, traj.plausible]) ** 2, axis=1)
+    leakage = 1 - np.sum(np.abs(states[:, plausible]) ** 2, axis=1)
     np.testing.assert_allclose(traj.leakage, leakage, rtol=0, atol=atol)
 
 

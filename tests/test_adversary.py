@@ -445,7 +445,7 @@ class TestMinErrorPovm:
 
 class TestOptimalityCheck:
     def test_computational_basis_suboptimal(self):
-        povm = Povm(tuple(computational_povm(2)))
+        povm = computational_povm(2)
         assert not povm_optimality_check(povm, toy_bidding_states(), PRIORS)
 
     def test_single_state_trivial(self):
@@ -680,9 +680,9 @@ def test_library_entries_reject_bad_scalars(name):
 BAD_DISTRIBUTIONS = {
     "povm_priors_nan": lambda: min_error_povm(toy_bidding_states(), [np.nan, 0.5, 0.5]),
     "optimality_check_priors_nan": lambda: povm_optimality_check(
-        Povm(tuple(computational_povm(2))), toy_bidding_states(), [np.nan, 0.5, 0.5]),
+        computational_povm(2), toy_bidding_states(), [np.nan, 0.5, 0.5]),
     "optimality_check_2_priors_for_3_states": lambda: povm_optimality_check(
-        Povm(tuple(computational_povm(2))), toy_bidding_states(), [0.5, 0.5]),
+        computational_povm(2), toy_bidding_states(), [0.5, 0.5]),
     "basis_mc_nan": lambda: basis_mc_curve([np.array([np.nan, 0.5])], 3, 10, 0),
     "basis_mc_sums_to_3": lambda: basis_mc_curve([np.ones(3)], 3, 10, 0),
     "povm_mc_nan": lambda: povm_mc_curve([(np.array([np.nan, 0.5, 0.5]), 1)], 3, 10, 0),
@@ -706,10 +706,10 @@ def test_library_entries_reject_bad_distributions(name):
 # states', that used to end in numpy's shape or matmul ValueError.
 BAD_DIMENSIONS = {
     "optimality_check_states_of_2_and_4": lambda: povm_optimality_check(
-        Povm(tuple(computational_povm(2))), [StateVector([1, 0]), StateVector([1, 0, 0, 0])],
+        computational_povm(2), [StateVector([1, 0]), StateVector([1, 0, 0, 0])],
         [0.5, 0.5]),
     "optimality_check_4x4_povm_for_2_amplitude_states": lambda: povm_optimality_check(
-        Povm(tuple(computational_povm(2))), [StateVector([1, 0]), StateVector([0, 1])], [0.5, 0.5]),
+        computational_povm(2), [StateVector([1, 0]), StateVector([0, 1])], [0.5, 0.5]),
 }
 
 

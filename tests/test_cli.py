@@ -648,10 +648,12 @@ class TestMemoryBound:
     operands are 2^12-entry vectors of 64 KB each). The 12-qubit bidder
     round trip may add three float64 4096 x 4096 operands of 128 MB: the
     reference, the circuit matrix, and one gate contraction's output beside
-    its input."""
+    its input. Searches at the caps may add the one such joint operator that
+    `exact` takes dense at 12 qubits, and the span arrays of their steps."""
 
     SLACK_MB = 16
-    OPERANDS_MB = {"bidder:101101101101": 3 * 4**12 * 8 / 2**20}
+    JOINT_MB = 4**12 * 8 / 2**20  # a float64 2^12 x 2^12 operator
+    OPERANDS_MB = {"bidder:101101101101": 3 * JOINT_MB}
 
     @staticmethod
     def _child(args, out):
@@ -671,6 +673,23 @@ class TestMemoryBound:
         assert code == 0 and "result=pass" in out.read_text().splitlines()
         bound = baseline + self.OPERANDS_MB.get(target, 0) + self.SLACK_MB
         assert peak <= bound, f"{target}: {peak:.1f} MB max RSS, bound {bound:.1f}"
+
+    @pytest.mark.parametrize("argv, operands_mb", [
+        (["converge", "--bids", "0011,0101,1001", "--variant", "exact"], JOINT_MB),
+        # at S = 10000 steps on k = 64 span indices, three (S + 1, k) arrays of 16 B an
+        # entry: the list of states `_fold` stacks, the stack, and the probabilities
+        # read from it (`np.abs(states) ** 2`, 8 B an entry and as much for its temporary)
+        (["variants", "--bids", "01,10,11,01,10,01", "--steps", "10000"],
+         JOINT_MB + 3 * 10_001 * 64 * 16 / 2**20),
+    ], ids=["converge_exact_12_qubits", "variants_at_the_steps_cap"])
+    def test_cap_run_stays_within_the_interpreter_plus_its_operands(self, argv, operands_mb, tmp_path):
+        out = tmp_path / "out.csv"
+        code, baseline = self._child(["-c", "import qauction.cli"], out)
+        assert code == 0
+        code, peak = self._child(["-m", "qauction", *argv], out)
+        assert code == 0 and out.read_text().startswith(f"# command={argv[0]}\n")
+        bound = baseline + operands_mb + self.SLACK_MB
+        assert peak <= bound, f"{argv[0]}: {peak:.1f} MB max RSS, bound {bound:.1f}"
 
     def test_nesting_over_the_entry_bound_is_refused_within_the_interpreter(self, tmp_path):
         # 65 matrices of 4^12 entries: about 8.7 GB of float64 if they were built
@@ -920,7 +939,7 @@ class TestEveryScenario:
 
     def test_locked_converge_refuses_first(self, tmp_path, capsys):
         self._refused(["converge", "--defense", "lock", "--variant", "first", *self.SMALL],
-                      tmp_path, capsys, "'zeroth', 'locked' and 'exact'")
+                      tmp_path, capsys, "'zeroth' and 'exact'")
 
 
 class TestConfigHandling:
@@ -992,6 +1011,11 @@ class TestConfigHandling:
         assert cli.main(["povm", "--restarts", "3"]) == 1
         assert cli.main(["converge", "--table", "bogus"]) == 1
         assert cli.main(["converge", "--defense", "bogus"]) == 1
+        capsys.readouterr()
+        # a lock comes only from --defense lock, so `locked` is no --variant value
+        for lock in ([], ["--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]):
+            _rejected_in_one_line(["converge", "--variant", "locked", *lock], capsys,
+                                  "variant must be one of ('exact', 'zeroth', 'first')")
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

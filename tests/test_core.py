@@ -8,6 +8,7 @@ from helpers import computational_povm, sample_measurement, scalar_phase_invaria
 from qauction import adversary, circuits, cli, core, protocol
 from qauction.core import (
     ContractViolation,
+    Povm,
     StateVector,
     eig_hermitian,
     is_hermitian,
@@ -129,7 +130,7 @@ class TestMeasurement:
 
     def test_trivial_povm(self):
         state = StateVector(np.array([0.6, 0.8j]))
-        np.testing.assert_allclose(measurement_probabilities(state, [np.eye(2)]), [1.0])
+        np.testing.assert_allclose(measurement_probabilities(state, Povm((np.eye(2),))), [1.0])
 
     def test_matches_amplitudes(self):
         rng = np.random.default_rng(23)
@@ -139,7 +140,7 @@ class TestMeasurement:
 
     def test_incomplete_povm_rejected(self):
         with pytest.raises(ContractViolation):
-            measurement_probabilities(StateVector([1, 0]), [np.diag([1.0, 0.0])])
+            measurement_probabilities(StateVector([1, 0]), Povm((np.diag([1.0, 0.0]),)))
 
     def test_sampling_deterministic_outcome(self):
         for seed in (0, 1, 99):
@@ -148,7 +149,7 @@ class TestMeasurement:
 
     def test_sampling_trivial_povm(self):
         rng = np.random.default_rng(4)
-        assert sample_measurement(StateVector([0, 1]), [np.eye(2)], rng) == 0
+        assert sample_measurement(StateVector([0, 1]), Povm((np.eye(2),)), rng) == 0
 
     def test_sampling_reproducible(self):
         state = StateVector(np.array([1, 1, 1, 1]) / 2)
@@ -294,20 +295,21 @@ TWO_STATES = [StateVector([1, 0]), StateVector([0, 1])]
 FIRST_PRICE = protocol.build_first_price_table(protocol.AuctionConfig(m=2, p=2))
 SIX_QUBIT_TABLE = protocol.build_first_price_table(protocol.AuctionConfig(m=3, p=2))
 # Library contracts, each with the message it raises: malformed POVMs and
-# ensembles, a locked collusion run, tables and registers of the wrong size,
-# a joint operator with no start state, and malformed circuits.
+# ensembles, a locked collusion run, a locked schedule with no lock, tables
+# and registers of the wrong size, a joint operator with no start state, and
+# malformed circuits.
 CONTRACTS = {
-    "povm_empty": (lambda: core.check_povm([]), "at least one element"),
-    "povm_mixed_dimensions": (lambda: core.check_povm([I2, np.eye(4)]), "differ in dimension"),
-    "povm_not_hermitian": (lambda: core.check_povm([np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]])]),
+    "povm_empty": (lambda: core.Povm(()), "at least one element"),
+    "povm_mixed_dimensions": (lambda: core.Povm((I2, np.eye(4))), "differ in dimension"),
+    "povm_not_hermitian": (lambda: core.Povm((np.array([[1, 1], [0, 0]]), np.array([[0, -1], [0, 1]]))),
                            "element 0 is not Hermitian"),
-    "povm_not_psd": (lambda: core.check_povm([np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])]),
+    "povm_not_psd": (lambda: core.Povm((np.diag([2.0, 0.0]), np.diag([-1.0, 1.0]))),
                      "element 1 is not positive semidefinite"),
-    "povm_of_another_dimension": (lambda: measurement_probabilities(TWO_STATES[0], [np.eye(4)]),
+    "povm_of_another_dimension": (lambda: measurement_probabilities(TWO_STATES[0], core.Povm((np.eye(4),))),
                                   "does not match the state"),
-    # each element I/2 + 0.45e-9 (J - I): the sum passes check_povm, the uniform state's outcomes do not
+    # each element I/2 + 0.45e-9 (J - I): the sum passes the Povm check, the uniform state's outcomes do not
     "povm_probabilities_off_1": (lambda: measurement_probabilities(
-        StateVector(np.ones(4) / 2), [np.eye(4) / 2 + 0.45e-9 * (np.ones((4, 4)) - np.eye(4))] * 2),
+        StateVector(np.ones(4) / 2), core.Povm((np.eye(4) / 2 + 0.45e-9 * (np.ones((4, 4)) - np.eye(4)),) * 2)),
         r"POVM probabilities sum to 1\.0000000027"),
     "min_error_3_states_of_dimension_2": (lambda: adversary.min_error_povm(
         [*TWO_STATES, StateVector(np.ones(2) / math.sqrt(2))], [1 / 3] * 3),
@@ -318,6 +320,8 @@ CONTRACTS = {
         ["10", "11"], FIRST_PRICE, protocol.AdiabaticSchedule(
             4, 1.0, "locked", adversary.locking_unitaries(["10", "11"], (0.9, 0.7)))),
         "do not compose"),
+    "locked_schedule_without_lock": (lambda: protocol.AdiabaticSchedule(20, 1.5, "locked"),
+                                     "variant 'locked' needs the locking unitaries"),
     "collusion_operator_3_qubit_bids": (lambda: adversary.collusion_operator("100", "011"),
                                         "two-qubit-per-bidder scale"),
     "payoff_table_3_values_for_2_qubits": (lambda: protocol.PayoffTable(2, [0, 1, 2]), r"3 != 2\^2"),
