@@ -78,12 +78,17 @@ def _mc_rng(seed: int, rule: str) -> np.random.Generator:
     return np.random.default_rng([seed, _MC_RULES.index(rule)])
 
 
-_MC_BLOCK = 8192  # trials per block of a Monte Carlo draw, so a block's arrays stay in cache
+# trials per block of a first-hit draw: a block's few arrays stay in cache, and
+# larger blocks ran no faster but added to the max RSS
+_FIRST_HIT_BLOCK = 2**14
+# cells (trials x rounds) per block of the majority draw, whose per-cell buffers
+# (draw, flags, outcomes and K - 1 margins) are about 16 B a cell
+_MAJORITY_CELLS = 8192 * 20
 
 
 def _check_counts(n_rounds: int, trials: int = 1) -> None:
-    if n_rounds < 1 or trials < 1:
-        raise ContractViolation(f"need n_rounds >= 1 and trials >= 1, got {n_rounds} and {trials}")
+    if not (_is_count(n_rounds) and _is_count(trials) and n_rounds >= 1 and trials >= 1):
+        raise ContractViolation(f"need integer n_rounds >= 1 and trials >= 1, got {n_rounds!r} and {trials!r}")
 
 
 def _check_distribution(dist, true_index: int | None = None) -> np.ndarray:
@@ -105,8 +110,10 @@ def _capped_geometric(p: float, never: int):
     the first k with u <= p + pq + ... + pq^(k-1), summed term by term;
     below 1/3 it returns ceil(-E / log1p(-p)) for one standard exponential
     E. So the first is one plus the count of those sums below u, which a
-    full pass per sum counts while the sums stay under 0.95 and a search
-    finishes for the few values above."""
+    full pass per sum counts while the sums stay under 0.998 and a search
+    finishes for the few values above. A pass costs about 0.33 ns a value
+    and the search about 35 ns a value it reads, so a further pass pays
+    while more than about 1% of the values would be left to search."""
     dtype = np.min_scalar_type(never)
     if p < 1 / 3:
         scale = -math.log1p(-p)
@@ -117,7 +124,7 @@ def _capped_geometric(p: float, never: int):
         sums.append(total)
         term *= q
         total += term
-    split = min(len(sums), max(1, sum(s < 0.95 for s in sums)))
+    split = min(len(sums), max(1, sum(s < 0.998 for s in sums)))
     head, tail = sums[:split], np.array(sums[split:])
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -140,7 +147,7 @@ def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
     for N = 1..n_rounds, with per-round hit probability p_hits[i]. Each
     bidder's first-hit round is geometric, so one draw per trial and
     bidder gives the whole curve; p = 0 means never hit. A bidder's draws
-    go in blocks of _MC_BLOCK trials (consecutive blocks of
+    go in blocks of _FIRST_HIT_BLOCK trials (consecutive blocks of
     `Generator.geometric` are the one draw's values, which
     _capped_geometric reproduces), so only the latest first-hit round per
     trial, capped at n_rounds + 1 in the narrowest integer type that holds
@@ -153,12 +160,12 @@ def _first_hit_curve(p_hits: Sequence[float], n_rounds: int, trials: int,
             last_hit.fill(never)
             continue
         draw = _capped_geometric(p, never)
-        for lo in range(0, trials, _MC_BLOCK):
-            block = last_hit[lo:lo + _MC_BLOCK]
+        for lo in range(0, trials, _FIRST_HIT_BLOCK):
+            block = last_hit[lo:lo + _FIRST_HIT_BLOCK]
             np.maximum(block, draw(rng, block.size), out=block)
     # counted block by block too: bincount widens its input to intp
-    counts = sum(np.bincount(last_hit[lo:lo + _MC_BLOCK], minlength=never + 1)
-                 for lo in range(0, trials, _MC_BLOCK))
+    counts = sum(np.bincount(last_hit[lo:lo + _FIRST_HIT_BLOCK], minlength=never + 1)
+                 for lo in range(0, trials, _FIRST_HIT_BLOCK))
     return np.cumsum(counts)[1 : n_rounds + 1] / trials
 
 
@@ -185,14 +192,19 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     per-bidder list of (outcome distribution, true index), every variant
     with the same number of bidders, and the result has one curve per
     variant as rows. All variants read the one draw: one categorical
-    outcome per trial and round from one uniform double. Trials go in
+    outcome per trial and round from one uniform double u, the number of
+    cdf edges at or below u over all edges but the last, so the last
+    outcome takes every u from the second-to-last edge on (inverse-CDF
+    sampling, also where the cdf rounds to just below 1). Trials go in
     blocks of rows of each bidder's (trials, n_rounds) draw (consecutive
     row blocks of `Generator.random` are that draw's doubles), of
-    _MC_BLOCK * 20 cells and at least 1024 rows, and each block is drawn
+    _MAJORITY_CELLS cells and at least 1024 rows, and each block is drawn
     once and counted for every variant.
     A trial has learned a bidder by round N when each running margin,
     true count minus the count of another outcome, is positive; the
-    learned flags are kept packed, one bit per trial."""
+    margins are laid out (rounds, other outcomes, trials), so each round's
+    running add is one contiguous pass, and the learned flags are kept
+    packed, one bit per trial."""
     _check_counts(n_rounds, trials)
     variants = [list(per) for per in variants]
     n_bidders = len(variants[0]) if variants else 0
@@ -205,40 +217,41 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     learned = np.full((len(variants), n_rounds, -(-trials // 8)), 0xFF, dtype=np.uint8)
     # one set of block buffers, refilled in place for every block and variant;
     # a whole number of packed bytes of trials a block
-    rows = max(1024, _MC_BLOCK * 20 // n_rounds // 8 * 8)
+    rows = max(1024, _MAJORITY_CELLS // n_rounds // 8 * 8)
     u = np.empty((min(trials, rows), n_rounds))
     at_or_above = np.empty(u.shape, dtype=bool)
-    outcomes = np.empty(u.shape, dtype=np.min_scalar_type(n_outcomes))
+    outcomes = np.empty(u.shape, dtype=np.min_scalar_type(n_outcomes - 1))
+    # the first edge's flags go straight into the outcomes, as bools where they fit
+    first_above = outcomes.view(bool) if outcomes.itemsize == 1 else outcomes
     by_round = np.empty(u.shape[::-1], dtype=outcomes.dtype)
     flags = np.empty(by_round.shape, dtype=bool)
-    margins = np.empty((n_outcomes - 1,) + by_round.shape, dtype=margin_type)
+    margins = np.empty((n_rounds, n_outcomes - 1, u.shape[0]), dtype=margin_type)
     for bidder in range(n_bidders):
         counted = []
         for per in variants:
             dist, true_index = per[bidder]
             cdf = np.cumsum(_check_distribution(dist, true_index))
-            # u < 1 never reaches an edge at or above 1.0
-            counted.append((cdf[cdf < 1.0], true_index,
-                            [c for c in range(cdf.size) if c != true_index]))
+            counted.append((cdf[:-1], true_index, [c for c in range(cdf.size) if c != true_index]))
         for lo in range(0, trials, rows):
             k = min(rows, trials - lo)
             rng.random(out=u[:k])
             for bits, (edges, true_index, others) in zip(learned, counted):
-                outcomes[:k] = 0
-                for edge in edges:  # outcome = number of cdf edges at or below u
+                # a single outcome has no edge: u < 1 never reaches inf, so every outcome is 0
+                np.greater_equal(u[:k], edges[0] if edges.size else np.inf, out=first_above[:k])
+                for edge in edges[1:]:
                     above = np.greater_equal(u[:k], edge, out=at_or_above[:k])
                     outcomes[:k] += above.view(np.uint8)
                 rounds = by_round[:, :k]
                 rounds[...] = outcomes[:k].T
                 is_true = np.equal(rounds, true_index, out=flags[:, :k]).view(np.int8)
                 is_other = at_or_above[:k].reshape(rounds.shape)  # free once outcomes are in
-                margin = margins[:len(others), :, :k]
-                for m, c in zip(margin, others):
-                    np.subtract(is_true, np.equal(rounds, c, out=is_other).view(np.int8), out=m)
+                margin = margins[:, :len(others), :k]
+                for j, c in enumerate(others):
+                    np.subtract(is_true, np.equal(rounds, c, out=is_other).view(np.int8), out=margin[:, j])
                 for r in range(1, n_rounds):  # running margins, round by round
-                    margin[:, r] += margin[:, r - 1]
+                    margin[r] += margin[r - 1]
                 # every margin positive; initial=1 leaves a single-outcome bidder learned
-                np.greater(np.minimum.reduce(margin, axis=0, initial=1), 0, out=flags[:, :k])
+                np.greater(np.minimum.reduce(margin, axis=1, initial=1), 0, out=flags[:, :k])
                 bits[:, lo // 8 : lo // 8 + -(-k // 8)] &= np.packbits(flags[:, :k], axis=1)
     return np.bitwise_count(learned, out=learned).sum(axis=2) / trials
 

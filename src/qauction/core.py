@@ -87,10 +87,11 @@ def eig_hermitian(h):
     return np.linalg.eigh(h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operators summing to identity within ATOL_UNITARY, checked
-    once here; element i decides state i."""
+    once here; element i decides state i. Compared and hashed by identity:
+    elementwise `==` over the arrays has no single truth value."""
 
     elements: tuple[np.ndarray, ...]
 

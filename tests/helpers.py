@@ -166,11 +166,8 @@ def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -
     learned_all = np.ones((trials, n_rounds), dtype=bool)
     for dist, true_index in per_bidder:
         cdf = np.cumsum(np.asarray(dist))
-        u = rng.random((trials, n_rounds))
-        outcomes = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
-        for edge in cdf:  # outcome = number of cdf edges at or below u
-            outcomes += u >= edge
-        del u
+        # inverse-CDF sampling: the last outcome takes every u from the second-to-last edge on
+        outcomes = np.searchsorted(cdf[:-1], rng.random((trials, n_rounds)), side="right")
         true_count = np.cumsum(outcomes == true_index, axis=1, dtype=count_type)
         for c in range(cdf.size):
             if c != true_index:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve, helstrom_error
+from qauction import adversary
 from qauction.adversary import (
     Povm,
     _capped_geometric,
@@ -260,17 +261,40 @@ class TestMajorityBlocks:
         self.assert_matches_dense([[(FOUR_OUTCOMES, true_index), SYNTHETIC_BIDDERS[1]],
                                    SYNTHETIC_BIDDERS], 9, 8193)
 
+    def test_more_outcomes_than_a_byte_counts(self):
+        # outcomes 0..256 need uint16, so the first edge's flags are cast in, not viewed
+        dist = np.full(257, 0.5 / 256)
+        dist[100] = 0.5
+        curves = self.assert_matches_dense([[(dist, 100)], [(dist, 256)]], 4, 2001)
+        assert curves[0, -1] > 0.5 > curves[1, -1]
+
     def test_never_learned(self):
         never = [(np.array([0.0, 0.5, 0.5]), 0), SYNTHETIC_BIDDERS[1]]
         np.testing.assert_array_equal(self.assert_matches_dense([never], 6, 8193), np.zeros((1, 6)))
 
     def test_cdf_ending_below_and_at_one(self):
-        # a cdf that rounds to just below 1.0 has its last edge compared; an edge
-        # at 1.0 is never reached (a cdf ending well below 1.0 is no distribution
+        # the last cdf edge is never compared, whether the cdf rounds to just
+        # below 1.0 or ends at it: the last outcome takes every u from the
+        # second-to-last edge on (a cdf ending well below 1.0 is no distribution
         # and is rejected: BAD_DISTRIBUTIONS)
         short, full = np.array([0.7, 0.2, 0.1]), np.array([0.5, 0.25, 0.25])
         assert np.cumsum(short)[-1] < 1.0 and np.cumsum(full)[-1] == 1.0
         self.assert_matches_dense([[(short, 0), (full, 1)], [(full, 2), (short, 2)]], 12, 8193)
+
+    def test_draw_past_a_cdf_ending_below_one_is_the_last_outcome(self, monkeypatch):
+        # cumsum([0.7, 0.2, 0.1]) ends at 1 - 2**-53, the largest double below 1.0,
+        # which a draw can be; it is outcome 2, the true one, in every round
+        # (comparing the last edge too made it an outcome 3 that exists for no
+        # bidder and counts for nobody)
+        class AlmostOne:
+            @staticmethod
+            def random(out):
+                out.fill(np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(adversary, "_mc_rng", lambda seed, rule: AlmostOne())
+        assert np.cumsum([0.7, 0.2, 0.1])[-1] == np.nextafter(1.0, 0.0)
+        curves = majority_mc_curve([[(np.array([0.7, 0.2, 0.1]), 2)]], 3, 16, 0)
+        np.testing.assert_array_equal(curves, [[1, 1, 1]])
 
     def test_variants_need_one_bidder_count(self):
         for variants in ([], [[]], [SYNTHETIC_BIDDERS, SYNTHETIC_BIDDERS[:1]]):
@@ -314,10 +338,10 @@ class TestMajorityBlocks:
 
 class TestFirstHitBlocks:
     """The first-hit curves draw each bidder's geometrics in blocks of
-    _MC_BLOCK trials from the same stream as one full draw, so every curve
-    is bit for bit the dense reference's."""
+    _FIRST_HIT_BLOCK trials from the same stream as one full draw, so every
+    curve is bit for bit the dense reference's."""
 
-    @pytest.mark.parametrize("trials", [1, 8191, 8192, 8193, 20_001])
+    @pytest.mark.parametrize("trials", [1, 2**14 - 1, 2**14, 2**14 + 1, 40_001])
     @pytest.mark.parametrize("p", [0.0, 1 / 9, 0.5, 1.0], ids=["0", "1/9", "0.5", "1"])
     def test_matches_dense(self, trials, p):
         for p_hits, n_rounds in (([p], 1), ([p, 0.5], 7), ([0.3, p], 300)):  # 300: uint16 rounds
@@ -339,7 +363,9 @@ class TestFirstHitBlocks:
 class TestCappedGeometric:
     """_capped_geometric gives numpy's own geometric values, capped, from the
     same random values, on both sides of numpy's switch at p = 1/3 between
-    its search and inversion draws."""
+    its search and inversion draws, and whatever share of the sums the full
+    passes take (at p = 0.9354 one sum is under 0.95 and two are under the
+    0.998 that ends the passes)."""
 
     @pytest.mark.parametrize("p", [1.0, 0.96, 0.9354, 0.8889, 0.5, 0.3476, 1 / 3,
                                    np.nextafter(1 / 3, 0), np.nextafter(1 / 3, 1),
@@ -348,7 +374,8 @@ class TestCappedGeometric:
     def test_matches_numpy(self, p, never):
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         draw = _capped_geometric(p, never)
-        for size in (1, 8191, 8192):  # consecutive calls continue the one stream
+        # sizes around a first-hit block; consecutive calls continue the one stream
+        for size in (1, 2**14 - 1, 2**14, 2**14 + 1):
             got = draw(ours, size)
             assert got.dtype == np.min_scalar_type(never)
             assert np.array_equal(got, np.minimum(theirs.geometric(p, size=size), never))
@@ -647,8 +674,8 @@ class TestPovmSolverOnRandomEnsembles:
 
 TWO_OUTCOMES = np.array([0.5, 0.5])
 # Library entries that a bad scalar used to pass: NaN or infinite payoffs, a
-# NaN or out-of-range lock amplitude, a non-finite or negative error
-# probability, and fewer than one round or trial for a Monte Carlo curve.
+# NaN or out-of-range lock amplitude, and a non-finite or negative error
+# probability (bad round and trial counts: BAD_COUNTS below).
 BAD_ENTRIES = {
     "payoff_nan": lambda: PayoffTable(1, [0.0, np.nan]),
     "payoff_inf": lambda: PayoffTable(1, [0.0, np.inf]),
@@ -658,12 +685,6 @@ BAD_ENTRIES = {
     "povm_p_e_-inf": lambda: probe_attack_povm([-np.inf], 3),
     "povm_p_e_nan": lambda: probe_attack_povm([np.nan], 3),
     "povm_p_e_negative": lambda: probe_attack_povm([-0.1], 3),
-    "basis_mc_0_rounds": lambda: basis_mc_curve([TWO_OUTCOMES], 0, 10, 0),
-    "basis_mc_0_trials": lambda: basis_mc_curve([TWO_OUTCOMES], 3, 0, 0),
-    "povm_mc_negative_trials": lambda: povm_mc_curve([(TWO_OUTCOMES, 0)], 3, -1, 0),
-    "povm_mc_0_rounds": lambda: povm_mc_curve([(TWO_OUTCOMES, 0)], 0, 10, 0),
-    "majority_negative_trials": lambda: majority_mc_curve([[(TWO_OUTCOMES, 0)]], 3, -5, 0),
-    "majority_0_rounds": lambda: majority_mc_curve([[(TWO_OUTCOMES, 0)]], 0, 10, 0),
 }
 
 
@@ -671,6 +692,42 @@ BAD_ENTRIES = {
 def test_library_entries_reject_bad_scalars(name):
     with pytest.raises(ContractViolation):
         BAD_ENTRIES[name]()
+
+
+# Every learning curve, as a function of (n_rounds, trials); the closed forms
+# take no trials.
+CURVES = {
+    "basis_mc_curve": lambda n_rounds, trials: basis_mc_curve([TWO_OUTCOMES], n_rounds, trials, 0),
+    "povm_mc_curve": lambda n_rounds, trials: povm_mc_curve([(TWO_OUTCOMES, 0)], n_rounds, trials, 0),
+    "majority_mc_curve": lambda n_rounds, trials: majority_mc_curve([[(TWO_OUTCOMES, 0)]], n_rounds, trials, 0),
+    "probe_attack_basis": lambda n_rounds, trials: probe_attack_basis([None], n_rounds),
+    "probe_attack_povm": lambda n_rounds, trials: probe_attack_povm([0.25], n_rounds),
+}
+MC_CURVES = ["basis_mc_curve", "povm_mc_curve", "majority_mc_curve"]
+# counts below one, and counts that used to give a curve (True) or end in
+# numpy's TypeError or ValueError
+BAD_COUNTS = [2.5, np.nan, np.inf, True, 0, -1]
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("curve", list(CURVES))
+def test_curves_reject_a_round_count_that_is_no_positive_integer(curve, count):
+    with pytest.raises(ContractViolation):
+        CURVES[curve](count, 10)
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("curve", MC_CURVES)
+def test_mc_curves_reject_a_trial_count_that_is_no_positive_integer(curve, count):
+    with pytest.raises(ContractViolation):
+        CURVES[curve](3, count)
+
+
+@pytest.mark.parametrize("curve", list(CURVES))
+def test_curves_take_numpy_integer_counts(curve):
+    got = CURVES[curve](np.int64(3), np.int64(10))
+    assert np.array_equal(got, CURVES[curve](3, 10))
+    assert got.shape[-1] == 3
 
 
 # Outcome distributions and priors that used to pass or end in another

@@ -649,10 +649,14 @@ class TestMemoryBound:
     round trip may add three float64 4096 x 4096 operands of 128 MB: the
     reference, the circuit matrix, and one gate contraction's output beside
     its input. Searches at the caps may add the one such joint operator that
-    `exact` takes dense at 12 qubits, and the span arrays of their steps."""
+    `exact` takes dense at 12 qubits, and the span arrays of their steps.
+    Locked probe attacks at the Monte Carlo caps may add the majority's
+    packed flags and block buffers, or the first-hit curves' byte a trial."""
 
     SLACK_MB = 16
     JOINT_MB = 4**12 * 8 / 2**20  # a float64 2^12 x 2^12 operator
+    LOCKED_ATTACK = ["attack", "--attack", "probe_basis", "--bids", "11,10",
+                     "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]
     OPERANDS_MB = {"bidder:101101101101": 3 * JOINT_MB}
 
     @staticmethod
@@ -681,7 +685,15 @@ class TestMemoryBound:
         # read from it (`np.abs(states) ** 2`, 8 B an entry and as much for its temporary)
         (["variants", "--bids", "01,10,11,01,10,01", "--steps", "10000"],
          JOINT_MB + 3 * 10_001 * 64 * 16 / 2**20),
-    ], ids=["converge_exact_12_qubits", "variants_at_the_steps_cap"])
+        # at the rounds cap: the packed learned flags of the two majority columns,
+        # one bit a trial and round, and the majority block buffers, 1024 trials
+        # of 1000 rounds at about 16 B a cell
+        (LOCKED_ATTACK + ["--trials", "100000", "--rounds", "1000"],
+         (2 * 1000 * 100_000 / 8 + 1024 * 1000 * 16) / 2**20),
+        # at the cells cap in one round: the latest first-hit round of each trial, one byte each
+        (LOCKED_ATTACK + ["--trials", "100000000", "--rounds", "1"], 100_000_000 / 2**20),
+    ], ids=["converge_exact_12_qubits", "variants_at_the_steps_cap",
+            "locked_attack_at_the_rounds_cap", "locked_attack_at_the_cells_cap_in_one_round"])
     def test_cap_run_stays_within_the_interpreter_plus_its_operands(self, argv, operands_mb, tmp_path):
         out = tmp_path / "out.csv"
         code, baseline = self._child(["-c", "import qauction.cli"], out)

@@ -138,6 +138,11 @@ class TestMeasurement:
         probs = measurement_probabilities(state, computational_povm(3))
         np.testing.assert_allclose(probs, state.probabilities(), atol=1e-12)
 
+    def test_povms_compare_and_hash_by_identity(self):
+        a, b = Povm((np.eye(2),)), Povm((np.eye(2),))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_incomplete_povm_rejected(self):
         with pytest.raises(ContractViolation):
             measurement_probabilities(StateVector([1, 0]), Povm((np.diag([1.0, 0.0]),)))
