@@ -81,8 +81,8 @@ def _mc_rng(seed: int, rule: str) -> np.random.Generator:
 # trials per block of a first-hit draw: a block's few arrays stay in cache, and
 # larger blocks ran no faster but added to the max RSS
 _FIRST_HIT_BLOCK = 2**14
-# cells (trials x rounds) per block of the majority draw, whose per-cell buffers
-# (draw, flags, outcomes and K - 1 margins) are about 16 B a cell
+# cells (trials x rounds) per block of the majority draw at K <= 3 outcomes, whose per-cell buffers
+# (draw, flags, outcomes and K - 1 one-byte margins, so more at K > 3) are about 16 B a cell
 _MAJORITY_CELLS = 8192 * 20
 
 
@@ -198,8 +198,8 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     sampling, also where the cdf rounds to just below 1). Trials go in
     blocks of rows of each bidder's (trials, n_rounds) draw (consecutive
     row blocks of `Generator.random` are that draw's doubles), of
-    _MAJORITY_CELLS cells and at least 1024 rows, and each block is drawn
-    once and counted for every variant.
+    _MAJORITY_CELLS cells, times 2 / (K - 1) at K > 3 outcomes, and at
+    least 1024 rows, and each is drawn once and counted for every variant.
     A trial has learned a bidder by round N when each running margin,
     true count minus the count of another outcome, is positive; the
     margins are laid out (rounds, other outcomes, trials), so each round's
@@ -217,7 +217,7 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     learned = np.full((len(variants), n_rounds, -(-trials // 8)), 0xFF, dtype=np.uint8)
     # one set of block buffers, refilled in place for every block and variant;
     # a whole number of packed bytes of trials a block
-    rows = max(1024, _MAJORITY_CELLS // n_rounds // 8 * 8)
+    rows = max(1024, _MAJORITY_CELLS * 2 // max(2, n_outcomes - 1) // n_rounds // 8 * 8)
     u = np.empty((min(trials, rows), n_rounds))
     at_or_above = np.empty(u.shape, dtype=bool)
     outcomes = np.empty(u.shape, dtype=np.min_scalar_type(n_outcomes - 1))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, _phase_search, phase_invariant_distance
-from .protocol import BidSpec, as_bid
+from .core import ContractViolation, _phase_search, _support, phase_invariant_distance
+from .protocol import BidSpec, _check_count, as_bid
 
 # Each flat gate's shape: how many qubits it takes and whether it takes an angle.
 _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
@@ -74,8 +74,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
-            raise ContractViolation("circuit needs at least one qubit")
+        _check_count(self.n_qubits, "qubit")
         for g in self.gates:
             self._check_gate(g)
 
@@ -300,8 +299,7 @@ def build_bidder_circuit(bid: BidSpec | str) -> Circuit:
 
 def build_D_circuit(delta: float, f: float, n_qubits: int) -> Circuit:
     """Mixing phases exp(-i*delta*f*W) as one PHASE(q, f*delta) per qubit."""
-    if n_qubits < 1:
-        raise ContractViolation("need at least one qubit")
+    _check_count(n_qubits, "qubit")
     return Circuit(n_qubits, tuple(phase(q, f * delta) for q in range(n_qubits)))
 
 
@@ -364,22 +362,18 @@ class VerificationReport:
     tolerance: float
 
 
-def verify_circuit(c: Circuit, target: np.ndarray) -> VerificationReport:
-    """Compare the circuit's unitary with a target up to global phase,
-    passing within _VERIFY_TOL. A 1-D target is the diagonal of a diagonal
-    unitary (see `phase_invariant_distance`); a circuit of CNOT and PHASE
-    gates is checked against one as its column map, on its support, with no dense matrix."""
-    target = np.asarray(target)
+def verify_circuit(c: Circuit, target) -> VerificationReport:
+    """Compare the circuit's unitary with a target, in any form `core._support` reads, up to
+    global phase, passing within _VERIFY_TOL. A circuit of CNOT and PHASE gates is checked
+    as its column map, on the target's support, with no dense matrix."""
     dim = 2**c.n_qubits
-    if target.shape != ((dim,) if target.ndim == 1 else (dim, dim)):
-        raise ContractViolation(
-            f"dimension mismatch: circuit gives {(dim, dim)}, target is {target.shape}")
-    if target.ndim == 1 and all(g.kind in ("CNOT", "PHASE") for g in c.gates):
+    if all(g.kind in ("CNOT", "PHASE") for g in c.gates):
+        on, values = _support(target, dim)
         rows, phases = _monomial(c)
-        on = np.flatnonzero(target)  # the target's support, on the diagonal
-        kept = rows[on] == on  # the columns of `on` whose one entry lies on that support
-        rest = float(np.max(np.abs(np.delete(phases, on[kept])), initial=0.0))
-        d = _phase_search(np.where(kept, phases[on], 0), target[on], rest)
+        cols = on % dim
+        hit = rows[cols] == on // dim  # the support entries where their column's one entry lies
+        rest = float(np.max(np.abs(np.delete(phases, cols[hit])), initial=0.0))
+        d = _phase_search(np.where(hit, phases[cols], 0), values, rest)
     else:
         d = phase_invariant_distance(circuit_to_matrix(c), target)
     return VerificationReport(distance=d, passed=d <= _VERIFY_TOL, tolerance=_VERIFY_TOL)

@@ -28,8 +28,8 @@ class ConfigError(ValueError):
     pass
 
 
-# Widest register the dense paths build: at 2^12 x 2^12, 134 MB a float64 copy (the bidder and
-# collusion references, H/CNOT/ROT circuits), 268 MB a complex one (only with a PHASE gate).
+# Widest register the dense paths build: at 2^12 x 2^12, 134 MB a float64 matrix (H/CNOT/ROT
+# circuits, the collusion reference), 268 MB a complex one (only with a PHASE gate).
 MAX_QUBITS = 12
 # Largest Monte Carlo grid, trials * rounds, and most probe rounds. The majority
 # curves' block buffers hold about 16 B a cell of a block of at least 1024 trials,
@@ -378,7 +378,7 @@ class _TargetKind(NamedTuple):
     counts: tuple        # the argument counts it accepts
     parse: Callable      # arguments -> (values, width in qubits, or None: the circuit file's)
     circuit: Callable    # (*values, width) -> the circuit that --emit prints
-    reference: Callable  # (*values, width) -> the unitary a file is checked against, or its diagonal
+    reference: Callable  # (*values, width) -> the target a file is checked against, in a form core._support reads
 
 
 # Every circuit-verify target `kind:args`; kinds match case-insensitively.
@@ -386,7 +386,7 @@ _TARGETS = {
     "bidder": _TargetKind(
         "BITS", (1,), lambda args: ((_target_bid(args[0]),), len(args[0])),
         lambda bid, n: circuits.build_bidder_circuit(bid),
-        lambda bid, n: protocol.bidding_operator(bid)),
+        lambda bid, n: protocol._bidding_entries(bid)),
     "D": _TargetKind(
         "delta,f[,n_qubits]", (2, 3),
         lambda args: (tuple(map(_target_number, args[:2])),

@@ -160,25 +160,40 @@ def _distinct_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u[kept], v[kept]
 
 
+def _support(v, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted flat indices `on` of a target's entries in a dim x dim
+    matrix, and their values. A target is a dim x dim matrix or a 1-D
+    diagonal, read on its nonzero entries, or the entries (rows, cols, values)
+    of a sparse one, which broadcast as in `m[rows, cols] = values`."""
+    if isinstance(v, tuple):
+        try:
+            rows, cols, values = np.broadcast_arrays(*map(np.asarray, v))
+            on, first = np.unique(np.ravel_multi_index((rows, cols), (dim, dim)), return_index=True)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"target entries need integer indices in 0..{dim - 1} that broadcast: {exc}") from exc
+        if on.size != rows.size:
+            raise ContractViolation("target lists an entry twice")
+        return on, as_operator(values).reshape(-1)[first]
+    v = as_operator(v)
+    if v.shape != ((dim,) if v.ndim == 1 else (dim, dim)):
+        raise ContractViolation(f"dimension mismatch: {(dim, dim)} vs {v.shape}")
+    nonzero = np.flatnonzero(v)
+    return nonzero * (dim + 1) if v.ndim == 1 else nonzero, v.reshape(-1)[nonzero]
+
+
 def phase_invariant_distance(u, v) -> float:
     """min over unit-magnitude phi of max-entry |u - phi*v|.
 
     Zero iff u and v agree up to a global phase. The minimum is found by a
     coarse phase scan refined by golden-section search, with the
     Frobenius-optimal phase (phase of tr(v^dag u)) as an extra candidate --
-    exact whenever the matrices really do agree up to phase. A 1-D `v` is
-    the diagonal of a diagonal matrix, and no dense v is formed. u is read on
-    v's support (the flat indices of its nonzero entries) and through its
-    largest entry off it, so neither operand is copied.
+    exact whenever the matrices really do agree up to phase. `v` is any
+    target `_support` reads, and no dense v is formed: u is read on v's
+    support and through its largest entry off it, and is not copied.
     """
     u = _as_matrix(u)
-    v = as_operator(v)
-    diagonal = v.ndim == 1
-    if u.shape != (v.shape * 2 if diagonal else v.shape):
-        raise ContractViolation(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nonzero = np.flatnonzero(v)
-    on = nonzero * (u.shape[0] + 1) if diagonal else nonzero  # flat indices into u
-    return _phase_search(u.reshape(-1)[on], v.reshape(-1)[nonzero], _max_off(u, on))
+    on, values = _support(v, u.shape[0])
+    return _phase_search(u.reshape(-1)[on], values, _max_off(u, on))
 
 
 def _phase_search(u: np.ndarray, v: np.ndarray, rest: float) -> float:

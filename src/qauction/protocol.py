@@ -21,6 +21,7 @@ from .core import ATOL_STATE, ContractViolation, StateVector, as_operator, eig_h
 
 VARIANTS = ("exact", "zeroth", "first", "locked")
 _TRACK_ENTRIES = 2**16  # gap tracks: f rows per stacked eigvalsh hold at most this many H(f) entries (1 MB), or one row
+_LEAD_SET_VALUES = np.array([[1.0], [-1.0]]) / math.sqrt(2)  # a bidding operator's entries in a column with the lead bit set
 _TRACK_WORK = 2**33  # gap tracks: at most (steps + 1) * sum of k^3 over the cells; the CLI's largest run, 512 * 64 * 64^3
 
 
@@ -107,10 +108,14 @@ def build_first_price_table(config: AuctionConfig) -> PayoffTable:
     return PayoffTable(m * p, values)
 
 
+def _check_count(count, what: str) -> None:
+    if not (_is_count(count) and count >= 1):
+        raise ContractViolation(f"need an integer count of at least one {what}, got {count!r}")
+
+
 def hamming_weights(n_qubits: int) -> np.ndarray:
     """Set-bit count of every basis index: the diagonal of W."""
-    if n_qubits < 1:
-        raise ContractViolation("need at least one qubit")
+    _check_count(n_qubits, "qubit")
     return _set_bits(np.arange(2**n_qubits))
 
 
@@ -144,24 +149,24 @@ def pauli_z_expansion(table: PayoffTable) -> list[tuple[tuple[int, ...], float]]
     return out
 
 
-def bidding_operator(bid: BidSpec | str) -> np.ndarray:
-    """Real unitary whose first column is (|0...0> + |bid>)/sqrt(2).
-
-    It is Hadamard on the lowest-index set bit (the lead) followed by CNOT
-    fan-out onto every other set bit, written in closed form: column x
-    holds 1/sqrt(2) at x with the lead bit cleared and
-    (-1)^(lead bit of x)/sqrt(2) at that index XOR the bid. The
-    Hadamard-like completion is what keeps the adiabatic search inside the
-    bidding subspace.
-    """
+def _bidding_entries(bid: BidSpec | str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (rows, cols, values) of `bidding_operator(bid)`, which broadcast as in
+    `u[rows, cols] = values`: column x holds 1/sqrt(2) at x with the lead bit cleared and
+    (-1)^(lead bit of x)/sqrt(2) at that index XOR the bid."""
     bid = as_bid(bid)
-    dim = 2**bid.n_qubits
     lead = 1 << (bid.n_qubits - 1 - bid.lead)
-    x = np.arange(dim)
-    cleared = x & ~lead
-    u = np.zeros((dim, dim))
-    u[cleared, x] = 1 / math.sqrt(2)
-    u[cleared ^ bid.index, x] = np.where(x & lead, -1.0, 1.0) / math.sqrt(2)
+    x = np.arange(2**bid.n_qubits)
+    return x & ~lead ^ np.array([[0], [bid.index]]), x, np.where(x & lead, _LEAD_SET_VALUES, 1 / math.sqrt(2))
+
+
+def bidding_operator(bid: BidSpec | str) -> np.ndarray:
+    """Real unitary whose first column is (|0...0> + |bid>)/sqrt(2): Hadamard
+    on the lowest-index set bit (the lead), then CNOT fan-out onto every other
+    set bit, scattered from `_bidding_entries`. The Hadamard-like completion
+    is what keeps the adiabatic search inside the bidding subspace."""
+    rows, cols, values = _bidding_entries(bid)
+    u = np.zeros((cols.size, cols.size))
+    u[rows, cols] = values
     return u
 
 
@@ -204,12 +209,9 @@ class AdiabaticSchedule:
     locking: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if not _is_count(self.steps):
-            raise ContractViolation(f"step count must be an integer, got {self.steps!r}")
+        _check_count(self.steps, "step")
         if not isinstance(self.delta, numbers.Real) or isinstance(self.delta, bool):
             raise ContractViolation(f"step size delta must be a real number, got {self.delta!r}")
-        if self.steps < 1:
-            raise ContractViolation("schedule needs at least one step")
         if not 0 < self.delta < math.inf:
             raise ContractViolation("step size delta must be positive and finite")
         if self.variant not in VARIANTS:
@@ -223,6 +225,7 @@ class AdiabaticSchedule:
 
 def auto_delta(steps: int) -> float:
     """Step size 1/sqrt(S), which drives S*delta -> infinity with S."""
+    _check_count(steps, "step")
     return 1.0 / math.sqrt(steps)
 
 

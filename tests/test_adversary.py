@@ -322,6 +322,28 @@ class TestMajorityBlocks:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("n_outcomes", [65, 257])
+    def test_blocks_scaled_by_the_outcome_count_read_the_same_draw(self, n_outcomes, monkeypatch):
+        # the blocks of K = 3's cell budget, unscaled: 8192 trials at 20 rounds, against 1024
+        variants = [[(np.full(n_outcomes, 1 / n_outcomes), 0), (FOUR_OUTCOMES, 3)]]
+        scaled = majority_mc_curve(variants, 20, 20_001, 3)
+        monkeypatch.setattr(adversary, "_MAJORITY_CELLS", adversary._MAJORITY_CELLS * (n_outcomes - 1) // 2)
+        assert np.array_equal(scaled, majority_mc_curve(variants, 20, 20_001, 3))
+
+    @pytest.mark.parametrize("n_outcomes", [65, 257])
+    def test_peak_memory_with_many_outcomes(self, n_outcomes):
+        # the margins take K - 1 bytes a cell, so blocks of 2 / (K - 1) of K = 3's cells hold
+        # their bytes, down to blocks of 1024 trials; blocks of K = 3's cells peaked at 12.9 MB
+        # (K = 65) and 44.7 MB (K = 257) in this call
+        variants = [[(np.full(n_outcomes, 1 / n_outcomes), 0)]]
+        tracemalloc.start()
+        try:
+            majority_mc_curve(variants, 20, 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6 + 1024 * 20 * (n_outcomes - 1)
+
     def test_peak_memory_at_the_rounds_cap(self):
         # blocks of 1024 trials here, about 16 B a cell, plus the packed flags;
         # blocks of all 8192 trials peaked at 150 MB

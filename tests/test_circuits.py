@@ -315,8 +315,8 @@ class TestVerifyCircuit:
 
 
 class TestColumnMap:
-    """`verify_circuit` checks a circuit of CNOT and PHASE gates against a
-    diagonal target as its column map; the dense path must agree with it."""
+    """`verify_circuit` checks a circuit of CNOT and PHASE gates against any
+    target as its column map; the dense path must agree with it."""
 
     @pytest.mark.parametrize("target", ["P:1.3,0.4", "P:0.5,1", "D:1.5,0.3,4", "D:0.9,0.7,8",
                                         "D:1.5,0.3,12", "D:0.9,0.7,10"])
@@ -348,8 +348,14 @@ class TestColumnMap:
             assert phases.dtype == dense.dtype
             assert np.array_equal(dense[rows, columns], phases)
             assert np.count_nonzero(dense) == np.count_nonzero(phases)
+            # 2-D targets take the column map too: the circuit's own matrix near a phase,
+            # a random sparse one, the identity, and a permutation with phases
+            near = dense * np.exp(1e-3j * rng.random()) + 1e-6 * (rng.random(dense.shape) < 0.1)
+            sparse = np.exp(1j * rng.uniform(-3, 3, size=dense.shape)) * (rng.random(dense.shape) < 0.3)
+            permutation = np.eye(2**n)[rng.permutation(2**n)] * np.exp(1j * rng.uniform(-3, 3, size=2**n))
             for v in (np.exp(1j * rng.uniform(-3, 3, size=2**n)) * (rng.random(2**n) < 0.8),
-                      np.diagonal(dense) * np.exp(1e-3j * rng.random()), np.ones(2**n)):
+                      np.diagonal(dense) * np.exp(1e-3j * rng.random()), np.ones(2**n),
+                      near, sparse, np.eye(2**n), permutation):
                 assert verify_circuit(c, v).distance == phase_invariant_distance(dense, v)
 
     def test_wrong_width_raises_the_same_message_on_both_paths(self):

@@ -646,10 +646,11 @@ class TestMemoryBound:
     references, and a CTRL0 nesting refused for its matrices, stay within
     the max RSS of an interpreter that imports the CLI, plus 16 MB (the
     operands are 2^12-entry vectors of 64 KB each). The 12-qubit bidder
-    round trip may add three float64 4096 x 4096 operands of 128 MB: the
-    reference, the circuit matrix, and one gate contraction's output beside
-    its input. Searches at the caps may add the one such joint operator that
-    `exact` takes dense at 12 qubits, and the span arrays of their steps.
+    round trip, whose reference is its 2^13 entries and never a dense
+    matrix, may add two float64 4096 x 4096 operands of 128 MB: the circuit
+    matrix, and H's contraction output beside it. Searches at the caps may
+    add the one such joint operator that `exact` takes dense at 12 qubits,
+    and the span arrays of their steps.
     Locked probe attacks at the Monte Carlo caps may add the majority's
     packed flags and block buffers, or the first-hit curves' byte a trial."""
 
@@ -657,7 +658,7 @@ class TestMemoryBound:
     JOINT_MB = 4**12 * 8 / 2**20  # a float64 2^12 x 2^12 operator
     LOCKED_ATTACK = ["attack", "--attack", "probe_basis", "--bids", "11,10",
                      "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]
-    OPERANDS_MB = {"bidder:101101101101": 3 * JOINT_MB}
+    OPERANDS_MB = {"bidder:101101101101": 2 * JOINT_MB}
 
     @staticmethod
     def _child(args, out):

@@ -240,9 +240,43 @@ class TestPhaseInvariantDistance:
         row, values, width = cli._parse_target(target)
         got = circuits.circuit_to_matrix(row.circuit(*values, width))
         want = row.reference(*values, width)
+        if isinstance(want, tuple):  # the bidder's entries, scattered into its dense matrix
+            entries, want = want, np.zeros_like(got)
+            want[entries[:2]] = entries[2]
+            assert phase_invariant_distance(got, entries) == phase_invariant_distance(got, want)
         nearby = want * np.exp(1e-3j * np.arange(want.size)).reshape(want.shape)
         for v in (want, nearby):
             assert phase_invariant_distance(got, v) == scalar_phase_invariant_distance(got, v)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_entries_target_equals_dense_target(self, real):
+        # entries listed in any order, none of them 0, are the support of the dense target
+        rng = np.random.default_rng(43 + real)
+        for _ in range(60):
+            dim = int(rng.integers(1, 17))
+            flat = rng.permutation(dim * dim)[:int(rng.integers(0, dim * dim + 1))]
+            values = (rng.choice([-1.0, 0.5, 2.0], size=flat.size) if real
+                      else np.exp(1j * rng.uniform(-3, 3, size=flat.size)))
+            dense = np.zeros((dim, dim), dtype=values.dtype)
+            dense.reshape(-1)[flat] = values
+            for u in (random_unitary(rng, dim), np.exp(0.4j) * dense + 1e-4 * (rng.random((dim, dim)) < 0.3)):
+                assert phase_invariant_distance(u, (flat // dim, flat % dim, values)) == phase_invariant_distance(u, dense)
+
+    @pytest.mark.parametrize("entries, message", [
+        (([0, 4], [0, 1], [1, 1]), "integer indices in 0..3"),
+        (([0, 1], [0, -1], [1, 1]), "integer indices in 0..3"),
+        (([0.0, 1.0], [0, 1], [1, 1]), "integer indices"),
+        (([0, 1, 2], [0, 1], [1, 1, 1]), "broadcast"),
+        (([0, 1], [0, 1], [1, 1, 1]), "broadcast"),
+        (([0, 1], [0, 1]), "broadcast"),
+        (([0, 1, 0], [2, 1, 2], [1, 1, 1]), "an entry twice"),
+        (([0, 1], [0, 1], [1, np.nan]), "finite"),
+        (([0, 1], [0, 1], [np.inf, 1]), "finite"),
+    ], ids=["row_out_of_range", "negative_column", "float_indices", "index_lengths_differ",
+            "value_length_differs", "no_values", "repeated_entry", "nan_value", "infinite_value"])
+    def test_rejects_malformed_entries(self, entries, message):
+        with pytest.raises(ContractViolation, match=message):
+            phase_invariant_distance(np.eye(4), tuple(np.asarray(a) for a in entries))
 
     def test_diagonal_target_dimension_mismatch(self):
         with pytest.raises(ContractViolation, match="dimension mismatch"):
@@ -348,11 +382,23 @@ CONTRACTS = {
         (0,), circuits.Circuit(3, (circuits.hadamard(1),))),)), "must share the outer width"),
     "parse_bad_qubit": (lambda: circuits.parse_circuit("H x0"), "expected a qubit like q0, got 'x0'"),
     "D_circuit_0_qubits": (lambda: circuits.build_D_circuit(1, 0.5, 0), "at least one qubit"),
+    # widths and step counts that are not integers of at least 1
+    "circuit_2.5_qubits": (lambda: circuits.Circuit(2.5), "integer count of at least one qubit, got 2.5"),
+    "circuit_True_qubits": (lambda: circuits.Circuit(True), "integer count of at least one qubit, got True"),
+    "D_circuit_2.5_qubits": (lambda: circuits.build_D_circuit(1, 1, 2.5), "integer count of at least one qubit"),
+    "zz_exponential_2.5_qubits": (lambda: circuits.build_zz_exponential([0], 0.3, 2.5),
+                                  "integer count of at least one qubit"),
+    "parse_at_2.5_qubits": (lambda: circuits.parse_circuit("H q0", 2.5), "integer count of at least one qubit"),
+    "hamming_weights_2.5_qubits": (lambda: protocol.hamming_weights(2.5), "integer count of at least one qubit"),
+    "auto_delta_0_steps": (lambda: protocol.auto_delta(0), "integer count of at least one step, got 0"),
+    "auto_delta_-4_steps": (lambda: protocol.auto_delta(-4), "integer count of at least one step, got -4"),
+    "auto_delta_nan_steps": (lambda: protocol.auto_delta(math.nan), "integer count of at least one step, got nan"),
 }
 
 
 @pytest.mark.parametrize("name", list(CONTRACTS))
 def test_library_contracts_raise(name):
+    # a parsed circuit's faults, its width too, are parse errors
     entry, message = CONTRACTS[name]
-    with pytest.raises((ContractViolation, circuits.CircuitParseError), match=message):
+    with pytest.raises(circuits.CircuitParseError if name.startswith("parse") else ContractViolation, match=message):
         entry()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import assert_run_matches, dense_run, expansion_diagonal, kron_bidding_operator
 
-from qauction import protocol
+from qauction import core, protocol
 from qauction.adversary import locking_unitaries, spurious_table
 from qauction.circuits import build_collusion_circuit, circuit_to_matrix
 from qauction.core import ContractViolation, StateVector, phase_invariant_distance
@@ -180,6 +180,20 @@ class TestBiddingOperators:
         expected[0] = expected[0b010101] = 1 / math.sqrt(2)
         np.testing.assert_allclose(u[:, 0].real, expected, atol=1e-12)
         assert np.max(np.abs(u.conj().T @ u - np.eye(64))) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_entries_scatter_to_the_operator_in_its_flatnonzero_order(self, n):
+        # a lead past qubit 0 for n >= 3, and set bits after it
+        bid = protocol.as_bid(("0" * (n // 3) + "1" + "01" * n)[:n])
+        u = bidding_operator(bid)
+        # the closed form, bit for bit: two entries a column and zeros elsewhere
+        lead, x = 1 << (n - 1 - bid.lead), np.arange(2**n)
+        assert u.dtype == np.float64 and np.count_nonzero(u) == 2 * 2**n
+        assert np.all(u[x & ~lead, x] == 1 / math.sqrt(2))
+        assert np.array_equal(u[x & ~lead ^ bid.index, x], np.where(x & lead, -1.0, 1.0) / math.sqrt(2))
+        # the entries, read as a target, in the order and with the bits of the dense operator's support
+        on, values = core._support(protocol._bidding_entries(bid), 2**n)
+        assert np.array_equal(on, np.flatnonzero(u)) and values.tobytes() == u.reshape(-1)[on].tobytes()
 
     @staticmethod
     def _start_state(bids):
