@@ -24,16 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, _phase_search, _support, phase_invariant_distance
+from .core import ContractViolation, _max_off, _phase_search, _support
 from .protocol import BidSpec, _check_count, as_bid
 
 # Each flat gate's shape: how many qubits it takes and whether it takes an angle.
 _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
 KINDS = (*_SHAPES, "CTRL0")
 MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
-# Most entries, (depth + 1) * 4^n, of the full-width matrices that circuit_to_matrix
-# holds at once down a CTRL0 nesting of that depth at n qubits: one level at 12 qubits.
-MAX_NESTED_ENTRIES = 2 * 4**12
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 _COLLUSION_ANGLE = math.atan2(math.sqrt(1 / 3), math.sqrt(2 / 3))  # keeps sqrt(2/3) and sqrt(1/3)
 _VERIFY_TOL = 1e-8  # phase-invariant distance within which verify_circuit passes
@@ -148,7 +145,7 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     from the highest qubit index unless given explicitly."""
     blocks = [((), [])]  # (controls, gates) of the top level and of each open CTRL0 block
     closed = []  # (controls, gates, parent's gates, slot) per closed block, inner blocks first
-    hi, depth = -1, 0  # highest qubit index, deepest CTRL0 nesting
+    hi = -1  # highest qubit index
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -180,7 +177,6 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
                 if len(blocks) > MAX_NESTING:
                     raise CircuitParseError(f"CTRL0 blocks nest deeper than {MAX_NESTING}")
                 blocks.append((qubits, []))
-                depth = max(depth, len(blocks) - 1)
         except ValueError as exc:  # a CircuitParseError too, so each error is wrapped once
             raise CircuitParseError(f"cannot parse line {line!r}: {exc}") from exc
         hi = max(hi, *qubits)
@@ -195,11 +191,6 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         circuit = Circuit(width, tuple(blocks[0][1]))
     except ContractViolation as exc:
         raise CircuitParseError(str(exc)) from exc
-    # (depth + 1) * 4^width > MAX_NESTED_ENTRIES, with no integer of 2 bits per qubit of width
-    if depth and depth + 1 > MAX_NESTED_ENTRIES >> 2 * width:
-        raise CircuitParseError(f"CTRL0 blocks nested {depth} deep at {width} qubits need "
-                                f"{depth + 1} matrices of 4^{width} entries, more than "
-                                f"{MAX_NESTED_ENTRIES} entries in all")
     return circuit
 
 
@@ -229,6 +220,25 @@ def _has_phase(gates) -> bool:
     return any(g.kind == "PHASE" or g.kind == "CTRL0" and _has_phase(g.inner.gates) for g in gates)
 
 
+def _held(gates, free: dict[int, int]) -> list[Gate]:
+    """The gates on the qubits of `free` alone, each renumbered to free[q],
+    with every other qubit held at |0>: a CNOT whose control is held does
+    nothing and drops out, and a nested CTRL0 drops its held controls and,
+    with none left, is inlined. A held qubit is only ever read, never acted
+    on (`Circuit` checks that a block leaves its controls alone)."""
+    out = []
+    for g in gates:
+        kept = tuple(free[q] for q in g.qubits if q in free)
+        if g.kind != "CTRL0":
+            if len(kept) == len(g.qubits):
+                out.append(Gate(g.kind, kept, g.angle))
+        elif kept:
+            out.append(zero_controlled(kept, Circuit(len(free), tuple(_held(g.inner.gates, free)))))
+        else:
+            out.extend(_held(g.inner.gates, free))
+    return out
+
+
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit, first listed gate applied first: float64
     when no PHASE gate is in it at any depth (H, CNOT and ROT are real), as
@@ -237,7 +247,9 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     The columns are held as a (2,)*n + (2^n,) tensor, one axis per qubit,
     and each gate acts on its own axes only: H, PHASE, ROT and CNOT cost
     O(4^n) and form no 2^n x 2^n gate matrix, and PHASE, CNOT and CTRL0
-    work in place on a slice.
+    work in place on a slice. A CTRL0 block is built on the qubits outside
+    its controls only, so each level of a nesting holds at most a quarter
+    of the entries of the level above it.
     """
     n = c.n_qubits
     dtype = complex if _has_phase(c.gates) else float
@@ -249,10 +261,14 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
             m[on] = np.flip(m[on], axis=target)
         elif g.kind == "CTRL0":
             # The inner circuit never changes a control bit, so it maps the
-            # slice where every control is 0 into itself and leaves the rest.
-            zero = tuple(0 if q in g.qubits else slice(None) for q in range(n))
-            block = circuit_to_matrix(g.inner).reshape((2,) * 2 * n)[zero + zero]
-            m[zero] = np.tensordot(block, m[zero], axes=block.ndim // 2)
+            # slice where every control is 0 into itself, as the inner circuit
+            # on the other qubits with the controls held at |0>, and leaves the
+            # rest. A block whose controls cover every qubit is the identity.
+            free = {q: i for i, q in enumerate(q for q in range(n) if q not in g.qubits)}
+            if free:
+                block = circuit_to_matrix(Circuit(len(free), tuple(_held(g.inner.gates, free))))
+                zero = tuple(0 if q in g.qubits else slice(None) for q in range(n))
+                m[zero] = np.tensordot(block.reshape((2,) * 2 * len(free)), m[zero], axes=len(free))
         elif g.kind == "PHASE":  # diagonal: scale the slice where the qubit is 1
             _scale(m[(slice(None),) * g.qubits[0] + (1,)], np.exp(-1j * g.angle))
         else:
@@ -364,16 +380,20 @@ class VerificationReport:
 
 def verify_circuit(c: Circuit, target) -> VerificationReport:
     """Compare the circuit's unitary with a target, in any form `core._support` reads, up to
-    global phase, passing within _VERIFY_TOL. A circuit of CNOT and PHASE gates is checked
-    as its column map, on the target's support, with no dense matrix."""
+    global phase, passing within _VERIFY_TOL. The target is read (and its shape checked)
+    first; the circuit's entries are then gathered on its support, with the largest one
+    off it: a circuit of CNOT and PHASE gates from its column map, with no dense matrix,
+    and any other from its dense matrix, as `core.phase_invariant_distance` reads it."""
     dim = 2**c.n_qubits
+    on, values = _support(target, dim)
     if all(g.kind in ("CNOT", "PHASE") for g in c.gates):
-        on, values = _support(target, dim)
         rows, phases = _monomial(c)
         cols = on % dim
         hit = rows[cols] == on // dim  # the support entries where their column's one entry lies
+        u = np.where(hit, phases[cols], 0)
         rest = float(np.max(np.abs(np.delete(phases, cols[hit])), initial=0.0))
-        d = _phase_search(np.where(hit, phases[cols], 0), values, rest)
     else:
-        d = phase_invariant_distance(circuit_to_matrix(c), target)
+        m = circuit_to_matrix(c)
+        u, rest = m.reshape(-1)[on], _max_off(m, on)
+    d = _phase_search(u, values, rest)
     return VerificationReport(distance=d, passed=d <= _VERIFY_TOL, tolerance=_VERIFY_TOL)

@@ -164,10 +164,13 @@ def _support(v, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted flat indices `on` of a target's entries in a dim x dim
     matrix, and their values. A target is a dim x dim matrix or a 1-D
     diagonal, read on its nonzero entries, or the entries (rows, cols, values)
-    of a sparse one, which broadcast as in `m[rows, cols] = values`."""
+    of a sparse one, with integer rows and cols (not bool or float), which
+    broadcast as in `m[rows, cols] = values`."""
     if isinstance(v, tuple):
         try:
             rows, cols, values = np.broadcast_arrays(*map(np.asarray, v))
+            if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+                raise TypeError(f"got {rows.dtype} rows and {cols.dtype} columns")
             on, first = np.unique(np.ravel_multi_index((rows, cols), (dim, dim)), return_index=True)
         except (TypeError, ValueError) as exc:
             raise ContractViolation(f"target entries need integer indices in 0..{dim - 1} that broadcast: {exc}") from exc

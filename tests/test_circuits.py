@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from helpers import dense_run, is_unitary, kron_circuit_matrix
 
-from qauction import cli
+from qauction import circuits, cli
 from qauction.circuits import (
     _SHAPES,
     KINDS,
-    MAX_NESTED_ENTRIES,
     MAX_NESTING,
     Circuit,
     CircuitParseError,
@@ -125,6 +124,34 @@ class TestAgainstKroneckerProducts:
         nested = [g.inner for g in c.gates if g.kind == "CTRL0"]
         assert {g.kind for g in c.gates} == set(KINDS)
         assert any(g.kind == "CTRL0" for inner in nested for g in inner.gates)
+
+    @pytest.mark.parametrize("text", [
+        "CTRL0 [q0] {\nH q3\nCTRL0 [q1] {\nROT q3 0.4\nCTRL0 [q2] {\nPHASE q3 0.7\nH q3\n}\n"
+        "CNOT q2 q3\n}\n}\n",
+        "H q0\n" + "CTRL0 [q0] {\nH q1\n" * 12 + "ROT q2 0.3\n" + "}\n" * 12,
+        "H q0\nCTRL0 [q0] {\nH q1\nCTRL0 [q1] {\nCNOT q0 q2\nH q2\n}\nCNOT q0 q1\nCNOT q1 q2\n}\n",
+        "H q0\nH q1\nCTRL0 [q0 q1] {\nH q2\nCTRL0 [q1 q3] {\nROT q2 0.4\n}\n"
+        "CTRL0 [q0] {\nH q3\n}\n}\n",
+        "H q0\nH q1\nCTRL0 [q0 q1] {\nCTRL0 [q1] {\n}\n}\nCNOT q0 q1\n",
+    ], ids=["distinct_controls", "repeated_controls", "cnot_from_an_outer_control",
+            "nested_block_shares_a_control", "controls_cover_every_qubit"])
+    def test_nestings(self, text):
+        c = parse_circuit(text)
+        assert np.max(np.abs(circuit_to_matrix(c) - kron_circuit_matrix(c))) <= 1e-14
+
+    @pytest.mark.parametrize("text, widths", [
+        ("CTRL0 [q0] {\n" * MAX_NESTING + "H q7\n" + "}\n" * MAX_NESTING, [7]),
+        ("CTRL0 [q0] {\nCTRL0 [q1] {\nCTRL0 [q2] {\nH q7\n}\n}\n}\n", [7, 6, 5]),
+        ("H q7\nCTRL0 [q0 q1 q2 q3 q4 q5 q6 q7] {\n}\n", []),
+    ], ids=["repeated_controls", "distinct_controls", "controls_cover_every_qubit"])
+    def test_blocks_are_built_on_the_qubits_outside_their_controls(self, text, widths, monkeypatch):
+        # a block's matrix has a quarter of the entries of the level above it, or
+        # fewer; a nested block on held controls only is inlined, not built
+        built, build = [], circuits.circuit_to_matrix
+        monkeypatch.setattr(circuits, "circuit_to_matrix", lambda c: built.append(c.n_qubits) or build(c))
+        c = parse_circuit(text)
+        assert np.max(np.abs(build(c) - kron_circuit_matrix(c))) <= 1e-14
+        assert built == widths
 
     @pytest.mark.parametrize("circuit", [
         build_bidder_circuit("1011"), build_D_circuit(1.5, 0.3, 6), build_collusion_circuit("10", "11"),
@@ -358,11 +385,16 @@ class TestColumnMap:
                       near, sparse, np.eye(2**n), permutation):
                 assert verify_circuit(c, v).distance == phase_invariant_distance(dense, v)
 
-    def test_wrong_width_raises_the_same_message_on_both_paths(self):
+    def test_wrong_width_raises_the_same_message_on_both_paths(self, monkeypatch):
+        # the target is read first: neither the column map nor the dense matrix is built
+        def unbuilt(c):
+            raise AssertionError("built the circuit before reading the target")
+        monkeypatch.setattr(circuits, "circuit_to_matrix", unbuilt)
+        monkeypatch.setattr(circuits, "_monomial", unbuilt)
         column_map = build_D_circuit(0.8, 0.25, 3)
         dense = Circuit(3, (*column_map.gates, hadamard(0)))
         messages = []
-        for c in (column_map, dense):
+        for c in (column_map, dense, build_bidder_circuit("101101101101")):
             with pytest.raises(ContractViolation, match="dimension mismatch") as raised:
                 verify_circuit(c, np.ones(4))
             messages.append(str(raised.value))
@@ -455,25 +487,15 @@ class TestTextFormat:
         with pytest.raises(CircuitParseError, match=f"deeper than {MAX_NESTING}"):
             parse_circuit(nested(MAX_NESTING + 1))
 
-    def test_nested_entry_bound(self):
-        # (depth + 1) * 4^width entries: refused above MAX_NESTED_ENTRIES, and
-        # a circuit with no CTRL0 block is not bounded
+    def test_nesting_parses_at_any_width(self):
+        # MAX_NESTING is the one nesting rule: a nesting parses at any width, the one a
+        # target gives included, and at a billion qubits nothing forms a power of the width
         def nested(depth, width):
             return "CTRL0 [q0] {\n" * depth + f"H q{width - 1}\n" + "}\n" * depth
-        assert (1 + 1) * 4**12 == MAX_NESTED_ENTRIES
-        for depth, width in [(1, 12), (MAX_NESTING, 9), (0, 16)]:
-            assert parse_circuit(nested(depth, width)).n_qubits == width
-        for depth, width in [(2, 12), (MAX_NESTING, 10), (1, 13)]:
-            with pytest.raises(CircuitParseError, match=f"nested {depth} deep at {width} qubits"):
-                parse_circuit(nested(depth, width))
-        with pytest.raises(CircuitParseError, match=f"nested {MAX_NESTING} deep at 12 qubits"):
-            parse_circuit(nested(MAX_NESTING, 2), 12)  # the width a target gives counts
-
-    def test_nested_entry_bound_forms_no_power_of_the_width(self):
-        # 4^width at a billion qubits is an integer of 2 billion bits: seconds to form
         start = time.perf_counter()
-        with pytest.raises(CircuitParseError, match="nested 1 deep at 1000000001 qubits"):
-            parse_circuit("CTRL0 [q0] {\nH q1000000000\n}\n")
+        for depth, width in [(2, 12), (MAX_NESTING, 10), (1, 13), (1, 1000000001)]:
+            assert parse_circuit(nested(depth, width)).n_qubits == width
+        assert parse_circuit(nested(MAX_NESTING, 2), 12).n_qubits == 12
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("kind", _SHAPES)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import kron_circuit_matrix
 
 from qauction import circuits, cli
+from qauction.core import phase_invariant_distance
 
 
 def run_cli(args, capsys):
@@ -471,17 +473,21 @@ class TestMalformedCircuitFiles:
         code, out = run_cli(["circuit-verify", str(path), target], capsys)
         assert code == 0 and "result=" in out
 
-    def test_nesting_over_the_entry_bound_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
-        def no_matrix(c):
-            raise AssertionError("built a matrix")
-        monkeypatch.setattr(circuits, "circuit_to_matrix", no_matrix)
+    @pytest.mark.parametrize("text", [
+        _nested(circuits.MAX_NESTING, 4),
+        "CTRL0 [q0] {\nCTRL0 [q1] {\nCTRL0 [q2] {\nH q3\n}\n}\n}\n",
+    ], ids=["repeated_controls", "distinct_controls"])
+    def test_nesting_verifies_as_its_kronecker_product(self, text, tmp_path, capsys):
         path = tmp_path / "c.txt"
-        path.write_text(_nested(circuits.MAX_NESTING, 12))
-        assert cli.main(["circuit-verify", str(path), "D:1,0.5,12"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: CTRL0 blocks nested {circuits.MAX_NESTING} deep at 12 qubits")
+        path.write_text(text)
+        code, out = run_cli(["circuit-verify", str(path), "D:1,0.5,4"], capsys)
+        assert code == 0
+        row, values, width = cli._parse_target("D:1,0.5,4")
+        want = phase_invariant_distance(kron_circuit_matrix(circuits.parse_circuit(text, 4)),
+                                        row.reference(*values, width))
+        lines = out.splitlines()
+        assert lines[1].startswith("distance=") and lines[-1] == "result=fail"  # H is not diagonal
+        assert float(lines[1].removeprefix("distance=")) == pytest.approx(want, rel=1e-11)
 
 
 # Valid arguments per circuit-verify target kind; every kind in cli._TARGETS needs some.
@@ -643,12 +649,14 @@ def _child_env() -> dict:
 class TestMemoryBound:
     """A `circuit-verify` run at the width cap holds its operands and no
     copy of them: D and P circuits checked against their diagonal
-    references, and a CTRL0 nesting refused for its matrices, stay within
-    the max RSS of an interpreter that imports the CLI, plus 16 MB (the
-    operands are 2^12-entry vectors of 64 KB each). The 12-qubit bidder
-    round trip, whose reference is its 2^13 entries and never a dense
-    matrix, may add two float64 4096 x 4096 operands of 128 MB: the circuit
-    matrix, and H's contraction output beside it. Searches at the caps may
+    references stay within the max RSS of an interpreter that imports the
+    CLI, plus 16 MB (the operands are 2^12-entry vectors of 64 KB each).
+    The 12-qubit bidder round trip, whose reference is its 2^13 entries and
+    never a dense matrix, may add two float64 4096 x 4096 operands of
+    128 MB: the circuit matrix, and H's contraction output beside it. A
+    CTRL0 [q0] nesting at 12 qubits may add the circuit matrix, the
+    contraction output on the q0 = 0 half (64 MB) and the 11-qubit block
+    (32 MB), however deep it nests. Searches at the caps may
     add the one such joint operator that `exact` takes dense at 12 qubits,
     and the span arrays of their steps.
     Locked probe attacks at the Monte Carlo caps may add the majority's
@@ -704,15 +712,22 @@ class TestMemoryBound:
         bound = baseline + operands_mb + self.SLACK_MB
         assert peak <= bound, f"{argv[0]}: {peak:.1f} MB max RSS, bound {bound:.1f}"
 
-    def test_nesting_over_the_entry_bound_is_refused_within_the_interpreter(self, tmp_path):
-        # 65 matrices of 4^12 entries: about 8.7 GB of float64 if they were built
+    @pytest.mark.parametrize("text", [
+        _nested(1, 12),
+        "CTRL0 [q0] {\nCTRL0 [q1] {\nCTRL0 [q2] {\nH q11\n}\n}\n}\n",
+        _nested(circuits.MAX_NESTING, 12),
+    ], ids=["one_level", "three_deep_distinct_controls", "max_nesting_deep"])
+    def test_nesting_verifies_within_the_interpreter_plus_its_operands(self, text, tmp_path):
+        # the float64 circuit matrix, the contraction output on its q0 = 0 half and the
+        # 11-qubit block; the levels below q0 hold a quarter of the one above, or are inlined
         circuit, out = tmp_path / "circuit.txt", tmp_path / "verify.txt"
-        circuit.write_text(_nested(circuits.MAX_NESTING, 12))
+        circuit.write_text(text)
         code, baseline = self._child(["-c", "import qauction.cli"], out)
         assert code == 0
         code, peak = self._child(["-m", "qauction", "circuit-verify", str(circuit), "D:1,0.5,12"], out)
-        assert code == 1 and out.read_text() == ""
-        assert peak <= baseline + self.SLACK_MB, f"{peak:.1f} MB max RSS, bound {baseline:.1f} + {self.SLACK_MB}"
+        assert code == 0 and "result=fail" in out.read_text().splitlines()  # H is not diagonal
+        bound = baseline + self.JOINT_MB * (1 + 1 / 2 + 1 / 4) + self.SLACK_MB
+        assert peak <= bound, f"{peak:.1f} MB max RSS, bound {bound:.1f}"
 
 
 class TestModuleEntryPoint:

@@ -266,13 +266,17 @@ class TestPhaseInvariantDistance:
         (([0, 4], [0, 1], [1, 1]), "integer indices in 0..3"),
         (([0, 1], [0, -1], [1, 1]), "integer indices in 0..3"),
         (([0.0, 1.0], [0, 1], [1, 1]), "integer indices"),
+        (([0, 1], [0.0, 1.0], [1, 1]), "integer indices"),
+        (([True], [False], [1.0]), "integer indices"),
+        (([0, 1], [True, False], [1, 1]), "integer indices"),
         (([0, 1, 2], [0, 1], [1, 1, 1]), "broadcast"),
         (([0, 1], [0, 1], [1, 1, 1]), "broadcast"),
         (([0, 1], [0, 1]), "broadcast"),
         (([0, 1, 0], [2, 1, 2], [1, 1, 1]), "an entry twice"),
         (([0, 1], [0, 1], [1, np.nan]), "finite"),
         (([0, 1], [0, 1], [np.inf, 1]), "finite"),
-    ], ids=["row_out_of_range", "negative_column", "float_indices", "index_lengths_differ",
+    ], ids=["row_out_of_range", "negative_column", "float_indices", "float_columns",
+            "bool_indices", "bool_columns", "index_lengths_differ",
             "value_length_differs", "no_values", "repeated_entry", "nan_value", "infinite_value"])
     def test_rejects_malformed_entries(self, entries, message):
         with pytest.raises(ContractViolation, match=message):
