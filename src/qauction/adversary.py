@@ -449,11 +449,12 @@ def run_collusion_defense(bids: Sequence[BidSpec | str], table: PayoffTable,
     iteration. The initial superposition keeps only {|0000>, |00 b2>,
     |b1 00>}; success is measured against the best-payoff state of those
     three and leakage against their span."""
-    if len(list(bids)) != 2:
+    bids = [as_bid(b) for b in bids]
+    if len(bids) != 2:
         raise ContractViolation("collusion defense covers exactly two bidders")
     if schedule.locking is not None:
         raise ContractViolation("collusion and locking defenses do not compose")
-    bid1, bid2 = (as_bid(b) for b in bids)
+    bid1, bid2 = bids
     joint = collusion_operator(bid1, bid2)
     p = bid1.n_qubits
     plausible = sorted({0, bid2.index, bid1.index << p})

@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractViolation, _max_off, _phase_search, _support
-from .protocol import BidSpec, _check_count, as_bid
+from .protocol import BidSpec, _check_count, _is_count, as_bid
 
 # Each flat gate's shape: how many qubits it takes and whether it takes an angle.
 _SHAPES = {"H": (1, False), "CNOT": (2, False), "PHASE": (1, True), "ROT": (1, True)}
 KINDS = (*_SHAPES, "CTRL0")
 MAX_NESTING = 64  # deepest CTRL0 nesting that parse_circuit takes
-_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_SQRT_HALF = 1 / math.sqrt(2)
+_HADAMARD, _SWAP = ((_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF)), ((0.0, 1.0), (1.0, 0.0))
 _COLLUSION_ANGLE = math.atan2(math.sqrt(1 / 3), math.sqrt(2 / 3))  # keeps sqrt(2/3) and sqrt(1/3)
 _VERIFY_TOL = 1e-8  # phase-invariant distance within which verify_circuit passes
 
@@ -78,6 +79,8 @@ class Circuit:
     def _check_gate(self, g: Gate):
         if g.kind not in KINDS:
             raise ContractViolation(f"unknown gate kind {g.kind!r}")
+        if not all(_is_count(q) for q in g.qubits):
+            raise ContractViolation(f"gate {g} addresses a qubit by a non-integer index")
         if len(set(g.qubits)) != len(g.qubits):
             raise ContractViolation(f"repeated qubit in gate {g}")
         if any(not 0 <= q < self.n_qubits for q in g.qubits):
@@ -194,87 +197,83 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
     return circuit
 
 
-def _single_qubit_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "H":
-        return _HADAMARD
+def _matrix(g: Gate) -> tuple:
+    """The 2 x 2 matrix of an H, ROT or CNOT gate on its target qubit; a
+    CNOT's is the swap, applied where its control is 1."""
+    if g.kind != "ROT":
+        return _HADAMARD if g.kind == "H" else _SWAP
     c, s = math.cos(g.angle), math.sin(g.angle)
-    return np.array([[c, s], [s, -c]])
+    return (c, s), (s, -c)
+
+
+def _chunked(update, *arrays) -> None:
+    """update(*parts) over matching parts of the arrays of at most 2^14
+    entries each, so that its temporaries stay small."""
+    if arrays[0].size <= 2**14 or arrays[0].ndim == 1:
+        return update(*arrays)
+    for parts in zip(*arrays):
+        _chunked(update, *parts)
 
 
 def _scale(a: np.ndarray, z: complex) -> None:
-    """a *= z in place, as a * Re z + a * i Im z so that each part of the
-    product rounds once, as in the product with the embedded gate matrix
-    (numpy's complex multiply fuses a multiply-add and can differ in the
-    last bit), in parts of at most 2^16 entries so the temporary stays
-    small."""
-    if a.size > 2**16 and a.ndim > 1:
-        for part in a:
-            _scale(part, z)
-        return
-    imaginary = a * complex(0.0, z.imag)
-    a *= z.real
-    a += imaginary
+    """a *= z in place, as a * Re z + a * i Im z: each part of the product
+    rounds once (numpy's complex multiply can fuse a multiply-add), so PHASE
+    rounds alike in `_monomial`, `circuit_to_matrix` and the tests'
+    `kron_circuit_matrix`, and their matrices agree bit for bit."""
+    def scale(part):
+        imaginary = part * complex(0.0, z.imag)
+        part *= z.real
+        part += imaginary
+    _chunked(scale, a)
+
+
+def _mix(a: np.ndarray, b: np.ndarray, g: tuple) -> None:
+    """(a, b) <- (g00 a + g01 b, g10 a + g11 b) in place."""
+    (g00, g01), (g10, g11) = g
+
+    def mix(a, b):
+        top = g00 * a + g01 * b
+        b *= g11
+        b += g10 * a
+        a[...] = top
+    _chunked(mix, a, b)
 
 
 def _has_phase(gates) -> bool:
     return any(g.kind == "PHASE" or g.kind == "CTRL0" and _has_phase(g.inner.gates) for g in gates)
 
 
-def _held(gates, free: dict[int, int]) -> list[Gate]:
-    """The gates on the qubits of `free` alone, each renumbered to free[q],
-    with every other qubit held at |0>: a CNOT whose control is held does
-    nothing and drops out, and a nested CTRL0 drops its held controls and,
-    with none left, is inlined. A held qubit is only ever read, never acted
-    on (`Circuit` checks that a block leaves its controls alone)."""
-    out = []
-    for g in gates:
-        kept = tuple(free[q] for q in g.qubits if q in free)
-        if g.kind != "CTRL0":
-            if len(kept) == len(g.qubits):
-                out.append(Gate(g.kind, kept, g.angle))
-        elif kept:
-            out.append(zero_controlled(kept, Circuit(len(free), tuple(_held(g.inner.gates, free)))))
-        else:
-            out.extend(_held(g.inner.gates, free))
-    return out
-
-
-def circuit_to_matrix(c: Circuit) -> np.ndarray:
+def circuit_to_matrix(c: Circuit, *, _columns: np.ndarray | None = None) -> np.ndarray:
     """Dense unitary of the circuit, first listed gate applied first: float64
     when no PHASE gate is in it at any depth (H, CNOT and ROT are real), as
     `core.as_operator` keeps real operators, and complex128 otherwise.
 
     The columns are held as a (2,)*n + (2^n,) tensor, one axis per qubit,
-    and each gate acts on its own axes only: H, PHASE, ROT and CNOT cost
-    O(4^n) and form no 2^n x 2^n gate matrix, and PHASE, CNOT and CTRL0
-    work in place on a slice. A CTRL0 block is built on the qubits outside
-    its controls only, so each level of a nesting holds at most a quarter
-    of the entries of the level above it.
+    and every gate updates it in place: PHASE scales the half where its
+    qubit is 1, and H, ROT and CNOT mix the two halves of their target's
+    axis, a CNOT only where its control is 1. A CTRL0 block applies its inner
+    circuit, through this function, to the view with each control axis cut
+    to its 0 entry, so no gate forms a 2^n x 2^n matrix or a copy of the
+    tensor. `_columns` is that view, passed by the recursion only.
     """
     n = c.n_qubits
-    dtype = complex if _has_phase(c.gates) else float
-    m = np.eye(2**n, dtype=dtype).reshape((2,) * n + (2**n,))
+    m = _columns if _columns is not None else np.eye(
+        2**n, dtype=complex if _has_phase(c.gates) else float).reshape((2,) * n + (2**n,))
     for g in c.gates:
-        if g.kind == "CNOT":
-            control, target = g.qubits
-            on = (slice(None),) * control + (slice(1, 2),)  # the slice where the control is 1
-            m[on] = np.flip(m[on], axis=target)
-        elif g.kind == "CTRL0":
-            # The inner circuit never changes a control bit, so it maps the
-            # slice where every control is 0 into itself, as the inner circuit
-            # on the other qubits with the controls held at |0>, and leaves the
-            # rest. A block whose controls cover every qubit is the identity.
-            free = {q: i for i, q in enumerate(q for q in range(n) if q not in g.qubits)}
-            if free:
-                block = circuit_to_matrix(Circuit(len(free), tuple(_held(g.inner.gates, free))))
-                zero = tuple(0 if q in g.qubits else slice(None) for q in range(n))
-                m[zero] = np.tensordot(block.reshape((2,) * 2 * len(free)), m[zero], axes=len(free))
-        elif g.kind == "PHASE":  # diagonal: scale the slice where the qubit is 1
-            _scale(m[(slice(None),) * g.qubits[0] + (1,)], np.exp(-1j * g.angle))
-        else:
-            q = g.qubits[0]
-            m = np.moveaxis(np.tensordot(_single_qubit_matrix(g), m, axes=([1], [q])), 0, q)
-    return m.reshape(2**n, 2**n)
+        if g.kind == "CTRL0":
+            circuit_to_matrix(g.inner, _columns=m[_at(n, g.qubits, slice(0, 1))])
+        elif g.kind == "PHASE":  # diagonal: scale the half where the qubit is 1
+            _scale(m[_at(n, g.qubits, 1)], np.exp(-1j * g.angle))
+        else:  # a CNOT's control slice is empty where an outer block holds it at 0
+            *controls, q = g.qubits
+            on, axis = m[_at(n, controls, slice(1, 2))], (slice(None),) * q
+            _mix(on[axis + (0,)], on[axis + (1,)], _matrix(g))
+    return m if _columns is not None else m.reshape(2**n, 2**n)
+
+
+def _at(n: int, qubits, index) -> tuple:
+    """The index of the tensor's qubit axes that takes `index` on each of `qubits`."""
+    return tuple(index if q in qubits else slice(None) for q in range(n))
 
 
 def _monomial(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +325,7 @@ def build_zz_exponential(qubits, theta: float, n_qubits: int) -> Circuit:
     single PHASE(last, 2*theta) applies the parity-dependent phase, and the
     ladder unwinds.
     """
-    qs = sorted(set(int(q) for q in qubits))
+    qs = sorted(set(qubits))
     if not qs:
         raise ContractViolation("need a nonempty qubit subset")
     ladder = [cnot(qs[i], qs[i + 1]) for i in range(len(qs) - 1)]

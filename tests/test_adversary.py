@@ -619,6 +619,11 @@ class TestCollusionDefense:
         with pytest.raises(ContractViolation):
             run_collusion_defense(["10", "11", "01"], TOY_TABLE, default_schedule())
 
+    def test_reads_an_iterator_of_bids_once(self):
+        once = run_collusion_defense(iter(["10", "11"]), TOY_TABLE, default_schedule())
+        listed = run_collusion_defense(["10", "11"], TOY_TABLE, default_schedule())
+        assert np.array_equal(once.amplitudes, listed.amplitudes)
+
     @pytest.mark.parametrize("b1,b2", list(itertools.product(["01", "10", "11"], repeat=2)))
     def test_operator_is_the_circuit_bit_for_bit(self, b1, b2):
         assert np.array_equal(collusion_operator(b1, b2),

@@ -63,6 +63,16 @@ class TestCircuitToMatrix:
             Circuit(2, (hadamard(2),))
         with pytest.raises(ContractViolation):
             Circuit(2, (Gate("PHASE", (0,)),))
+        np.testing.assert_array_equal(circuit_to_matrix(Circuit(2, (cnot(np.int64(0), np.uint8(1)),))),
+                                      circuit_to_matrix(Circuit(2, (cnot(0, 1),))))  # numpy integers are qubits
+
+    @pytest.mark.parametrize("gate", [
+        hadamard(0.5), hadamard(1.0), hadamard(np.float64(1.0)), hadamard(True), cnot(0, 1.0),
+        phase(np.float32(1), 0.3), zero_controlled((1.0,), Circuit(2, (hadamard(0),))),
+    ], ids=["half", "float", "numpy_float", "bool", "cnot_target", "phase", "control"])
+    def test_rejects_non_integer_qubits(self, gate):
+        with pytest.raises(ContractViolation, match="non-integer"):
+            Circuit(2, (gate,))
 
     @pytest.mark.parametrize("gate", [phase, rotation])
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
@@ -109,6 +119,14 @@ def _random_gates(rng, n: int, depth: int, controls=frozenset()) -> tuple:
     return tuple(gates)
 
 
+def _controls_in_force(gates, held=frozenset()):
+    """The controls in force in each CTRL0 block, in the order the blocks are applied."""
+    for g in gates:
+        if g.kind == "CTRL0":
+            yield held | set(g.qubits)
+            yield from _controls_in_force(g.inner.gates, held | set(g.qubits))
+
+
 class TestAgainstKroneckerProducts:
     """The tensor construction equals the product of one embedded 2^n x 2^n
     matrix per gate (the reference in tests/helpers.py)."""
@@ -139,19 +157,25 @@ class TestAgainstKroneckerProducts:
         c = parse_circuit(text)
         assert np.max(np.abs(circuit_to_matrix(c) - kron_circuit_matrix(c))) <= 1e-14
 
-    @pytest.mark.parametrize("text, widths", [
-        ("CTRL0 [q0] {\n" * MAX_NESTING + "H q7\n" + "}\n" * MAX_NESTING, [7]),
-        ("CTRL0 [q0] {\nCTRL0 [q1] {\nCTRL0 [q2] {\nH q7\n}\n}\n}\n", [7, 6, 5]),
-        ("H q7\nCTRL0 [q0 q1 q2 q3 q4 q5 q6 q7] {\n}\n", []),
+    @pytest.mark.parametrize("text", [
+        "CTRL0 [q0] {\n" * MAX_NESTING + "H q7\n" + "}\n" * MAX_NESTING,
+        "CTRL0 [q0] {\nCTRL0 [q1] {\nCTRL0 [q2] {\nH q7\n}\n}\n}\n",
+        "H q7\nCTRL0 [q0 q1 q2 q3 q4 q5 q6 q7] {\n}\n",
     ], ids=["repeated_controls", "distinct_controls", "controls_cover_every_qubit"])
-    def test_blocks_are_built_on_the_qubits_outside_their_controls(self, text, widths, monkeypatch):
-        # a block's matrix has a quarter of the entries of the level above it, or
-        # fewer; a nested block on held controls only is inlined, not built
-        built, build = [], circuits.circuit_to_matrix
-        monkeypatch.setattr(circuits, "circuit_to_matrix", lambda c: built.append(c.n_qubits) or build(c))
+    def test_blocks_are_applied_to_views_of_the_columns(self, text, monkeypatch):
+        # each block's call works in the top-level tensor, cut to length 1 on
+        # every control in force: its own and those of the blocks around it
+        views, build = [], circuits.circuit_to_matrix
+        monkeypatch.setattr(circuits, "circuit_to_matrix",
+                            lambda c, _columns: views.append(_columns) or build(c, _columns=_columns))
         c = parse_circuit(text)
-        assert np.max(np.abs(build(c) - kron_circuit_matrix(c))) <= 1e-14
-        assert built == widths
+        m = build(c)
+        assert np.max(np.abs(m - kron_circuit_matrix(c))) <= 1e-14
+        held = list(_controls_in_force(c.gates))
+        assert len(views) == len(held) > 0
+        for view, controls in zip(views, held):
+            assert np.shares_memory(view, m)
+            assert view.shape == tuple(1 if q in controls else 2 for q in range(8)) + (2**8,)
 
     @pytest.mark.parametrize("circuit", [
         build_bidder_circuit("1011"), build_D_circuit(1.5, 0.3, 6), build_collusion_circuit("10", "11"),
@@ -244,6 +268,10 @@ class TestZZExponential:
     def test_rejects_empty_subset(self):
         with pytest.raises(ContractViolation):
             build_zz_exponential(set(), 1.0, n_qubits=2)
+
+    def test_rejects_non_integer_qubits(self):
+        with pytest.raises(ContractViolation, match="non-integer"):
+            build_zz_exponential([0.7, 1.9], 0.1, 2)
 
 
 class TestPCircuit:

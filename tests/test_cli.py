@@ -652,11 +652,10 @@ class TestMemoryBound:
     references stay within the max RSS of an interpreter that imports the
     CLI, plus 16 MB (the operands are 2^12-entry vectors of 64 KB each).
     The 12-qubit bidder round trip, whose reference is its 2^13 entries and
-    never a dense matrix, may add two float64 4096 x 4096 operands of
-    128 MB: the circuit matrix, and H's contraction output beside it. A
-    CTRL0 [q0] nesting at 12 qubits may add the circuit matrix, the
-    contraction output on the q0 = 0 half (64 MB) and the 11-qubit block
-    (32 MB), however deep it nests. Searches at the caps may
+    never a dense matrix, may add one float64 4096 x 4096 operand of
+    128 MB: the circuit matrix, which every gate updates in place. So may
+    a CTRL0 nesting at 12 qubits, however deep it nests: each block works
+    on a view of that matrix. Searches at the caps may
     add the one such joint operator that `exact` takes dense at 12 qubits,
     and the span arrays of their steps.
     Locked probe attacks at the Monte Carlo caps may add the majority's
@@ -666,7 +665,7 @@ class TestMemoryBound:
     JOINT_MB = 4**12 * 8 / 2**20  # a float64 2^12 x 2^12 operator
     LOCKED_ATTACK = ["attack", "--attack", "probe_basis", "--bids", "11,10",
                      "--defense", "lock", "--alpha1", "0.9", "--alpha2", "0.7"]
-    OPERANDS_MB = {"bidder:101101101101": 2 * JOINT_MB}
+    OPERANDS_MB = {"bidder:101101101101": JOINT_MB}
 
     @staticmethod
     def _child(args, out):
@@ -718,15 +717,14 @@ class TestMemoryBound:
         _nested(circuits.MAX_NESTING, 12),
     ], ids=["one_level", "three_deep_distinct_controls", "max_nesting_deep"])
     def test_nesting_verifies_within_the_interpreter_plus_its_operands(self, text, tmp_path):
-        # the float64 circuit matrix, the contraction output on its q0 = 0 half and the
-        # 11-qubit block; the levels below q0 hold a quarter of the one above, or are inlined
+        # the float64 circuit matrix alone: every block updates a view of it in place
         circuit, out = tmp_path / "circuit.txt", tmp_path / "verify.txt"
         circuit.write_text(text)
         code, baseline = self._child(["-c", "import qauction.cli"], out)
         assert code == 0
         code, peak = self._child(["-m", "qauction", "circuit-verify", str(circuit), "D:1,0.5,12"], out)
         assert code == 0 and "result=fail" in out.read_text().splitlines()  # H is not diagonal
-        bound = baseline + self.JOINT_MB * (1 + 1 / 2 + 1 / 4) + self.SLACK_MB
+        bound = baseline + self.JOINT_MB + self.SLACK_MB
         assert peak <= bound, f"{peak:.1f} MB max RSS, bound {bound:.1f}"
 
 
