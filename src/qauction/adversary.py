@@ -75,6 +75,8 @@ _MC_RULES = ("basis", "first_correct", "majority")
 
 def _mc_rng(seed: int, rule: str) -> np.random.Generator:
     # one stream per curve, so each rule's column depends only on the seed
+    if not (_is_count(seed) and seed >= 0):
+        raise ContractViolation(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng([seed, _MC_RULES.index(rule)])
 
 
@@ -206,13 +208,15 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
     running add is one contiguous pass, and the learned flags are kept
     packed, one bit per trial."""
     _check_counts(n_rounds, trials)
-    variants = [list(per) for per in variants]
+    # every distribution is checked before its outcome count sizes the buffers
+    variants = [[(_check_distribution(dist, true_index), true_index) for dist, true_index in per]
+                for per in variants]
     n_bidders = len(variants[0]) if variants else 0
     if n_bidders == 0 or any(len(per) != n_bidders for per in variants):
         raise ContractViolation("every variant needs the same, nonzero number of bidders")
     rng = _mc_rng(seed, "majority")
     margin_type = np.min_scalar_type(-n_rounds - 1)  # holds -n_rounds..n_rounds
-    n_outcomes = max(np.size(dist) for per in variants for dist, _ in per)
+    n_outcomes = max(dist.size for per in variants for dist, _ in per)
     # all ones; the first bidder's packed flags zero the padding bits past `trials`
     learned = np.full((len(variants), n_rounds, -(-trials // 8)), 0xFF, dtype=np.uint8)
     # one set of block buffers, refilled in place for every block and variant;
@@ -230,7 +234,7 @@ def majority_mc_curve(variants, n_rounds: int, trials: int, seed: int) -> np.nda
         counted = []
         for per in variants:
             dist, true_index = per[bidder]
-            cdf = np.cumsum(_check_distribution(dist, true_index))
+            cdf = np.cumsum(dist)
             counted.append((cdf[:-1], true_index, [c for c in range(cdf.size) if c != true_index]))
         for lo in range(0, trials, rows):
             k = min(rows, trials - lo)

@@ -93,7 +93,7 @@ _KEY_SPECS = {
     "seed": _Key(int, 0, "nonnegative RNG seed (default 0)"),
     "trials": _Key(int, 100_000, "Monte Carlo trials per curve"),
     "rounds": _Key(int, 20, "probe rounds N to sweep"),
-    "restrict": _Key(_parse_bool, "true", "restrict gap tracks to the plausible span"),
+    "restrict": _Key(_parse_bool, "true", "restrict gap tracks to the span the search runs on (the plausible span)"),
     "out": _Key(str, None, "output path (default: stdout)"),
 }
 

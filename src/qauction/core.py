@@ -36,10 +36,10 @@ def as_operator(a) -> np.ndarray:
 
 
 def _as_matrix(a) -> np.ndarray:
-    """`a` as a square matrix, with the dtype `as_operator` gives."""
+    """`a` as a nonempty square matrix, with the dtype `as_operator` gives."""
     m = as_operator(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ContractViolation(f"expected a nonempty square matrix, got shape {m.shape}")
     return m
 
 

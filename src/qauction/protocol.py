@@ -341,7 +341,7 @@ def _entries(factors: list[np.ndarray], rows: Sequence[int]) -> tuple[np.ndarray
 def _terms(u: np.ndarray, w_diag: np.ndarray, hp_diag: np.ndarray,
            v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The k x k terms U W U^dag and V H_p V^dag of H(f) on a span or
-    cell, from the blocks that `_stepper` takes."""
+    cell, from the blocks that `_blocks` gives."""
     h_p = np.diag(hp_diag) if v is None else (v * hp_diag) @ v.conj().T
     return (u * w_diag) @ u.conj().T, h_p
 
@@ -358,11 +358,9 @@ def _stepper(variant: str, delta: float, u: np.ndarray, w_diag: np.ndarray,
     with D(d,f) = exp(-i*d*f*W) and P(d,f) = exp(-i*d*f*H_p), on a run's
     span (`_span`), k indices that every step maps into itself.
 
-    `u` is the block U[span, T] of the joint operator on the span's rows
-    and the columns T they reach, `w_diag` is W on T, `v` is the block
-    V[span, T_V] of V, and `hp_diag` is H_p on T_V (on the span when `v` is
-    None), so a step is k x k. What every step shares is built here once:
-    U^dag and the phase tables, (len(fs), |T|) mixer phases and
+    `u`, `w_diag`, `hp_diag` and `v` are the blocks on the span
+    (`_blocks`), so a step is k x k. What every step shares is built here
+    once: U^dag and the phase tables, (len(fs), |T|) mixer phases and
     (len(fs), |T_V|) payoff phases from one `np.exp` each, and for "exact"
     the k x k terms of H(f) (`_terms`), so a step diagonalizes the k x k
     H(f) with one `eig_hermitian`. "locked" is "zeroth" with V.
@@ -489,6 +487,29 @@ def _cells(operators, dim: int) -> np.ndarray:
     return np.array(cells)
 
 
+def _search_space(u, locking, dim: int) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    """The checked factor lists (`_factors`: U's, then V's when `locking`
+    is given) and the span that the support of |Psi_0> = U|0...0> closes
+    to under them (`_span`): the span of runs and restricted gap tracks."""
+    operators = [_factors(u, dim, "joint operator factors")]
+    if locking is not None:
+        operators.append(_factors(locking, dim, "locking unitaries"))
+    start = [np.flatnonzero(f[:, 0]) for f in operators[0]]  # the support of |Psi_0>, register by register
+    if not all(digits.size for digits in start):
+        raise ContractViolation("U|0...0> is 0, so the search has no start state")
+    return operators, _span(operators, dim, start)
+
+
+def _blocks(operators: list[list[np.ndarray]], rows: np.ndarray, table: PayoffTable):
+    """What `_stepper` and `_terms` take on `rows`, a span or cell, from the
+    checked factor lists: U[rows, T], W on T, H_p on T_V and V[rows, T_V]
+    (None without V, and T_V is then `rows`), with T and T_V the sorted
+    columns the rows reach (`_entries`)."""
+    u, cols = _entries(operators[0], rows)
+    v, v_cols = (None, rows) if len(operators) == 1 else _entries(operators[1], rows)
+    return u, _set_bits(cols), -table.values[v_cols], v
+
+
 def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
                  winner_index: int, table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
     """Fold the schedule over |Psi_0> = U|0...0>, recording success
@@ -497,10 +518,15 @@ def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
     `u` is the joint operator as a tuple of Kronecker factors in register
     order (the convention of `schedule.locking`); a dense joint operator
     is a one-factor tuple. Every variant runs on the span that the support of
-    |Psi_0> closes to under U and V (`_span`): for bidding and locking
+    |Psi_0> closes to under U and V (`_search_space`): for bidding and locking
     operators that is the plausible span, and for a Haar U all 2^n indices.
     Each step maps that span into itself, so the run is the full-space run,
     with exactly 0 outside the span, and the leakage is the full-space one.
+
+    The steps take U's and V's entries on the span (`_blocks`), and T holds
+    0, so U[span, T] starts with |Psi_0>. Success and leakage (1 minus the
+    probability on `plausible`) are read once from the stacked span
+    amplitudes, and the final state is the one full-length state built.
     """
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
@@ -508,39 +534,14 @@ def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
     dim = 2**table.n_qubits
-    operators = [_factors(u, dim, "joint operator factors")]
-    if schedule.locking is not None:
-        operators.append(_factors(schedule.locking, dim, "locking unitaries"))
-    start = [np.flatnonzero(f[:, 0]) for f in operators[0]]  # the support of |Psi_0>, register by register
-    if not all(digits.size for digits in start):
-        raise ContractViolation("U|0...0> is 0, so the search has no start state")
-    span = _span(operators, dim, start)
-    return _run(operators, span, list(plausible), winner_index, table, schedule)
-
-
-def _run(operators: list[list[np.ndarray]], span: np.ndarray, plausible: list[int],
-         winner_index: int, table: PayoffTable, schedule: AdiabaticSchedule) -> Trajectory:
-    """The search on span(`span`), a span that U and V map into itself,
-    from their entries there: U[span, T] and V[span, T_V], from the
-    checked factors in `operators` (U's, then V's when the schedule
-    locks), with T and T_V the columns the span's rows reach. T is sorted
-    and holds 0, the column of |0...0>, so U[span, T] starts with |Psi_0>
-    on the span, and the run's states are complex from it on. Success and
-    leakage, 1 minus the probability on `plausible`, are read once from
-    the stacked span amplitudes; a step that drifts off norm 1 raises
-    (`_fold`). The final state is the one full-length state the run
-    builds; the trajectory forms the others only when they are read."""
-    dim = 2**table.n_qubits
-    u, cols = _entries(operators[0], span)
-    v, v_cols = None, span
-    if len(operators) > 1:
-        v, v_cols = _entries(operators[1], span)
+    operators, span = _search_space(u, schedule.locking, dim)
+    u_span, w_diag, hp_diag, v = _blocks(operators, span, table)
     fs = [s / schedule.steps for s in range(1, schedule.steps + 1)]
-    step = _stepper(schedule.variant, schedule.delta, u, _set_bits(cols), -table.values[v_cols], v, fs)
-    states = _fold(step, u[:, 0].astype(complex), schedule.steps)
+    step = _stepper(schedule.variant, schedule.delta, u_span, w_diag, hp_diag, v, fs)
+    states = _fold(step, u_span[:, 0].astype(complex), schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
-    in_plausible[plausible] = True
+    in_plausible[list(plausible)] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
     return Trajectory(span, states, success, leakage, winner_index, _scatter(span, states[-1], dim))
@@ -558,6 +559,16 @@ def winning_allocation(table: PayoffTable, plausible: Sequence[int]) -> int:
     return winners[0]
 
 
+def _registers(bidders: Sequence[BidSpec | str], table: PayoffTable) -> tuple[list[BidSpec], list[int]]:
+    """The bids and their plausible allocations, once the bidders share a
+    register width and the payoff table spans their registers."""
+    bids = [as_bid(b) for b in bidders]
+    plausible = plausible_allocations(bids)
+    if table.n_qubits != sum(b.n_qubits for b in bids):
+        raise ContractViolation("payoff table does not match the bidder registers")
+    return bids, plausible
+
+
 def run_adiabatic(bidders: Sequence[BidSpec | str], table: PayoffTable,
                   schedule: AdiabaticSchedule) -> Trajectory:
     """Run the search for independent bidders under the given payoff table.
@@ -568,10 +579,7 @@ def run_adiabatic(bidders: Sequence[BidSpec | str], table: PayoffTable,
     takes its entries from the Kronecker product and not from `_entries`'
     digit arithmetic. The registers and the winner are checked before any
     operator is built."""
-    bids = [as_bid(b) for b in bidders]
-    plausible = plausible_allocations(bids)
-    if table.n_qubits != sum(b.n_qubits for b in bids):
-        raise ContractViolation("payoff table does not match the bidder registers")
+    bids, plausible = _registers(bidders, table)
     winner = winning_allocation(table, plausible)
     if schedule.variant == "exact":
         u = (joint_bidding_operator(bids),)
@@ -589,38 +597,29 @@ class EigenTracks(NamedTuple):
 def eigenvalue_tracks(bidders: Sequence[BidSpec | str], table: PayoffTable,
                       schedule: AdiabaticSchedule, restrict: bool = True) -> EigenTracks:
     """Spectrum of H(f) = (1-f) U W U^dag + f H_p over the schedule grid
-    (including f=0), optionally restricted to the plausible-allocation span.
+    (including f=0), optionally restricted to the span the search runs on.
 
     When the schedule carries locking unitaries the final term is the
     conjugated V H_p V^dag, matching the locked search. Each row is the
-    sorted union of the spectra of H(f) on its cells: the plausible span
-    alone, or with `restrict` False the cells of the bidding (and locking)
-    factors (`_cells`), each built from the factor entries, so no
+    sorted union of the spectra of H(f) on its cells: with `restrict` the
+    span the search runs on (`_search_space`; the plausible span for
+    bidding and locking operators), else the cells of the factors
+    (`_cells`), each from the factor entries (`_blocks`), so no
     2^n x 2^n term is formed when the cells split the space. One stacked
     `eigvalsh` takes H(f) on every cell over a run of f rows, as many as
     fit in `_TRACK_ENTRIES` entries, and at least one. A run whose work,
     (steps + 1) * sum of k^3 over its cells of k indices, exceeds
     `_TRACK_WORK` raises ContractViolation before any term is built.
     """
-    bids = [as_bid(b) for b in bidders]
-    plausible = plausible_allocations(bids)
-    if table.n_qubits != sum(b.n_qubits for b in bids):
-        raise ContractViolation("payoff table does not match the bidder registers")
+    bids, _ = _registers(bidders, table)
     dim = 2**table.n_qubits
-    operators = [[bidding_operator(b) for b in bids]]
-    if schedule.locking is not None:
-        operators.append(_factors(schedule.locking, dim, "locking unitaries"))
-    cells = np.array([plausible]) if restrict else _cells(operators, dim)
+    operators, span = _search_space([bidding_operator(b) for b in bids], schedule.locking, dim)
+    cells = span[None, :] if restrict else _cells(operators, dim)
     work = (int(schedule.steps) + 1) * len(cells) * cells.shape[1]**3
     if work > _TRACK_WORK:
         raise ContractViolation(f"gap tracks need (steps + 1) * sum of cell sizes cubed = {work}, "
                                 f"more than {_TRACK_WORK}")
-    terms = []
-    for cell in cells:  # from the entries on the cell's rows and the columns they reach
-        u, cols = _entries(operators[0], cell)
-        v, v_cols = (None, cell) if len(operators) == 1 else _entries(operators[1], cell)
-        terms.append(_terms(u, _set_bits(cols), -table.values[v_cols], v))
-    hb, hp = np.array(terms).swapaxes(0, 1)
+    hb, hp = np.array([_terms(*_blocks(operators, cell, table)) for cell in cells]).swapaxes(0, 1)
     fs = np.arange(schedule.steps + 1) / schedule.steps
     chunk = max(1, _TRACK_ENTRIES // hb.size)  # f rows per stacked eigvalsh
     rows = np.concatenate([np.linalg.eigvalsh((1 - f) * hb + f * hp).reshape(f.shape[0], -1)

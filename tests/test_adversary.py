@@ -750,6 +750,22 @@ def test_mc_curves_reject_a_trial_count_that_is_no_positive_integer(curve, count
         CURVES[curve](3, count)
 
 
+# Seeds that used to end in numpy's ValueError (-1) or TypeError (1.5), or
+# gave seed 1's curve (True)
+SEEDED_CURVES = {
+    "basis_mc_curve": lambda seed: basis_mc_curve([TWO_OUTCOMES], 3, 10, seed),
+    "povm_mc_curve": lambda seed: povm_mc_curve([(TWO_OUTCOMES, 0)], 3, 10, seed),
+    "majority_mc_curve": lambda seed: majority_mc_curve([[(TWO_OUTCOMES, 0)]], 3, 10, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=repr)
+@pytest.mark.parametrize("curve", MC_CURVES)
+def test_mc_curves_reject_a_seed_that_is_no_nonnegative_integer(curve, seed):
+    with pytest.raises(ContractViolation, match="seed must be a nonnegative integer"):
+        SEEDED_CURVES[curve](seed)
+
+
 @pytest.mark.parametrize("curve", list(CURVES))
 def test_curves_take_numpy_integer_counts(curve):
     got = CURVES[curve](np.int64(3), np.int64(10))
@@ -760,7 +776,8 @@ def test_curves_take_numpy_integer_counts(curve):
 # Outcome distributions and priors that used to pass or end in another
 # error: NaN and infinite entries (read as "never hit" by the first-hit
 # curves, or giving a plausible curve), sums other than 1, fewer priors than
-# states, and a true index that is a float or outside the outcomes.
+# states, a true index that is a float or outside the outcomes, and no
+# outcomes at all (numpy's negative-dimensions ValueError).
 BAD_DISTRIBUTIONS = {
     "povm_priors_nan": lambda: min_error_povm(toy_bidding_states(), [np.nan, 0.5, 0.5]),
     "optimality_check_priors_nan": lambda: povm_optimality_check(
@@ -777,6 +794,7 @@ BAD_DISTRIBUTIONS = {
     "majority_sums_to_0.9": lambda: majority_mc_curve([[(np.array([0.5, 0.2, 0.2]), 0)]], 3, 10, 0),
     "majority_index_2": lambda: majority_mc_curve([[(TWO_OUTCOMES, 2)]], 3, 10, 0),
     "majority_index_float": lambda: majority_mc_curve([[(TWO_OUTCOMES, 1.0)]], 3, 10, 0),
+    "majority_empty": lambda: majority_mc_curve([[(np.array([]), 0)]], 2, 10, 0),
 }
 
 

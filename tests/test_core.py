@@ -334,6 +334,16 @@ def test_hermiticity_predicate():
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("call", [
+    is_hermitian, eig_hermitian, lambda m: Povm((m,)), lambda m: phase_invariant_distance(m, m),
+], ids=["is_hermitian", "eig_hermitian", "Povm", "phase_invariant_distance"])
+def test_empty_operators_are_refused(call):
+    # a 0 x 0 matrix used to end in numpy's zero-size reduction ValueError
+    # (and had distance 0.0 from itself)
+    with pytest.raises(ContractViolation, match=r"nonempty square matrix, got shape \(0, 0\)"):
+        call(np.zeros((0, 0)))
+
+
 TWO_STATES = [StateVector([1, 0]), StateVector([0, 1])]
 FIRST_PRICE = protocol.build_first_price_table(protocol.AuctionConfig(m=2, p=2))
 SIX_QUBIT_TABLE = protocol.build_first_price_table(protocol.AuctionConfig(m=3, p=2))

@@ -556,6 +556,17 @@ def _collusion_factor(bid1, bid2):
     return circuit_to_matrix(build_collusion_circuit(BidSpec(bid1), BidSpec(bid2)))
 
 
+def _count_folds(monkeypatch):
+    """The start-state length of each `protocol._fold` call: one per run."""
+    calls, inner = [], protocol._fold
+
+    def counted(step, psi, steps):
+        calls.append(len(psi))
+        return inner(step, psi, steps)
+    monkeypatch.setattr(protocol, "_fold", counted)
+    return calls
+
+
 def _mixed_columns_factors():
     # U_2 with its non-lead columns mixed: column 0, so |Psi_0>, is kept
     mix = np.eye(4, dtype=complex)
@@ -569,17 +580,14 @@ class TestPlausibleSpan:
 
     @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
     @pytest.mark.parametrize("variant", ["zeroth", "first", "locked", "exact"])
-    def test_factors_match_dense(self, bids, variant, monkeypatch):
+    def test_factors_match_dense(self, bids, variant):
         table, schedule, plausible, winner = _span_setup(bids, variant)
         factors = tuple(bidding_operator(b) for b in bids)
         dense = run_schedule((reduce(np.kron, factors),), plausible, winner, table, schedule)
-        inner = protocol._run
-
-        def span_only(factors, span, *args):  # every variant stays on the span
-            assert len(span) < 2**table.n_qubits, "ran on the full space"
-            return inner(factors, span, *args)
-        monkeypatch.setattr(protocol, "_run", span_only)
         span = run_schedule(factors, plausible, winner, table, schedule)
+        # every variant stays on the span: its steps hold one amplitude per span index
+        assert len(span.span) < 2**table.n_qubits, "ran on the full space"
+        assert span.amplitudes.shape == (schedule.steps + 1, len(span.span))
         _assert_same_run(span, dense, 1e-12)
 
     @pytest.mark.parametrize("bids", SPAN_BIDS, ids=",".join)
@@ -597,6 +605,32 @@ class TestPlausibleSpan:
                 h_f = basis.T @ ((1 - f) * u @ w @ u.conj().T + f * v @ h_p @ v.conj().T) @ basis
                 np.testing.assert_allclose(row, np.linalg.eigvalsh(h_f), rtol=0, atol=1e-12)
 
+    def test_restricted_tracks_under_a_haar_lock_are_h_on_the_run_span(self, toy_setup):
+        # a Haar V joins every index to |Psi_0>'s span, so the run and its
+        # restricted tracks go on all 16 indices, not on the 4 plausible ones
+        bids, table = ["10", "11"], toy_setup["table"]
+        rng = np.random.default_rng(7)
+        locking = (_haar(4, rng), _haar(4, rng))
+        schedule = AdiabaticSchedule(20, 1.5, "locked", locking)
+        traj = run_adiabatic(bids, table, schedule)
+        assert len(traj.span) > len(plausible_allocations(bids))
+        u, v = joint_bidding_operator(bids), np.kron(*locking)
+        h_b, h_p = u @ np.diag(hamming_weights(4)) @ u.T, v @ np.diag(-table.values) @ v.conj().T
+        basis = np.eye(16)[:, traj.span]
+        tracks = eigenvalue_tracks(bids, table, schedule)
+        assert tracks.eigenvalues.shape == (21, len(traj.span))
+        for f, row in zip(tracks.f_values, tracks.eigenvalues):
+            h_f = basis.T @ ((1 - f) * h_b + f * h_p) @ basis
+            np.testing.assert_allclose(row, np.linalg.eigvalsh(h_f), rtol=0, atol=1e-12)
+
+    def test_restricted_tracks_under_a_haar_lock_at_12_qubits_are_refused(self, monkeypatch):
+        # one cell of all 4096 indices: 21 * 4096^3 is over the work bound
+        monkeypatch.setattr(protocol, "_terms", _refuse)
+        rng = np.random.default_rng(7)
+        schedule = AdiabaticSchedule(20, 1.5, "locked", (_haar(64, rng), _haar(64, rng)))
+        with pytest.raises(ContractViolation, match=f"= {21 * 4096**3}, more than {2**33}"):
+            eigenvalue_tracks(["000011", "000101"], build_first_price_table(AuctionConfig(m=2, p=6)), schedule)
+
     @pytest.mark.parametrize("case", ["haar", "mixed_columns"])
     @pytest.mark.parametrize("variant", ["zeroth", "first"])
     def test_leaking_factors_report_the_dense_run(self, case, variant, toy_setup, monkeypatch):
@@ -610,15 +644,9 @@ class TestPlausibleSpan:
         table = toy_setup["table"]
         schedule = AdiabaticSchedule(12, 1.3, variant)
         dense = run_schedule((np.kron(*factors),), plausible, 0b0011, table, schedule)
-        calls = []
-        inner = protocol._run
-
-        def counted(factors, span, *args):
-            calls.append(span)
-            return inner(factors, span, *args)
-        monkeypatch.setattr(protocol, "_run", counted)
+        calls = _count_folds(monkeypatch)
         span = run_schedule(factors, plausible, 0b0011, table, schedule)
-        assert len(calls) == 1 and len(calls[0]) > len(plausible)
+        assert calls == [len(span.span)] and len(span.span) > len(plausible)
         assert span.leakage.max() > 1e-3
         _assert_same_run(span, dense, 0)
 
@@ -804,15 +832,9 @@ class TestSpan:
         bids = SPAN_BIDS[2]
         table, schedule, plausible, winner = _span_setup(bids, variant)
         factors = tuple(bidding_operator(b) for b in bids)
-        spans = []
-        inner = protocol._run
-
-        def counted(factors, span, *args):
-            spans.append(span.tolist())
-            return inner(factors, span, *args)
-        monkeypatch.setattr(protocol, "_run", counted)
-        run_schedule((reduce(np.kron, factors),) if dense else factors, plausible, winner, table, schedule)
-        assert spans == [plausible]
+        calls = _count_folds(monkeypatch)
+        traj = run_schedule((reduce(np.kron, factors),) if dense else factors, plausible, winner, table, schedule)
+        assert calls == [len(plausible)] and traj.span.tolist() == plausible
 
     def test_n12_exact_matches_the_plausible_evolution(self):
         # the exact search written out on the 8 plausible indices, from the
