@@ -10,7 +10,6 @@ from .core import (
     eig_hermitian,
     is_hermitian,
     measurement_probabilities,
-    phase_invariant_distance,
 )
 from .protocol import (
     AdiabaticSchedule,

@@ -11,6 +11,7 @@ colluding joint bidding operator that removes the revealing state.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,12 @@ from .protocol import (
 TOY_BIDS = ("01", "10", "11")  # the three admissible price states at p=2
 
 
+def _check_amplitude(alpha) -> None:
+    """A lock amplitude is a real number in (0, 1], and not a bool."""
+    if not (isinstance(alpha, numbers.Real) and not isinstance(alpha, bool) and 0 < alpha <= 1):
+        raise ContractViolation(f"lock amplitude must be a real number in (0, 1], got {alpha!r}")
+
+
 def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarray]:
     """Real symmetric unitary V with V(|0..0> + |b>)/sqrt(2) = alpha|0..0> + ...
 
@@ -39,8 +46,7 @@ def locking_operator(bid: BidSpec | str, alpha: float) -> tuple[float, np.ndarra
     The two terms anticommute, so V is both Hermitian and unitary, and V
     preserves each span{|x>, |x XOR b>} plane.
     """
-    if not 0 < alpha <= 1:
-        raise ContractViolation(f"lock amplitude must lie in (0, 1], got {alpha}")
+    _check_amplitude(alpha)
     bid = as_bid(bid)
     theta = math.asin(alpha) - math.pi / 4
     x = np.arange(2**bid.n_qubits)
@@ -269,8 +275,8 @@ def probe_attack_basis(alphas: Sequence[float | None], n_rounds: int) -> np.ndar
     rounds = np.arange(1, n_rounds + 1)
     probs = np.ones(n_rounds)
     for alpha in alphas:
-        if alpha is not None and not 0 < alpha <= 1:
-            raise ContractViolation(f"lock amplitude must lie in (0, 1], got {alpha}")
+        if alpha is not None:
+            _check_amplitude(alpha)
         rho = 0.5 if alpha is None else 1.0 - alpha * alpha
         probs *= 1.0 - (1.0 - rho) ** rounds
     return probs

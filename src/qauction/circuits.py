@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, _max_off, _phase_search, _support
+from .core import ContractViolation, as_operator
 from .protocol import BidSpec, _check_count, _is_count, as_bid
 
 # Each flat gate's shape: how many qubits it takes and whether it takes an angle.
@@ -35,6 +35,7 @@ _SQRT_HALF = 1 / math.sqrt(2)
 _HADAMARD, _SWAP = ((_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF)), ((0.0, 1.0), (1.0, 0.0))
 _COLLUSION_ANGLE = math.atan2(math.sqrt(1 / 3), math.sqrt(2 / 3))  # keeps sqrt(2/3) and sqrt(1/3)
 _VERIFY_TOL = 1e-8  # phase-invariant distance within which verify_circuit passes
+_CHUNK_ENTRIES = 2**14  # entries per part of a gate update or a comparison scan: small temporaries
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,9 @@ def _matrix(g: Gate) -> tuple:
 
 
 def _chunked(update, *arrays) -> None:
-    """update(*parts) over matching parts of the arrays of at most 2^14
-    entries each, so that its temporaries stay small."""
-    if arrays[0].size <= 2**14 or arrays[0].ndim == 1:
+    """update(*parts) over matching parts of the arrays of at most
+    _CHUNK_ENTRIES entries each, so that its temporaries stay small."""
+    if arrays[0].size <= _CHUNK_ENTRIES or arrays[0].ndim == 1:
         return update(*arrays)
     for parts in zip(*arrays):
         _chunked(update, *parts)
@@ -318,29 +319,31 @@ def build_D_circuit(delta: float, f: float, n_qubits: int) -> Circuit:
     return Circuit(n_qubits, tuple(phase(q, f * delta) for q in range(n_qubits)))
 
 
-def build_zz_exponential(qubits, theta: float, n_qubits: int) -> Circuit:
-    """exp(i*theta * Z x ... x Z on `qubits`), up to a global phase.
-
-    CNOT ladder folds the parity of the subset onto its last qubit, a
-    single PHASE(last, 2*theta) applies the parity-dependent phase, and the
-    ladder unwinds.
-    """
+def _zz_gates(qubits, theta: float) -> list[Gate]:
+    """The unchecked gates of exp(i*theta * Z x ... x Z on `qubits`), up to a global
+    phase: a CNOT ladder folds the subset's parity onto its last qubit, a single
+    PHASE(last, 2*theta) applies the parity-dependent phase, and the ladder unwinds."""
     qs = sorted(set(qubits))
     if not qs:
         raise ContractViolation("need a nonempty qubit subset")
     ladder = [cnot(qs[i], qs[i + 1]) for i in range(len(qs) - 1)]
-    gates = ladder + [phase(qs[-1], 2 * theta)] + ladder[::-1]
-    return Circuit(n_qubits, tuple(gates))
+    return ladder + [phase(qs[-1], 2 * theta)] + ladder[::-1]
+
+
+def build_zz_exponential(qubits, theta: float, n_qubits: int) -> Circuit:
+    """exp(i*theta * Z x ... x Z on `qubits`), up to a global phase."""
+    return Circuit(n_qubits, tuple(_zz_gates(qubits, theta)))
 
 
 def build_P_circuit(expansion, delta: float, f: float, n_qubits: int) -> Circuit:
-    """Payoff phases exp(-i*delta*f*H_p) from a Pauli-Z expansion.
+    """Payoff phases exp(-i*delta*f*H_p) from a Pauli-Z expansion, as one
+    ZZ exponential per term in one circuit, whose gates are checked once.
 
     All terms are commuting diagonals, so the concatenation is exactly the
     dense exponential up to the global phase of the dropped constant term.
     """
     gates = [g for qubits, coeff in expansion if qubits  # a constant term is a global phase only
-             for g in build_zz_exponential(qubits, -f * delta * coeff, n_qubits).gates]
+             for g in _zz_gates(qubits, -f * delta * coeff)]
     return Circuit(n_qubits, tuple(gates))
 
 
@@ -370,6 +373,110 @@ def build_collusion_circuit(bid1: BidSpec | str, bid2: BidSpec | str) -> Circuit
     return Circuit(n, tuple(gates + _fan_out(bid1, 0) + _fan_out(bid2, 2)))
 
 
+def _support(v, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted flat indices `on` of a target's entries in a dim x dim
+    matrix, and their values. A target is a dim x dim matrix or a 1-D
+    diagonal, read on its nonzero entries, or the entries (rows, cols, values)
+    of a sparse one, with integer rows and cols (not bool or float), which
+    broadcast as in `m[rows, cols] = values`."""
+    if isinstance(v, tuple):
+        try:
+            rows, cols, values = np.broadcast_arrays(*map(np.asarray, v))
+            if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+                raise TypeError(f"got {rows.dtype} rows and {cols.dtype} columns")
+            on, first = np.unique(np.ravel_multi_index((rows, cols), (dim, dim)), return_index=True)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"target entries need integer indices in 0..{dim - 1} that broadcast: {exc}") from exc
+        if on.size != rows.size:
+            raise ContractViolation("target lists an entry twice")
+        return on, as_operator(values).reshape(-1)[first]
+    v = as_operator(v)
+    if v.shape != ((dim,) if v.ndim == 1 else (dim, dim)):
+        raise ContractViolation(f"dimension mismatch: {(dim, dim)} vs {v.shape}")
+    nonzero = np.flatnonzero(v)
+    return nonzero * (dim + 1) if v.ndim == 1 else nonzero, v.reshape(-1)[nonzero]
+
+
+def _max_off(u: np.ndarray, on: np.ndarray) -> float:
+    """max |u| off the sorted flat indices `on`, read once in flat chunks of
+    _CHUNK_ENTRIES entries, so no copy of u is made; a non-finite entry raises."""
+    flat = u.reshape(-1)
+    top = 0.0
+    for start in range(0, flat.size, _CHUNK_ENTRIES):
+        chunk = flat[start:start + _CHUNK_ENTRIES]
+        magnitudes = np.abs(chunk)
+        lo, hi = np.searchsorted(on, [start, start + _CHUNK_ENTRIES])  # the part of `on` in the chunk
+        magnitudes[on[lo:hi] - start] = 0
+        peak = float(np.max(magnitudes))
+        if not peak <= top:  # a new maximum, or NaN
+            if not (math.isfinite(peak) or np.isfinite(chunk).all()):
+                raise ContractViolation("phase-invariant distance needs finite matrix entries")
+            top = peak
+    return top
+
+
+def _distinct_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (u_i, v_i) pairs of two 1-D complex arrays, each repeated pair kept
+    once: a D target at n qubits has n + 1 distinct pairs among its 2^n.
+    Every distance of the phase search is a maximum over pairs, so a pair
+    kept twice changes no distance. Copies of a pair share Re u, so after one
+    sort on it (several times cheaper than a sort on all four parts) a copy
+    lands next to another unless a pair with the same Re u sits between them."""
+    order = np.argsort(u.real)
+    u, v = u[order], v[order]
+    kept = np.ones(u.size, dtype=bool)
+    np.not_equal(u[1:], u[:-1], out=kept[1:])
+    kept[1:] |= v[1:] != v[:-1]
+    return u[kept], v[kept]
+
+
+def _phase_search(u: np.ndarray, v: np.ndarray, rest: float) -> float:
+    """min over unit-magnitude phi of max(rest, max |u_i - phi*v_i|), over
+    the pairs of two 1-D arrays: a target's nonzero entries v_i and the
+    entries u_i in their places. `rest` is the largest |u| off those places,
+    where |u - phi*v| = |u| at every phase. A coarse phase scan is refined by
+    golden-section search, with the Frobenius-optimal phase (phase of
+    tr(v^dag u)) as an extra candidate: exact when u and v agree up to phase."""
+    # a real operand is cast once here, not in each of the distance evaluations below
+    u, v = u.astype(complex, copy=False), v.astype(complex, copy=False)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ContractViolation("phase-invariant distance needs finite matrix entries")
+    tr = np.vdot(v, u)  # tr(v^dag u), over every pair, repeated ones too
+    u, v = _distinct_pairs(u, v)
+
+    def dist(theta: float) -> float:
+        return max(rest, float(np.max(np.abs(u - np.exp(1j * theta) * v), initial=0.0)))
+
+    # the coarse scan: every angle's distance at once, in chunks of at most
+    # _CHUNK_ENTRIES entries; argmin takes the first minimum, as min() does
+    thetas = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    phases = np.exp(1j * thetas)[:, None]
+    chunk = max(1, _CHUNK_ENTRIES // max(1, u.size))
+    coarse = np.concatenate([np.max(np.abs(u - phases[i:i + chunk] * v), axis=1, initial=rest)
+                             for i in range(0, thetas.size, chunk)])
+    first_min = int(np.argmin(coarse))
+    best, best_dist = thetas[first_min], float(coarse[first_min])
+    if abs(tr) > 1e-14:
+        cand = float(np.angle(tr))
+        cand_dist = dist(cand)
+        if cand_dist < best_dist:
+            best, best_dist = cand, cand_dist
+    invphi = (np.sqrt(5.0) - 1) / 2
+    a, b = best - 2 * np.pi / 256, best + 2 * np.pi / 256
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    dist_c, dist_d = dist(c), dist(d)
+    for _ in range(80):  # one new point per step; the kept one carries its distance
+        if dist_c < dist_d:
+            b, d, dist_d = d, c, dist_c
+            c = b - invphi * (b - a)
+            dist_c = dist(c)
+        else:
+            a, c, dist_c = c, d, dist_d
+            d = a + invphi * (b - a)
+            dist_d = dist(d)
+    return min(best_dist, dist((a + b) / 2))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     distance: float
@@ -378,11 +485,11 @@ class VerificationReport:
 
 
 def verify_circuit(c: Circuit, target) -> VerificationReport:
-    """Compare the circuit's unitary with a target, in any form `core._support` reads, up to
-    global phase, passing within _VERIFY_TOL. The target is read (and its shape checked)
-    first; the circuit's entries are then gathered on its support, with the largest one
-    off it: a circuit of CNOT and PHASE gates from its column map, with no dense matrix,
-    and any other from its dense matrix, as `core.phase_invariant_distance` reads it."""
+    """Compare the circuit's unitary with a target, in any form `_support` reads, up to
+    global phase (`_phase_search`), passing within _VERIFY_TOL. The target is read (and its
+    shape checked) first; the circuit's entries are then gathered on its support, with the
+    largest one off it: a circuit of CNOT and PHASE gates from its column map, with no
+    dense matrix, and any other from its dense matrix, read once in chunks (`_max_off`)."""
     dim = 2**c.n_qubits
     on, values = _support(target, dim)
     if all(g.kind in ("CNOT", "PHASE") for g in c.gates):

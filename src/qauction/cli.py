@@ -378,7 +378,7 @@ class _TargetKind(NamedTuple):
     counts: tuple        # the argument counts it accepts
     parse: Callable      # arguments -> (values, width in qubits, or None: the circuit file's)
     circuit: Callable    # (*values, width) -> the circuit that --emit prints
-    reference: Callable  # (*values, width) -> the target a file is checked against, in a form core._support reads
+    reference: Callable  # (*values, width) -> the target a file is checked against, in a form circuits._support reads
 
 
 # Every circuit-verify target `kind:args`; kinds match case-insensitively.

@@ -527,13 +527,20 @@ def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
     0, so U[span, T] starts with |Psi_0>. Success and leakage (1 minus the
     probability on `plausible`) are read once from the stacked span
     amplitudes, and the final state is the one full-length state built.
+    The winner and the (nonempty) plausible set are indices in 0..2^n - 1.
     """
+    dim = 2**table.n_qubits
+    plausible = list(plausible)
+    if not plausible:
+        raise ContractViolation("the run needs at least one plausible allocation")
+    for x in (winner_index, *plausible):
+        if not (_is_count(x) and 0 <= x < dim):
+            raise ContractViolation(f"allocation index {x!r} is not an integer in 0..{dim - 1}")
     # every phase argument is delta times an energy of at most max(n, max|F|)
     phase_bound = schedule.delta * max(table.n_qubits, float(np.max(np.abs(table.values))))
     if not math.isfinite(phase_bound):
         raise ContractViolation(f"step size {schedule.delta:g} overflows the phases "
                                 f"(delta * max(n, max|F|) = {phase_bound}), so the state would be nan")
-    dim = 2**table.n_qubits
     operators, span = _search_space(u, schedule.locking, dim)
     u_span, w_diag, hp_diag, v = _blocks(operators, span, table)
     fs = [s / schedule.steps for s in range(1, schedule.steps + 1)]
@@ -541,7 +548,7 @@ def run_schedule(u: tuple[np.ndarray, ...], plausible: Sequence[int],
     states = _fold(step, u_span[:, 0].astype(complex), schedule.steps)
     probs = np.abs(states) ** 2
     in_plausible = np.zeros(dim, dtype=bool)
-    in_plausible[list(plausible)] = True
+    in_plausible[plausible] = True
     success = probs @ (span == winner_index)
     leakage = np.maximum(0.0, 1.0 - probs @ in_plausible[span])
     return Trajectory(span, states, success, leakage, winner_index, _scatter(span, states[-1], dim))

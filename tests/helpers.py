@@ -1,11 +1,13 @@
 """Measurement helpers and reference constructions that only the tests use."""
 
+import itertools
 import math
 
 import numpy as np
 
 from qauction.adversary import _mc_rng
-from qauction.core import ATOL_UNITARY, Povm, StateVector, _max_off, measurement_probabilities
+from qauction.circuits import _max_off, _phase_search, _support
+from qauction.core import ATOL_UNITARY, Povm, StateVector, _as_matrix, measurement_probabilities
 
 
 def sample_measurement(state: StateVector, povm: Povm, rng: np.random.Generator,
@@ -28,6 +30,11 @@ def computational_povm(n_qubits: int) -> Povm:
         e[k, k] = 1.0
         out.append(e)
     return Povm(tuple(out))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 def is_unitary(u) -> bool:
@@ -175,6 +182,26 @@ def dense_majority_mc_curve(per_bidder, n_rounds: int, trials: int, seed: int) -
     return learned_all.mean(axis=0)
 
 
+def exact_majority_curve(per_bidder, n_rounds: int) -> np.ndarray:
+    """The probability that a strict majority of N outcomes names every
+    bidder's true outcome, for N = 1..n_rounds: what `majority_mc_curve`
+    estimates for one variant. Per bidder, the multinomial terms of the
+    count vectors whose true count t exceeds every other count (each other
+    count in 0..t - 1, all counts summing to N) are summed; the curve is
+    the product over the bidders."""
+    curve = np.ones(n_rounds)
+    for dist, true_index in per_bidder:
+        p, others = float(dist[true_index]), np.delete(np.asarray(dist, dtype=float), true_index)
+        for n in range(1, n_rounds + 1):
+            curve[n - 1] *= sum(
+                math.factorial(n) / math.prod(math.factorial(c) for c in (t, *rest))
+                * p**t * math.prod(q**c for q, c in zip(others, rest))
+                for t in range(1, n + 1)
+                for rest in itertools.product(range(t), repeat=others.size)
+                if t + sum(rest) == n)
+    return curve
+
+
 def dense_first_hit_curve(p_hits, n_rounds: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     """First-hit Monte Carlo curve from one full int64 geometric draw per
     bidder: the reference the blocked `adversary._first_hit_curve` must
@@ -190,8 +217,19 @@ def dense_first_hit_curve(p_hits, n_rounds: int, trials: int, rng: np.random.Gen
     return learned_by[1 : n_rounds + 1] / trials
 
 
+def phase_invariant_distance(u, v) -> float:
+    """min over unit-magnitude phi of max-entry |u - phi*v|: zero iff u and v
+    agree up to a global phase. The comparison `circuits.verify_circuit`
+    runs, on a dense u: `v` is any target `circuits._support` reads, u is
+    read on v's support and through its largest entry off it, and neither
+    operand is copied or made dense."""
+    u = _as_matrix(u)
+    on, values = _support(v, u.shape[0])
+    return _phase_search(u.reshape(-1)[on], values, _max_off(u, on))
+
+
 def scalar_phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """`core.phase_invariant_distance` as one `dist(theta)` call per coarse
+    """`phase_invariant_distance` as one `dist(theta)` call per coarse
     angle and two per golden-section step, on valid input: the reference
     that the broadcast scan and the carried golden-section values must
     match with `==`."""

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import expansion_diagonal, helstrom_error
+from helpers import expansion_diagonal, helstrom_error, phase_invariant_distance
 from qauction import cli
 from qauction.adversary import (
     basis_mc_curve,
@@ -33,7 +33,6 @@ from qauction.adversary import (
     toy_bidding_states,
 )
 from qauction.circuits import build_bidder_circuit, circuit_to_matrix
-from qauction.core import phase_invariant_distance
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,

@@ -1,11 +1,18 @@
 import itertools
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import computational_povm, dense_first_hit_curve, dense_majority_mc_curve, helstrom_error
+from helpers import (
+    computational_povm,
+    dense_first_hit_curve,
+    dense_majority_mc_curve,
+    exact_majority_curve,
+    helstrom_error,
+)
 from qauction import adversary
 from qauction.adversary import (
     Povm,
@@ -533,6 +540,35 @@ class TestPovmLearningCurves:
         # even rounds can tie, so the majority rule is not monotone
         assert probs[1] < probs[0]
 
+    def test_exact_majority_of_one_or_two_rounds_needs_every_round_right(self, toy_povm):
+        # a strict majority of one or two outcomes needs each of them right
+        _, _, p_e = toy_povm
+        per = [(dist, t) for dist, t, *_ in povm_outcome_distributions(["11", "10"], (None, None))]
+        curve = exact_majority_curve(per, 2)
+        assert curve[0] == pytest.approx((1 - p_e) ** 2, abs=1e-12)
+        assert curve[1] == pytest.approx((1 - p_e) ** 4, abs=1e-12)
+
+    def test_exact_majority_matches_the_sequence_enumeration(self):
+        np.testing.assert_allclose(exact_majority_curve(SYNTHETIC_BIDDERS, 6),
+                                   [np.prod([exact_majority(d, t, n) for d, t in SYNTHETIC_BIDDERS])
+                                    for n in range(1, 7)], rtol=0, atol=1e-15)
+
+    # The chance that any compared cell of a correct sampler lies outside the bound
+    MAJORITY_FALSE_ALARM = 1e-3
+
+    def test_majority_matches_the_exact_curve_at_every_round(self):
+        # on the CLI's default bids and rounds, unlocked and locked; the bound is the
+        # binomial sigma times the two-sided normal quantile that a Bonferroni
+        # correction over every compared cell gives the false-alarm rate above
+        n_rounds, trials = 20, 200_000
+        variants = [[(dist, t) for dist, t, *_ in povm_outcome_distributions(["11", "10"], alphas)]
+                    for alphas in ((None, None), (0.9, 0.7))]
+        curves = majority_mc_curve(variants, n_rounds, trials, 0)
+        exact = np.array([exact_majority_curve(per, n_rounds) for per in variants])
+        z = statistics.NormalDist().inv_cdf(1 - self.MAJORITY_FALSE_ALARM / (2 * exact.size))
+        sigma = np.sqrt(exact * (1 - exact) / trials)
+        assert np.all(np.abs(curves - exact) <= z * sigma + 1e-12), np.max(np.abs(curves - exact) / sigma)
+
     def test_invalid_error_probability(self):
         with pytest.raises(ContractViolation):
             probe_attack_povm([0.1, 1.0], 3)
@@ -701,14 +737,20 @@ class TestPovmSolverOnRandomEnsembles:
 
 TWO_OUTCOMES = np.array([0.5, 0.5])
 # Library entries that a bad scalar used to pass: NaN or infinite payoffs, a
-# NaN or out-of-range lock amplitude, and a non-finite or negative error
-# probability (bad round and trial counts: BAD_COUNTS below).
+# NaN or out-of-range lock amplitude, a lock amplitude that is no real number
+# (which ended in a TypeError) or a bool (True locked at 1), and a non-finite
+# or negative error probability (bad round and trial counts: BAD_COUNTS below).
 BAD_ENTRIES = {
     "payoff_nan": lambda: PayoffTable(1, [0.0, np.nan]),
     "payoff_inf": lambda: PayoffTable(1, [0.0, np.inf]),
     "basis_alpha_nan": lambda: probe_attack_basis([np.nan], 3),
     "basis_alpha_2": lambda: probe_attack_basis([2.0], 3),
     "basis_alpha_0": lambda: probe_attack_basis([None, 0.0], 3),
+    "basis_alpha_str": lambda: probe_attack_basis(["0.5"], 3),
+    "lock_alpha_None": lambda: locking_operator("10", None),
+    "lock_alpha_str": lambda: locking_operator("10", "0.5"),
+    "lock_alpha_True": lambda: locking_operator("10", True),
+    "unitaries_alpha_None": lambda: locking_unitaries(["10", "11"], (None, 0.7)),
     "povm_p_e_-inf": lambda: probe_attack_povm([-np.inf], 3),
     "povm_p_e_nan": lambda: probe_attack_povm([np.nan], 3),
     "povm_p_e_negative": lambda: probe_attack_povm([-0.1], 3),

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kron_circuit_matrix
+from helpers import kron_circuit_matrix, phase_invariant_distance
 
 from qauction import circuits, cli
-from qauction.core import phase_invariant_distance
 
 
 def run_cli(args, capsys):
@@ -688,6 +687,9 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("argv, operands_mb", [
         (["converge", "--bids", "0011,0101,1001", "--variant", "exact"], JOINT_MB),
+        # locked `exact` at 12 qubits: U dense and V as two 64 x 64 float64 factors of 32 KB
+        (["converge", "--bids", "111111,111110", "--variant", "exact", "--defense", "lock",
+          "--alpha1", "0.9", "--alpha2", "0.7"], JOINT_MB + 2 * 64 * 64 * 8 / 2**20),
         # at S = 10000 steps on k = 64 span indices, three (S + 1, k) arrays of 16 B an
         # entry: the list of states `_fold` stacks, the stack, and the probabilities
         # read from it (`np.abs(states) ** 2`, 8 B an entry and as much for its temporary)
@@ -700,7 +702,7 @@ class TestMemoryBound:
          (2 * 1000 * 100_000 / 8 + 1024 * 1000 * 16) / 2**20),
         # at the cells cap in one round: the latest first-hit round of each trial, one byte each
         (LOCKED_ATTACK + ["--trials", "100000000", "--rounds", "1"], 100_000_000 / 2**20),
-    ], ids=["converge_exact_12_qubits", "variants_at_the_steps_cap",
+    ], ids=["converge_exact_12_qubits", "locked_converge_exact_12_qubits", "variants_at_the_steps_cap",
             "locked_attack_at_the_rounds_cap", "locked_attack_at_the_cells_cap_in_one_round"])
     def test_cap_run_stays_within_the_interpreter_plus_its_operands(self, argv, operands_mb, tmp_path):
         out = tmp_path / "out.csv"

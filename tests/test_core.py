@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import computational_povm, sample_measurement, scalar_phase_invariant_distance
-from qauction import adversary, circuits, cli, core, protocol
+from helpers import computational_povm, random_unitary, sample_measurement
+from qauction import adversary, circuits, core, protocol
 from qauction.core import (
     ContractViolation,
     Povm,
@@ -13,7 +12,6 @@ from qauction.core import (
     eig_hermitian,
     is_hermitian,
     measurement_probabilities,
-    phase_invariant_distance,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -23,11 +21,6 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
-
-
-def random_unitary(rng, dim):
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q
 
 
 def random_state(rng, dim):
@@ -171,175 +164,15 @@ class TestMeasurement:
         assert abs(freq - 0.5) <= 3 * sigma
 
 
-class TestPhaseInvariantDistance:
-    def test_equal(self):
-        rng = np.random.default_rng(31)
-        u = random_unitary(rng, 4)
-        assert phase_invariant_distance(u, u) <= 1e-13
-
-    def test_global_phase(self):
-        rng = np.random.default_rng(37)
-        u = random_unitary(rng, 4)
-        assert phase_invariant_distance(u, np.exp(1j * math.pi / 3) * u) <= 1e-12
-
-    def test_identity_vs_z(self):
-        d = phase_invariant_distance(I2, Z)
-        assert d >= 1.0
-        assert d == pytest.approx(math.sqrt(2), abs=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            phase_invariant_distance(np.eye(2), np.eye(4))
-
-    @pytest.mark.parametrize("case", ["dense", "diagonal", "off_diagonal", "zero_in_target"])
-    def test_diagonal_target_equals_dense_target(self, case):
-        # a 1-D target is the diagonal of a diagonal matrix
-        rng = np.random.default_rng(41)
-        diag = np.exp(1j * rng.uniform(-3, 3, size=8))
-        u = {"dense": random_unitary(rng, 8),
-             "diagonal": np.diag(np.exp(0.7j) * diag),
-             "off_diagonal": np.diag(diag) + 1e-10 * np.eye(8, k=3)}.get(case, np.diag(diag))
-        if case == "zero_in_target":
-            diag[5] = 0
-        assert phase_invariant_distance(u, diag) == phase_invariant_distance(u, np.diag(diag))
-        assert (phase_invariant_distance(u, diag) > 1e-9) == (case in ("dense", "zero_in_target"))
-
-    SCALAR_LOOP_KINDS = ("random", "near_phase", "zeros_in_target", "diagonal_target", "repeated_pairs")
-
-    @pytest.mark.parametrize("kind", SCALAR_LOOP_KINDS)
-    def test_matches_the_scalar_loop_exactly(self, kind):
-        rng = np.random.default_rng(self.SCALAR_LOOP_KINDS.index(kind))
-        for _ in range(150):
-            dim = int(rng.integers(1, 17))
-            if kind == "repeated_pairs":  # entries from at most 5 (u, v) pairs, some with v = 0
-                k = int(rng.integers(1, 6))
-                pool_u = np.exp(1j * rng.uniform(-3, 3, size=k))
-                pool_v = (np.exp(1j * rng.uniform(-4, 4)) * pool_u
-                          + rng.choice([0, 1e-3, 1]) * np.exp(1j * rng.uniform(-3, 3, size=k)))
-                pool_v *= rng.random(k) < 0.8
-                pick = rng.integers(0, k, size=(dim, dim))
-                u, v = pool_u[pick], pool_v[pick]
-                if rng.random() < 0.5:  # a diagonal target, against a dense or a diagonal u
-                    v = np.diagonal(v)
-                    if rng.random() < 0.5:
-                        u = np.diag(np.diagonal(u))
-                assert phase_invariant_distance(u, v) == scalar_phase_invariant_distance(u, v)
-                continue
-            u = random_unitary(rng, dim)
-            v = {"random": random_unitary(rng, dim),
-                 "near_phase": np.exp(1j * rng.uniform(-4, 4)) * u + rng.uniform(0, 1e-3) * random_unitary(rng, dim),
-                 "zeros_in_target": u * (rng.random((dim, dim)) < 0.6),
-                 "diagonal_target": np.exp(1j * rng.uniform(-3, 3, size=dim)) * (rng.random(dim) < 0.9)}[kind]
-            if kind == "diagonal_target" and rng.random() < 0.5:
-                u = np.diag(np.exp(1j * rng.uniform(-3, 3, size=dim)))
-            assert phase_invariant_distance(u, v) == scalar_phase_invariant_distance(u, v)
-
-    @pytest.mark.parametrize("target", ["bidder:1", "bidder:011", "bidder:1011", "P:1.3,0.4", "P:0.5,1",
-                                        "collusion:10,11", "collusion:01,11", "D:1.5,0.3,4", "D:0.9,0.7,8"])
-    def test_matches_the_scalar_loop_on_circuit_targets(self, target):
-        row, values, width = cli._parse_target(target)
-        got = circuits.circuit_to_matrix(row.circuit(*values, width))
-        want = row.reference(*values, width)
-        if isinstance(want, tuple):  # the bidder's entries, scattered into its dense matrix
-            entries, want = want, np.zeros_like(got)
-            want[entries[:2]] = entries[2]
-            assert phase_invariant_distance(got, entries) == phase_invariant_distance(got, want)
-        nearby = want * np.exp(1e-3j * np.arange(want.size)).reshape(want.shape)
-        for v in (want, nearby):
-            assert phase_invariant_distance(got, v) == scalar_phase_invariant_distance(got, v)
-
-    @pytest.mark.parametrize("real", [False, True])
-    def test_entries_target_equals_dense_target(self, real):
-        # entries listed in any order, none of them 0, are the support of the dense target
-        rng = np.random.default_rng(43 + real)
-        for _ in range(60):
-            dim = int(rng.integers(1, 17))
-            flat = rng.permutation(dim * dim)[:int(rng.integers(0, dim * dim + 1))]
-            values = (rng.choice([-1.0, 0.5, 2.0], size=flat.size) if real
-                      else np.exp(1j * rng.uniform(-3, 3, size=flat.size)))
-            dense = np.zeros((dim, dim), dtype=values.dtype)
-            dense.reshape(-1)[flat] = values
-            for u in (random_unitary(rng, dim), np.exp(0.4j) * dense + 1e-4 * (rng.random((dim, dim)) < 0.3)):
-                assert phase_invariant_distance(u, (flat // dim, flat % dim, values)) == phase_invariant_distance(u, dense)
-
-    @pytest.mark.parametrize("entries, message", [
-        (([0, 4], [0, 1], [1, 1]), "integer indices in 0..3"),
-        (([0, 1], [0, -1], [1, 1]), "integer indices in 0..3"),
-        (([0.0, 1.0], [0, 1], [1, 1]), "integer indices"),
-        (([0, 1], [0.0, 1.0], [1, 1]), "integer indices"),
-        (([True], [False], [1.0]), "integer indices"),
-        (([0, 1], [True, False], [1, 1]), "integer indices"),
-        (([0, 1, 2], [0, 1], [1, 1, 1]), "broadcast"),
-        (([0, 1], [0, 1], [1, 1, 1]), "broadcast"),
-        (([0, 1], [0, 1]), "broadcast"),
-        (([0, 1, 0], [2, 1, 2], [1, 1, 1]), "an entry twice"),
-        (([0, 1], [0, 1], [1, np.nan]), "finite"),
-        (([0, 1], [0, 1], [np.inf, 1]), "finite"),
-    ], ids=["row_out_of_range", "negative_column", "float_indices", "float_columns",
-            "bool_indices", "bool_columns", "index_lengths_differ",
-            "value_length_differs", "no_values", "repeated_entry", "nan_value", "infinite_value"])
-    def test_rejects_malformed_entries(self, entries, message):
-        with pytest.raises(ContractViolation, match=message):
-            phase_invariant_distance(np.eye(4), tuple(np.asarray(a) for a in entries))
-
-    def test_diagonal_target_dimension_mismatch(self):
-        with pytest.raises(ContractViolation, match="dimension mismatch"):
-            phase_invariant_distance(np.eye(4), np.ones(2))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
-    def test_rejects_non_finite_entries(self, bad):
-        m = np.eye(2, dtype=complex)
-        m[1, 0] = bad
-        for u, v in ((m, np.eye(2)), (np.eye(2), m)):
-            with pytest.raises(ContractViolation, match="finite"):
-                phase_invariant_distance(u, v)
-        with pytest.raises(ContractViolation, match="finite"):
-            phase_invariant_distance(np.eye(2), np.array([1, bad]))
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("where", ["last_of_chunk", "first_of_chunk", "last_entry",
-                                       "last_of_flat_chunk", "first_of_flat_chunk"])
-    def test_diagonal_target_rejects_non_finite_off_diagonal_at_chunk_edges(self, bad, where):
-        # u is scanned in flat chunks of _SCAN_ENTRIES entries, `rows` rows of u each, with
-        # the target's support zeroed: (rows, rows - 1) and (rows, rows + 1) flank the support
-        # entry (rows, rows), and (rows - 1, dim - 1) and (rows, 0) are the edges of chunks 0 and 1
-        dim = 256
-        rows = core._SCAN_ENTRIES // dim
-        u = np.eye(dim, dtype=complex)
-        at = {"last_of_chunk": (rows, rows - 1), "first_of_chunk": (rows, rows + 1),
-              "last_entry": (dim - 1, dim - 2), "last_of_flat_chunk": (rows - 1, dim - 1),
-              "first_of_flat_chunk": (rows, 0)}[where]
-        u[at] = bad
-        with pytest.raises(ContractViolation, match="finite"):
-            phase_invariant_distance(u, np.ones(dim))
-        u[at] = 0.5  # a finite maximum there is read, not rejected
-        assert phase_invariant_distance(u, np.ones(dim)) == 0.5
-
-    def test_reads_no_copy_of_either_operand(self):
-        # the real bidder operands meet on their 2^10 nonzero entries: no complex copy
-        # of the reference, no cast of the circuit matrix, no dense mask
-        u = circuits.circuit_to_matrix(circuits.build_bidder_circuit("1011011011"))
-        v = protocol.bidding_operator("1011011011")
-        tracemalloc.start()
-        try:
-            assert phase_invariant_distance(u, v) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * u.nbytes
-
-
 def test_hermiticity_predicate():
     assert is_hermitian(Z)
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize("call", [
-    is_hermitian, eig_hermitian, lambda m: Povm((m,)), lambda m: phase_invariant_distance(m, m),
-], ids=["is_hermitian", "eig_hermitian", "Povm", "phase_invariant_distance"])
+@pytest.mark.parametrize("call", [is_hermitian, eig_hermitian, lambda m: Povm((m,))],
+                         ids=["is_hermitian", "eig_hermitian", "Povm"])
 def test_empty_operators_are_refused(call):
     # a 0 x 0 matrix used to end in numpy's zero-size reduction ValueError
-    # (and had distance 0.0 from itself)
     with pytest.raises(ContractViolation, match=r"nonempty square matrix, got shape \(0, 0\)"):
         call(np.zeros((0, 0)))
 
@@ -347,10 +180,18 @@ def test_empty_operators_are_refused(call):
 TWO_STATES = [StateVector([1, 0]), StateVector([0, 1])]
 FIRST_PRICE = protocol.build_first_price_table(protocol.AuctionConfig(m=2, p=2))
 SIX_QUBIT_TABLE = protocol.build_first_price_table(protocol.AuctionConfig(m=3, p=2))
+
+
+def run_toy(winner, plausible):
+    """A run of the n = 4 toy on bids 10,11 with the given winner and plausible set."""
+    return protocol.run_schedule((protocol.bidding_operator("10"), protocol.bidding_operator("11")),
+                                 plausible, winner, FIRST_PRICE, protocol.AdiabaticSchedule(4, 1.0))
+
+
 # Library contracts, each with the message it raises: malformed POVMs and
 # ensembles, a locked collusion run, a locked schedule with no lock, tables
-# and registers of the wrong size, a joint operator with no start state, and
-# malformed circuits.
+# and registers of the wrong size, a joint operator with no start state, a
+# run's winner or plausible indices outside the register, and malformed circuits.
 CONTRACTS = {
     "povm_empty": (lambda: core.Povm(()), "at least one element"),
     "povm_mixed_dimensions": (lambda: core.Povm((I2, np.eye(4))), "differ in dimension"),
@@ -383,6 +224,12 @@ CONTRACTS = {
     "run_schedule_zero_factor": (lambda: protocol.run_schedule(
         (np.zeros((4, 4)), protocol.bidding_operator("11")), [0, 3], 3, FIRST_PRICE,
         protocol.AdiabaticSchedule(4, 1.0)), r"U\|0\.\.\.0> is 0"),
+    # a winner or plausible index that is no allocation of the register, and no plausible set,
+    # used to give success 0.0 throughout, numpy's IndexError, or leakage 1.0
+    "run_schedule_winner_99": (lambda: run_toy(99, [0, 3]), r"allocation index 99 is not an integer in 0\.\.15"),
+    "run_schedule_plausible_99": (lambda: run_toy(3, [0, 3, 99]), r"allocation index 99 is not an integer in 0\.\.15"),
+    "run_schedule_plausible_0.5": (lambda: run_toy(3, [0.5]), r"allocation index 0\.5 is not an integer"),
+    "run_schedule_plausible_empty": (lambda: run_toy(3, []), "at least one plausible allocation"),
     "run_adiabatic_6_qubit_table": (lambda: protocol.run_adiabatic(
         ["10", "11"], SIX_QUBIT_TABLE, protocol.AdiabaticSchedule(4, 1.0)), "does not match the bidder"),
     "tracks_6_qubit_table": (lambda: protocol.eigenvalue_tracks(

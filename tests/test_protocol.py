@@ -5,12 +5,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from helpers import assert_run_matches, dense_run, expansion_diagonal, kron_bidding_operator
+from helpers import (
+    assert_run_matches,
+    dense_run,
+    expansion_diagonal,
+    kron_bidding_operator,
+    phase_invariant_distance,
+)
 
-from qauction import core, protocol
+from qauction import circuits, protocol
 from qauction.adversary import locking_unitaries, spurious_table
 from qauction.circuits import build_collusion_circuit, circuit_to_matrix
-from qauction.core import ContractViolation, StateVector, phase_invariant_distance
+from qauction.core import ContractViolation, StateVector
 from qauction.protocol import (
     AdiabaticSchedule,
     AuctionConfig,
@@ -192,7 +198,7 @@ class TestBiddingOperators:
         assert np.all(u[x & ~lead, x] == 1 / math.sqrt(2))
         assert np.array_equal(u[x & ~lead ^ bid.index, x], np.where(x & lead, -1.0, 1.0) / math.sqrt(2))
         # the entries, read as a target, in the order and with the bits of the dense operator's support
-        on, values = core._support(protocol._bidding_entries(bid), 2**n)
+        on, values = circuits._support(protocol._bidding_entries(bid), 2**n)
         assert np.array_equal(on, np.flatnonzero(u)) and values.tobytes() == u.reshape(-1)[on].tobytes()
 
     @staticmethod
